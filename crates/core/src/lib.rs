@@ -106,7 +106,7 @@ pub use memo::{MemoStats, PhaseKey, PhaseMemo};
 pub use parallel::{ParallelPlanner, PlannerPool};
 pub use plan::{
     evaluate_plan, CandidateScore, FacilityQueues, NoQueues, PlanContext, PlanError,
-    PlanEvaluation, QueryRequest, QueueEstimator, SiteFloors, SubsetArena,
+    PlanEvaluation, QueryRequest, QueueEstimator, SiteFloors, SubsetArena, Wave,
 };
 pub use planner::{FederationPlanner, IvqpPlanner, Planner, WarehousePlanner};
 pub use repair::{RepairSession, ReplanCache, ReplanStats};

@@ -427,16 +427,17 @@ impl CandidateScore {
 /// path funnel through this function, with identical operation order, so
 /// their floating-point results are bit-identical by construction.
 ///
-/// `local` must be sorted ascending (data-version minimization iterates
-/// it in order), `sites` must be the ascending sites spanned by the
-/// remote reads (empty iff `remote_empty`), and `cost` the cost-model
-/// estimate for that split.
+/// `versions` yields the data version of each of the `local_len` local
+/// tables in ascending table order (data-version minimization folds them
+/// in that order), `sites` must be the ascending sites spanned by the
+/// remote reads (empty iff every table is read locally), and `cost` the
+/// cost-model estimate for that split.
 fn score_candidate(
     ctx: &PlanContext<'_>,
     request: &QueryRequest,
     execute_at: SimTime,
-    local: &[TableId],
-    remote_empty: bool,
+    versions: impl Iterator<Item = SimTime>,
+    local_len: usize,
     sites: &[SiteId],
     cost: PlanCost,
 ) -> CandidateScore {
@@ -456,16 +457,12 @@ fn score_candidate(
 
     // Data versions: replicas carry their last sync at release time; base
     // tables are effectively stamped at processing start.
-    let mut data_version = if remote_empty {
+    let mut data_version = if sites.is_empty() {
         SimTime::MAX
     } else {
         service_start
     };
-    for &t in local {
-        let version = ctx
-            .timelines
-            .last_sync(t, execute_at)
-            .unwrap_or(SimTime::ZERO);
+    for version in versions {
         data_version = data_version.min(version);
     }
 
@@ -480,41 +477,73 @@ fn score_candidate(
         latencies,
         information_value,
         cost,
-        local_len: u32::try_from(local.len()).expect("footprint fits in u32"),
+        local_len: u32::try_from(local_len).expect("footprint fits in u32"),
+    }
+}
+
+/// The data version of `table`'s replica for work released at `at`: its
+/// last synchronization at or before `at`, or time zero if it never
+/// synchronized.
+fn replica_version(ctx: &PlanContext<'_>, table: TableId, at: SimTime) -> SimTime {
+    ctx.timelines.last_sync(table, at).unwrap_or(SimTime::ZERO)
+}
+
+/// The replica versions one release time sees, looked up once and shared
+/// by every mask scored there: entry `i` is the data version of the
+/// arena's replicated table `i` (see [`SubsetArena::wave`]). Each lookup
+/// is a binary search over that table's synchronization timeline, so a
+/// wave of `2^r` candidates costs `r` lookups instead of one per local
+/// table per candidate.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Wave {
+    at: SimTime,
+    versions: Vec<SimTime>,
+}
+
+impl Wave {
+    /// The release time the versions were looked up at.
+    #[must_use]
+    pub(crate) fn at(&self) -> SimTime {
+        self.at
     }
 }
 
 /// Structure-of-arrays store of everything about a query's candidate
-/// subsets that does **not** depend on the release time: per-mask local
-/// tables, spanned remote sites and cost-model estimates, each flattened
-/// into one shared vector with per-mask ranges. Built once per search,
-/// it makes scoring a candidate — [`SubsetArena::score`] — completely
+/// subsets that does **not** depend on the release time: per-mask
+/// spanned remote sites and cost-model estimates, each flattened into
+/// one shared vector with per-mask ranges. Built once per search, it
+/// makes scoring a candidate — [`SubsetArena::score`] — completely
 /// allocation-free: the release-time-dependent work is just queue
-/// probes, a handful of additions and the two `powf` calls of the IV
-/// formula.
+/// probes, a minimum over the [`Wave`]'s replica versions, a handful of
+/// additions and the two `powf` calls of the IV formula. The cost model
+/// runs once per mask, when the arena is built.
 ///
 /// Mask `m` selects replicated table `i` iff bit `i` of `m` is set, in
 /// exactly the [`local_subsets`](crate::search::local_subsets)
 /// enumeration order (mask 0 is the all-remote plan), so arena masks,
 /// memo frontiers and plan-cache candidates all index the same space.
+/// A built arena holds every mask, row `m` being mask `m`;
+/// [`SubsetArena::select`] keeps only some of them.
 #[derive(Debug, Clone)]
 pub struct SubsetArena {
+    /// The replicated footprint, ascending.
     replicated: Vec<TableId>,
-    /// All masks' local tables, flattened; each mask's slice is sorted.
-    locals: Vec<TableId>,
-    local_ranges: Vec<(usize, usize)>,
-    /// All masks' spanned remote sites, flattened and ascending per mask.
+    /// Each row's mask.
+    masks: Vec<usize>,
+    /// The union of all rows' masks: the replicated tables a wave must
+    /// look up.
+    used: usize,
+    /// All rows' spanned remote sites, flattened and ascending per row.
     sites: Vec<SiteId>,
     site_ranges: Vec<(usize, usize)>,
     costs: Vec<PlanCost>,
-    remote_empty: Vec<bool>,
 }
 
 impl SubsetArena {
-    /// Precomputes the per-mask tables, sites and costs for `request`
-    /// under `ctx`. `replicated` must be the request's replicated
-    /// footprint (see
-    /// [`replicated_footprint`](crate::search::replicated_footprint)).
+    /// Precomputes the per-mask sites and costs for `request` under
+    /// `ctx`. `replicated` must be the request's replicated footprint
+    /// (see [`replicated_footprint`](crate::search::replicated_footprint)),
+    /// which is ascending like every query footprint.
     ///
     /// # Panics
     ///
@@ -524,33 +553,26 @@ impl SubsetArena {
     pub fn build(ctx: &PlanContext<'_>, request: &QueryRequest, replicated: &[TableId]) -> Self {
         let n = replicated.len();
         assert!(n < usize::BITS as usize, "too many replicated tables");
+        debug_assert!(
+            replicated.windows(2).all(|w| w[0] < w[1]),
+            "the replicated footprint is ascending"
+        );
         let n_masks = 1usize << n;
         let mut arena = SubsetArena {
             replicated: replicated.to_vec(),
-            locals: Vec::new(),
-            local_ranges: Vec::with_capacity(n_masks),
+            masks: (0..n_masks).collect(),
+            used: n_masks - 1,
             sites: Vec::new(),
             site_ranges: Vec::with_capacity(n_masks),
             costs: Vec::with_capacity(n_masks),
-            remote_empty: Vec::with_capacity(n_masks),
         };
         for mask in 0..n_masks {
-            let local: BTreeSet<TableId> = replicated
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| mask & (1 << i) != 0)
-                .map(|(_, &t)| t)
-                .collect();
-            let local_start = arena.locals.len();
-            arena.locals.extend(local.iter().copied());
-            arena.local_ranges.push((local_start, arena.locals.len()));
-
             let remote: BTreeSet<TableId> = request
                 .query
                 .tables()
                 .iter()
                 .copied()
-                .filter(|t| !local.contains(t))
+                .filter(|t| !SetBits(mask).any(|i| replicated[i] == *t))
                 .collect();
             arena
                 .costs
@@ -561,22 +583,51 @@ impl SubsetArena {
                 arena.sites.extend(ctx.catalog.sites_spanned(&remote_vec));
             }
             arena.site_ranges.push((site_start, arena.sites.len()));
-            arena.remote_empty.push(remote.is_empty());
         }
         arena
     }
 
-    /// Number of candidate masks (`2^replicated`).
+    /// A compact arena holding only the given `rows` of this one, in that
+    /// order: row `i` of the result scores exactly like row `rows[i]` of
+    /// `self`, without keeping the other rows or re-running the cost
+    /// model. Its waves look up only the tables those rows read locally.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row is out of range.
     #[must_use]
-    pub fn len(&self) -> usize {
-        self.local_ranges.len()
+    pub fn select(&self, rows: &[usize]) -> SubsetArena {
+        let mut arena = SubsetArena {
+            replicated: self.replicated.clone(),
+            masks: Vec::with_capacity(rows.len()),
+            used: 0,
+            sites: Vec::new(),
+            site_ranges: Vec::with_capacity(rows.len()),
+            costs: Vec::with_capacity(rows.len()),
+        };
+        for &row in rows {
+            let mask = self.masks[row];
+            arena.masks.push(mask);
+            arena.used |= mask;
+            let site_start = arena.sites.len();
+            arena.sites.extend_from_slice(self.row_sites(row));
+            arena.site_ranges.push((site_start, arena.sites.len()));
+            arena.costs.push(self.costs[row]);
+        }
+        arena
     }
 
-    /// `true` only for a degenerate arena with no masks (never produced
-    /// by [`SubsetArena::build`], which always has at least mask 0).
+    /// Number of rows (`2^replicated` masks for a built arena).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.masks.len()
+    }
+
+    /// `true` for an arena with no rows (never produced by
+    /// [`SubsetArena::build`], which always has at least mask 0).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.local_ranges.is_empty()
+        self.masks.is_empty()
     }
 
     /// The replicated footprint the masks enumerate.
@@ -585,46 +636,89 @@ impl SubsetArena {
         &self.replicated
     }
 
-    /// Mask `m`'s local tables, sorted ascending.
-    #[must_use]
-    pub fn local(&self, mask: usize) -> &[TableId] {
-        let (start, end) = self.local_ranges[mask];
-        &self.locals[start..end]
+    /// Row `row`'s local tables, ascending.
+    pub fn local(&self, row: usize) -> impl Iterator<Item = TableId> + '_ {
+        SetBits(self.masks[row]).map(|i| self.replicated[i])
     }
 
-    /// Scores mask `m` released at `execute_at` — the allocation-free
-    /// equivalent of [`evaluate_plan`] on a candidate that is valid by
-    /// construction, bit-identical to it (both run `score_candidate`).
+    fn row_sites(&self, row: usize) -> &[SiteId] {
+        let (start, end) = self.site_ranges[row];
+        &self.sites[start..end]
+    }
+
+    /// Looks up, once, the replica versions every row scored at release
+    /// time `at` needs.
+    #[must_use]
+    pub fn wave(&self, ctx: &PlanContext<'_>, at: SimTime) -> Wave {
+        let versions = self
+            .replicated
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| {
+                if self.used & (1 << i) == 0 {
+                    SimTime::ZERO // no row reads this table locally
+                } else {
+                    replica_version(ctx, t, at)
+                }
+            })
+            .collect();
+        Wave { at, versions }
+    }
+
+    /// Scores row `row` released at the `wave`'s time — the
+    /// allocation-free equivalent of [`evaluate_plan`] on a candidate
+    /// that is valid by construction, bit-identical to it (both run
+    /// `score_candidate`, and the row's data version is the minimum over
+    /// its mask's set bits of the wave's versions, taken in ascending
+    /// table order as `evaluate_plan` takes it). `wave` must come from
+    /// [`SubsetArena::wave`] of this arena, or of the arena it was
+    /// [selected](SubsetArena::select) from.
     #[must_use]
     pub fn score(
         &self,
         ctx: &PlanContext<'_>,
         request: &QueryRequest,
-        execute_at: SimTime,
-        mask: usize,
+        wave: &Wave,
+        row: usize,
     ) -> CandidateScore {
-        let (start, end) = self.site_ranges[mask];
+        let mask = self.masks[row];
         score_candidate(
             ctx,
             request,
-            execute_at,
-            self.local(mask),
-            self.remote_empty[mask],
-            &self.sites[start..end],
-            self.costs[mask],
+            wave.at,
+            SetBits(mask).map(|i| wave.versions[i]),
+            mask.count_ones() as usize,
+            self.row_sites(row),
+            self.costs[row],
         )
     }
 
-    /// Materializes the winning `(mask, score)` pair into the
+    /// Materializes the winning `(row, score)` pair into the
     /// [`PlanEvaluation`] the sequential search would have produced.
     #[must_use]
     pub fn evaluation(
         &self,
         request: &QueryRequest,
-        mask: usize,
+        row: usize,
         score: CandidateScore,
     ) -> PlanEvaluation {
-        score.into_evaluation(request.id(), self.local(mask).iter().copied().collect())
+        score.into_evaluation(request.id(), self.local(row).collect())
+    }
+}
+
+/// The indices of a mask's set bits, lowest first.
+struct SetBits(usize);
+
+impl Iterator for SetBits {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let i = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(i)
     }
 }
 
@@ -643,7 +737,10 @@ impl SubsetArena {
 ///    and `IV = BV·(1−λ_CL)^CL·(1−λ_SL)^SL`.
 ///
 /// Steps 2–5 run in `score_candidate`, the same kernel the search's
-/// [`SubsetArena`] hot path uses, so both paths agree bit for bit.
+/// [`SubsetArena`] hot path uses, so both paths agree bit for bit. Unlike
+/// the arena, which shares one [`Wave`] of replica versions across every
+/// candidate at a release time, this single-candidate path looks up its
+/// own local tables' versions.
 ///
 /// # Errors
 ///
@@ -678,7 +775,6 @@ pub fn evaluate_plan(
         .collect();
 
     let cost = ctx.model.plan_cost(ctx.catalog, &request.query, &remote);
-    let local_vec: Vec<TableId> = local.iter().copied().collect();
     let sites: Vec<SiteId> = if remote.is_empty() {
         Vec::new()
     } else {
@@ -689,8 +785,8 @@ pub fn evaluate_plan(
         ctx,
         request,
         execute_at,
-        &local_vec,
-        remote.is_empty(),
+        local.iter().map(|&t| replica_version(ctx, t, execute_at)),
+        local.len(),
         &sites,
         cost,
     );

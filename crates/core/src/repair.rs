@@ -75,7 +75,7 @@ use ivdss_catalog::ids::TableId;
 use ivdss_replication::events::TimelineRevision;
 use ivdss_simkernel::time::SimTime;
 
-use crate::plan::{CandidateScore, PlanContext, QueryRequest, SubsetArena};
+use crate::plan::{CandidateScore, PlanContext, QueryRequest, SubsetArena, Wave};
 
 /// Default bound on distinct queries tracked by a [`ReplanCache`].
 pub const DEFAULT_REPLAN_CAPACITY: usize = 256;
@@ -429,21 +429,22 @@ impl RepairSession<'_> {
         self.scores.insert(Self::slot(execute_at, mask), score);
     }
 
-    /// Probe-or-compute: the cached score if present, otherwise
-    /// [`SubsetArena::score`], remembered for the next re-plan.
+    /// Probe-or-compute: the cached score of `mask` released at the
+    /// `wave`'s time if present, otherwise [`SubsetArena::score`],
+    /// remembered for the next re-plan.
     pub fn score(
         &mut self,
         arena: &SubsetArena,
         ctx: &PlanContext<'_>,
         request: &QueryRequest,
-        execute_at: SimTime,
+        wave: &Wave,
         mask: usize,
     ) -> CandidateScore {
-        match self.probe(execute_at, mask) {
+        match self.probe(wave.at(), mask) {
             Some(score) => score,
             None => {
-                let score = arena.score(ctx, request, execute_at, mask);
-                self.put(execute_at, mask, score);
+                let score = arena.score(ctx, request, wave, mask);
+                self.put(wave.at(), mask, score);
                 score
             }
         }
@@ -527,14 +528,14 @@ mod tests {
         let cache = ReplanCache::new();
 
         let mut session = cache.begin(&ctx, &req, &replicated);
-        let fresh = session.score(&arena, &ctx, &req, SimTime::new(3.0), 1);
+        let fresh = session.score(&arena, &ctx, &req, &arena.wave(&ctx, SimTime::new(3.0)), 1);
         assert_eq!(session.hits(), 0);
         session.finish();
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(cache.stats().scores, 1);
 
         let mut session = cache.begin(&ctx, &req, &replicated);
-        let cached = session.score(&arena, &ctx, &req, SimTime::new(3.0), 1);
+        let cached = session.score(&arena, &ctx, &req, &arena.wave(&ctx, SimTime::new(3.0)), 1);
         assert_eq!(cached, fresh, "cached score is the bit-identical value");
         assert_eq!(session.hits(), 1);
         session.finish();
@@ -564,7 +565,7 @@ mod tests {
         let arena = SubsetArena::build(&ctx, &a, &replicated);
         let cache = ReplanCache::new();
         let mut session = cache.begin(&ctx, &a, &replicated);
-        session.score(&arena, &ctx, &a, SimTime::new(3.0), 2);
+        session.score(&arena, &ctx, &a, &arena.wave(&ctx, SimTime::new(3.0)), 2);
         session.finish();
         let mut session = cache.begin(&ctx, &b, &replicated);
         assert!(
@@ -594,7 +595,7 @@ mod tests {
         let cache = ReplanCache::new();
         let mut session = cache.begin(&ctx, &req, &replicated);
         for at in [1.0, 4.0, 12.0] {
-            session.score(&arena, &ctx, &req, SimTime::new(at), 1);
+            session.score(&arena, &ctx, &req, &arena.wave(&ctx, SimTime::new(at)), 1);
         }
         session.finish();
         assert_eq!(cache.stats().scores, 3);
@@ -643,7 +644,7 @@ mod tests {
         let arena = SubsetArena::build(&ctx, &req, &replicated);
         let cache = ReplanCache::new();
         let mut session = cache.begin(&ctx, &req, &replicated);
-        session.score(&arena, &ctx, &req, SimTime::new(1.0), 1);
+        session.score(&arena, &ctx, &req, &arena.wave(&ctx, SimTime::new(1.0)), 1);
         session.finish();
 
         // A session opened under a different mask space starts cold.
@@ -725,7 +726,7 @@ mod tests {
             let replicated = replicated_footprint(&ctx, req);
             let arena = SubsetArena::build(&ctx, req, &replicated);
             let mut session = cache.begin(&ctx, req, &replicated);
-            session.score(&arena, &ctx, req, req.submitted_at, 1);
+            session.score(&arena, &ctx, req, &arena.wave(&ctx, req.submitted_at), 1);
             session.finish();
         }
         assert_eq!(cache.stats().queries, 2);

@@ -27,12 +27,13 @@
 //! # Hot-path representation
 //!
 //! Candidates never touch the heap: the per-mask tables, sites and costs
-//! live in a [`SubsetArena`] built once per search, each candidate scores
-//! into a `Copy` [`CandidateScore`] through the same kernel
-//! [`evaluate_plan`] uses (so the numbers are bit-identical by
-//! construction), the incumbent race runs branchless
-//! ([`is_better_score`]), and only the final winner materializes into a
-//! [`PlanEvaluation`]. [`ScatterGatherSearch::reference_search_boxed`]
+//! live in a [`SubsetArena`] built once per search (the cost model runs
+//! once per mask), each release time looks its replica versions up once
+//! into a [`Wave`], each candidate scores into a `Copy`
+//! [`CandidateScore`] through the same kernel [`evaluate_plan`] uses (so
+//! the numbers are bit-identical by construction), the incumbent race
+//! runs branchless ([`is_better_score`]), and only the final winner
+//! materializes into a [`PlanEvaluation`]. [`ScatterGatherSearch::reference_search_boxed`]
 //! preserves the historical per-candidate boxed implementation as a
 //! differential oracle. On top of the arena, a [`ReplanCache`] can make
 //! re-planning *incremental*: scores already computed by a previous
@@ -53,7 +54,7 @@ use crate::memo::{PhaseKey, PhaseMemo};
 use crate::parallel::PlannerPool;
 use crate::plan::{
     evaluate_plan, CandidateScore, PlanContext, PlanError, PlanEvaluation, QueryRequest,
-    SubsetArena,
+    SubsetArena, Wave,
 };
 use crate::repair::{OutcomeCard, RepairSession, ReplanCache};
 
@@ -279,8 +280,9 @@ impl ScatterGatherSearch {
             candidates: n_masks,
             memo: MemoProbe::Off,
         });
+        let wave = arena.wave(ctx, submit);
         for mask in 0..n_masks {
-            let score = score_one(&mut session, &arena, ctx, request, submit, mask);
+            let score = score_one(&mut session, &arena, ctx, request, &wave, mask);
             explored += 1;
             note_candidate_score(&mut audit, &arena, mask, score);
             if is_better_score(&score, best.as_ref().map(|(s, _)| s)) {
@@ -321,8 +323,9 @@ impl ScatterGatherSearch {
             // "if only base tables are involved, then the query evaluation
             // should be executed immediately" — delaying the all-remote
             // mask 0 only adds CL, so gather waves start at mask 1.
+            let wave = arena.wave(ctx, now);
             for mask in 1..n_masks {
-                let score = score_one(&mut session, &arena, ctx, request, now, mask);
+                let score = score_one(&mut session, &arena, ctx, request, &wave, mask);
                 explored += 1;
                 note_candidate_score(&mut audit, &arena, mask, score);
                 if is_better_score(&score, Some(&best)) {
@@ -361,7 +364,7 @@ impl ScatterGatherSearch {
                 release_floor: submit.value().to_bits(),
                 max_sync_points: self.max_sync_points,
                 best,
-                local_tables: arena.local(best_mask).to_vec(),
+                local_tables: arena.local(best_mask).collect(),
                 plans_explored: explored,
                 sync_points_visited: visited,
                 boundary,
@@ -509,9 +512,17 @@ impl ScatterGatherSearch {
             (Some(_), None) => MemoProbe::Miss,
         };
         let mut pruned = n_masks - scatter_masks.len();
-        let scatter_tasks: Vec<(SimTime, usize)> =
-            scatter_masks.iter().map(|&m| (submit, m)).collect();
-        let scatter_evals = score_tasks(pool, &mut session, &arena, ctx, request, &scatter_tasks);
+        let scatter_wave = [arena.wave(ctx, submit)];
+        let scatter_tasks: Vec<(usize, usize)> = scatter_masks.iter().map(|&m| (0, m)).collect();
+        let scatter_evals = score_tasks(
+            pool,
+            &mut session,
+            &arena,
+            ctx,
+            request,
+            &scatter_wave,
+            &scatter_tasks,
+        );
         let mut explored = scatter_evals.len();
         tracer.emit_with(submit, || EventKind::SearchWave {
             query,
@@ -547,33 +558,33 @@ impl ScatterGatherSearch {
         // Enumerate the gather waves against the scatter boundary — a
         // superset of the sequential visit, since later improvements only
         // tighten it.
-        let mut wave_times: Vec<SimTime> = Vec::new();
+        let mut waves: Vec<Wave> = Vec::new();
         let mut cursor = submit;
-        while wave_times.len() < self.max_sync_points {
+        while waves.len() < self.max_sync_points {
             let Some((_, next_sync)) = ctx.timelines.next_sync_among(&replicated, cursor) else {
                 break;
             };
             if next_sync > boundary {
                 break;
             }
-            wave_times.push(next_sync);
+            waves.push(arena.wave(ctx, next_sync));
             cursor = next_sync;
         }
 
         // Candidate subsets per wave: the memoized frontier where one is
         // recorded, every non-empty subset otherwise (a `Some` key marks
         // a miss whose frontier gets recorded below).
-        let mut wave_keys: Vec<Option<PhaseKey>> = Vec::with_capacity(wave_times.len());
-        let mut wave_probes: Vec<MemoProbe> = Vec::with_capacity(wave_times.len());
-        let wave_masks: Vec<Vec<usize>> = wave_times
+        let mut wave_keys: Vec<Option<PhaseKey>> = Vec::with_capacity(waves.len());
+        let mut wave_probes: Vec<MemoProbe> = Vec::with_capacity(waves.len());
+        let wave_masks: Vec<Vec<usize>> = waves
             .iter()
-            .map(|&at| {
+            .map(|wave| {
                 let Some(memo) = memo else {
                     wave_keys.push(None);
                     wave_probes.push(MemoProbe::Off);
                     return (1..n_masks).collect();
                 };
-                let key = PhaseKey::for_wave(ctx, request, &replicated, at);
+                let key = PhaseKey::for_wave(ctx, request, &replicated, wave.at());
                 match memo.lookup(&key) {
                     Some(frontier) => {
                         wave_keys.push(None);
@@ -588,15 +599,12 @@ impl ScatterGatherSearch {
                 }
             })
             .collect();
-        let tasks: Vec<(SimTime, usize)> = wave_masks
+        let tasks: Vec<(usize, usize)> = wave_masks
             .iter()
             .enumerate()
-            .flat_map(|(w, masks)| {
-                let at = wave_times[w];
-                masks.iter().map(move |&m| (at, m))
-            })
+            .flat_map(|(w, masks)| masks.iter().map(move |&m| (w, m)))
             .collect();
-        let evals = score_tasks(pool, &mut session, &arena, ctx, request, &tasks);
+        let evals = score_tasks(pool, &mut session, &arena, ctx, request, &waves, &tasks);
 
         // Record frontiers of the fully evaluated (miss) waves — valid
         // whether or not the replay below reaches them.
@@ -616,7 +624,8 @@ impl ScatterGatherSearch {
         // Replay the sequential gather over the precomputed evaluations.
         let mut visited = 0usize;
         let mut offset = 0usize;
-        for (w, &at) in wave_times.iter().enumerate() {
+        for (w, wave) in waves.iter().enumerate() {
+            let at = wave.at();
             let masks = &wave_masks[w];
             let slice = &evals[offset..offset + masks.len()];
             offset += masks.len();
@@ -767,16 +776,16 @@ fn score_one(
     arena: &SubsetArena,
     ctx: &PlanContext<'_>,
     request: &QueryRequest,
-    execute_at: SimTime,
+    wave: &Wave,
     mask: usize,
 ) -> CandidateScore {
     match session {
-        Some(s) => s.score(arena, ctx, request, execute_at, mask),
-        None => arena.score(ctx, request, execute_at, mask),
+        Some(s) => s.score(arena, ctx, request, wave, mask),
+        None => arena.score(ctx, request, wave, mask),
     }
 }
 
-/// Scores a batch of `(release, mask)` tasks over the pool. With a
+/// Scores a batch of `(wave index, mask)` tasks over the pool. With a
 /// repair session, cached scores are pulled sequentially first (the
 /// session is not shared across workers) and only the gaps are computed
 /// in the parallel region; fresh scores are folded back in afterwards.
@@ -786,26 +795,29 @@ fn score_tasks(
     arena: &SubsetArena,
     ctx: &PlanContext<'_>,
     request: &QueryRequest,
-    tasks: &[(SimTime, usize)],
+    waves: &[Wave],
+    tasks: &[(usize, usize)],
 ) -> Vec<CandidateScore> {
     match session {
         None => pool.run_indexed(tasks.len(), |i| {
-            let (at, mask) = tasks[i];
-            arena.score(ctx, request, at, mask)
+            let (w, mask) = tasks[i];
+            arena.score(ctx, request, &waves[w], mask)
         }),
         Some(s) => {
-            let cached: Vec<Option<CandidateScore>> =
-                tasks.iter().map(|&(at, mask)| s.probe(at, mask)).collect();
+            let cached: Vec<Option<CandidateScore>> = tasks
+                .iter()
+                .map(|&(w, mask)| s.probe(waves[w].at(), mask))
+                .collect();
             let scores = pool.run_indexed(tasks.len(), |i| match cached[i] {
                 Some(score) => score,
                 None => {
-                    let (at, mask) = tasks[i];
-                    arena.score(ctx, request, at, mask)
+                    let (w, mask) = tasks[i];
+                    arena.score(ctx, request, &waves[w], mask)
                 }
             });
-            for (i, &(at, mask)) in tasks.iter().enumerate() {
+            for (i, &(w, mask)) in tasks.iter().enumerate() {
                 if cached[i].is_none() {
-                    s.put(at, mask, scores[i]);
+                    s.put(waves[w].at(), mask, scores[i]);
                 }
             }
             scores
@@ -824,7 +836,7 @@ fn note_candidate_score(
     if let Some(a) = audit.as_deref_mut() {
         a.candidates.push(SearchCandidate {
             release: score.execute_at,
-            local: arena.local(mask).to_vec(),
+            local: arena.local(mask).collect(),
             iv: score.information_value.value(),
             finish: score.finish,
         });

@@ -148,6 +148,10 @@ impl FaultConfig {
 pub struct FaultPlan {
     revisions: Vec<TimelineRevision>,
     outages: Vec<Outage>,
+    /// Running maximum of `outages[..=i].end`: non-decreasing, so
+    /// [`FaultPlan::site_floors`] can binary-search past every outage
+    /// that ended by a given instant.
+    max_end: Vec<SimTime>,
     jitter: (f64, f64),
     jitter_seed: u64,
     horizon: SimTime,
@@ -160,6 +164,7 @@ impl FaultPlan {
         FaultPlan {
             revisions: Vec::new(),
             outages: Vec::new(),
+            max_end: Vec::new(),
             jitter: (1.0, 1.0),
             jitter_seed: 0,
             horizon,
@@ -181,6 +186,7 @@ impl FaultPlan {
                 .copied()
                 .collect(),
             outages: self.outages.clone(),
+            max_end: self.max_end.clone(),
             jitter: self.jitter,
             jitter_seed: self.jitter_seed,
             horizon: self.horizon,
@@ -215,6 +221,7 @@ impl FaultPlan {
         outages.sort_by_key(|o| (o.start, o.site));
         FaultPlan {
             revisions,
+            max_end: running_max_end(&outages),
             outages,
             jitter,
             jitter_seed,
@@ -307,6 +314,7 @@ impl FaultPlan {
 
         FaultPlan {
             revisions,
+            max_end: running_max_end(&outages),
             outages,
             jitter: config.jitter,
             jitter_seed: factory.seed_for("fault:jitter"),
@@ -375,9 +383,16 @@ impl FaultPlan {
     /// Release floors for every site down at `at`: work dispatched to a
     /// floored site cannot start before the floor (its recovery time).
     /// Sites that are up do not appear.
+    ///
+    /// An outage covering `at` starts by `at` and lies past the longest
+    /// prefix of outages that all ended by `at`. Binary searches over the
+    /// starts and the running maximum of the ends bound that slice, so
+    /// the cost does not grow with the plan's past.
     #[must_use]
     pub fn site_floors(&self, at: SimTime) -> BTreeMap<SiteId, SimTime> {
-        self.outages
+        let lo = self.max_end.partition_point(|&end| end <= at);
+        let hi = self.outages.partition_point(|o| o.start <= at);
+        self.outages[lo..hi.max(lo)]
             .iter()
             .filter(|o| o.covers(at))
             .map(|o| (o.site, o.end))
@@ -415,6 +430,18 @@ impl FaultPlan {
         let unit = (bits >> 11) as f64 / (1u64 << 53) as f64;
         lo + unit * (hi - lo)
     }
+}
+
+/// The running maximum of the outages' ends, in plan order.
+fn running_max_end(outages: &[Outage]) -> Vec<SimTime> {
+    let mut max = SimTime::new(f64::NEG_INFINITY);
+    outages
+        .iter()
+        .map(|o| {
+            max = max.max(o.end);
+            max
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -34,19 +34,39 @@
 //! Invalidation driven by [`SyncEvent`]s is thus garbage collection, not
 //! correctness: it evicts entries whose window has closed.
 //!
-//! The cache assumes a fixed catalog and cost model; do not share one
-//! cache across differently configured engines. Business value is
-//! deliberately *not* in the key — it scales every candidate's IV
-//! equally and never changes the argmax.
+//! The cache assumes a fixed catalog and cost model, and a model that
+//! prices a query only through its footprint and cost profile; do not
+//! share one cache across differently configured engines. Business
+//! value is deliberately *not* in the key — it scales every candidate's
+//! IV equally and never changes the argmax.
+//!
+//! # Kernel
+//!
+//! Misses and hits both score through the search's own kernel,
+//! [`SubsetArena::score`], never through [`evaluate_plan`]. A miss
+//! builds one [`SubsetArena`] for the request, so the cost model runs
+//! once per mask rather than once per (mask, release time), and looks
+//! each replicated table's last sync up once per release time (a
+//! [`Wave`]) rather than once per candidate. The entry then keeps the
+//! kernel inputs of its champions only ([`SubsetArena::select`]), not the
+//! whole `2^r`-row arena, and a hit re-scores them from those inputs at
+//! the live submit time. The candidates, release instants and
+//! tie-breaks ([`is_better_score`]) are those of the boxed enumeration
+//! the property suite keeps as its oracle, so plans are bit-identical
+//! to it.
 //!
 //! [`NoQueues`]: ivdss_core::plan::NoQueues
 //! [`ScatterGatherSearch`]: ivdss_core::search::ScatterGatherSearch
+//! [`evaluate_plan`]: ivdss_core::plan::evaluate_plan
+//! [`Wave`]: ivdss_core::plan::Wave
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use ivdss_catalog::ids::TableId;
-use ivdss_core::plan::{evaluate_plan, PlanContext, PlanError, PlanEvaluation, QueryRequest};
-use ivdss_core::search::{is_better, local_subsets, replicated_footprint, DEFAULT_MAX_SYNC_POINTS};
+use ivdss_core::plan::{
+    CandidateScore, PlanContext, PlanError, PlanEvaluation, QueryRequest, SubsetArena,
+};
+use ivdss_core::search::{is_better_score, replicated_footprint, DEFAULT_MAX_SYNC_POINTS};
 use ivdss_replication::events::SyncEvent;
 use ivdss_replication::timelines::SyncTimelines;
 use ivdss_simkernel::time::SimTime;
@@ -107,24 +127,43 @@ pub enum CacheOutcome {
     Miss,
 }
 
-/// One cached candidate: a release policy plus the local replica set.
-#[derive(Debug, Clone, PartialEq)]
-struct Candidate {
-    /// `None` = release immediately at the submit time; `Some(τ)` =
-    /// delayed to the absolute sync point `τ` (valid for every submit
-    /// instant in the entry's window, which `τ` strictly follows).
-    release: Option<SimTime>,
-    local: BTreeSet<TableId>,
-}
-
 #[derive(Debug, Clone)]
 struct CacheEntry {
-    /// Replicated footprint tables, aligned with `last_syncs`.
-    replicated: Vec<TableId>,
-    /// Last sync time per replicated table when the entry was built.
+    /// Last sync time per replicated footprint table (aligned with
+    /// `champions.replicated()`) when the entry was built.
     last_syncs: Vec<Option<SimTime>>,
-    /// Per-growth-class champions (1–3 candidates).
-    candidates: Vec<Candidate>,
+    /// Release policy of each champion row: `None` = release immediately
+    /// at the submit time; `Some(τ)` = delayed to the absolute sync point
+    /// `τ` (valid for every submit instant in the entry's window, which
+    /// `τ` strictly follows).
+    releases: Vec<Option<SimTime>>,
+    /// The kernel inputs of the per-growth-class champions (1–3 rows,
+    /// aligned with `releases`).
+    champions: SubsetArena,
+}
+
+impl CacheEntry {
+    /// Re-scores the champions at `request`'s submit time and returns
+    /// the best, exactly as the search would rank them.
+    fn best(&self, ctx: &PlanContext<'_>, request: &QueryRequest) -> PlanEvaluation {
+        let submit = request.submitted_at;
+        let now = self.champions.wave(ctx, submit);
+        let mut best: Option<(CandidateScore, usize)> = None;
+        for (row, &release) in self.releases.iter().enumerate() {
+            let score = match release {
+                None => self.champions.score(ctx, request, &now, row),
+                Some(at) => {
+                    let wave = self.champions.wave(ctx, at.max(submit));
+                    self.champions.score(ctx, request, &wave, row)
+                }
+            };
+            if is_better_score(&score, best.as_ref().map(|(s, _)| s)) {
+                best = Some((score, row));
+            }
+        }
+        let (score, row) = best.expect("the all-remote champion is always cached");
+        self.champions.evaluation(request, row, score)
+    }
 }
 
 /// A bounded plan cache keyed by (footprint, cost profile, discount
@@ -252,7 +291,9 @@ impl PlanCache {
     ///
     /// # Errors
     ///
-    /// Propagates [`PlanError`] from plan evaluation.
+    /// None in practice: every candidate the cache scores is valid by
+    /// construction. The [`PlanError`] result matches the search's entry
+    /// points.
     ///
     /// [`NoQueues`]: ivdss_core::plan::NoQueues
     pub fn plan(
@@ -262,68 +303,55 @@ impl PlanCache {
     ) -> Result<(PlanEvaluation, CacheOutcome), PlanError> {
         let key = PlanCacheKey::for_request(ctx, request);
         if let Some(entry) = self.entries.get(&key) {
-            let mut best: Option<PlanEvaluation> = None;
-            for candidate in &entry.candidates {
-                let execute_at = candidate
-                    .release
-                    .map_or(request.submitted_at, |at| at.max(request.submitted_at));
-                let eval = evaluate_plan(ctx, request, execute_at, &candidate.local)?;
-                if is_better(&eval, best.as_ref()) {
-                    best = Some(eval);
-                }
-            }
-            if let Some(best) = best {
-                self.hits += 1;
-                return Ok((best, CacheOutcome::Hit));
-            }
+            self.hits += 1;
+            return Ok((entry.best(ctx, request), CacheOutcome::Hit));
         }
 
-        let (best, entry) = Self::populate(ctx, request, self.max_sync_points)?;
+        let (best, entry) = Self::populate(ctx, request, self.max_sync_points);
         self.misses += 1;
-        if !self.entries.contains_key(&key) {
-            while self.entries.len() >= self.capacity {
-                match self.insertion_order.pop_front() {
-                    Some(oldest) => {
-                        self.entries.remove(&oldest);
-                    }
-                    None => break,
+        while self.entries.len() >= self.capacity {
+            match self.insertion_order.pop_front() {
+                Some(oldest) => {
+                    self.entries.remove(&oldest);
                 }
+                None => break,
             }
-            self.insertion_order.push_back(key.clone());
         }
+        self.insertion_order.push_back(key.clone());
         self.entries.insert(key, entry);
         Ok((best, CacheOutcome::Miss))
     }
 
-    /// Enumerates the per-class champions for `request` and returns the
-    /// overall best plus the cache entry.
+    /// Enumerates the per-class champions for `request` over one
+    /// [`SubsetArena`] and returns the overall best plus the cache entry.
     fn populate(
         ctx: &PlanContext<'_>,
         request: &QueryRequest,
         max_sync_points: usize,
-    ) -> Result<(PlanEvaluation, CacheEntry), PlanError> {
+    ) -> (PlanEvaluation, CacheEntry) {
         let submit = request.submitted_at;
         let replicated = replicated_footprint(ctx, request);
-        let subsets = local_subsets(&replicated);
+        let arena = SubsetArena::build(ctx, request, &replicated);
+        let now = arena.wave(ctx, submit);
 
         // Class "immediate all-remote": always feasible, constant IV
         // across the window; also the fallback that bounds how far
         // delaying can pay off.
-        let all_remote = evaluate_plan(ctx, request, submit, &subsets[0])?;
+        let all_remote = arena.score(ctx, request, &now, 0);
 
         // Class "immediate with local replicas".
-        let mut immediate_local: Option<PlanEvaluation> = None;
-        for local in &subsets[1..] {
-            let eval = evaluate_plan(ctx, request, submit, local)?;
-            if is_better(&eval, immediate_local.as_ref()) {
-                immediate_local = Some(eval);
+        let mut immediate_local: Option<(CandidateScore, usize)> = None;
+        for mask in 1..arena.len() {
+            let score = arena.score(ctx, request, &now, mask);
+            if is_better_score(&score, immediate_local.as_ref().map(|(s, _)| s)) {
+                immediate_local = Some((score, mask));
             }
         }
 
         // Class "delayed to a future sync": enumerate sync points far
         // enough that no candidate which could win for *any* submit
         // instant in the window is missed (see module docs).
-        let mut delayed: Option<PlanEvaluation> = None;
+        let mut delayed: Option<(CandidateScore, usize)> = None;
         if !replicated.is_empty() {
             let fallback_ratio =
                 all_remote.information_value.value() / request.business_value.value();
@@ -347,10 +375,11 @@ impl PlanCache {
                 if visited > max_sync_points {
                     break;
                 }
-                for local in &subsets[1..] {
-                    let eval = evaluate_plan(ctx, request, sync_at, local)?;
-                    if is_better(&eval, delayed.as_ref()) {
-                        delayed = Some(eval);
+                let wave = arena.wave(ctx, sync_at);
+                for mask in 1..arena.len() {
+                    let score = arena.score(ctx, request, &wave, mask);
+                    if is_better_score(&score, delayed.as_ref().map(|(s, _)| s)) {
+                        delayed = Some((score, mask));
                     }
                 }
                 cursor = sync_at;
@@ -361,37 +390,31 @@ impl PlanCache {
             .iter()
             .map(|&t| ctx.timelines.last_sync(t, submit))
             .collect();
-        let mut candidates = vec![Candidate {
-            release: None,
-            local: BTreeSet::new(),
-        }];
-        let mut best = all_remote;
-        if let Some(eval) = immediate_local {
-            candidates.push(Candidate {
-                release: None,
-                local: eval.local_tables.clone(),
-            });
-            if is_better(&eval, Some(&best)) {
-                best = eval;
+        let mut rows = vec![0];
+        let mut releases = vec![None];
+        let (mut best, mut best_mask) = (all_remote, 0);
+        if let Some((score, mask)) = immediate_local {
+            rows.push(mask);
+            releases.push(None);
+            if is_better_score(&score, Some(&best)) {
+                (best, best_mask) = (score, mask);
             }
         }
-        if let Some(eval) = delayed {
-            candidates.push(Candidate {
-                release: Some(eval.execute_at),
-                local: eval.local_tables.clone(),
-            });
-            if is_better(&eval, Some(&best)) {
-                best = eval;
+        if let Some((score, mask)) = delayed {
+            rows.push(mask);
+            releases.push(Some(score.execute_at));
+            if is_better_score(&score, Some(&best)) {
+                (best, best_mask) = (score, mask);
             }
         }
-        Ok((
-            best,
+        (
+            arena.evaluation(request, best_mask, best),
             CacheEntry {
-                replicated,
                 last_syncs,
-                candidates,
+                releases,
+                champions: arena.select(&rows),
             },
-        ))
+        )
     }
 
     /// Evicts every entry whose replicated footprint includes `table` and
@@ -404,7 +427,7 @@ impl PlanCache {
         let stale: Vec<PlanCacheKey> = self
             .entries
             .iter()
-            .filter(|(_, entry)| entry.replicated.contains(&table))
+            .filter(|(_, entry)| entry.champions.replicated().contains(&table))
             .map(|(key, _)| key.clone())
             .collect();
         for key in &stale {
@@ -427,7 +450,8 @@ impl PlanCache {
             .values()
             .filter(|entry| {
                 entry
-                    .replicated
+                    .champions
+                    .replicated()
                     .iter()
                     .zip(&entry.last_syncs)
                     .any(|(&t, &seen)| timelines.last_sync(t, now) != seen)
@@ -449,7 +473,8 @@ impl PlanCache {
             .filter(|(_, entry)| {
                 events.iter().any(|event| {
                     entry
-                        .replicated
+                        .champions
+                        .replicated()
                         .iter()
                         .position(|&t| t == event.table)
                         .is_some_and(|idx| entry.last_syncs[idx].is_none_or(|seen| seen < event.at))

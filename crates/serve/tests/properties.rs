@@ -1,19 +1,160 @@
 //! Property tests for the serving subsystem: cache exactness against the
-//! full scatter-and-gather search, and admission/shedding invariants.
+//! full scatter-and-gather search and, bit for bit, against the boxed
+//! champion enumeration the cache's arena kernel replaced.
+
+use std::collections::BTreeSet;
 
 use ivdss_catalog::catalog::Catalog;
 use ivdss_catalog::ids::TableId;
 use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
-use ivdss_core::plan::{NoQueues, PlanContext, QueryRequest};
-use ivdss_core::search::ScatterGatherSearch;
+use ivdss_catalog::tpch::{tpch_catalog, TpchConfig};
+use ivdss_core::plan::{
+    evaluate_plan, NoQueues, PlanContext, PlanError, PlanEvaluation, QueryRequest,
+};
+use ivdss_core::search::{
+    is_better, local_subsets, replicated_footprint, ScatterGatherSearch, DEFAULT_MAX_SYNC_POINTS,
+};
 use ivdss_core::value::{BusinessValue, DiscountRates};
-use ivdss_costmodel::model::StylizedCostModel;
+use ivdss_costmodel::model::{AnalyticCostModel, StylizedCostModel};
 use ivdss_costmodel::query::{QueryId, QuerySpec};
 use ivdss_replication::schedule::Schedule;
-use ivdss_replication::timelines::SyncTimelines;
+use ivdss_replication::timelines::{SyncMode, SyncTimelines};
 use ivdss_serve::cache::{CacheOutcome, PlanCache};
 use ivdss_simkernel::time::SimTime;
+use ivdss_workloads::stream::{ArrivalStream, FrequencyRatio};
+use ivdss_workloads::tpch::tpch_query_specs;
 use proptest::prelude::*;
+
+/// A cached champion of the boxed oracle: release policy (`None` =
+/// immediately at the submit time, `Some(τ)` = at the sync point `τ`)
+/// plus local replica set.
+type BoxedChampion = (Option<SimTime>, BTreeSet<TableId>);
+
+/// The boxed champion enumeration the plan cache ran before it moved
+/// onto the search's arena kernel: every candidate heap-materialized
+/// through [`evaluate_plan`], per-class champions chosen by
+/// [`is_better`]. Returns the miss answer, the champions an entry keeps,
+/// and whether the sync-point cap cut the delayed enumeration short.
+fn boxed_populate(
+    ctx: &PlanContext<'_>,
+    request: &QueryRequest,
+    max_sync_points: usize,
+) -> Result<(PlanEvaluation, Vec<BoxedChampion>, bool), PlanError> {
+    let submit = request.submitted_at;
+    let replicated = replicated_footprint(ctx, request);
+    let subsets = local_subsets(&replicated);
+
+    let all_remote = evaluate_plan(ctx, request, submit, &subsets[0])?;
+    let mut immediate_local: Option<PlanEvaluation> = None;
+    for local in &subsets[1..] {
+        let eval = evaluate_plan(ctx, request, submit, local)?;
+        if is_better(&eval, immediate_local.as_ref()) {
+            immediate_local = Some(eval);
+        }
+    }
+
+    let mut delayed: Option<PlanEvaluation> = None;
+    let mut capped = false;
+    if !replicated.is_empty() {
+        let fallback_ratio = all_remote.information_value.value() / request.business_value.value();
+        let mut horizon: Option<SimTime> = None;
+        let mut cursor = submit;
+        let mut visited = 0usize;
+        while let Some((_, sync_at)) = ctx.timelines.next_sync_among(&replicated, cursor) {
+            if visited == 0 && fallback_ratio > 0.0 {
+                horizon = ctx
+                    .rates
+                    .cl
+                    .max_latency_for_factor(fallback_ratio.min(1.0))
+                    .map(|slack| sync_at + slack);
+            }
+            if let Some(h) = horizon {
+                if sync_at > h {
+                    break;
+                }
+            }
+            visited += 1;
+            if visited > max_sync_points {
+                capped = true;
+                break;
+            }
+            for local in &subsets[1..] {
+                let eval = evaluate_plan(ctx, request, sync_at, local)?;
+                if is_better(&eval, delayed.as_ref()) {
+                    delayed = Some(eval);
+                }
+            }
+            cursor = sync_at;
+        }
+    }
+
+    let mut champions = vec![(None, BTreeSet::new())];
+    let mut best = all_remote;
+    if let Some(eval) = immediate_local {
+        champions.push((None, eval.local_tables.clone()));
+        if is_better(&eval, Some(&best)) {
+            best = eval;
+        }
+    }
+    if let Some(eval) = delayed {
+        champions.push((Some(eval.execute_at), eval.local_tables.clone()));
+        if is_better(&eval, Some(&best)) {
+            best = eval;
+        }
+    }
+    Ok((best, champions, capped))
+}
+
+/// The boxed hit: every champion re-evaluated at the live submit time.
+fn boxed_hit(
+    ctx: &PlanContext<'_>,
+    request: &QueryRequest,
+    champions: &[BoxedChampion],
+) -> Result<PlanEvaluation, PlanError> {
+    let mut best: Option<PlanEvaluation> = None;
+    for (release, local) in champions {
+        let execute_at = release.map_or(request.submitted_at, |at| at.max(request.submitted_at));
+        let eval = evaluate_plan(ctx, request, execute_at, local)?;
+        if is_better(&eval, best.as_ref()) {
+            best = Some(eval);
+        }
+    }
+    Ok(best.expect("the all-remote champion is always present"))
+}
+
+/// A submit instant `fraction` of the way from `at` to the next sync of
+/// any table in the request's replicated footprint: the same
+/// inter-sync window, so the same cache entry.
+fn later_in_window(ctx: &PlanContext<'_>, request: &QueryRequest, fraction: f64) -> SimTime {
+    let replicated = replicated_footprint(ctx, request);
+    let at = request.submitted_at;
+    match ctx.timelines.next_sync_among(&replicated, at) {
+        Some((_, next)) => SimTime::new(at.value() + fraction * (next.value() - at.value())),
+        None => at,
+    }
+}
+
+/// Plans `request` (a miss on a fresh entry) and then `later` (a hit on
+/// it) through `cache`, and asserts both answers are `==` to the boxed
+/// oracle's. Returns whether the sync-point cap bound on the miss.
+fn assert_cache_matches_boxed(
+    cache: &mut PlanCache,
+    ctx: &PlanContext<'_>,
+    request: &QueryRequest,
+    later: &QueryRequest,
+) -> bool {
+    let (miss, outcome) = cache.plan(ctx, request).unwrap();
+    assert_eq!(outcome, CacheOutcome::Miss);
+    let (oracle_miss, champions, capped) =
+        boxed_populate(ctx, request, DEFAULT_MAX_SYNC_POINTS).unwrap();
+    assert_eq!(miss, oracle_miss, "miss of {request:?}");
+
+    let (hit, outcome) = cache.plan(ctx, later).unwrap();
+    assert_eq!(outcome, CacheOutcome::Hit);
+    let oracle_hit = boxed_hit(ctx, later, &champions).unwrap();
+    assert_eq!(hit, oracle_hit, "hit of {later:?}");
+    capped
+}
 
 /// Five tables over two sites; tables 0–2 replicated with the given
 /// periodic schedules (period, phase), so sync phases are fully
@@ -126,6 +267,49 @@ proptest! {
         );
     }
 
+    /// The arena kernel is bit-identical to the boxed enumeration on the
+    /// stylized fixture: the miss and a later hit in the same window are
+    /// `==` to the oracle's, not merely within a tolerance.
+    #[test]
+    fn cache_kernel_matches_boxed_oracle_bit_for_bit(
+        p0 in 1.0..20.0f64,
+        p1 in 1.0..20.0f64,
+        p2 in 1.0..20.0f64,
+        ph0 in 0.0..1.0f64,
+        ph1 in 0.0..1.0f64,
+        ph2 in 0.0..1.0f64,
+        lcl in 0.0..0.3f64,
+        lsl in 0.005..0.3f64,
+        populate_at in 0.0..50.0f64,
+        offset in 0.0..0.999f64,
+        with_t3 in any::<bool>(),
+        with_t4 in any::<bool>(),
+        bv in 0.1..10.0f64
+    ) {
+        let (catalog, timelines) =
+            fixture(&[(p0, ph0 * p0), (p1, ph1 * p1), (p2, ph2 * p2)]);
+        let model = StylizedCostModel::paper_fig4();
+        let ctx = PlanContext {
+            catalog: &catalog,
+            timelines: &timelines,
+            model: &model,
+            rates: DiscountRates::new(lcl, lsl),
+            queues: &NoQueues,
+        };
+        let tables = footprint(with_t3, with_t4);
+        let request = QueryRequest::new(
+            QuerySpec::new(QueryId::new(0), tables.clone()),
+            SimTime::new(populate_at),
+        );
+        let later = QueryRequest::new(
+            QuerySpec::new(QueryId::new(1), tables),
+            later_in_window(&ctx, &request, offset),
+        )
+        .with_business_value(BusinessValue::new(bv));
+        let mut cache = PlanCache::new(4);
+        assert_cache_matches_boxed(&mut cache, &ctx, &request, &later);
+    }
+
     /// Queries whose footprint has no replicated table still plan
     /// through the cache (all-remote champion only) and match the fresh
     /// search.
@@ -158,4 +342,50 @@ proptest! {
         let (_, outcome) = cache.plan(&ctx, &req).unwrap();
         prop_assert_eq!(outcome, CacheOutcome::Hit);
     }
+}
+
+/// The arena kernel is bit-identical to the boxed enumeration on the
+/// paper's TPC-H setting: all 22 templates, `AnalyticCostModel::paper_scale`,
+/// stochastic sync traces at Fq:Fs = 1:10 and λ = 0.01, where the
+/// 64-sync-point cap binds on a large share of misses.
+#[test]
+fn tpch_cache_kernel_matches_boxed_oracle_bit_for_bit() {
+    const QUERIES: usize = 120;
+    const INTERARRIVAL: f64 = 20.0;
+    let catalog = tpch_catalog(&TpchConfig {
+        mean_sync_period: FrequencyRatio::one_to(10.0).sync_period(INTERARRIVAL),
+        ..TpchConfig::default()
+    })
+    .unwrap();
+    let model = AnalyticCostModel::paper_scale();
+    let mut capped = 0usize;
+    for seed in [1u64, 2] {
+        let timelines = SyncTimelines::from_plan(
+            catalog.replication(),
+            SyncMode::Stochastic {
+                horizon: SimTime::new((QUERIES as f64 * 1.1 + 50.0) * INTERARRIVAL),
+                seed,
+            },
+        );
+        let ctx = PlanContext {
+            catalog: &catalog,
+            timelines: &timelines,
+            model: &model,
+            rates: DiscountRates::new(0.01, 0.01),
+            queues: &NoQueues,
+        };
+        let requests =
+            ArrivalStream::new(tpch_query_specs(), INTERARRIVAL, seed).take_requests(QUERIES);
+        for (i, request) in requests.iter().enumerate() {
+            let later =
+                QueryRequest::new(request.query.clone(), later_in_window(&ctx, request, 0.5))
+                    .with_business_value(BusinessValue::new(1.0 + (i % 3) as f64));
+            // A fresh cache per query, so every first lookup is a miss.
+            let mut cache = PlanCache::new(1);
+            if assert_cache_matches_boxed(&mut cache, &ctx, request, &later) {
+                capped += 1;
+            }
+        }
+    }
+    assert!(capped > 0, "the sync-point cap never bound");
 }

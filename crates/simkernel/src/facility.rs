@@ -279,7 +279,8 @@ mod tests {
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Calendar {
-    /// Sorted, non-overlapping busy intervals.
+    /// Sorted, non-overlapping, coalesced busy intervals (so their ends
+    /// ascend too).
     bookings: Vec<(SimTime, SimTime)>,
     jobs: u64,
     busy_time: SimDuration,
@@ -295,14 +296,20 @@ impl Calendar {
     /// Earliest start `≥ arrival` at which a job of length `service`
     /// fits, without committing it.
     ///
+    /// Bookings that end by `arrival` cannot delay the job. They form a
+    /// prefix of the calendar (bookings are sorted and disjoint, so their
+    /// ends ascend), which a binary search skips: the cost does not grow
+    /// with the calendar's past.
+    ///
     /// # Panics
     ///
     /// Panics if `service` is negative.
     #[must_use]
     pub fn probe(&self, arrival: SimTime, service: SimDuration) -> ServiceWindow {
         assert!(!service.is_negative(), "service time must be non-negative");
+        let first = self.bookings.partition_point(|&(_, end)| end <= arrival);
         let mut cursor = arrival;
-        for &(start, end) in &self.bookings {
+        for &(start, end) in &self.bookings[first..] {
             if end <= cursor {
                 continue;
             }

@@ -1,11 +1,61 @@
 //! Property-based tests for the simulation kernel invariants.
 
 use ivdss_simkernel::events::{Engine, EventQueue};
-use ivdss_simkernel::facility::Facility;
+use ivdss_simkernel::facility::{Calendar, Facility, ServiceWindow};
 use ivdss_simkernel::rng::{ErlangStream, ExponentialStream, SeedFactory, Stream};
 use ivdss_simkernel::stats::{OnlineStats, SampleSet};
 use ivdss_simkernel::time::{SimDuration, SimTime};
 use proptest::prelude::*;
+
+/// The calendar's linear scan from the first booking, kept as the
+/// reference its binary-search skip is checked against.
+#[derive(Default)]
+struct LinearCalendar {
+    bookings: Vec<(SimTime, SimTime)>,
+}
+
+impl LinearCalendar {
+    fn probe(&self, arrival: SimTime, service: SimDuration) -> ServiceWindow {
+        let mut cursor = arrival;
+        for &(start, end) in &self.bookings {
+            if end <= cursor {
+                continue;
+            }
+            if start >= cursor + service {
+                break;
+            }
+            cursor = cursor.max(end);
+        }
+        ServiceWindow {
+            start: cursor,
+            finish: cursor + service,
+        }
+    }
+
+    fn book(&mut self, arrival: SimTime, service: SimDuration) -> ServiceWindow {
+        let window = self.probe(arrival, service);
+        if service.value() > 0.0 {
+            let idx = self
+                .bookings
+                .partition_point(|&(start, _)| start < window.start);
+            self.bookings.insert(idx, (window.start, window.finish));
+            let mut i = idx.saturating_sub(1);
+            while i + 1 < self.bookings.len() {
+                if self.bookings[i].1 >= self.bookings[i + 1].0 {
+                    self.bookings[i].1 = self.bookings[i].1.max(self.bookings[i + 1].1);
+                    self.bookings.remove(i + 1);
+                } else {
+                    i += 1;
+                }
+            }
+        }
+        window
+    }
+
+    fn horizon(&self) -> SimTime {
+        self.bookings.last().map_or(SimTime::ZERO, |&(_, end)| end)
+    }
+}
 
 fn finite_time() -> impl Strategy<Value = f64> {
     -1.0e6..1.0e6f64
@@ -99,6 +149,33 @@ proptest! {
             last_finish = w.finish;
         }
         prop_assert_eq!(f.jobs_served(), jobs.len() as u64);
+    }
+
+    /// `Calendar::probe` skips the bookings that end by the arrival with a
+    /// binary search; over random interleavings of probes and bookings
+    /// (half-unit grid times, so touching intervals, exact-fit gaps and
+    /// zero-length jobs all occur) every window equals the linear scan's.
+    #[test]
+    fn calendar_matches_linear_scan(
+        ops in prop::collection::vec((0u32..400, 0u32..24, any::<bool>()), 1..200)
+    ) {
+        let mut calendar = Calendar::new();
+        let mut reference = LinearCalendar::default();
+        for &(arrival, service, commit) in &ops {
+            let arrival = SimTime::new(f64::from(arrival) * 0.5);
+            let service = SimDuration::new(f64::from(service) * 0.5);
+            prop_assert_eq!(
+                calendar.probe(arrival, service),
+                reference.probe(arrival, service)
+            );
+            if commit {
+                prop_assert_eq!(
+                    calendar.book(arrival, service),
+                    reference.book(arrival, service)
+                );
+            }
+            prop_assert_eq!(calendar.horizon(), reference.horizon());
+        }
     }
 
     /// Welford merge is equivalent to sequential recording at any split.
