@@ -105,7 +105,7 @@ pub use latency::Latencies;
 pub use memo::{MemoStats, PhaseKey, PhaseMemo};
 pub use parallel::{ParallelPlanner, PlannerPool};
 pub use plan::{
-    evaluate_plan, CandidateScore, FacilityQueues, NoQueues, PlanContext, PlanError,
+    evaluate_plan, CandidateScore, FacilityQueues, IvCeilings, NoQueues, PlanContext, PlanError,
     PlanEvaluation, QueryRequest, QueueEstimator, SiteFloors, SubsetArena, Wave,
 };
 pub use planner::{FederationPlanner, IvqpPlanner, Planner, WarehousePlanner};

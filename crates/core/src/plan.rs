@@ -26,7 +26,7 @@ use ivdss_simkernel::facility::Calendar;
 use ivdss_simkernel::time::{SimDuration, SimTime};
 
 use crate::latency::Latencies;
-use crate::value::{BusinessValue, DiscountRates, InformationValue};
+use crate::value::{BusinessValue, DiscountRate, DiscountRates, InformationValue};
 
 /// A query submitted to the DSS: its footprint plus the user-assigned
 /// business value and submission time.
@@ -481,6 +481,120 @@ fn score_candidate(
     }
 }
 
+/// Relative slack [`IvCeilings`] widen every ceiling by before comparing
+/// it with an incumbent's IV. A ceiling is a product of three discount
+/// factors where the kernel takes one `powf` per discount, and the
+/// kernel's latencies are differences of rounded absolute times, so a
+/// score can sit a few ulps above the exact ceiling; this margin covers
+/// that gap many times over. (The rounding of absolute times grows with
+/// their magnitude, so [`IvCeilings::release`] adds a term proportional
+/// to the release time on top.)
+const CEILING_MARGIN: f64 = 1e-9;
+
+/// Upper bounds on the information value each row of a [`SubsetArena`]
+/// can deliver, for dropping candidates that cannot win a comparison
+/// without scoring them.
+///
+/// Take a row whose processing and transmission cost `c` is released at
+/// `τ ≥ s`, the submit instant. Queuing delays are never negative, so it
+/// starts service at `τ + q ≥ τ` and finishes at `τ + q + c`, hence
+/// `CL ≥ τ − s + c`. Every data version it reads is at or before its
+/// service start (a replica carries its last sync at or before `τ`, a
+/// base table is stamped at the service start), hence `SL ≥ c`. Both
+/// discount factors fall as their latency grows, so
+///
+/// ```text
+/// IV ≤ BV · (1 − λ_CL)^(τ − s + c) · (1 − λ_SL)^c
+///    = [BV · (1 − λ_CL)^(τ − s)] · [(1 − λ_CL)^c · (1 − λ_SL)^c].
+/// ```
+///
+/// The first factor is shared by every row released at `τ`
+/// ([`IvCeilings::release`]); the second depends on the row alone and is
+/// computed once here, so checking a row costs one multiplication. A
+/// ceiling only falls as `τ` grows: a row whose ceiling is below an
+/// incumbent's IV stays below it at every later release time, for as
+/// long as the incumbent only improves.
+///
+/// # Examples
+///
+/// ```
+/// use ivdss_catalog::ids::TableId;
+/// use ivdss_catalog::replica::{ReplicaSpec, ReplicationPlan};
+/// use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
+/// use ivdss_core::plan::{NoQueues, PlanContext, QueryRequest, SubsetArena};
+/// use ivdss_core::search::replicated_footprint;
+/// use ivdss_core::value::DiscountRates;
+/// use ivdss_costmodel::model::StylizedCostModel;
+/// use ivdss_costmodel::query::{QueryId, QuerySpec};
+/// use ivdss_replication::timelines::{SyncMode, SyncTimelines};
+/// use ivdss_simkernel::time::SimTime;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let base = synthetic_catalog(&SyntheticConfig {
+///     tables: 3, sites: 2, replicated_tables: 0, ..SyntheticConfig::default()
+/// })?;
+/// let mut plan = ReplicationPlan::new();
+/// plan.add(TableId::new(0), ReplicaSpec::new(6.0));
+/// let catalog = base.with_replication(plan)?;
+/// let timelines = SyncTimelines::from_plan(catalog.replication(), SyncMode::Deterministic);
+/// let model = StylizedCostModel::paper_fig4();
+/// let ctx = PlanContext {
+///     catalog: &catalog,
+///     timelines: &timelines,
+///     model: &model,
+///     rates: DiscountRates::new(0.01, 0.05),
+///     queues: &NoQueues,
+/// };
+/// let request = QueryRequest::new(
+///     QuerySpec::new(QueryId::new(7), vec![TableId::new(0), TableId::new(1)]),
+///     SimTime::new(2.0),
+/// );
+/// let arena = SubsetArena::build(&ctx, &request, &replicated_footprint(&ctx, &request));
+/// let ceilings = arena.ceilings(ctx.rates);
+/// for at in [2.0, 6.0, 12.0] {
+///     let at = SimTime::new(at);
+///     let wave = arena.wave(&ctx, at);
+///     let release = ceilings.release(&request, at);
+///     for row in 0..arena.len() {
+///         // No row ever scores above its own ceiling.
+///         let iv = arena.score(&ctx, &request, &wave, row).information_value.value();
+///         assert!(!ceilings.rules_out(release, row, iv));
+///     }
+/// }
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct IvCeilings {
+    rates: DiscountRates,
+    /// `(−ln(1 − λ_CL) − ln(1 − λ_SL)) · ε`: how fast the kernel's
+    /// relative rounding error grows with the magnitude of the release
+    /// time.
+    rounding_slope: f64,
+    /// `(1 − λ_CL)^c · (1 − λ_SL)^c` per row.
+    cost_discounts: Vec<f64>,
+}
+
+impl IvCeilings {
+    /// The factor every row's ceiling shares at release time `at ≥ s`:
+    /// `BV · (1 − λ_CL)^(at − s)`, widened by 1e-9 relative and by the
+    /// kernel's rounding of latencies whose service start is of the
+    /// magnitude of `at` (always so without queues, as in the plan
+    /// cache).
+    #[must_use]
+    pub fn release(&self, request: &QueryRequest, at: SimTime) -> f64 {
+        let slack = 1.0 + CEILING_MARGIN + self.rounding_slope * at.value().abs();
+        request.business_value.value() * self.rates.cl.factor(at - request.submitted_at) * slack
+    }
+
+    /// `true` if row `row`, released at the time `release` was computed
+    /// for, provably scores strictly below `iv`.
+    #[must_use]
+    pub fn rules_out(&self, release: f64, row: usize, iv: f64) -> bool {
+        release * self.cost_discounts[row] < iv
+    }
+}
+
 /// The data version of `table`'s replica for work released at `at`: its
 /// last synchronization at or before `at`, or time zero if it never
 /// synchronized.
@@ -691,6 +805,23 @@ impl SubsetArena {
             self.row_sites(row),
             self.costs[row],
         )
+    }
+
+    /// The [`IvCeilings`] of this arena's rows under `rates`: the cost
+    /// model's estimates already sit in the arena, so this costs two
+    /// `powf` calls per row and no cost-model call.
+    #[must_use]
+    pub fn ceilings(&self, rates: DiscountRates) -> IvCeilings {
+        let ln_retained = |rate: DiscountRate| -(1.0 - rate.rate()).ln();
+        IvCeilings {
+            rates,
+            rounding_slope: (ln_retained(rates.cl) + ln_retained(rates.sl)) * f64::EPSILON,
+            cost_discounts: self
+                .costs
+                .iter()
+                .map(|cost| rates.cl.factor(cost.total()) * rates.sl.factor(cost.total()))
+                .collect(),
+        }
     }
 
     /// Materializes the winning `(row, score)` pair into the
@@ -1034,6 +1165,42 @@ mod tests {
             degraded.best.information_value <= nominal.best.information_value,
             "outage must not improve IV"
         );
+    }
+
+    #[test]
+    fn ceilings_cover_rounding_at_large_release_times() {
+        // Near t = 1e9 a time step is 2^-23, so `finish = τ + c` rounds
+        // `c = 2.0000000501` down to 2: CL and SL both come out ~5e-8
+        // below the exact bound, which at λ = 0.3 puts the all-local
+        // score ~3.6e-8 above its exact ceiling, more than the fixed
+        // 1e-9 margin covers.
+        let (catalog, timelines) = fixture();
+        let model = StylizedCostModel::new(2.000_000_050_1, 0.7);
+        let ctx = PlanContext {
+            catalog: &catalog,
+            timelines: &timelines,
+            model: &model,
+            rates: DiscountRates::new(0.3, 0.3),
+            queues: &NoQueues,
+        };
+        let req = QueryRequest::new(
+            QuerySpec::new(QueryId::new(0), vec![t(0), t(1)]),
+            SimTime::new(1e9 - 1.0),
+        );
+        let arena = SubsetArena::build(&ctx, &req, &[t(0), t(1)]);
+        let ceilings = arena.ceilings(ctx.rates);
+        for at in [1e9 - 1.0, 1e9, 1e9 + 2.0, 1e9 + 8.0] {
+            let at = SimTime::new(at);
+            let wave = arena.wave(&ctx, at);
+            let release = ceilings.release(&req, at);
+            for row in 0..arena.len() {
+                let iv = arena.score(&ctx, &req, &wave, row).information_value;
+                assert!(
+                    !ceilings.rules_out(release, row, iv.value()),
+                    "row {row} at {at} scores {iv} above its ceiling"
+                );
+            }
+        }
     }
 
     #[test]

@@ -156,19 +156,30 @@ impl Schedule {
     }
 
     /// All completions in the half-open window `(from, to]` — the events a
-    /// discrete-event simulation must schedule.
+    /// discrete-event simulation must schedule — each distinct instant
+    /// once. Trace schedules slice the window out by binary search (one
+    /// search when it is empty); periodic schedules step through it.
     #[must_use]
     pub fn completions_in(&self, from: SimTime, to: SimTime) -> Vec<SimTime> {
-        let mut out = Vec::new();
-        let mut t = from;
-        while let Some(next) = self.next_completion_after(t) {
-            if next > to {
-                break;
+        match self {
+            Schedule::Trace(times) => {
+                let mut out = trace_window(times, from, to).to_vec();
+                out.dedup();
+                out
             }
-            out.push(next);
-            t = next;
+            Schedule::Periodic { .. } => {
+                let mut out = Vec::new();
+                let mut t = from;
+                while let Some(next) = self.next_completion_after(t) {
+                    if next > to {
+                        break;
+                    }
+                    out.push(next);
+                    t = next;
+                }
+                out
+            }
         }
-        out
     }
 
     /// The number of completions in the half-open window `(from, to]`,
@@ -182,12 +193,9 @@ impl Schedule {
     pub fn count_in(&self, from: SimTime, to: SimTime) -> usize {
         match self {
             Schedule::Trace(times) => {
-                let lo = times.partition_point(|&x| x <= from);
-                let hi = times.partition_point(|&x| x <= to);
-                // Duplicate trace times are one completion (the iteration
-                // in `completions_in` is strictly-after, so it visits each
-                // distinct instant once).
-                let window = &times[lo..hi];
+                // Duplicate trace times are one completion, as in
+                // `completions_in`.
+                let window = trace_window(times, from, to);
                 window
                     .iter()
                     .enumerate()
@@ -243,6 +251,17 @@ impl Schedule {
             Schedule::Trace(_) => None,
         }
     }
+}
+
+/// The times of a sorted trace in `(from, to]`, found by binary search;
+/// an empty window (including `from ≥ to`) costs one search.
+fn trace_window(times: &[SimTime], from: SimTime, to: SimTime) -> &[SimTime] {
+    let lo = times.partition_point(|&x| x <= from);
+    if times.get(lo).is_none_or(|&first| first > to) {
+        return &[];
+    }
+    let hi = lo + times[lo..].partition_point(|&x| x <= to);
+    &times[lo..hi]
 }
 
 #[cfg(test)]

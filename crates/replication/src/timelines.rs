@@ -171,28 +171,49 @@ impl SyncTimelines {
 
     /// Applies a [`TimelineRevision`] to the table's schedule: the
     /// completion at `revision.scheduled` is removed and, for a slip,
-    /// `revision.new_time` is inserted in its place. The schedule is
-    /// materialized (periodic schedules out to `horizon`) and re-inserted
-    /// as an explicit trace, so repeated revisions compose.
+    /// `revision.new_time` is inserted in its place. A periodic schedule
+    /// the revision lands on is first materialized out to `horizon` as an
+    /// explicit trace, so repeated revisions compose; a trace is edited
+    /// in place and stays sorted.
     ///
     /// Returns `true` if the scheduled completion existed and was revised;
     /// `false` if the table has no schedule or the completion was absent
     /// (e.g. already revised away), in which case a slip target is still
-    /// *not* inserted — a revision of a nonexistent sync is a no-op.
+    /// *not* inserted — a revision of a nonexistent sync is a no-op, and
+    /// a periodic schedule stays periodic.
     pub fn revise(&mut self, revision: &TimelineRevision, horizon: SimTime) -> bool {
-        let Some(schedule) = self.schedules.get(&revision.table) else {
+        let Some(schedule) = self.schedules.get_mut(&revision.table) else {
             return false;
         };
-        let mut times = schedule.materialize(horizon);
+        if let Schedule::Periodic { .. } = schedule {
+            let times = schedule.materialize(horizon);
+            if times.binary_search(&revision.scheduled).is_err() {
+                return false;
+            }
+            *schedule = Schedule::Trace(times);
+        }
+        let Schedule::Trace(times) = schedule else {
+            unreachable!("a revised schedule is a trace");
+        };
         let Ok(idx) = times.binary_search(&revision.scheduled) else {
             return false;
         };
-        times.remove(idx);
-        if let Some(new_time) = revision.new_time {
-            times.push(new_time);
+        match revision.new_time {
+            // A later slip shifts the completions it overtakes down by
+            // one and lands after every completion at or before it.
+            Some(new_time) if new_time >= revision.scheduled => {
+                let end = times.partition_point(|&x| x <= new_time);
+                times[idx..end].rotate_left(1);
+                times[end - 1] = new_time;
+            }
+            new_time => {
+                times.remove(idx);
+                if let Some(new_time) = new_time {
+                    let at = times.partition_point(|&x| x <= new_time);
+                    times.insert(at, new_time);
+                }
+            }
         }
-        self.schedules
-            .insert(revision.table, Schedule::trace(times));
         true
     }
 

@@ -44,16 +44,35 @@
 //!
 //! Misses and hits both score through the search's own kernel,
 //! [`SubsetArena::score`], never through [`evaluate_plan`]. A miss
-//! builds one [`SubsetArena`] for the request, so the cost model runs
-//! once per mask rather than once per (mask, release time), and looks
-//! each replicated table's last sync up once per release time (a
-//! [`Wave`]) rather than once per candidate. The entry then keeps the
-//! kernel inputs of its champions only ([`SubsetArena::select`]), not the
-//! whole `2^r`-row arena, and a hit re-scores them from those inputs at
-//! the live submit time. The candidates, release instants and
-//! tie-breaks ([`is_better_score`]) are those of the boxed enumeration
-//! the property suite keeps as its oracle, so plans are bit-identical
-//! to it.
+//! scores over its query template's full [`SubsetArena`], in which the
+//! cost model ran once per mask rather than once per (mask, release
+//! time), and looks each replicated table's last sync up once per
+//! release time (a [`Wave`]) rather than once per candidate. The entry
+//! then keeps the kernel inputs of its champions only
+//! ([`SubsetArena::select`]), not the whole `2^r`-row arena, and a hit
+//! re-scores them from those inputs at the live submit time. The
+//! candidates, release instants and tie-breaks ([`is_better_score`]) are
+//! those of the boxed enumeration the property suite keeps as its
+//! oracle, so plans are bit-identical to it.
+//!
+//! Two things keep a miss from doing work that cannot change its answer:
+//!
+//! * **The delayed class is bounded.** A row of cost `c` released at a
+//!   sync `τ` has `IV ≤ BV·(1 − λ_CL)^(τ − s + c)·(1 − λ_SL)^c`
+//!   ([`IvCeilings`] gives the argument). The walk keeps the masks still
+//!   in the race in ascending order, and drops one for good once its
+//!   ceiling, widened by 1e-9 relative, is strictly below the
+//!   delayed incumbent's IV: the ceiling only falls as `τ` grows, and the
+//!   incumbent only rises. The walk stops when no mask is left. The
+//!   horizon, the cap, the enumeration order and the tie-breaks are
+//!   unchanged; only candidates that could not have displaced the
+//!   incumbent go unscored, so the champion is the one the full
+//!   enumeration finds.
+//! * **Arenas outlive their window.** A query template (footprint, cost
+//!   profile and rates) keeps its full arena and ceilings in a FIFO
+//!   bounded by the cache's capacity, so a miss in a later sync window
+//!   does not re-run the cost model. Entries keep their own selected
+//!   champions, so evicting a template's arena never changes a hit.
 //!
 //! [`NoQueues`]: ivdss_core::plan::NoQueues
 //! [`ScatterGatherSearch`]: ivdss_core::search::ScatterGatherSearch
@@ -61,10 +80,11 @@
 //! [`Wave`]: ivdss_core::plan::Wave
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::Hash;
 
 use ivdss_catalog::ids::TableId;
 use ivdss_core::plan::{
-    CandidateScore, PlanContext, PlanError, PlanEvaluation, QueryRequest, SubsetArena,
+    CandidateScore, IvCeilings, PlanContext, PlanError, PlanEvaluation, QueryRequest, SubsetArena,
 };
 use ivdss_core::search::{is_better_score, replicated_footprint, DEFAULT_MAX_SYNC_POINTS};
 use ivdss_replication::events::SyncEvent;
@@ -74,16 +94,25 @@ use ivdss_simkernel::time::SimTime;
 /// Sentinel for "this replica has never completed a sync".
 const NEVER_SYNCED: u64 = u64::MAX;
 
-/// Everything a cached planning verdict depends on (except business
-/// value, which cannot change the argmax).
+/// A query template: everything [`SubsetArena::build`] and
+/// [`SubsetArena::ceilings`] read of a request besides the fixed catalog,
+/// cost model and replica set.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PlanCacheKey {
-    /// Sorted query footprint.
+struct TemplateKey {
+    /// The query footprint, in request order (sorted and deduplicated,
+    /// as [`QuerySpec`](ivdss_costmodel::query::QuerySpec) keeps it).
     footprint: Vec<TableId>,
     /// `(weight, selectivity)` bit patterns of the cost profile.
     profile: (u64, u64),
     /// `(λ_CL, λ_SL)` bit patterns.
     rates: (u64, u64),
+}
+
+/// Everything a cached planning verdict depends on (except business
+/// value, which cannot change the argmax).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct PlanCacheKey {
+    template: TemplateKey,
     /// Bit pattern of each replicated footprint table's last sync time
     /// at submission (sorted by table), identifying the inter-sync
     /// window.
@@ -94,9 +123,7 @@ impl PlanCacheKey {
     /// Builds the key for `request` under `ctx` at its submission time.
     #[must_use]
     pub fn for_request(ctx: &PlanContext<'_>, request: &QueryRequest) -> Self {
-        let mut footprint: Vec<TableId> = request.query.tables().to_vec();
-        footprint.sort_unstable();
-        footprint.dedup();
+        let footprint = request.query.tables().to_vec();
         let sync_phase = footprint
             .iter()
             .filter(|&&t| ctx.timelines.has_replica(t))
@@ -107,12 +134,14 @@ impl PlanCacheKey {
             })
             .collect();
         PlanCacheKey {
-            footprint,
-            profile: (
-                request.query.weight().to_bits(),
-                request.query.selectivity().to_bits(),
-            ),
-            rates: (ctx.rates.cl.rate().to_bits(), ctx.rates.sl.rate().to_bits()),
+            template: TemplateKey {
+                footprint,
+                profile: (
+                    request.query.weight().to_bits(),
+                    request.query.selectivity().to_bits(),
+                ),
+                rates: (ctx.rates.cl.rate().to_bits(), ctx.rates.sl.rate().to_bits()),
+            },
             sync_phase,
         }
     }
@@ -163,6 +192,57 @@ impl CacheEntry {
         }
         let (score, row) = best.expect("the all-remote champion is always cached");
         self.champions.evaluation(request, row, score)
+    }
+}
+
+/// A template's full [`SubsetArena`] and its [`IvCeilings`], kept across
+/// sync windows so a miss does not re-run the cost model.
+#[derive(Debug, Clone)]
+struct Template {
+    arena: SubsetArena,
+    ceilings: IvCeilings,
+}
+
+/// A `HashMap` with FIFO eviction: inserting into a full map first
+/// evicts the oldest keys.
+#[derive(Debug, Clone)]
+struct Fifo<K, V> {
+    map: HashMap<K, V>,
+    order: VecDeque<K>,
+    capacity: usize,
+}
+
+impl<K: Clone + Eq + Hash, V> Fifo<K, V> {
+    fn new(capacity: usize) -> Self {
+        Fifo {
+            map: HashMap::new(),
+            order: VecDeque::new(),
+            capacity,
+        }
+    }
+
+    /// Inserts `value` under `key`, which must be absent.
+    fn insert(&mut self, key: K, value: V) {
+        debug_assert!(!self.map.contains_key(&key), "keys are inserted once");
+        while self.map.len() >= self.capacity {
+            match self.order.pop_front() {
+                Some(oldest) => {
+                    self.map.remove(&oldest);
+                }
+                None => break,
+            }
+        }
+        self.order.push_back(key.clone());
+        self.map.insert(key, value);
+    }
+
+    /// Drops every value `keep` rejects and returns how many were dropped.
+    fn retain(&mut self, mut keep: impl FnMut(&V) -> bool) -> usize {
+        let before = self.map.len();
+        self.map.retain(|_, value| keep(value));
+        let map = &self.map;
+        self.order.retain(|key| map.contains_key(key));
+        before - self.map.len()
     }
 }
 
@@ -222,9 +302,11 @@ impl CacheEntry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PlanCache {
-    entries: HashMap<PlanCacheKey, CacheEntry>,
-    insertion_order: VecDeque<PlanCacheKey>,
-    capacity: usize,
+    entries: Fifo<PlanCacheKey, CacheEntry>,
+    /// Full arenas of recent query templates, bounded by the same
+    /// capacity as `entries`. Entries never point into them, so an
+    /// evicted template only costs its next miss a rebuild.
+    templates: Fifo<TemplateKey, Template>,
     max_sync_points: usize,
     hits: u64,
     misses: u64,
@@ -232,7 +314,8 @@ pub struct PlanCache {
 }
 
 impl PlanCache {
-    /// Creates a cache holding at most `capacity` entries.
+    /// Creates a cache holding at most `capacity` entries (and at most
+    /// `capacity` query templates' arenas).
     ///
     /// # Panics
     ///
@@ -241,9 +324,8 @@ impl PlanCache {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         PlanCache {
-            entries: HashMap::new(),
-            insertion_order: VecDeque::new(),
-            capacity,
+            entries: Fifo::new(capacity),
+            templates: Fifo::new(capacity),
             max_sync_points: DEFAULT_MAX_SYNC_POINTS,
             hits: 0,
             misses: 0,
@@ -254,13 +336,13 @@ impl PlanCache {
     /// Live entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.map.len()
     }
 
     /// `true` if the cache holds no entries.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries.map.is_empty()
     }
 
     /// Lookups answered from cached champions.
@@ -302,36 +384,36 @@ impl PlanCache {
         request: &QueryRequest,
     ) -> Result<(PlanEvaluation, CacheOutcome), PlanError> {
         let key = PlanCacheKey::for_request(ctx, request);
-        if let Some(entry) = self.entries.get(&key) {
+        if let Some(entry) = self.entries.map.get(&key) {
             self.hits += 1;
             return Ok((entry.best(ctx, request), CacheOutcome::Hit));
         }
 
-        let (best, entry) = Self::populate(ctx, request, self.max_sync_points);
-        self.misses += 1;
-        while self.entries.len() >= self.capacity {
-            match self.insertion_order.pop_front() {
-                Some(oldest) => {
-                    self.entries.remove(&oldest);
-                }
-                None => break,
-            }
+        if !self.templates.map.contains_key(&key.template) {
+            let arena = SubsetArena::build(ctx, request, &replicated_footprint(ctx, request));
+            let ceilings = arena.ceilings(ctx.rates);
+            self.templates
+                .insert(key.template.clone(), Template { arena, ceilings });
         }
-        self.insertion_order.push_back(key.clone());
+        let template = &self.templates.map[&key.template];
+        let (best, entry) = Self::populate(ctx, request, template, self.max_sync_points);
+        self.misses += 1;
         self.entries.insert(key, entry);
         Ok((best, CacheOutcome::Miss))
     }
 
-    /// Enumerates the per-class champions for `request` over one
-    /// [`SubsetArena`] and returns the overall best plus the cache entry.
+    /// Enumerates the per-class champions for `request` over its
+    /// template's [`SubsetArena`] and returns the overall best plus the
+    /// cache entry.
     fn populate(
         ctx: &PlanContext<'_>,
         request: &QueryRequest,
+        template: &Template,
         max_sync_points: usize,
     ) -> (PlanEvaluation, CacheEntry) {
+        let Template { arena, ceilings } = template;
         let submit = request.submitted_at;
-        let replicated = replicated_footprint(ctx, request);
-        let arena = SubsetArena::build(ctx, request, &replicated);
+        let replicated = arena.replicated();
         let now = arena.wave(ctx, submit);
 
         // Class "immediate all-remote": always feasible, constant IV
@@ -350,7 +432,10 @@ impl PlanCache {
 
         // Class "delayed to a future sync": enumerate sync points far
         // enough that no candidate which could win for *any* submit
-        // instant in the window is missed (see module docs).
+        // instant in the window is missed (see module docs). A mask
+        // leaves `live` once its ceiling falls below the incumbent's IV;
+        // it could never have displaced the incumbent, so the champion
+        // is the one the full enumeration finds.
         let mut delayed: Option<(CandidateScore, usize)> = None;
         if !replicated.is_empty() {
             let fallback_ratio =
@@ -358,7 +443,8 @@ impl PlanCache {
             let mut horizon: Option<SimTime> = None;
             let mut cursor = submit;
             let mut visited = 0usize;
-            while let Some((_, sync_at)) = ctx.timelines.next_sync_among(&replicated, cursor) {
+            let mut live: Vec<usize> = (1..arena.len()).collect();
+            while let Some((_, sync_at)) = ctx.timelines.next_sync_among(replicated, cursor) {
                 if visited == 0 && fallback_ratio > 0.0 {
                     horizon = ctx
                         .rates
@@ -375,12 +461,26 @@ impl PlanCache {
                 if visited > max_sync_points {
                     break;
                 }
-                let wave = arena.wave(ctx, sync_at);
-                for mask in 1..arena.len() {
-                    let score = arena.score(ctx, request, &wave, mask);
+                // The versions are looked up only if some mask survives:
+                // the last wave usually drops every one unscored.
+                let mut wave = None;
+                let release = ceilings.release(request, sync_at);
+                live.retain(|&mask| {
+                    if let Some((incumbent, _)) = &delayed {
+                        let iv = incumbent.information_value.value();
+                        if ceilings.rules_out(release, mask, iv) {
+                            return false;
+                        }
+                    }
+                    let wave = wave.get_or_insert_with(|| arena.wave(ctx, sync_at));
+                    let score = arena.score(ctx, request, wave, mask);
                     if is_better_score(&score, delayed.as_ref().map(|(s, _)| s)) {
                         delayed = Some((score, mask));
                     }
+                    true
+                });
+                if live.is_empty() {
+                    break;
                 }
                 cursor = sync_at;
             }
@@ -422,21 +522,14 @@ impl PlanCache {
     /// timeline is *revised* (a scheduled sync slipped or dropped): the
     /// entry's delayed champions may reference the revised sync point, so
     /// unlike ordinary sync-event GC the eviction is a correctness
-    /// matter, not just garbage collection.
+    /// matter, not just garbage collection. Template arenas do not depend
+    /// on the timelines and stay.
     pub fn invalidate_table(&mut self, table: TableId) -> usize {
-        let stale: Vec<PlanCacheKey> = self
+        let evicted = self
             .entries
-            .iter()
-            .filter(|(_, entry)| entry.champions.replicated().contains(&table))
-            .map(|(key, _)| key.clone())
-            .collect();
-        for key in &stale {
-            self.entries.remove(key);
-        }
-        self.insertion_order
-            .retain(|key| self.entries.contains_key(key));
-        self.invalidations += stale.len() as u64;
-        stale.len()
+            .retain(|entry| !entry.champions.replicated().contains(&table));
+        self.invalidations += evicted as u64;
+        evicted
     }
 
     /// Counts entries whose recorded sync phase disagrees with
@@ -447,6 +540,7 @@ impl PlanCache {
     #[must_use]
     pub fn stale_entries(&self, timelines: &SyncTimelines, now: SimTime) -> usize {
         self.entries
+            .map
             .values()
             .filter(|entry| {
                 entry
@@ -464,30 +558,20 @@ impl PlanCache {
     /// footprint completed a sync after the entry's recorded phase) and
     /// returns how many entries were dropped.
     pub fn apply_sync_events(&mut self, events: &[SyncEvent]) -> usize {
-        if events.is_empty() || self.entries.is_empty() {
+        if events.is_empty() || self.entries.map.is_empty() {
             return 0;
         }
-        let stale: Vec<PlanCacheKey> = self
-            .entries
-            .iter()
-            .filter(|(_, entry)| {
-                events.iter().any(|event| {
-                    entry
-                        .champions
-                        .replicated()
-                        .iter()
-                        .position(|&t| t == event.table)
-                        .is_some_and(|idx| entry.last_syncs[idx].is_none_or(|seen| seen < event.at))
-                })
+        let evicted = self.entries.retain(|entry| {
+            !events.iter().any(|event| {
+                entry
+                    .champions
+                    .replicated()
+                    .iter()
+                    .position(|&t| t == event.table)
+                    .is_some_and(|idx| entry.last_syncs[idx].is_none_or(|seen| seen < event.at))
             })
-            .map(|(key, _)| key.clone())
-            .collect();
-        for key in &stale {
-            self.entries.remove(key);
-        }
-        self.insertion_order
-            .retain(|key| self.entries.contains_key(key));
-        self.invalidations += stale.len() as u64;
-        stale.len()
+        });
+        self.invalidations += evicted as u64;
+        evicted
     }
 }

@@ -2,7 +2,7 @@
 //! full scatter-and-gather search and, bit for bit, against the boxed
 //! champion enumeration the cache's arena kernel replaced.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 use ivdss_catalog::catalog::Catalog;
 use ivdss_catalog::ids::TableId;
@@ -19,7 +19,7 @@ use ivdss_costmodel::model::{AnalyticCostModel, StylizedCostModel};
 use ivdss_costmodel::query::{QueryId, QuerySpec};
 use ivdss_replication::schedule::Schedule;
 use ivdss_replication::timelines::{SyncMode, SyncTimelines};
-use ivdss_serve::cache::{CacheOutcome, PlanCache};
+use ivdss_serve::cache::{CacheOutcome, PlanCache, PlanCacheKey};
 use ivdss_simkernel::time::SimTime;
 use ivdss_workloads::stream::{ArrivalStream, FrequencyRatio};
 use ivdss_workloads::tpch::tpch_query_specs;
@@ -154,6 +154,35 @@ fn assert_cache_matches_boxed(
     let oracle_hit = boxed_hit(ctx, later, &champions).unwrap();
     assert_eq!(hit, oracle_hit, "hit of {later:?}");
     capped
+}
+
+/// Plans `request` through `cache`, which may hold earlier entries and
+/// template arenas, and asserts the answer is `==` to the boxed
+/// oracle's: a miss to a fresh boxed enumeration, whose champions `seen`
+/// records under the request's key, and a hit to those champions
+/// re-scored at the live submit time.
+fn assert_lookup_matches_boxed(
+    cache: &mut PlanCache,
+    seen: &mut HashMap<PlanCacheKey, Vec<BoxedChampion>>,
+    ctx: &PlanContext<'_>,
+    request: &QueryRequest,
+) -> CacheOutcome {
+    let key = PlanCacheKey::for_request(ctx, request);
+    let (answer, outcome) = cache.plan(ctx, request).unwrap();
+    match outcome {
+        CacheOutcome::Miss => {
+            let (oracle, champions, _) =
+                boxed_populate(ctx, request, DEFAULT_MAX_SYNC_POINTS).unwrap();
+            assert_eq!(answer, oracle, "miss of {request:?}");
+            seen.insert(key, champions);
+        }
+        CacheOutcome::Hit => {
+            let champions = &seen[&key];
+            let oracle = boxed_hit(ctx, request, champions).unwrap();
+            assert_eq!(answer, oracle, "hit of {request:?}");
+        }
+    }
+    outcome
 }
 
 /// Five tables over two sites; tables 0–2 replicated with the given
@@ -310,6 +339,53 @@ proptest! {
         assert_cache_matches_boxed(&mut cache, &ctx, &request, &later);
     }
 
+    /// The kernel stays bit-identical to the boxed enumeration when a
+    /// discount rate is zero: with `λ_CL = 0` no horizon ends the sync
+    /// walk and a ceiling never falls from wave to wave; with
+    /// `λ_SL = 0` a ceiling only charges computational latency.
+    #[test]
+    fn cache_kernel_matches_boxed_oracle_with_a_zero_rate(
+        p0 in 1.0..20.0f64,
+        p1 in 1.0..20.0f64,
+        p2 in 1.0..20.0f64,
+        ph0 in 0.0..1.0f64,
+        ph1 in 0.0..1.0f64,
+        ph2 in 0.0..1.0f64,
+        rate in 0.005..0.3f64,
+        zeroed in 0u32..3,
+        populate_at in 0.0..50.0f64,
+        offset in 0.0..0.999f64,
+        with_t3 in any::<bool>(),
+        with_t4 in any::<bool>()
+    ) {
+        let (catalog, timelines) =
+            fixture(&[(p0, ph0 * p0), (p1, ph1 * p1), (p2, ph2 * p2)]);
+        let model = StylizedCostModel::paper_fig4();
+        let rates = match zeroed {
+            0 => DiscountRates::new(0.0, rate),
+            1 => DiscountRates::new(rate, 0.0),
+            _ => DiscountRates::new(0.0, 0.0),
+        };
+        let ctx = PlanContext {
+            catalog: &catalog,
+            timelines: &timelines,
+            model: &model,
+            rates,
+            queues: &NoQueues,
+        };
+        let tables = footprint(with_t3, with_t4);
+        let request = QueryRequest::new(
+            QuerySpec::new(QueryId::new(0), tables.clone()),
+            SimTime::new(populate_at),
+        );
+        let later = QueryRequest::new(
+            QuerySpec::new(QueryId::new(1), tables),
+            later_in_window(&ctx, &request, offset),
+        );
+        let mut cache = PlanCache::new(4);
+        assert_cache_matches_boxed(&mut cache, &ctx, &request, &later);
+    }
+
     /// Queries whose footprint has no replicated table still plan
     /// through the cache (all-remote champion only) and match the fresh
     /// search.
@@ -388,4 +464,125 @@ fn tpch_cache_kernel_matches_boxed_oracle_bit_for_bit() {
         }
     }
     assert!(capped > 0, "the sync-point cap never bound");
+}
+
+/// The cache stays bit-identical to the boxed enumeration while its
+/// entries and template arenas are evicted and rebuilt: with capacity 3
+/// against 22 round-robin TPC-H templates, every template's arena is
+/// gone by the time it recurs. Each template is also planned again in
+/// the next sync window, a miss that reuses the arena the previous
+/// lookup built. With capacity 64 every arena is kept, and templates
+/// that share a footprint but not a cost profile (Q1 and Q6 both read
+/// only `lineitem`) must not share one.
+#[test]
+fn tpch_cache_arenas_evicted_or_kept_match_boxed_oracle() {
+    for capacity in [3, 64] {
+        tpch_stream_matches_boxed_oracle(capacity);
+    }
+}
+
+fn tpch_stream_matches_boxed_oracle(capacity: usize) {
+    const QUERIES: usize = 66;
+    const INTERARRIVAL: f64 = 20.0;
+    let catalog = tpch_catalog(&TpchConfig {
+        mean_sync_period: FrequencyRatio::one_to(10.0).sync_period(INTERARRIVAL),
+        ..TpchConfig::default()
+    })
+    .unwrap();
+    let model = AnalyticCostModel::paper_scale();
+    let timelines = SyncTimelines::from_plan(
+        catalog.replication(),
+        SyncMode::Stochastic {
+            horizon: SimTime::new((QUERIES as f64 * 1.1 + 50.0) * INTERARRIVAL),
+            seed: 3,
+        },
+    );
+    let ctx = PlanContext {
+        catalog: &catalog,
+        timelines: &timelines,
+        model: &model,
+        rates: DiscountRates::new(0.01, 0.01),
+        queues: &NoQueues,
+    };
+    let mut cache = PlanCache::new(capacity);
+    let mut seen = HashMap::new();
+    let (mut hits, mut misses) = (0usize, 0usize);
+    let requests = ArrivalStream::new(tpch_query_specs(), INTERARRIVAL, 3).take_requests(QUERIES);
+    for request in &requests {
+        let replicated = replicated_footprint(&ctx, request);
+        let later = QueryRequest::new(request.query.clone(), later_in_window(&ctx, request, 0.5));
+        let mut lookups = vec![request.clone(), later];
+        if let Some((_, next)) = ctx
+            .timelines
+            .next_sync_among(&replicated, request.submitted_at)
+        {
+            lookups.push(QueryRequest::new(request.query.clone(), next));
+        }
+        for lookup in &lookups {
+            match assert_lookup_matches_boxed(&mut cache, &mut seen, &ctx, lookup) {
+                CacheOutcome::Hit => hits += 1,
+                CacheOutcome::Miss => misses += 1,
+            }
+        }
+    }
+    assert!(
+        hits > 0 && misses > QUERIES,
+        "capacity {capacity}: hits {hits}, misses {misses}"
+    );
+}
+
+/// A constructed near tie on the delayed class's ceiling. Under the
+/// stylized model with `λ_CL = λ_SL = 0.01`, replica A (table 0) was
+/// last synced long before the submit at `s = 100` and syncs again at
+/// `τ = 101`; replica B (table 1) syncs `5e-5` before and `2e-5` after
+/// that. The all-local candidate released at `τ` (SL charged from B's
+/// earlier sync) is beaten by the one released at `τ + 2e-5` by about
+/// `1e-7` relative, and sits only about `3e-7` below the later one's
+/// ceiling. A ceiling tightened by `1e-6` would drop the later
+/// candidate unscored and keep the wrong champion.
+#[test]
+fn delayed_champion_within_a_ceiling_margin_is_not_dropped() {
+    let catalog = synthetic_catalog(&SyntheticConfig {
+        tables: 2,
+        sites: 2,
+        replicated_tables: 0,
+        seed: 23,
+        ..SyntheticConfig::default()
+    })
+    .unwrap();
+    let (a, b) = (TableId::new(0), TableId::new(1));
+    let tau = 101.0;
+    let mut timelines = SyncTimelines::new();
+    timelines.insert(a, Schedule::trace(vec![SimTime::ZERO, SimTime::new(tau)]));
+    timelines.insert(
+        b,
+        Schedule::trace(vec![
+            SimTime::ZERO,
+            SimTime::new(tau - 5e-5),
+            SimTime::new(tau + 2e-5),
+        ]),
+    );
+    let model = StylizedCostModel::paper_fig4();
+    let ctx = PlanContext {
+        catalog: &catalog,
+        timelines: &timelines,
+        model: &model,
+        rates: DiscountRates::new(0.01, 0.01),
+        queues: &NoQueues,
+    };
+    let request = QueryRequest::new(
+        QuerySpec::new(QueryId::new(0), vec![a, b]),
+        SimTime::new(100.0),
+    );
+    let later = QueryRequest::new(request.query.clone(), later_in_window(&ctx, &request, 0.5));
+    let mut cache = PlanCache::new(4);
+    assert_cache_matches_boxed(&mut cache, &ctx, &request, &later);
+
+    // The fixture is the near tie it claims to be.
+    let (best, _) = cache.plan(&ctx, &request).unwrap();
+    assert_eq!(best.execute_at, SimTime::new(tau + 2e-5));
+    assert_eq!(best.local_tables, [a, b].into_iter().collect());
+    let at_tau = evaluate_plan(&ctx, &request, SimTime::new(tau), &best.local_tables).unwrap();
+    let gain = best.information_value.value() / at_tau.information_value.value() - 1.0;
+    assert!((0.5e-7..2e-7).contains(&gain), "gain {gain}");
 }

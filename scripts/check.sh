@@ -32,6 +32,23 @@ cargo test --offline --release -p ivdss-storage
 cargo test --offline --release -p ivdss-dsim --test calibration_regression
 cargo test --offline --release -p ivdss-serve --test golden_storage_trace
 
+echo "==> serving benchmark correctness check (release)"
+# servebench is its own cargo workspace, so the steps above never build
+# it. Each workload's last line is its JSON report; a run is correct
+# when every socket pass matched the in-process run.
+cargo build --release --offline --quiet --manifest-path servebench/Cargo.toml
+for workload in tpch-paper dashboard-hot tenants-overload; do
+  report=$(cargo run --quiet --release --offline --manifest-path servebench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+  case "$report" in
+    *'"correct": true'*) echo "    $workload: correct" ;;
+    *)
+      echo "servebench $workload failed its correctness check: $report" >&2
+      exit 1
+      ;;
+  esac
+done
+
 echo "==> markdown link check"
 scripts/linkcheck.sh
 
