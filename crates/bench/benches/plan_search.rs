@@ -62,7 +62,7 @@ fn bench_search(c: &mut Criterion) {
                 b.iter(|| {
                     black_box(
                         ScatterGatherSearch::new()
-                            .search(black_box(&ctx), black_box(&request))
+                            .search_from(black_box(&ctx), black_box(&request), request.submitted_at)
                             .unwrap(),
                     )
                 });

@@ -71,7 +71,7 @@ fn ablate_pruning() {
             SimTime::new(11.0),
         );
         let sg = ScatterGatherSearch::new()
-            .search(&ctx, &request)
+            .search_from(&ctx, &request, request.submitted_at)
             .expect("search succeeds");
         let ex = exhaustive_search(&ctx, &request, 128).expect("oracle succeeds");
         assert!(

@@ -18,13 +18,16 @@
 //! * [`plan`] — candidate plans *(release time, local tables)* and their
 //!   full evaluation against catalog, timelines, cost model and queues;
 //! * [`search`] — the bounded scatter-and-gather optimal plan search of
-//!   §3.1 plus an exhaustive oracle;
+//!   §3.1 plus an exhaustive oracle. Two entry points:
+//!   [`search::ScatterGatherSearch::search_from`] for the plain search and
+//!   [`search::ScatterGatherSearch::search_with`], whose
+//!   [`search::SearchOpts`] add a memo, a repair cache, a tracer and an
+//!   audit;
 //! * [`planner`] — [`planner::IvqpPlanner`] and the paper's two baselines,
 //!   [`planner::FederationPlanner`] and [`planner::WarehousePlanner`];
-//! * [`parallel`] — [`parallel::PlannerPool`] and the
-//!   [`parallel::ParallelPlanner`], which fan candidate evaluation out
-//!   over threads while choosing plans bit-identical to the sequential
-//!   search;
+//! * [`parallel`] — [`parallel::PlannerPool`], a deterministic fork-join
+//!   helper for callers that plan many independent queries or candidate
+//!   orders at once;
 //! * [`memo`] — [`memo::PhaseMemo`], memoized dominance-pruning frontiers
 //!   keyed by sync phase so repeated scatter points reuse pruned state,
 //!   sharded so one memo serves a whole cluster of engines;
@@ -103,7 +106,7 @@ pub use advisor::{AdvisorStep, PlacementAdvisor, Recommendation};
 pub use frontier::{dominates, BoxedFrontier, FrontierArena, FrontierEntry};
 pub use latency::Latencies;
 pub use memo::{MemoStats, PhaseKey, PhaseMemo};
-pub use parallel::{ParallelPlanner, PlannerPool};
+pub use parallel::PlannerPool;
 pub use plan::{
     evaluate_plan, CandidateScore, FacilityQueues, IvCeilings, NoQueues, PlanContext, PlanError,
     PlanEvaluation, QueryRequest, QueueEstimator, SiteFloors, SubsetArena, Wave,
@@ -112,7 +115,7 @@ pub use planner::{FederationPlanner, IvqpPlanner, Planner, WarehousePlanner};
 pub use repair::{RepairSession, ReplanCache, ReplanStats};
 pub use search::{
     exhaustive_search, is_better, is_better_score, local_subsets, replicated_footprint,
-    ScatterGatherSearch, SearchOutcome,
+    ScatterGatherSearch, SearchOpts, SearchOutcome,
 };
 pub use starvation::AgingPolicy;
 pub use value::{BusinessValue, DiscountRate, DiscountRates, InformationValue};

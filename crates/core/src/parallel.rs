@@ -1,45 +1,24 @@
-//! Parallel plan selection.
+//! Deterministic fork-join over independent planning work.
 //!
-//! The scatter-and-gather search of §3.1 evaluates many *independent*
-//! candidate plans — one per (release time, local subset) pair — and the
-//! batch paths above it (MQO order evaluation, serve-engine dispatch)
-//! plan many independent queries. This module provides the two pieces
-//! that exploit that independence without giving up determinism:
+//! Callers that plan many *independent* things fan them out over a
+//! [`PlannerPool`]: the MQO evaluator and the refresh-schedule GA score
+//! whole candidate orders or schedules per task, and the
+//! `planner_scaling` bench plans one query per task. One search stays on
+//! the calling thread (see [`crate::search`]); the parallel grain is the
+//! query or the candidate order, not the candidate plan.
 //!
-//! * [`PlannerPool`] — a configurable fork-join helper over OS threads
-//!   (`std::thread::scope`; the workspace vendors no external thread-pool
-//!   crate). Results are always gathered **in index order**, so any
-//!   reduction over them is independent of scheduling.
-//! * [`ParallelPlanner`] — an IVQP planner that runs the
-//!   scatter-and-gather search with candidate evaluation fanned out over
-//!   the pool, optionally reusing memoized pruning frontiers
-//!   ([`PhaseMemo`]). Its chosen plan is **bit-identical** to
-//!   [`ScatterGatherSearch`]'s on every input — verified by the
-//!   `parallel_differential` suite — because the reduction replays the
-//!   sequential boundary-pruning logic over the speculatively evaluated
-//!   candidates.
-//!
-//! One pool is meant to be shared: build an `Arc<PlannerPool>` once,
-//! hand clones to the serve engine, the MQO evaluator and the benches.
-//! A pool with `threads == 1` degrades to plain inline evaluation with
-//! zero threading overhead, so parallel-capable call sites need no
-//! special-casing.
+//! The pool runs over OS threads (`std::thread::scope`; the workspace
+//! vendors no external thread-pool crate). Results are always gathered
+//! **in index order**, so any reduction over them is independent of
+//! scheduling. A pool with `threads == 1` degrades to plain inline
+//! evaluation with zero threading overhead, so parallel-capable call
+//! sites need no special-casing. One pool is meant to be shared: build
+//! an `Arc<PlannerPool>` once and hand clones to every evaluator.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
-use ivdss_obs::{SearchAudit, Tracer};
-use ivdss_simkernel::time::SimTime;
-
-use crate::memo::PhaseMemo;
-use crate::plan::{PlanContext, PlanError, PlanEvaluation, QueryRequest};
-use crate::planner::Planner;
-use crate::repair::ReplanCache;
-use crate::search::{ScatterGatherSearch, SearchOutcome};
-
-/// Below this many independent tasks a parallel region runs inline:
-/// spawning a thread costs far more than evaluating a handful of
-/// candidate plans.
+/// Below this many independent tasks per worker a parallel region runs
+/// inline: spawning a thread costs more than a handful of small tasks.
 pub const MIN_TASKS_PER_THREAD: usize = 8;
 
 /// A deterministic fork-join pool over OS threads.
@@ -169,312 +148,9 @@ impl PlannerPool {
     }
 }
 
-/// An IVQP planner that evaluates candidates through a [`PlannerPool`]
-/// and (optionally) a shared [`PhaseMemo`], choosing plans bit-identical
-/// to the sequential [`ScatterGatherSearch`].
-///
-/// # Examples
-///
-/// ```
-/// use std::sync::Arc;
-/// use ivdss_catalog::ids::TableId;
-/// use ivdss_catalog::replica::{ReplicaSpec, ReplicationPlan};
-/// use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
-/// use ivdss_core::parallel::{ParallelPlanner, PlannerPool};
-/// use ivdss_core::plan::{NoQueues, PlanContext, QueryRequest};
-/// use ivdss_core::planner::{IvqpPlanner, Planner};
-/// use ivdss_core::value::DiscountRates;
-/// use ivdss_costmodel::model::StylizedCostModel;
-/// use ivdss_costmodel::query::{QueryId, QuerySpec};
-/// use ivdss_replication::timelines::{SyncMode, SyncTimelines};
-/// use ivdss_simkernel::time::SimTime;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let base = synthetic_catalog(&SyntheticConfig {
-///     tables: 4, sites: 2, replicated_tables: 0, ..SyntheticConfig::default()
-/// })?;
-/// let mut plan = ReplicationPlan::new();
-/// plan.add(TableId::new(0), ReplicaSpec::new(8.0));
-/// plan.add(TableId::new(1), ReplicaSpec::new(2.0));
-/// let catalog = base.with_replication(plan)?;
-/// let timelines = SyncTimelines::from_plan(catalog.replication(), SyncMode::Deterministic);
-/// let model = StylizedCostModel::paper_fig4();
-/// let ctx = PlanContext {
-///     catalog: &catalog,
-///     timelines: &timelines,
-///     model: &model,
-///     rates: DiscountRates::new(0.01, 0.05),
-///     queues: &NoQueues,
-/// };
-/// let request = QueryRequest::new(
-///     QuerySpec::new(QueryId::new(1), vec![TableId::new(0), TableId::new(1)]),
-///     SimTime::new(11.0),
-/// );
-///
-/// let parallel = ParallelPlanner::new(Arc::new(PlannerPool::new(4)));
-/// let chosen = parallel.select_plan(&ctx, &request)?;
-/// // Plan-identical to the sequential planner, bit for bit.
-/// assert_eq!(chosen, IvqpPlanner::new().select_plan(&ctx, &request)?);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct ParallelPlanner {
-    search: ScatterGatherSearch,
-    pool: Arc<PlannerPool>,
-}
-
-impl ParallelPlanner {
-    /// Creates a planner over `pool` with the default search settings.
-    #[must_use]
-    pub fn new(pool: Arc<PlannerPool>) -> Self {
-        ParallelPlanner {
-            search: ScatterGatherSearch::new(),
-            pool,
-        }
-    }
-
-    /// Creates a planner over `pool` with a custom search.
-    #[must_use]
-    pub fn with_search(search: ScatterGatherSearch, pool: Arc<PlannerPool>) -> Self {
-        ParallelPlanner { search, pool }
-    }
-
-    /// The shared pool.
-    #[must_use]
-    pub fn pool(&self) -> &Arc<PlannerPool> {
-        &self.pool
-    }
-
-    /// Runs the full search in parallel. The outcome — plan, counters and
-    /// boundary — equals [`ScatterGatherSearch::search`] exactly.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlanError`] from plan evaluation.
-    pub fn search(
-        &self,
-        ctx: &PlanContext<'_>,
-        request: &QueryRequest,
-    ) -> Result<SearchOutcome, PlanError> {
-        self.search
-            .search_from_with(ctx, request, request.submitted_at, &self.pool, None)
-    }
-
-    /// Parallel analogue of [`ScatterGatherSearch::search_from`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlanError`] from plan evaluation.
-    pub fn search_from(
-        &self,
-        ctx: &PlanContext<'_>,
-        request: &QueryRequest,
-        not_before: SimTime,
-    ) -> Result<SearchOutcome, PlanError> {
-        self.search
-            .search_from_with(ctx, request, not_before, &self.pool, None)
-    }
-
-    /// Parallel search that consults (and feeds) `memo`'s pruning
-    /// frontiers. The chosen plan is still bit-identical to the
-    /// sequential search; only the effort counters shrink. The caller
-    /// must guarantee the memo-safety conditions of [`PhaseMemo`] —
-    /// chiefly a stateless queue estimator.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlanError`] from plan evaluation.
-    pub fn search_memoized(
-        &self,
-        ctx: &PlanContext<'_>,
-        request: &QueryRequest,
-        not_before: SimTime,
-        memo: &PhaseMemo,
-    ) -> Result<SearchOutcome, PlanError> {
-        self.search
-            .search_from_with(ctx, request, not_before, &self.pool, Some(memo))
-    }
-
-    /// [`ParallelPlanner::search_from`] with observability (see
-    /// [`ScatterGatherSearch::search_from_with_observed`]): search events
-    /// go to `tracer`, the candidate/bound record into `audit`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlanError`] from plan evaluation.
-    pub fn search_from_observed(
-        &self,
-        ctx: &PlanContext<'_>,
-        request: &QueryRequest,
-        not_before: SimTime,
-        tracer: &Tracer,
-        audit: Option<&mut SearchAudit>,
-    ) -> Result<SearchOutcome, PlanError> {
-        self.search
-            .search_from_with_observed(ctx, request, not_before, &self.pool, None, tracer, audit)
-    }
-
-    /// [`ParallelPlanner::search_memoized`] with observability.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlanError`] from plan evaluation.
-    pub fn search_memoized_observed(
-        &self,
-        ctx: &PlanContext<'_>,
-        request: &QueryRequest,
-        not_before: SimTime,
-        memo: &PhaseMemo,
-        tracer: &Tracer,
-        audit: Option<&mut SearchAudit>,
-    ) -> Result<SearchOutcome, PlanError> {
-        self.search.search_from_with_observed(
-            ctx,
-            request,
-            not_before,
-            &self.pool,
-            Some(memo),
-            tracer,
-            audit,
-        )
-    }
-
-    /// Parallel analogue of
-    /// [`ScatterGatherSearch::search_from_repaired`]: scores surviving a
-    /// previous search of this query in `repair` are reused instead of
-    /// recomputed. Bit-identical outcome; only wall-clock shrinks. The
-    /// caller must guarantee the soundness conditions of
-    /// [`ReplanCache`] (stateless queues, every revision invalidated).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlanError`] from plan evaluation.
-    pub fn search_repaired(
-        &self,
-        ctx: &PlanContext<'_>,
-        request: &QueryRequest,
-        not_before: SimTime,
-        repair: &ReplanCache,
-    ) -> Result<SearchOutcome, PlanError> {
-        self.search.search_from_with_repaired_observed(
-            ctx,
-            request,
-            not_before,
-            &self.pool,
-            None,
-            Some(repair),
-            &Tracer::disabled(),
-            None,
-        )
-    }
-
-    /// The everything entry point: pool + optional memo + optional
-    /// repair cache + observability, all layers bit-identical to the
-    /// plain sequential search (see
-    /// [`ScatterGatherSearch::search_from_with_repaired_observed`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlanError`] from plan evaluation.
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_repaired_observed(
-        &self,
-        ctx: &PlanContext<'_>,
-        request: &QueryRequest,
-        not_before: SimTime,
-        memo: Option<&PhaseMemo>,
-        repair: Option<&ReplanCache>,
-        tracer: &Tracer,
-        audit: Option<&mut SearchAudit>,
-    ) -> Result<SearchOutcome, PlanError> {
-        self.search.search_from_with_repaired_observed(
-            ctx, request, not_before, &self.pool, memo, repair, tracer, audit,
-        )
-    }
-
-    /// Plans a batch of independent queries, one search per query, fanned
-    /// out over the pool (each individual search runs sequentially —
-    /// query-level parallelism already saturates the workers). Results
-    /// are in input order and identical to planning each query alone.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (by input order) planning error.
-    pub fn plan_batch(
-        &self,
-        ctx: &PlanContext<'_>,
-        requests: &[QueryRequest],
-    ) -> Result<Vec<PlanEvaluation>, PlanError> {
-        self.pool.try_run_indexed(requests.len(), |i| {
-            Ok(self.search.search(ctx, &requests[i])?.best)
-        })
-    }
-
-    /// Like [`ParallelPlanner::plan_batch`], reusing `memo` frontiers
-    /// across the whole batch (queries sharing footprints and sync phases
-    /// prune each other's searches).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (by input order) planning error.
-    pub fn plan_batch_memoized(
-        &self,
-        ctx: &PlanContext<'_>,
-        requests: &[QueryRequest],
-        memo: &PhaseMemo,
-    ) -> Result<Vec<PlanEvaluation>, PlanError> {
-        let sequential = PlannerPool::sequential();
-        self.pool.try_run_indexed(requests.len(), |i| {
-            Ok(self
-                .search
-                .search_from_with(
-                    ctx,
-                    &requests[i],
-                    requests[i].submitted_at,
-                    &sequential,
-                    Some(memo),
-                )?
-                .best)
-        })
-    }
-}
-
-impl Planner for ParallelPlanner {
-    fn name(&self) -> &str {
-        "IVQP (parallel)"
-    }
-
-    fn select_plan(
-        &self,
-        ctx: &PlanContext<'_>,
-        request: &QueryRequest,
-    ) -> Result<PlanEvaluation, PlanError> {
-        Ok(self.search(ctx, request)?.best)
-    }
-
-    fn select_plan_from(
-        &self,
-        ctx: &PlanContext<'_>,
-        request: &QueryRequest,
-        not_before: SimTime,
-    ) -> Result<PlanEvaluation, PlanError> {
-        Ok(self.search_from(ctx, request, not_before)?.best)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::NoQueues;
-    use crate::planner::IvqpPlanner;
-    use crate::value::DiscountRates;
-    use ivdss_catalog::ids::TableId;
-    use ivdss_catalog::replica::{ReplicaSpec, ReplicationPlan};
-    use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
-    use ivdss_costmodel::model::StylizedCostModel;
-    use ivdss_costmodel::query::{QueryId, QuerySpec};
-    use ivdss_replication::timelines::{SyncMode, SyncTimelines};
 
     #[test]
     fn run_indexed_orders_results() {
@@ -508,52 +184,5 @@ mod tests {
         assert_eq!(PlannerPool::new(0).threads(), 1);
         assert!(PlannerPool::sequential().is_sequential());
         assert!(PlannerPool::host_sized().threads() >= 1);
-    }
-
-    #[test]
-    fn parallel_planner_matches_sequential() {
-        let base = synthetic_catalog(&SyntheticConfig {
-            tables: 8,
-            sites: 3,
-            replicated_tables: 0,
-            seed: 9,
-            ..SyntheticConfig::default()
-        })
-        .unwrap();
-        let mut plan = ReplicationPlan::new();
-        for i in 0..5u32 {
-            plan.add(TableId::new(i), ReplicaSpec::new(3.0 + f64::from(i)));
-        }
-        let catalog = base.with_replication(plan).unwrap();
-        let timelines = SyncTimelines::from_plan(catalog.replication(), SyncMode::Deterministic);
-        let model = StylizedCostModel::paper_fig4();
-        let ctx = PlanContext {
-            catalog: &catalog,
-            timelines: &timelines,
-            model: &model,
-            rates: DiscountRates::new(0.02, 0.08),
-            queues: &NoQueues,
-        };
-        let requests: Vec<QueryRequest> = (0..6u32)
-            .map(|q| {
-                QueryRequest::new(
-                    QuerySpec::new(
-                        QueryId::new(u64::from(q)),
-                        (0..5).map(|i| TableId::new((q + i) % 8)).collect(),
-                    ),
-                    SimTime::new(7.0 + f64::from(q)),
-                )
-            })
-            .collect();
-
-        let parallel = ParallelPlanner::new(Arc::new(PlannerPool::new(4)));
-        let sequential = IvqpPlanner::new();
-        let batch = parallel.plan_batch(&ctx, &requests).unwrap();
-        for (request, got) in requests.iter().zip(&batch) {
-            let expect = sequential.search(&ctx, request).unwrap();
-            assert_eq!(*got, expect.best);
-            let outcome = parallel.search(&ctx, request).unwrap();
-            assert_eq!(outcome, expect, "full outcome must match bit for bit");
-        }
     }
 }

@@ -1146,7 +1146,9 @@ mod tests {
         let search = ScatterGatherSearch::new();
 
         let nominal_ctx = ctx(&catalog, &timelines, &model, &NoQueues);
-        let nominal = search.search(&nominal_ctx, &req).unwrap();
+        let nominal = search
+            .search_from(&nominal_ctx, &req, req.submitted_at)
+            .unwrap();
 
         // Every site hosting the footprint is down for a long time.
         let floors: std::collections::BTreeMap<SiteId, SimTime> = catalog
@@ -1156,7 +1158,9 @@ mod tests {
             .collect();
         let floored = SiteFloors::new(&NoQueues, floors);
         let degraded_ctx = ctx(&catalog, &timelines, &model, &floored);
-        let degraded = search.search(&degraded_ctx, &req).unwrap();
+        let degraded = search
+            .search_from(&degraded_ctx, &req, req.submitted_at)
+            .unwrap();
 
         // The planner steers to the replica-only plan instead of stalling
         // on the outage, and the degraded IV never beats the nominal one.

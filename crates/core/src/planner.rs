@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 use ivdss_simkernel::time::SimTime;
 
 use crate::plan::{evaluate_plan, PlanContext, PlanError, PlanEvaluation, QueryRequest};
-use crate::search::{ScatterGatherSearch, SearchOutcome};
+use crate::search::ScatterGatherSearch;
 
 /// Selects an execution plan for a query under a given context.
 pub trait Planner {
@@ -101,35 +101,13 @@ pub trait Planner {
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IvqpPlanner {
-    search: ScatterGatherSearch,
-}
+pub struct IvqpPlanner;
 
 impl IvqpPlanner {
     /// Creates an IVQP planner with the default search settings.
     #[must_use]
     pub fn new() -> Self {
-        IvqpPlanner::default()
-    }
-
-    /// Creates an IVQP planner with a custom search.
-    #[must_use]
-    pub fn with_search(search: ScatterGatherSearch) -> Self {
-        IvqpPlanner { search }
-    }
-
-    /// Like [`Planner::select_plan`] but returning the full
-    /// [`SearchOutcome`] including exploration counters.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlanError`] from the search.
-    pub fn search(
-        &self,
-        ctx: &PlanContext<'_>,
-        request: &QueryRequest,
-    ) -> Result<SearchOutcome, PlanError> {
-        self.search.search(ctx, request)
+        IvqpPlanner
     }
 }
 
@@ -143,7 +121,7 @@ impl Planner for IvqpPlanner {
         ctx: &PlanContext<'_>,
         request: &QueryRequest,
     ) -> Result<PlanEvaluation, PlanError> {
-        Ok(self.search.search(ctx, request)?.best)
+        self.select_plan_from(ctx, request, request.submitted_at)
     }
 
     fn select_plan_from(
@@ -152,7 +130,9 @@ impl Planner for IvqpPlanner {
         request: &QueryRequest,
         not_before: SimTime,
     ) -> Result<PlanEvaluation, PlanError> {
-        Ok(self.search.search_from(ctx, request, not_before)?.best)
+        Ok(ScatterGatherSearch::new()
+            .search_from(ctx, request, not_before)?
+            .best)
     }
 }
 
@@ -394,7 +374,10 @@ mod tests {
             rates: DiscountRates::paper_fig4(),
             queues: &NoQueues,
         };
-        let outcome = IvqpPlanner::new().search(&ctx, &request(&[0, 1])).unwrap();
+        let req = request(&[0, 1]);
+        let outcome = ScatterGatherSearch::new()
+            .search_from(&ctx, &req, req.submitted_at)
+            .unwrap();
         assert!(outcome.plans_explored >= 4);
     }
 }

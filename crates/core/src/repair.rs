@@ -19,7 +19,8 @@
 //!   every `(execute_at, mask)` candidate the search has already
 //!   computed, and [`ReplanCache::invalidate`] drops only the scores at
 //!   or past a revision's dirty floor. The repaired search
-//!   ([`ScatterGatherSearch::search_from_repaired`]) consults the cache
+//!   ([`ScatterGatherSearch::search_with`] with a `repair` cache in its
+//!   [`SearchOpts`]) consults the cache
 //!   *below* the search algorithm — wave enumeration, boundary
 //!   tightening, memo probes, effort counters and emitted events are
 //!   all unchanged; only the floating-point evaluation of an unchanged
@@ -55,7 +56,8 @@
 //!
 //! [`TimelineRevision`]: ivdss_replication::events::TimelineRevision
 //! [`CandidateScore`]: crate::plan::CandidateScore
-//! [`ScatterGatherSearch::search_from_repaired`]: crate::search::ScatterGatherSearch::search_from_repaired
+//! [`ScatterGatherSearch::search_with`]: crate::search::ScatterGatherSearch::search_with
+//! [`SearchOpts`]: crate::search::SearchOpts
 //! [`PhaseMemo`]: crate::memo::PhaseMemo
 //! [`NoQueues`]: crate::plan::NoQueues
 //!
@@ -656,7 +658,7 @@ mod tests {
 
     #[test]
     fn outcome_card_gates_on_the_scan_horizon() {
-        use crate::search::ScatterGatherSearch;
+        use crate::search::{ScatterGatherSearch, SearchOpts};
 
         let (catalog, timelines) = fixture();
         let model = StylizedCostModel::paper_fig4();
@@ -674,26 +676,29 @@ mod tests {
         let search = ScatterGatherSearch::new();
         let cache = ReplanCache::new();
         let scratch = search.search_from(&ctx, &req, req.submitted_at).unwrap();
-        let cold = search
-            .search_from_repaired(&ctx, &req, req.submitted_at, &cache)
-            .unwrap();
+        let repaired = || {
+            let opts = SearchOpts {
+                repair: Some(&cache),
+                ..SearchOpts::default()
+            };
+            search
+                .search_with(&ctx, &req, req.submitted_at, opts)
+                .unwrap()
+        };
+        let cold = repaired();
         assert_eq!(cold, scratch, "cold repaired run matches from-scratch");
 
         // A dirty floor far past anything the search looked at leaves
         // the card alive: the identical re-plan is answered whole.
         cache.invalidate(t(0), SimTime::new(1.0e9));
-        let warm = search
-            .search_from_repaired(&ctx, &req, req.submitted_at, &cache)
-            .unwrap();
+        let warm = repaired();
         assert_eq!(warm, scratch, "outcome reuse matches from-scratch");
         assert_eq!(cache.stats().outcome_hits, 1);
 
         // A floor at or below the horizon retires the card: the next
         // re-plan walks the waves again (and re-records).
         cache.invalidate(t(0), SimTime::ZERO);
-        let after = search
-            .search_from_repaired(&ctx, &req, req.submitted_at, &cache)
-            .unwrap();
+        let after = repaired();
         assert_eq!(after, scratch, "post-invalidation re-plan matches");
         assert_eq!(
             cache.stats().outcome_hits,

@@ -41,6 +41,20 @@
 //! dirty window and are reused instead of recomputed — transparently
 //! below the search algorithm, so outcomes, counters and emitted events
 //! stay bit-identical (see [`crate::repair`]).
+//!
+//! # Entry points
+//!
+//! [`ScatterGatherSearch::search_from`] is the plain search.
+//! [`ScatterGatherSearch::search_with`] takes the optional layers of a
+//! [`SearchOpts`]: a [`PhaseMemo`] of pruning frontiers, a
+//! [`ReplanCache`], a [`Tracer`] and a [`SearchAudit`]. No layer changes
+//! the chosen plan or the boundary. Without a memo the search takes the
+//! *plain walk*, wave by wave. With one it takes the *frontier walk*:
+//! it enumerates the gather waves against the scatter boundary, probes
+//! the memo for each, scores what the probes leave, and replays the
+//! plain walk's boundary pruning over those scores. Both walks run on
+//! the calling thread; callers that plan many queries parallelize per
+//! query (see [`crate::parallel::PlannerPool`]).
 
 use std::collections::BTreeSet;
 
@@ -51,7 +65,6 @@ use ivdss_simkernel::time::SimTime;
 
 use crate::frontier::{FrontierArena, FrontierEntry};
 use crate::memo::{PhaseKey, PhaseMemo};
-use crate::parallel::PlannerPool;
 use crate::plan::{
     evaluate_plan, CandidateScore, PlanContext, PlanError, PlanEvaluation, QueryRequest,
     SubsetArena, Wave,
@@ -90,6 +103,29 @@ impl Default for ScatterGatherSearch {
     }
 }
 
+/// The optional layers of one [`ScatterGatherSearch::search_with`]
+/// call. `SearchOpts::default()` is the plain search.
+///
+/// `memo` and `repair` are sound only under a *stateless* queue
+/// estimator (see [`PhaseMemo`] and [`crate::repair`]): leave them
+/// `None` when the context carries live queue state or site floors.
+#[derive(Debug, Default)]
+pub struct SearchOpts<'a> {
+    /// Sync-phase pruning frontiers to consult and feed. The chosen
+    /// plan, the boundary and the visited waves stay those of the plain
+    /// search; only `plans_explored` may shrink.
+    pub memo: Option<&'a PhaseMemo>,
+    /// Candidate scores left by previous searches of the same query,
+    /// reused instead of recomputed. Outcome, counters and events stay
+    /// bit-identical; only wall clock shrinks.
+    pub repair: Option<&'a ReplanCache>,
+    /// Receives the search events (start, per-wave effort, bound
+    /// trajectory, finish). `None` emits nothing.
+    pub tracer: Option<&'a Tracer>,
+    /// Accumulates the full candidate and bound record.
+    pub audit: Option<&'a mut SearchAudit>,
+}
+
 impl ScatterGatherSearch {
     /// Creates a search with the default sync-point cap.
     #[must_use]
@@ -108,128 +144,144 @@ impl ScatterGatherSearch {
         ScatterGatherSearch { max_sync_points }
     }
 
-    /// Finds the plan maximizing the information value of `request`.
+    /// Finds the plan maximizing the information value of `request`,
+    /// releasing no candidate before `not_before`. A fresh query passes
+    /// its `submitted_at`; a scheduler re-planning a queued query at
+    /// dispatch time passes the current clock, because releasing into
+    /// the past would violate causality.
+    ///
+    /// Latencies are still measured from the query's true submission time.
     ///
     /// # Errors
     ///
     /// Propagates [`PlanError`] from plan evaluation (the search itself
     /// only generates valid candidates, so this indicates an inconsistent
     /// context).
-    pub fn search(
-        &self,
-        ctx: &PlanContext<'_>,
-        request: &QueryRequest,
-    ) -> Result<SearchOutcome, PlanError> {
-        self.search_from(ctx, request, request.submitted_at)
-    }
-
-    /// Like [`ScatterGatherSearch::search`], but no candidate plan may be
-    /// released before `not_before` — used by schedulers that re-plan a
-    /// queued query at dispatch time (the clock has moved past its
-    /// submission, and releasing into the past would violate causality).
-    ///
-    /// Latencies are still measured from the query's true submission time.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlanError`] from plan evaluation.
     pub fn search_from(
         &self,
         ctx: &PlanContext<'_>,
         request: &QueryRequest,
         not_before: SimTime,
     ) -> Result<SearchOutcome, PlanError> {
-        self.search_from_repaired_observed(
-            ctx,
-            request,
-            not_before,
-            None,
-            &Tracer::disabled(),
-            None,
-        )
+        self.search_with(ctx, request, not_before, SearchOpts::default())
     }
 
-    /// [`ScatterGatherSearch::search_from`] with incremental re-planning:
-    /// candidate scores a previous search of this query left in `repair`
-    /// are reused verbatim instead of recomputed. The outcome — plan,
-    /// counters, boundary — is bit-identical to a from-scratch
-    /// [`ScatterGatherSearch::search_from`]; only wall-clock effort
-    /// shrinks. Sound only under a stateless queue estimator and a cache
-    /// that has seen every timeline revision (see [`crate::repair`]).
+    /// [`ScatterGatherSearch::search_from`] with the optional layers in
+    /// `opts`. Each layer, alone or combined, leaves the chosen plan and
+    /// the boundary exactly as the plain search has them.
+    ///
+    /// Without a memo this is the plain walk, with or without repair and
+    /// instrumentation. With one, the frontier walk runs instead: it
+    /// probes the memo for every gather wave up front, scores what the
+    /// probes leave, and replays the plain walk's boundary pruning over
+    /// those scores. All events are stamped at the release floor; wave
+    /// and bound payloads carry the release times they describe.
     ///
     /// # Errors
     ///
     /// Propagates [`PlanError`] from plan evaluation.
-    pub fn search_from_repaired(
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ivdss_catalog::ids::TableId;
+    /// use ivdss_catalog::replica::{ReplicaSpec, ReplicationPlan};
+    /// use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
+    /// use ivdss_core::memo::PhaseMemo;
+    /// use ivdss_core::plan::{NoQueues, PlanContext, QueryRequest};
+    /// use ivdss_core::repair::ReplanCache;
+    /// use ivdss_core::search::{ScatterGatherSearch, SearchOpts};
+    /// use ivdss_core::value::DiscountRates;
+    /// use ivdss_costmodel::model::StylizedCostModel;
+    /// use ivdss_costmodel::query::{QueryId, QuerySpec};
+    /// use ivdss_obs::SearchAudit;
+    /// use ivdss_replication::timelines::{SyncMode, SyncTimelines};
+    /// use ivdss_simkernel::time::SimTime;
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let base = synthetic_catalog(&SyntheticConfig {
+    ///     tables: 4, sites: 2, replicated_tables: 0, ..SyntheticConfig::default()
+    /// })?;
+    /// let mut plan = ReplicationPlan::new();
+    /// plan.add(TableId::new(0), ReplicaSpec::new(8.0));
+    /// plan.add(TableId::new(1), ReplicaSpec::new(2.0));
+    /// let catalog = base.with_replication(plan)?;
+    /// let timelines = SyncTimelines::from_plan(catalog.replication(), SyncMode::Deterministic);
+    /// let model = StylizedCostModel::paper_fig4();
+    /// let ctx = PlanContext {
+    ///     catalog: &catalog,
+    ///     timelines: &timelines,
+    ///     model: &model,
+    ///     rates: DiscountRates::new(0.01, 0.05),
+    ///     queues: &NoQueues,
+    /// };
+    /// let request = QueryRequest::new(
+    ///     QuerySpec::new(QueryId::new(1), vec![TableId::new(0), TableId::new(1)]),
+    ///     SimTime::new(11.0),
+    /// );
+    ///
+    /// let search = ScatterGatherSearch::new();
+    /// let plain = search.search_from(&ctx, &request, request.submitted_at)?;
+    /// let (memo, cache) = (PhaseMemo::new(), ReplanCache::new());
+    /// let mut audit = SearchAudit::default();
+    /// let layered = search.search_with(
+    ///     &ctx,
+    ///     &request,
+    ///     request.submitted_at,
+    ///     SearchOpts {
+    ///         memo: Some(&memo),
+    ///         repair: Some(&cache),
+    ///         audit: Some(&mut audit),
+    ///         ..SearchOpts::default()
+    ///     },
+    /// )?;
+    /// // Same plan and boundary as the plain search.
+    /// assert_eq!(layered.best, plain.best);
+    /// assert_eq!(layered.boundary, plain.boundary);
+    /// assert_eq!(audit.explored(), layered.plans_explored);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn search_with(
         &self,
         ctx: &PlanContext<'_>,
         request: &QueryRequest,
         not_before: SimTime,
-        repair: &ReplanCache,
+        opts: SearchOpts<'_>,
     ) -> Result<SearchOutcome, PlanError> {
-        self.search_from_repaired_observed(
-            ctx,
-            request,
-            not_before,
-            Some(repair),
-            &Tracer::disabled(),
-            None,
-        )
+        match opts.memo {
+            None => self.plain_walk(ctx, request, not_before, opts),
+            Some(memo) => self.frontier_walk(ctx, request, not_before, memo, opts),
+        }
     }
 
-    /// [`ScatterGatherSearch::search_from`] with observability: search
-    /// events (start, per-wave effort, bound trajectory, finish) go to
-    /// `tracer`, and the full candidate/bound record accumulates into
-    /// `audit` when one is supplied. A disabled tracer and `None` audit
-    /// cost one branch per would-be emission, and instrumentation never
-    /// changes the outcome — this *is* the sequential search.
-    ///
-    /// All events are stamped at the release floor (the planning
-    /// instant); wave and bound payloads carry the candidate release
-    /// times they describe.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlanError`] from plan evaluation.
-    pub fn search_from_observed(
-        &self,
-        ctx: &PlanContext<'_>,
-        request: &QueryRequest,
-        not_before: SimTime,
-        tracer: &Tracer,
-        audit: Option<&mut SearchAudit>,
-    ) -> Result<SearchOutcome, PlanError> {
-        self.search_from_repaired_observed(ctx, request, not_before, None, tracer, audit)
-    }
-
-    /// The sequential search core:
-    /// [`ScatterGatherSearch::search_from_observed`] plus an optional
-    /// [`ReplanCache`]. The cache sits strictly below the algorithm —
-    /// every wave, candidate, counter and event is produced exactly as
-    /// without it; a cached candidate merely skips the scoring kernel —
-    /// so enabling repair cannot change outcome bits or trace bytes.
+    /// The plain walk: scatter, then gather wave by wave. A
+    /// [`ReplanCache`] sits strictly below it — every wave, candidate,
+    /// counter and event is produced exactly as without one; a cached
+    /// candidate merely skips the scoring kernel.
     ///
     /// One exception trades observability for speed without touching
-    /// the bits: when the tracer is disabled and no audit is attached,
-    /// a re-plan at the same release floor whose recorded
+    /// the bits: when nothing observes the search (no tracer, no
+    /// audit), a re-plan at the same release floor whose recorded
     /// [`OutcomeCard`] survived every invalidation returns that whole
-    /// outcome directly — the card's scan horizon proves a from-scratch
+    /// outcome directly. The card's scan horizon proves a from-scratch
     /// walk would reproduce it bit for bit (the `repair_differential`
-    /// suite pins exactly this). Observed searches always take the full
-    /// walk, keeping their event streams byte-stable.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlanError`] from plan evaluation.
-    pub fn search_from_repaired_observed(
+    /// suite pins exactly this).
+    fn plain_walk(
         &self,
         ctx: &PlanContext<'_>,
         request: &QueryRequest,
         not_before: SimTime,
-        repair: Option<&ReplanCache>,
-        tracer: &Tracer,
-        mut audit: Option<&mut SearchAudit>,
+        opts: SearchOpts<'_>,
     ) -> Result<SearchOutcome, PlanError> {
+        let SearchOpts {
+            repair,
+            tracer,
+            mut audit,
+            ..
+        } = opts;
+        let disabled = Tracer::disabled();
+        let tracer = tracer.unwrap_or(&disabled);
         let query = request.id();
         let submit = request.submitted_at.max(not_before);
         let replicated = replicated_footprint(ctx, request);
@@ -381,106 +433,35 @@ impl ScatterGatherSearch {
         })
     }
 
-    /// Parallel, optionally memoized variant of
-    /// [`ScatterGatherSearch::search_from`]. The returned outcome is
-    /// **bit-identical** to the sequential search; with a memo the effort
-    /// counters (`plans_explored`, and hence what a pruning ablation
-    /// measures) shrink but the chosen plan and boundary do not change.
+    /// The frontier walk: the search with a [`PhaseMemo`]. Each wave
+    /// scores its memoized frontier on a hit (plus the all-remote
+    /// subset at the scatter) and every subset on a miss, whose
+    /// frontier it then records.
     ///
-    /// The strategy is *speculative but exact*:
-    ///
-    /// 1. scatter — every local subset (or the memoized frontier for this
-    ///    phase) is evaluated at the release time in one parallel region;
-    /// 2. the gather waves are enumerated against the *scatter* boundary,
-    ///    a superset of what the sequential search visits (the boundary
-    ///    only ever tightens), and all their candidates are evaluated in
-    ///    a second parallel region;
-    /// 3. the sequential boundary-pruning loop is replayed over the
-    ///    precomputed evaluations in the exact sequential order, so the
-    ///    incumbent/boundary trajectory — including every tie-break of
-    ///    [`is_better`] — is reproduced.
-    ///
-    /// `memo` is only sound under a *stateless* queue estimator (see
-    /// [`PhaseMemo`]); pass `None` when the context carries live queue
-    /// state or site floors.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlanError`] from plan evaluation.
-    pub fn search_from_with(
+    /// The gather waves are enumerated against the *scatter* boundary,
+    /// a superset of the plain walk's visit because the boundary only
+    /// ever tightens. All of them are probed before any is scored or
+    /// recorded, and the plain walk's boundary pruning is then replayed
+    /// over the scores in its exact order, so the incumbent/boundary
+    /// trajectory, including every tie-break of [`is_better_score`], is
+    /// reproduced. Events come only from the replay: the trace reports
+    /// the waves the decision consumed, not the speculative superset.
+    fn frontier_walk(
         &self,
         ctx: &PlanContext<'_>,
         request: &QueryRequest,
         not_before: SimTime,
-        pool: &PlannerPool,
-        memo: Option<&PhaseMemo>,
+        memo: &PhaseMemo,
+        opts: SearchOpts<'_>,
     ) -> Result<SearchOutcome, PlanError> {
-        self.search_from_with_repaired_observed(
-            ctx,
-            request,
-            not_before,
-            pool,
-            memo,
-            None,
-            &Tracer::disabled(),
-            None,
-        )
-    }
-
-    /// [`ScatterGatherSearch::search_from_with`] with observability.
-    /// Events are emitted only from the sequential replay phase (never
-    /// from inside the parallel regions), so the emission order — and
-    /// hence the rendered trace — is a pure function of the inputs, and
-    /// the trace reports exactly the waves/candidates the sequential
-    /// decision consumed, not the speculative superset.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlanError`] from plan evaluation, in sequential
-    /// order as [`ScatterGatherSearch::search_from_with`] does.
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_from_with_observed(
-        &self,
-        ctx: &PlanContext<'_>,
-        request: &QueryRequest,
-        not_before: SimTime,
-        pool: &PlannerPool,
-        memo: Option<&PhaseMemo>,
-        tracer: &Tracer,
-        audit: Option<&mut SearchAudit>,
-    ) -> Result<SearchOutcome, PlanError> {
-        self.search_from_with_repaired_observed(
-            ctx, request, not_before, pool, memo, None, tracer, audit,
-        )
-    }
-
-    /// The full search entry point: parallel pool, optional [`PhaseMemo`]
-    /// frontiers, optional [`ReplanCache`] incremental repair, and
-    /// observability — each layer individually and jointly bit-identical
-    /// to the plain sequential search. Both caches require a stateless
-    /// queue estimator.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlanError`] from plan evaluation, in sequential
-    /// order.
-    #[allow(clippy::too_many_arguments)]
-    #[allow(clippy::too_many_lines)]
-    pub fn search_from_with_repaired_observed(
-        &self,
-        ctx: &PlanContext<'_>,
-        request: &QueryRequest,
-        not_before: SimTime,
-        pool: &PlannerPool,
-        memo: Option<&PhaseMemo>,
-        repair: Option<&ReplanCache>,
-        tracer: &Tracer,
-        mut audit: Option<&mut SearchAudit>,
-    ) -> Result<SearchOutcome, PlanError> {
-        if pool.is_sequential() && memo.is_none() {
-            return self
-                .search_from_repaired_observed(ctx, request, not_before, repair, tracer, audit);
-        }
+        let SearchOpts {
+            repair,
+            tracer,
+            mut audit,
+            ..
+        } = opts;
+        let disabled = Tracer::disabled();
+        let tracer = tracer.unwrap_or(&disabled);
         let query = request.id();
         let submit = request.submitted_at.max(not_before);
         let replicated = replicated_footprint(ctx, request);
@@ -492,36 +473,27 @@ impl ScatterGatherSearch {
             query,
             release_floor: submit,
             subsets: n_masks,
-            memo: memo.is_some(),
+            memo: true,
         });
 
-        // Scatter: all subsets — or the memoized frontier plus the
-        // all-remote subset, which only ever competes at release-now.
-        let scatter_key = memo.map(|_| PhaseKey::for_wave(ctx, request, &replicated, submit));
-        let scatter_frontier = match (memo, &scatter_key) {
-            (Some(memo), Some(key)) => memo.lookup(key),
-            _ => None,
-        };
-        let scatter_masks: Vec<usize> = match &scatter_frontier {
-            Some(frontier) => std::iter::once(0).chain(frontier.iter().copied()).collect(),
-            None => (0..n_masks).collect(),
-        };
-        let scatter_probe = match (memo, &scatter_frontier) {
-            (None, _) => MemoProbe::Off,
-            (Some(_), Some(_)) => MemoProbe::Hit,
-            (Some(_), None) => MemoProbe::Miss,
-        };
+        // Scatter: the memoized frontier plus the all-remote subset,
+        // which only ever competes at release-now — or, on a miss,
+        // every subset.
+        let scatter_key = PhaseKey::for_wave(ctx, request, &replicated, submit);
+        let (scatter_probe, scatter_masks): (MemoProbe, Vec<usize>) =
+            match memo.lookup(&scatter_key) {
+                Some(frontier) => (MemoProbe::Hit, std::iter::once(0).chain(frontier).collect()),
+                None => (MemoProbe::Miss, (0..n_masks).collect()),
+            };
         let mut pruned = n_masks - scatter_masks.len();
-        let scatter_wave = [arena.wave(ctx, submit)];
-        let scatter_tasks: Vec<(usize, usize)> = scatter_masks.iter().map(|&m| (0, m)).collect();
-        let scatter_evals = score_tasks(
-            pool,
+        let scatter_wave = arena.wave(ctx, submit);
+        let scatter_evals = score_wave(
             &mut session,
             &arena,
             ctx,
             request,
             &scatter_wave,
-            &scatter_tasks,
+            &scatter_masks,
         );
         let mut explored = scatter_evals.len();
         tracer.emit_with(submit, || EventKind::SearchWave {
@@ -532,10 +504,10 @@ impl ScatterGatherSearch {
         });
         note_probe(&mut audit, scatter_probe);
         let mut best: Option<(CandidateScore, usize)> = None;
-        for (i, score) in scatter_evals.iter().enumerate() {
-            note_candidate_score(&mut audit, &arena, scatter_masks[i], *score);
+        for (&mask, score) in scatter_masks.iter().zip(&scatter_evals) {
+            note_candidate_score(&mut audit, &arena, mask, *score);
             if is_better_score(score, best.as_ref().map(|(s, _)| s)) {
-                best = Some((*score, scatter_masks[i]));
+                best = Some((*score, mask));
             }
         }
         let (mut best, mut best_mask) = best.expect("at least the all-remote plan exists");
@@ -549,15 +521,16 @@ impl ScatterGatherSearch {
             best.information_value.value(),
             boundary,
         );
-        if scatter_frontier.is_none() && n_masks > 1 {
-            if let (Some(memo), Some(key)) = (memo, scatter_key) {
-                memo.record(key, frontier_of(&scatter_masks[1..], &scatter_evals[1..]));
-            }
+        if matches!(scatter_probe, MemoProbe::Miss) && n_masks > 1 {
+            memo.record(
+                scatter_key,
+                frontier_of(&scatter_masks[1..], &scatter_evals[1..]),
+            );
         }
 
         // Enumerate the gather waves against the scatter boundary — a
-        // superset of the sequential visit, since later improvements only
-        // tighten it.
+        // superset of the plain walk's visit, since later improvements
+        // only tighten it.
         let mut waves: Vec<Wave> = Vec::new();
         let mut cursor = submit;
         while waves.len() < self.max_sync_points {
@@ -571,19 +544,14 @@ impl ScatterGatherSearch {
             cursor = next_sync;
         }
 
-        // Candidate subsets per wave: the memoized frontier where one is
-        // recorded, every non-empty subset otherwise (a `Some` key marks
-        // a miss whose frontier gets recorded below).
+        // Candidate subsets per wave: the memoized frontier on a hit,
+        // every non-empty subset on a miss (whose key is kept so its
+        // frontier gets recorded below).
         let mut wave_keys: Vec<Option<PhaseKey>> = Vec::with_capacity(waves.len());
         let mut wave_probes: Vec<MemoProbe> = Vec::with_capacity(waves.len());
         let wave_masks: Vec<Vec<usize>> = waves
             .iter()
             .map(|wave| {
-                let Some(memo) = memo else {
-                    wave_keys.push(None);
-                    wave_probes.push(MemoProbe::Off);
-                    return (1..n_masks).collect();
-                };
                 let key = PhaseKey::for_wave(ctx, request, &replicated, wave.at());
                 match memo.lookup(&key) {
                     Some(frontier) => {
@@ -599,54 +567,46 @@ impl ScatterGatherSearch {
                 }
             })
             .collect();
-        let tasks: Vec<(usize, usize)> = wave_masks
+        let wave_evals: Vec<Vec<CandidateScore>> = waves
             .iter()
-            .enumerate()
-            .flat_map(|(w, masks)| masks.iter().map(move |&m| (w, m)))
+            .zip(&wave_masks)
+            .map(|(wave, masks)| score_wave(&mut session, &arena, ctx, request, wave, masks))
             .collect();
-        let evals = score_tasks(pool, &mut session, &arena, ctx, request, &waves, &tasks);
 
-        // Record frontiers of the fully evaluated (miss) waves — valid
+        // Record frontiers of the fully scored (miss) waves — valid
         // whether or not the replay below reaches them.
-        if let Some(memo) = memo {
-            let mut offset = 0usize;
-            for (w, masks) in wave_masks.iter().enumerate() {
-                let slice = &evals[offset..offset + masks.len()];
-                offset += masks.len();
-                if let Some(key) = wave_keys[w].take() {
-                    if !masks.is_empty() {
-                        memo.record(key, frontier_of(masks, slice));
-                    }
+        for ((key, masks), evals) in wave_keys.into_iter().zip(&wave_masks).zip(&wave_evals) {
+            if let Some(key) = key {
+                if !masks.is_empty() {
+                    memo.record(key, frontier_of(masks, evals));
                 }
             }
         }
 
-        // Replay the sequential gather over the precomputed evaluations.
+        // Replay the plain walk's gather over the precomputed scores.
         let mut visited = 0usize;
-        let mut offset = 0usize;
         for (w, wave) in waves.iter().enumerate() {
             let at = wave.at();
-            let masks = &wave_masks[w];
-            let slice = &evals[offset..offset + masks.len()];
-            offset += masks.len();
             if at > boundary {
                 break;
             }
+            let masks = &wave_masks[w];
+            let evals = &wave_evals[w];
             visited += 1;
             tracer.emit_with(submit, || EventKind::SearchWave {
                 query,
                 wave: at,
-                candidates: slice.len(),
+                candidates: evals.len(),
                 memo: wave_probes[w],
             });
             note_probe(&mut audit, wave_probes[w]);
             pruned += (n_masks - 1) - masks.len();
-            for (i, score) in slice.iter().enumerate() {
+            for (&mask, score) in masks.iter().zip(evals) {
                 explored += 1;
-                note_candidate_score(&mut audit, &arena, masks[i], *score);
+                note_candidate_score(&mut audit, &arena, mask, *score);
                 if is_better_score(score, Some(&best)) {
                     best = *score;
-                    best_mask = masks[i];
+                    best_mask = mask;
                     boundary = self.boundary_for(ctx, request, best.information_value.value());
                     note_bound(
                         tracer,
@@ -692,8 +652,8 @@ impl ScatterGatherSearch {
     /// [`PlanEvaluation`] through [`evaluate_plan`], the incumbent
     /// cloned on every improvement. Kept verbatim as the differential
     /// oracle the arena hot path is pinned against (the
-    /// `parallel_differential` and `repair_differential` suites, and the
-    /// `arena_vs_boxed` bench cells).
+    /// `repair_differential` suite and the `arena_vs_boxed` bench
+    /// cells).
     ///
     /// # Errors
     ///
@@ -785,44 +745,21 @@ fn score_one(
     }
 }
 
-/// Scores a batch of `(wave index, mask)` tasks over the pool. With a
-/// repair session, cached scores are pulled sequentially first (the
-/// session is not shared across workers) and only the gaps are computed
-/// in the parallel region; fresh scores are folded back in afterwards.
-fn score_tasks(
-    pool: &PlannerPool,
+/// Scores `masks` released at `wave`, in order, through [`score_one`].
+/// No `(release, mask)` slot repeats within one search, so the repair
+/// counters do not depend on the order slots are scored in.
+fn score_wave(
     session: &mut Option<RepairSession<'_>>,
     arena: &SubsetArena,
     ctx: &PlanContext<'_>,
     request: &QueryRequest,
-    waves: &[Wave],
-    tasks: &[(usize, usize)],
+    wave: &Wave,
+    masks: &[usize],
 ) -> Vec<CandidateScore> {
-    match session {
-        None => pool.run_indexed(tasks.len(), |i| {
-            let (w, mask) = tasks[i];
-            arena.score(ctx, request, &waves[w], mask)
-        }),
-        Some(s) => {
-            let cached: Vec<Option<CandidateScore>> = tasks
-                .iter()
-                .map(|&(w, mask)| s.probe(waves[w].at(), mask))
-                .collect();
-            let scores = pool.run_indexed(tasks.len(), |i| match cached[i] {
-                Some(score) => score,
-                None => {
-                    let (w, mask) = tasks[i];
-                    arena.score(ctx, request, &waves[w], mask)
-                }
-            });
-            for (i, &(w, mask)) in tasks.iter().enumerate() {
-                if cached[i].is_none() {
-                    s.put(waves[w].at(), mask, scores[i]);
-                }
-            }
-            scores
-        }
-    }
+    masks
+        .iter()
+        .map(|&mask| score_one(session, arena, ctx, request, wave, mask))
+        .collect()
 }
 
 /// Appends a candidate to the audit (no-op without one). Audit
@@ -1088,7 +1025,9 @@ mod tests {
                 QuerySpec::new(QueryId::new(0), vec![t(0), t(1), t(2), t(3)]),
                 SimTime::new(11.0),
             );
-            let sg = ScatterGatherSearch::new().search(&ctx, &req).unwrap();
+            let sg = ScatterGatherSearch::new()
+                .search_from(&ctx, &req, req.submitted_at)
+                .unwrap();
             let ex = exhaustive_search(&ctx, &req, 64).unwrap();
             assert!(
                 (sg.best.information_value.value() - ex.best.information_value.value()).abs()
@@ -1112,7 +1051,7 @@ mod tests {
                     QuerySpec::new(QueryId::new(0), vec![t(0), t(1), t(2), t(3)]),
                     SimTime::new(submit),
                 );
-                let arena = search.search(&ctx, &req).unwrap();
+                let arena = search.search_from(&ctx, &req, req.submitted_at).unwrap();
                 let boxed = search
                     .reference_search_boxed(&ctx, &req, req.submitted_at)
                     .unwrap();
@@ -1132,15 +1071,18 @@ mod tests {
             SimTime::new(11.0),
         );
         let cache = crate::repair::ReplanCache::new();
-        let scratch = search.search(&ctx, &req).unwrap();
-        let cold = search
-            .search_from_repaired(&ctx, &req, req.submitted_at, &cache)
-            .unwrap();
+        let scratch = search.search_from(&ctx, &req, req.submitted_at).unwrap();
+        let repaired = |floor: SimTime| {
+            let opts = SearchOpts {
+                repair: Some(&cache),
+                ..SearchOpts::default()
+            };
+            search.search_with(&ctx, &req, floor, opts).unwrap()
+        };
+        let cold = repaired(req.submitted_at);
         assert_eq!(cold, scratch, "cold repaired run matches from-scratch");
         assert_eq!(cache.stats().hits, 0);
-        let warm = search
-            .search_from_repaired(&ctx, &req, req.submitted_at, &cache)
-            .unwrap();
+        let warm = repaired(req.submitted_at);
         assert_eq!(warm, scratch, "warm repaired run matches from-scratch");
         let stats = cache.stats();
         assert_eq!(
@@ -1156,9 +1098,7 @@ mod tests {
         // gather waves still sit on the shared absolute sync grid, so
         // the per-candidate tier reuses their scores.
         let floor = SimTime::new(12.0);
-        let later = search
-            .search_from_repaired(&ctx, &req, floor, &cache)
-            .unwrap();
+        let later = repaired(floor);
         let later_scratch = search.search_from(&ctx, &req, floor).unwrap();
         assert_eq!(later, later_scratch, "floored repaired run matches scratch");
         let stats = cache.stats();
@@ -1175,7 +1115,9 @@ mod tests {
             QuerySpec::new(QueryId::new(0), vec![t(0), t(1), t(2), t(3)]),
             SimTime::new(11.0),
         );
-        let sg = ScatterGatherSearch::new().search(&ctx, &req).unwrap();
+        let sg = ScatterGatherSearch::new()
+            .search_from(&ctx, &req, req.submitted_at)
+            .unwrap();
         let ex = exhaustive_search(&ctx, &req, 64).unwrap();
         assert!(
             sg.plans_explored < ex.plans_explored,
@@ -1196,7 +1138,9 @@ mod tests {
             QuerySpec::new(QueryId::new(0), vec![t(0)]),
             SimTime::new(11.0),
         );
-        let sg = ScatterGatherSearch::new().search(&ctx, &req).unwrap();
+        let sg = ScatterGatherSearch::new()
+            .search_from(&ctx, &req, req.submitted_at)
+            .unwrap();
         // Best plan should wait for the sync at t = 20 (Fig. 2's insight).
         assert!(
             sg.best.is_delayed(SimTime::new(11.0)),
@@ -1217,7 +1161,9 @@ mod tests {
             QuerySpec::new(QueryId::new(0), vec![t(0)]),
             SimTime::new(11.0),
         );
-        let sg = ScatterGatherSearch::new().search(&ctx, &req).unwrap();
+        let sg = ScatterGatherSearch::new()
+            .search_from(&ctx, &req, req.submitted_at)
+            .unwrap();
         assert!(!sg.best.is_delayed(SimTime::new(11.0)));
         assert!(sg.best.is_all_local(&req.query));
     }
@@ -1233,7 +1179,9 @@ mod tests {
             QuerySpec::new(QueryId::new(0), vec![t(0)]),
             SimTime::new(50.0),
         );
-        let sg = ScatterGatherSearch::new().search(&ctx, &req).unwrap();
+        let sg = ScatterGatherSearch::new()
+            .search_from(&ctx, &req, req.submitted_at)
+            .unwrap();
         assert!(sg.best.is_all_remote());
     }
 
@@ -1246,7 +1194,9 @@ mod tests {
             QuerySpec::new(QueryId::new(0), vec![t(3), t(4)]),
             SimTime::new(1.0),
         );
-        let sg = ScatterGatherSearch::new().search(&ctx, &req).unwrap();
+        let sg = ScatterGatherSearch::new()
+            .search_from(&ctx, &req, req.submitted_at)
+            .unwrap();
         assert_eq!(sg.plans_explored, 1);
         assert!(sg.best.is_all_remote());
         assert_eq!(sg.sync_points_visited, 0);
@@ -1259,32 +1209,8 @@ mod tests {
         let ctx = ctx(&catalog, &timelines, &model, DiscountRates::new(0.0, 0.1));
         let req = QueryRequest::new(QuerySpec::new(QueryId::new(0), vec![t(0)]), SimTime::ZERO);
         let search = ScatterGatherSearch::with_max_sync_points(5);
-        let sg = search.search(&ctx, &req).unwrap();
+        let sg = search.search_from(&ctx, &req, req.submitted_at).unwrap();
         assert!(sg.sync_points_visited <= 5);
-    }
-
-    #[test]
-    fn parallel_outcome_is_bit_identical_without_memo() {
-        let (catalog, timelines) = fixture(&[(0, 8.0), (1, 2.0), (2, 5.0)]);
-        let model = StylizedCostModel::paper_fig4();
-        let search = ScatterGatherSearch::new();
-        for threads in [1, 2, 4] {
-            let pool = PlannerPool::new(threads);
-            for (lcl, lsl) in [(0.1, 0.1), (0.01, 0.05), (0.0, 0.1)] {
-                let ctx = ctx(&catalog, &timelines, &model, DiscountRates::new(lcl, lsl));
-                for submit in [0.0, 3.5, 11.0, 40.0] {
-                    let req = QueryRequest::new(
-                        QuerySpec::new(QueryId::new(0), vec![t(0), t(1), t(2), t(3)]),
-                        SimTime::new(submit),
-                    );
-                    let seq = search.search(&ctx, &req).unwrap();
-                    let par = search
-                        .search_from_with(&ctx, &req, req.submitted_at, &pool, None)
-                        .unwrap();
-                    assert_eq!(par, seq, "threads={threads} λcl={lcl} submit={submit}");
-                }
-            }
-        }
     }
 
     #[test]
@@ -1293,7 +1219,6 @@ mod tests {
         let model = StylizedCostModel::paper_fig4();
         let ctx = ctx(&catalog, &timelines, &model, DiscountRates::new(0.02, 0.08));
         let search = ScatterGatherSearch::new();
-        let pool = PlannerPool::sequential();
         let memo = crate::memo::PhaseMemo::new();
         // The same phase recurs every lcm(8,2,4)=8 time units: the second
         // pass over the phase-equivalent submissions hits the memo.
@@ -1305,9 +1230,13 @@ mod tests {
                     QuerySpec::new(QueryId::new(0), vec![t(0), t(1), t(2)]),
                     SimTime::new(submit),
                 );
-                let seq = search.search(&ctx, &req).unwrap();
+                let seq = search.search_from(&ctx, &req, req.submitted_at).unwrap();
+                let opts = SearchOpts {
+                    memo: Some(&memo),
+                    ..SearchOpts::default()
+                };
                 let memoized = search
-                    .search_from_with(&ctx, &req, req.submitted_at, &pool, Some(&memo))
+                    .search_with(&ctx, &req, req.submitted_at, opts)
                     .unwrap();
                 assert_eq!(memoized.best, seq.best, "submit={submit}");
                 assert_eq!(memoized.boundary, seq.boundary);
@@ -1339,14 +1268,19 @@ mod tests {
             SimTime::new(11.0),
         );
         let search = ScatterGatherSearch::new();
-        let plain = search.search(&ctx, &req).unwrap();
+        let plain = search.search_from(&ctx, &req, req.submitted_at).unwrap();
 
         let run_observed = || {
             let trace = Arc::new(Trace::new());
             let tracer = Tracer::recording(Arc::clone(&trace));
             let mut audit = SearchAudit::default();
+            let opts = SearchOpts {
+                tracer: Some(&tracer),
+                audit: Some(&mut audit),
+                ..SearchOpts::default()
+            };
             let outcome = search
-                .search_from_observed(&ctx, &req, req.submitted_at, &tracer, Some(&mut audit))
+                .search_with(&ctx, &req, req.submitted_at, opts)
                 .unwrap();
             (outcome, trace.render(), audit)
         };
@@ -1360,8 +1294,12 @@ mod tests {
 
         let counts_trace = Arc::new(Trace::new());
         let tracer = Tracer::recording(Arc::clone(&counts_trace));
+        let opts = SearchOpts {
+            tracer: Some(&tracer),
+            ..SearchOpts::default()
+        };
         search
-            .search_from_observed(&ctx, &req, req.submitted_at, &tracer, None)
+            .search_with(&ctx, &req, req.submitted_at, opts)
             .unwrap();
         let counts = counts_trace.counts();
         assert_eq!(counts["search_started"], 1);
@@ -1383,15 +1321,14 @@ mod tests {
             let trace = Arc::new(Trace::new());
             let tracer = Tracer::recording(Arc::clone(&trace));
             let mut audit = SearchAudit::default();
+            let opts = SearchOpts {
+                repair: Some(&cache),
+                tracer: Some(&tracer),
+                audit: Some(&mut audit),
+                ..SearchOpts::default()
+            };
             let repaired = search
-                .search_from_repaired_observed(
-                    &ctx,
-                    &req,
-                    req.submitted_at,
-                    Some(&cache),
-                    &tracer,
-                    Some(&mut audit),
-                )
+                .search_with(&ctx, &req, req.submitted_at, opts)
                 .unwrap();
             assert_eq!(repaired, plain, "round={round}");
             assert_eq!(audit.explored(), plain.plans_explored);
@@ -1403,22 +1340,18 @@ mod tests {
         }
         assert!(cache.stats().hits > 0, "warm round must reuse scores");
 
-        // The parallel memoized variant stays bit-identical under
-        // observation too, and reports its memo probes.
+        // The memoized search keeps the plan under observation too, and
+        // reports its memo probes.
         let memo = crate::memo::PhaseMemo::new();
-        let pool = PlannerPool::new(2);
         for round in 0..2 {
             let mut audit = SearchAudit::default();
+            let opts = SearchOpts {
+                memo: Some(&memo),
+                audit: Some(&mut audit),
+                ..SearchOpts::default()
+            };
             let memoized = search
-                .search_from_with_observed(
-                    &ctx,
-                    &req,
-                    req.submitted_at,
-                    &pool,
-                    Some(&memo),
-                    &Tracer::disabled(),
-                    Some(&mut audit),
-                )
+                .search_with(&ctx, &req, req.submitted_at, opts)
                 .unwrap();
             assert_eq!(memoized.best, plain.best, "round={round}");
             assert_eq!(memoized.boundary, plain.boundary);
@@ -1440,8 +1373,12 @@ mod tests {
         let small = QueryRequest::new(spec.clone(), SimTime::new(11.0));
         let big = QueryRequest::new(spec, SimTime::new(11.0))
             .with_business_value(BusinessValue::new(10.0));
-        let s = ScatterGatherSearch::new().search(&ctx, &small).unwrap();
-        let b = ScatterGatherSearch::new().search(&ctx, &big).unwrap();
+        let s = ScatterGatherSearch::new()
+            .search_from(&ctx, &small, small.submitted_at)
+            .unwrap();
+        let b = ScatterGatherSearch::new()
+            .search_from(&ctx, &big, big.submitted_at)
+            .unwrap();
         assert_eq!(s.best.local_tables, b.best.local_tables);
         assert_eq!(s.best.execute_at, b.best.execute_at);
         assert!(

@@ -68,7 +68,7 @@ fn assert_search_matches_oracle(
         queues: &NoQueues,
     };
     let sg = ScatterGatherSearch::with_max_sync_points(SYNC_POINTS)
-        .search(&ctx, request)
+        .search_from(&ctx, request, request.submitted_at)
         .expect("scatter-gather is feasible");
     let ex = exhaustive_search(&ctx, request, SYNC_POINTS).expect("oracle is feasible");
     let (sg_iv, ex_iv) = (
@@ -160,7 +160,7 @@ fn optimum(
         queues: &NoQueues,
     };
     ScatterGatherSearch::with_max_sync_points(64)
-        .search(&ctx, request)
+        .search_from(&ctx, request, request.submitted_at)
         .expect("search is feasible")
         .best
         .information_value

@@ -1,31 +1,27 @@
-//! Differential test: the pooled parallel planner vs. the sequential
-//! scatter-and-gather search, over seeded workloads on both nominal and
-//! fault-revised synchronization timelines.
+//! Differential test: the memoized search (the frontier walk) vs. the
+//! plain scatter-and-gather search, over seeded workloads on both
+//! nominal and fault-revised synchronization timelines.
 //!
-//! Two regimes, with different guarantees:
-//!
-//! * **Parallel, no memo** — the [`SearchOutcome`] must be *bit
-//!   identical* to the sequential search: same plan, same IV, same
-//!   `plans_explored`, `sync_points_visited`, and `boundary`. The pool
-//!   only changes who evaluates a candidate, never which candidates are
-//!   evaluated or how ties break.
-//! * **Parallel + [`PhaseMemo`]** — the chosen plan, the final
-//!   boundary, and the sync points visited must still match exactly;
-//!   only `plans_explored` may shrink (memo hits skip dominated masks).
+//! Each request runs twice through a [`PhaseMemo`] shared per (seed,
+//! timeline): a cold round that mostly records frontiers and a warm
+//! round that reuses them. In both rounds the chosen plan, the final
+//! boundary, and the sync points visited must match the plain search
+//! exactly; only `plans_explored` may shrink (memo hits skip dominated
+//! masks). The frontier walk probes every gather wave before it scores
+//! any, then replays the plain walk's boundary pruning over the
+//! precomputed scores, so this suite pins that the replay reproduces
+//! the plain walk's decision.
 //!
 //! The faulted half runs on [`FaultPlan::degraded_timelines`]: slipped
 //! and dropped syncs yield irregular finite traces, which exercise the
 //! memo's offset keying away from the easy periodic case.
 
-use std::sync::Arc;
-
 use ivdss_catalog::ids::TableId;
 use ivdss_catalog::replica::{ReplicaSpec, ReplicationPlan};
 use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
 use ivdss_core::memo::PhaseMemo;
-use ivdss_core::parallel::{ParallelPlanner, PlannerPool};
 use ivdss_core::plan::{NoQueues, PlanContext, QueryRequest};
-use ivdss_core::search::{ScatterGatherSearch, SearchOutcome};
+use ivdss_core::search::{ScatterGatherSearch, SearchOpts, SearchOutcome};
 use ivdss_core::value::DiscountRates;
 use ivdss_costmodel::model::StylizedCostModel;
 use ivdss_costmodel::query::{QueryId, QuerySpec};
@@ -134,24 +130,17 @@ fn parallel_planner_matches_sequential_over_seeded_workloads() {
                     .search_from(&ctx, &request, request.submitted_at)
                     .expect("sequential search is feasible");
 
-                for threads in [2usize, 4] {
-                    let planner =
-                        ParallelPlanner::with_search(search, Arc::new(PlannerPool::new(threads)));
-                    // No memo: the whole outcome is bit-identical,
-                    // counters included.
-                    let parallel = planner
-                        .search_from(&ctx, &request, request.submitted_at)
-                        .expect("parallel search is feasible");
-                    assert_eq!(
-                        parallel, sequential,
-                        "{label}: {threads}-thread outcome diverged"
-                    );
-
-                    // Memoized: same plan, boundary, and visit count;
-                    // only the explored-plan counter may shrink.
-                    let memoized = planner
-                        .search_memoized(&ctx, &request, request.submitted_at, &memo)
+                for round in ["cold", "warm"] {
+                    // Same plan, boundary, and visit count; only the
+                    // explored-plan counter may shrink.
+                    let opts = SearchOpts {
+                        memo: Some(&memo),
+                        ..SearchOpts::default()
+                    };
+                    let memoized = search
+                        .search_with(&ctx, &request, request.submitted_at, opts)
                         .expect("memoized search is feasible");
+                    let label = format!("{label} ({round} memo)");
                     assert_same_plan(&memoized, &sequential, &label);
                     assert_eq!(
                         memoized.boundary, sequential.boundary,

@@ -136,7 +136,7 @@ proptest! {
             QuerySpec::new(QueryId::new(0), vec![t(0), t(1), t(2), t(3)]),
             SimTime::new(submit),
         );
-        let sg = ScatterGatherSearch::new().search(&ctx, &req).unwrap();
+        let sg = ScatterGatherSearch::new().search_from(&ctx, &req, req.submitted_at).unwrap();
         let ex = exhaustive_search(&ctx, &req, 96).unwrap();
         prop_assert!(
             sg.best.information_value.value() >= ex.best.information_value.value() - 1e-12,
@@ -236,7 +236,7 @@ proptest! {
             QuerySpec::new(QueryId::new(0), vec![t(0), t(1)]),
             SimTime::new(10.0),
         );
-        let sg = ScatterGatherSearch::new().search(&ctx, &req).unwrap();
+        let sg = ScatterGatherSearch::new().search_from(&ctx, &req, req.submitted_at).unwrap();
         prop_assert!(sg.best.execute_at <= sg.boundary);
     }
 }

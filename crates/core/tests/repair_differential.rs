@@ -15,24 +15,34 @@
 //! that survive invalidation are exactly the ones whose release times
 //! precede every dirty window, so reuse is free and exact.
 //!
-//! A second pin shows the serve engine's floored-outage repair bypass
+//! A second test runs the same streams through the memoized search
+//! (the frontier walk, which the serve engine's cache-off dispatch and
+//! its replan-on-revision pass take) with and without the cache: two
+//! memos that start empty and see the same searches must yield equal
+//! outcomes, equal audits and byte-equal traces.
+//!
+//! A third pin shows the serve engine's floored-outage repair bypass
 //! is load-bearing: a [`ReplanCache`] warmed under a stateless queue
 //! belief *corrupts* a search run under [`SiteFloors`] (the replan key
 //! cannot see queue state), while a fresh cache under the same floors
 //! repairs exactly.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
+use ivdss_catalog::catalog::Catalog;
 use ivdss_catalog::ids::{SiteId, TableId};
 use ivdss_catalog::replica::{ReplicaSpec, ReplicationPlan};
 use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
-use ivdss_core::plan::{NoQueues, PlanContext, QueryRequest, SiteFloors};
+use ivdss_core::memo::PhaseMemo;
+use ivdss_core::plan::{NoQueues, PlanContext, PlanError, QueryRequest, SiteFloors};
 use ivdss_core::repair::ReplanCache;
-use ivdss_core::search::{ScatterGatherSearch, SearchOutcome};
+use ivdss_core::search::{ScatterGatherSearch, SearchOpts, SearchOutcome};
 use ivdss_core::value::DiscountRates;
 use ivdss_costmodel::model::StylizedCostModel;
 use ivdss_costmodel::query::{QueryId, QuerySpec};
 use ivdss_faults::{FaultConfig, FaultPlan};
+use ivdss_obs::{SearchAudit, Trace, Tracer};
 use ivdss_replication::events::TimelineRevision;
 use ivdss_replication::timelines::{SyncMode, SyncTimelines};
 use ivdss_simkernel::rng::{SeedFactory, Stream, UniformStream};
@@ -50,7 +60,7 @@ fn t(i: u32) -> TableId {
 
 /// The same 5-table, 3-replica shape the parallel differential uses:
 /// 8-subset scatter waves and a non-trivial gather frontier.
-fn fixture(seed: u64) -> (ivdss_catalog::catalog::Catalog, SyncTimelines) {
+fn fixture(seed: u64) -> (Catalog, SyncTimelines) {
     let seeds = SeedFactory::new(seed);
     let mut periods = UniformStream::new(2.0, 15.0, seeds.seed_for("periods"));
     let base = synthetic_catalog(&SyntheticConfig {
@@ -70,6 +80,92 @@ fn fixture(seed: u64) -> (ivdss_catalog::catalog::Catalog, SyncTimelines) {
     (catalog, timelines)
 }
 
+/// One seed's workload: the fixture, its discount rates, two requests
+/// (a wide and a narrow footprint), and a stream of its fault plan's
+/// revisions re-revealed with seeded advance notice (0–10 time units
+/// before the sync was due), in reveal order. The window
+/// `[revealed_at, dirty floor)` is where repair earns its keep.
+struct Scenario {
+    catalog: Catalog,
+    nominal: SyncTimelines,
+    rates: DiscountRates,
+    requests: Vec<QueryRequest>,
+    stream: Vec<TimelineRevision>,
+}
+
+fn scenario(seed: u64) -> Scenario {
+    let seeds = SeedFactory::new(seed ^ 0x5EED);
+    let (catalog, nominal) = fixture(seed);
+    let faults = FaultPlan::generate(
+        &FaultConfig {
+            slip_probability: 0.35,
+            drop_probability: 0.1,
+            slip_delay: (0.5, 6.0),
+            horizon: SimTime::new(HORIZON),
+            ..FaultConfig::default()
+        },
+        &nominal,
+        catalog.site_count(),
+        seeds.seed_for("faults"),
+    );
+
+    let mut rate = UniformStream::new(0.005, 0.25, seeds.seed_for("rates"));
+    let mut submit = UniformStream::new(0.0, 60.0, seeds.seed_for("submit"));
+    let rates = DiscountRates::new(rate.next_sample(), rate.next_sample());
+    let requests: Vec<QueryRequest> =
+        [&[t(0), t(1), t(2), t(3), t(4)][..], &[t(0), t(1), t(2)][..]]
+            .iter()
+            .enumerate()
+            .map(|(i, tables)| {
+                QueryRequest::new(
+                    QuerySpec::new(QueryId::new(i as u64), tables.to_vec()),
+                    SimTime::new(submit.next_sample()),
+                )
+            })
+            .collect();
+
+    let mut notice = UniformStream::new(0.0, 10.0, seeds.seed_for("notice"));
+    let mut stream: Vec<TimelineRevision> = faults
+        .revisions()
+        .iter()
+        .take(REVISIONS_PER_SEED)
+        .copied()
+        .map(|mut revision| {
+            let lead = notice.next_sample();
+            revision.revealed_at = SimTime::new((revision.scheduled.value() - lead).max(0.0));
+            revision
+        })
+        .collect();
+    stream.sort_by(|a, b| {
+        a.revealed_at
+            .partial_cmp(&b.revealed_at)
+            .expect("reveal times are finite")
+            .then(a.table.cmp(&b.table))
+    });
+    Scenario {
+        catalog,
+        nominal,
+        rates,
+        requests,
+        stream,
+    }
+}
+
+/// The plain search, reusing and feeding `cache`.
+fn repaired(
+    search: &ScatterGatherSearch,
+    ctx: &PlanContext<'_>,
+    request: &QueryRequest,
+    not_before: SimTime,
+    cache: &ReplanCache,
+) -> Result<SearchOutcome, PlanError> {
+    let opts = SearchOpts {
+        repair: Some(cache),
+        ..SearchOpts::default()
+    };
+    search.search_with(ctx, request, not_before, opts)
+}
+
 /// Runs the three search flavours and pins them against each other;
 /// returns the agreed outcome.
 fn assert_triple_identical(
@@ -80,9 +176,8 @@ fn assert_triple_identical(
     cache: &ReplanCache,
     label: &str,
 ) -> SearchOutcome {
-    let repaired = search
-        .search_from_repaired(ctx, request, not_before, cache)
-        .expect("repaired search is feasible");
+    let repaired =
+        repaired(search, ctx, request, not_before, cache).expect("repaired search is feasible");
     let scratch = search
         .search_from(ctx, request, not_before)
         .expect("from-scratch search is feasible");
@@ -104,35 +199,13 @@ fn repaired_search_matches_from_scratch_over_revision_streams() {
     let mut revised_seeds = 0u64;
 
     for seed in 0..SEEDS {
-        let seeds = SeedFactory::new(seed ^ 0x5EED);
-        let (catalog, nominal) = fixture(seed);
-        let faults = FaultPlan::generate(
-            &FaultConfig {
-                slip_probability: 0.35,
-                drop_probability: 0.1,
-                slip_delay: (0.5, 6.0),
-                horizon,
-                ..FaultConfig::default()
-            },
-            &nominal,
-            catalog.site_count(),
-            seeds.seed_for("faults"),
-        );
-
-        let mut rate = UniformStream::new(0.005, 0.25, seeds.seed_for("rates"));
-        let mut submit = UniformStream::new(0.0, 60.0, seeds.seed_for("submit"));
-        let rates = DiscountRates::new(rate.next_sample(), rate.next_sample());
-        let requests: Vec<QueryRequest> =
-            [&[t(0), t(1), t(2), t(3), t(4)][..], &[t(0), t(1), t(2)][..]]
-                .iter()
-                .enumerate()
-                .map(|(i, tables)| {
-                    QueryRequest::new(
-                        QuerySpec::new(QueryId::new(i as u64), tables.to_vec()),
-                        SimTime::new(submit.next_sample()),
-                    )
-                })
-                .collect();
+        let Scenario {
+            catalog,
+            nominal,
+            rates,
+            requests,
+            stream,
+        } = scenario(seed);
 
         // One belief + one cache per seed, evolving together: exactly
         // the serve engine's replan-on-revision shape.
@@ -157,28 +230,6 @@ fn repaired_search_matches_from_scratch_over_revision_streams() {
                 &format!("seed {seed} warm footprint {i}"),
             );
         }
-
-        // Re-reveal each sampled revision with 0–10 time units of
-        // advance notice: the window `[revealed_at, dirty floor)` is
-        // where repair earns its keep.
-        let mut notice = UniformStream::new(0.0, 10.0, seeds.seed_for("notice"));
-        let mut stream: Vec<TimelineRevision> = faults
-            .revisions()
-            .iter()
-            .take(REVISIONS_PER_SEED)
-            .copied()
-            .map(|mut revision| {
-                let lead = notice.next_sample();
-                revision.revealed_at = SimTime::new((revision.scheduled.value() - lead).max(0.0));
-                revision
-            })
-            .collect();
-        stream.sort_by(|a, b| {
-            a.revealed_at
-                .partial_cmp(&b.revealed_at)
-                .expect("reveal times are finite")
-                .then(a.table.cmp(&b.table))
-        });
 
         for (r, revision) in stream.iter().enumerate() {
             if !belief.revise(revision, horizon) {
@@ -226,6 +277,98 @@ fn repaired_search_matches_from_scratch_over_revision_streams() {
     );
 }
 
+/// One memoized search under observation: its outcome, audit and
+/// rendered trace.
+fn observed_memo_search(
+    search: &ScatterGatherSearch,
+    ctx: &PlanContext<'_>,
+    request: &QueryRequest,
+    not_before: SimTime,
+    memo: &PhaseMemo,
+    repair: Option<&ReplanCache>,
+) -> (SearchOutcome, SearchAudit, String) {
+    let trace = Arc::new(Trace::new());
+    let tracer = Tracer::recording(Arc::clone(&trace));
+    let mut audit = SearchAudit::default();
+    let opts = SearchOpts {
+        memo: Some(memo),
+        repair,
+        tracer: Some(&tracer),
+        audit: Some(&mut audit),
+    };
+    let outcome = search
+        .search_with(ctx, request, not_before, opts)
+        .expect("memoized search is feasible");
+    (outcome, audit, trace.render())
+}
+
+#[test]
+fn repaired_frontier_walk_matches_unrepaired_over_revision_streams() {
+    let search = ScatterGatherSearch::new();
+    let model = StylizedCostModel::paper_fig4();
+    let horizon = SimTime::new(HORIZON);
+    let mut comparisons = 0u64;
+    let mut total_hits = 0u64;
+
+    for seed in 0..SEEDS {
+        let Scenario {
+            catalog,
+            nominal,
+            rates,
+            requests,
+            stream,
+        } = scenario(seed);
+        let mut belief = nominal.clone();
+        let cache = ReplanCache::new();
+        // Two memos that start empty and see the same searches, so
+        // their probes agree and only the cache differs between runs.
+        let (memo_a, memo_b) = (PhaseMemo::new(), PhaseMemo::new());
+
+        // Step 0 is the warm-up on the pristine belief; every later
+        // step absorbs one revision and re-plans at its reveal instant.
+        let steps = std::iter::once(None).chain(stream.iter().map(Some));
+        for (step, revision) in steps.enumerate() {
+            if let Some(revision) = revision {
+                if !belief.revise(revision, horizon) {
+                    continue; // A drop already consumed this completion.
+                }
+                cache.invalidate_revision(revision);
+            }
+            let ctx = PlanContext {
+                catalog: &catalog,
+                timelines: &belief,
+                model: &model,
+                rates,
+                queues: &NoQueues,
+            };
+            for (i, request) in requests.iter().enumerate() {
+                let not_before = revision.map_or(request.submitted_at, |r| {
+                    request.submitted_at.max(r.revealed_at)
+                });
+                let label = format!("seed {seed} step {step} footprint {i}");
+                let (with_repair, repaired_audit, repaired_trace) =
+                    observed_memo_search(&search, &ctx, request, not_before, &memo_a, Some(&cache));
+                let (without, audit, trace) =
+                    observed_memo_search(&search, &ctx, request, not_before, &memo_b, None);
+                assert_eq!(with_repair, without, "{label}: repair changed the outcome");
+                assert_eq!(repaired_audit, audit, "{label}: repair changed the audit");
+                assert_eq!(repaired_trace, trace, "{label}: repair changed the trace");
+                comparisons += 1;
+            }
+        }
+        total_hits += cache.stats().hits;
+    }
+
+    assert!(
+        comparisons >= 200,
+        "the band must cover at least 200 memoized workloads, got {comparisons}"
+    );
+    assert!(
+        total_hits > 0,
+        "repair never reused a score in the frontier walk across the whole band"
+    );
+}
+
 #[test]
 fn stale_cache_under_floored_outage_corrupts_what_the_bypass_protects() {
     let base = synthetic_catalog(&SyntheticConfig {
@@ -258,9 +401,14 @@ fn stale_cache_under_floored_outage_corrupts_what_the_bypass_protects() {
 
     // Warm a cache under the stateless-queue belief.
     let stale = ReplanCache::new();
-    let nominal = search
-        .search_from_repaired(&nominal_ctx, &request, request.submitted_at, &stale)
-        .expect("warming search is feasible");
+    let nominal = repaired(
+        &search,
+        &nominal_ctx,
+        &request,
+        request.submitted_at,
+        &stale,
+    )
+    .expect("warming search is feasible");
 
     // Every site floored until t = 40: the outage-replan context.
     let floors: BTreeMap<SiteId, SimTime> = (0..catalog.site_count() as u32)
@@ -282,9 +430,14 @@ fn stale_cache_under_floored_outage_corrupts_what_the_bypass_protects() {
     // The replan key cannot see queue state, so the warm cache serves
     // stateless scores into the floored search and corrupts it — the
     // exact divergence the serve engine's bypass rules out.
-    let corrupted = search
-        .search_from_repaired(&floored_ctx, &request, request.submitted_at, &stale)
-        .expect("poisoned search still runs");
+    let corrupted = repaired(
+        &search,
+        &floored_ctx,
+        &request,
+        request.submitted_at,
+        &stale,
+    )
+    .expect("poisoned search still runs");
     assert_ne!(
         corrupted, scratch,
         "a stateless-warmed cache must visibly corrupt a floored search \
@@ -294,11 +447,16 @@ fn stale_cache_under_floored_outage_corrupts_what_the_bypass_protects() {
     // Repair itself is sound under floors — only *cross-belief* reuse
     // is not: a cache warmed under the same floored belief is exact.
     let fresh = ReplanCache::new();
-    let repaired = search
-        .search_from_repaired(&floored_ctx, &request, request.submitted_at, &fresh)
-        .expect("fresh repaired search is feasible");
+    let fresh_repaired = repaired(
+        &search,
+        &floored_ctx,
+        &request,
+        request.submitted_at,
+        &fresh,
+    )
+    .expect("fresh repaired search is feasible");
     assert_eq!(
-        repaired, scratch,
+        fresh_repaired, scratch,
         "fresh-cache repair diverged under floors"
     );
 }

@@ -150,7 +150,7 @@ pub fn run_fig4() -> Fig4Results {
         queues: &NoQueues,
     };
     let search = ScatterGatherSearch::new()
-        .search(&ctx, &setup.request)
+        .search_from(&ctx, &setup.request, setup.request.submitted_at)
         .expect("worked example is feasible");
     let oracle = exhaustive_search(&ctx, &setup.request, 64).expect("oracle is feasible");
     let all_remote = ivdss_core::plan::evaluate_plan(

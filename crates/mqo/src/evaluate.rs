@@ -18,7 +18,7 @@ use ivdss_catalog::catalog::Catalog;
 use ivdss_catalog::ids::TableId;
 use ivdss_core::parallel::PlannerPool;
 use ivdss_core::plan::{FacilityQueues, PlanContext, PlanError, PlanEvaluation, QueryRequest};
-use ivdss_core::planner::IvqpPlanner;
+use ivdss_core::planner::{IvqpPlanner, Planner};
 use ivdss_core::value::DiscountRates;
 use ivdss_costmodel::model::CostModel;
 use ivdss_ga::permutation::Permutation;
@@ -155,7 +155,7 @@ impl<'a> WorkloadEvaluator<'a> {
                 rates: self.rates,
                 queues: &queues,
             };
-            let plan = self.planner.search(&ctx, request)?.best;
+            let plan = self.planner.select_plan(&ctx, request)?;
             commit_plan(&mut queues, self.catalog, request, &plan);
             total += plan.information_value.value();
             plans.push(ScheduledQuery {

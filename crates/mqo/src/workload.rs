@@ -13,7 +13,7 @@
 //! overlap graph with a sweep.
 
 use ivdss_core::plan::{PlanContext, PlanError, QueryRequest};
-use ivdss_core::planner::IvqpPlanner;
+use ivdss_core::search::ScatterGatherSearch;
 use ivdss_costmodel::query::QueryId;
 use ivdss_simkernel::time::SimTime;
 
@@ -59,11 +59,11 @@ pub fn execution_ranges(
     ctx: &PlanContext<'_>,
     requests: &[QueryRequest],
 ) -> Result<Vec<ExecutionRange>, PlanError> {
-    let planner = IvqpPlanner::new();
+    let search = ScatterGatherSearch::new();
     requests
         .iter()
         .map(|req| {
-            let outcome = planner.search(ctx, req)?;
+            let outcome = search.search_from(ctx, req, req.submitted_at)?;
             let end = outcome.boundary.max(outcome.best.finish);
             Ok(ExecutionRange::new(req.id(), req.submitted_at, end))
         })

@@ -162,7 +162,7 @@ impl SubmitSpec {
     /// Returns [`WireError::Invalid`] on any field the engine's
     /// constructors would reject — empty footprint, non-positive or
     /// non-finite weight/business value, selectivity outside `(0, 1]`,
-    /// or a NaN submission time.
+    /// or a non-finite submission time.
     pub fn to_request(&self, now: SimTime) -> Result<QueryRequest, WireError> {
         if self.tables.is_empty() {
             return Err(WireError::Invalid("empty table footprint"));
@@ -179,7 +179,9 @@ impl SubmitSpec {
             ));
         }
         let submitted_at = match self.submitted_at {
-            Some(t) if t.is_nan() => return Err(WireError::Invalid("submission time is NaN")),
+            Some(t) if !t.is_finite() => {
+                return Err(WireError::Invalid("submission time must be finite"))
+            }
             Some(t) => SimTime::new(t),
             None => now,
         };

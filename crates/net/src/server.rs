@@ -336,10 +336,10 @@ impl NetServer {
                 Response::Report(merged)
             }
             Request::AdvanceTo { to } => {
-                if to.is_nan() {
+                if !to.is_finite() {
                     return Response::Error {
                         code: ErrorCode::Malformed,
-                        message: "advance target is NaN".to_owned(),
+                        message: "advance target must be finite".to_owned(),
                     };
                 }
                 match service.advance_to(SimTime::new(to)) {

@@ -25,7 +25,7 @@ use ivdss_net::proto::{
 };
 use ivdss_net::server::{NetConfig, NetServer};
 use ivdss_net::service::QueryService;
-use ivdss_net::NetClient;
+use ivdss_net::{NetClient, NetError};
 use ivdss_replication::timelines::{SyncMode, SyncTimelines};
 use ivdss_serve::clock::DesClock;
 use ivdss_serve::engine::ServeConfig;
@@ -207,6 +207,47 @@ fn malformed_frames_get_an_error_then_disconnect() {
             switch.trip();
             let stats = server_thread.join().expect("server thread joins");
             assert_eq!(stats.decode_errors, 1);
+        });
+    });
+}
+
+/// Non-finite times are refused before they reach the engine: an
+/// infinite submission time or advance target would move the engine
+/// clock to +∞, after which the sync cursor enumerates periodic
+/// completions without end. The connection stays usable.
+#[test]
+fn non_finite_times_are_refused() {
+    with_cluster(|cluster| {
+        let server = NetServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind loopback");
+        let addr = server.local_addr().expect("bound address");
+        std::thread::scope(|scope| {
+            let server_thread = scope.spawn(|| server.serve(cluster).expect("server runs"));
+
+            let mut client = NetClient::connect(addr).expect("client connects");
+            let good = SubmitSpec::from_request(&arrivals()[0]);
+            for t in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+                let spec = SubmitSpec {
+                    submitted_at: Some(t),
+                    ..good.clone()
+                };
+                let refused = |r: Result<ReportMsg, NetError>| {
+                    matches!(
+                        r,
+                        Err(NetError::Remote {
+                            code: ErrorCode::Malformed,
+                            ..
+                        })
+                    )
+                };
+                assert!(refused(client.submit(spec.clone())), "submit at {t}");
+                assert!(refused(client.submit_batch(vec![spec])), "batch at {t}");
+                assert!(refused(client.advance_to(t)), "advance to {t}");
+            }
+            client
+                .submit(good)
+                .expect("a finite submission still plans");
+            client.shutdown().expect("shutdown handshake");
+            server_thread.join().expect("server thread joins");
         });
     });
 }

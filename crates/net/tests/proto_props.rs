@@ -350,6 +350,14 @@ fn semantic_validation_rejects_bad_specs() {
             submitted_at: Some(f64::NAN),
             ..good.clone()
         },
+        SubmitSpec {
+            submitted_at: Some(f64::INFINITY),
+            ..good.clone()
+        },
+        SubmitSpec {
+            submitted_at: Some(f64::NEG_INFINITY),
+            ..good.clone()
+        },
     ];
     for bad in cases {
         assert!(bad.to_request(now).is_err(), "accepted {bad:?}");

@@ -12,8 +12,8 @@
 //!
 //! * **Deterministic** — events carry [`SimTime`] stamps and are emitted
 //!   only from sequential code paths (the serving engine's pipeline and
-//!   the sequential replay phase of the parallel search), so emission
-//!   order is a pure function of the inputs. Rendering uses Rust's
+//!   the plan search, whose memoized walk emits only from its replay
+//!   phase), so emission order is a pure function of the inputs. Rendering uses Rust's
 //!   shortest-round-trip `f64` formatting, which is itself
 //!   deterministic. Golden-trace tests diff runs byte for byte.
 //! * **Cheap when off** — instrumented code holds a [`Tracer`] handle;

@@ -194,7 +194,7 @@ mod tests {
         use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
         use ivdss_core::plan::{NoQueues, PlanContext, QueryRequest};
         use ivdss_core::repair::ReplanCache;
-        use ivdss_core::search::ScatterGatherSearch;
+        use ivdss_core::search::{ScatterGatherSearch, SearchOpts};
         use ivdss_core::value::DiscountRates;
         use ivdss_costmodel::model::StylizedCostModel;
         use ivdss_costmodel::query::{QueryId, QuerySpec};
@@ -220,6 +220,13 @@ mod tests {
         );
         let search = ScatterGatherSearch::new();
         let cache = ReplanCache::new();
+        let repaired = |ctx: &PlanContext<'_>| {
+            let opts = SearchOpts {
+                repair: Some(&cache),
+                ..SearchOpts::default()
+            };
+            search.search_with(ctx, &request, request.submitted_at, opts)
+        };
         // Warm the cache under the pre-reschedule timelines.
         let warm_ctx = PlanContext {
             catalog: &catalog,
@@ -228,9 +235,7 @@ mod tests {
             rates,
             queues: &NoQueues,
         };
-        let before = search
-            .search_from_repaired(&warm_ctx, &request, request.submitted_at, &cache)
-            .expect("warming search plans");
+        let before = repaired(&warm_ctx).expect("warming search plans");
 
         // Steer table 1's refreshes onto a sparser, shifted grid.
         let mut target = current.clone();
@@ -254,13 +259,11 @@ mod tests {
             rates,
             queues: &NoQueues,
         };
-        let repaired = search
-            .search_from_repaired(&revised_ctx, &request, request.submitted_at, &cache)
-            .expect("repaired search plans");
+        let after = repaired(&revised_ctx).expect("repaired search plans");
         let scratch = search
             .search_from(&revised_ctx, &request, request.submitted_at)
             .expect("from-scratch search plans");
-        assert_eq!(repaired, scratch, "repair diverged after a reschedule");
+        assert_eq!(after, scratch, "repair diverged after a reschedule");
         // The warm search ran at the same phase, so any surviving scores
         // were genuinely reusable — and the counters prove the pin is
         // not vacuous: the repaired search really consulted the cache.
@@ -271,7 +274,7 @@ mod tests {
         );
         assert_eq!(
             stats.hits + stats.misses,
-            (before.plans_explored + repaired.plans_explored) as u64,
+            (before.plans_explored + after.plans_explored) as u64,
             "every scored candidate probes the cache exactly once"
         );
     }

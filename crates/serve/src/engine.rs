@@ -4,9 +4,8 @@
 //! per query: (1) drains completed synchronization events from the
 //! replication timelines into the plan cache's invalidator, (2) runs
 //! IV-aware admission ([`AdmissionQueue`]), (3) selects a plan — from
-//! the sync-phase [`PlanCache`] or by a fresh scatter-and-gather search
-//! (a [`ParallelPlanner`] over a shareable [`PlannerPool`], reusing
-//! [`PhaseMemo`] pruning frontiers across dispatches) — under a
+//! the sync-phase [`PlanCache`] or by a fresh [`ScatterGatherSearch`]
+//! (reusing [`PhaseMemo`] pruning frontiers across dispatches) — under a
 //! [`NoQueues`] planning context, and (4) dispatches the plan
 //! through reservation-calendar facilities ([`FacilityQueues`]),
 //! re-evaluating the chosen candidate against live calendar state so the
@@ -53,12 +52,12 @@ use std::sync::Arc;
 use ivdss_catalog::catalog::Catalog;
 use ivdss_catalog::ids::{SiteId, TableId};
 use ivdss_core::memo::PhaseMemo;
-use ivdss_core::parallel::{ParallelPlanner, PlannerPool};
 use ivdss_core::plan::{
     evaluate_plan, FacilityQueues, NoQueues, PlanContext, PlanError, PlanEvaluation, QueryRequest,
     SiteFloors,
 };
 use ivdss_core::repair::ReplanCache;
+use ivdss_core::search::{ScatterGatherSearch, SearchOpts};
 use ivdss_core::starvation::AgingPolicy;
 use ivdss_core::value::DiscountRates;
 use ivdss_costmodel::model::CostModel;
@@ -100,12 +99,6 @@ pub struct ServeConfig {
     /// Plan-decision audits retained (most recent first to go; `0`
     /// disables audit collection entirely).
     pub audit_capacity: usize,
-    /// `true` lets dispatch-time fresh searches reuse candidate scores
-    /// from previous searches of the same query via the engine's
-    /// [`ReplanCache`] (incremental re-planning). Transparent: plans,
-    /// counters and traces are bit-identical either way — only
-    /// wall-clock shrinks.
-    pub use_repair: bool,
     /// `true` makes a fault revision proactively repair the plans of
     /// queued queries touching the revised table (emitting a
     /// `plan_repaired` trace event per query), so their dispatch-time
@@ -127,7 +120,6 @@ impl ServeConfig {
             use_cache: true,
             dispatch_backlog: SimDuration::new(f64::INFINITY),
             audit_capacity: 256,
-            use_repair: true,
             replan_on_revision: false,
         }
     }
@@ -212,10 +204,9 @@ pub struct ServeEngine<'a, C: Clock> {
     cursor: SyncEventCursor,
     metrics: ServeMetrics,
     faults: Option<FaultState>,
-    /// Dispatch-time plan searches run through this planner (sequential
-    /// unless a pool is shared via
-    /// [`ServeEngine::with_planner_pool`]).
-    planner: ParallelPlanner,
+    /// Dispatch-time plan searches: cache-off planning, outage
+    /// re-planning and the fault-free IV bound.
+    search: ScatterGatherSearch,
     /// Sync-phase pruning frontiers reused across dispatch searches.
     /// Keyed by phase *offsets*, so timeline revisions never invalidate
     /// it, and only consulted under stateless-queue contexts (the
@@ -273,24 +264,13 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
             config,
             clock,
             faults: None,
-            planner: ParallelPlanner::new(Arc::new(PlannerPool::sequential())),
+            search: ScatterGatherSearch::new(),
             memo: Arc::new(PhaseMemo::new()),
             replan: ReplanCache::new(),
             storage: None,
             tracer: Tracer::disabled(),
             audits: AuditLog::new(config.audit_capacity),
         }
-    }
-
-    /// Shares a planner pool with this engine (builder-style): the
-    /// dispatch-time plan searches — cache-off planning, outage
-    /// re-planning and the fault-free IV bound — fan their candidate
-    /// evaluation out over it. Plan choices are bit-identical to the
-    /// sequential engine.
-    #[must_use]
-    pub fn with_planner_pool(mut self, pool: Arc<PlannerPool>) -> Self {
-        self.planner = ParallelPlanner::new(pool);
-        self
     }
 
     /// Shares a sync-phase memo with this engine (builder-style) — the
@@ -455,12 +435,6 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
         self.storage
     }
 
-    /// The pool dispatch-time plan searches run on.
-    #[must_use]
-    pub fn planner_pool(&self) -> &Arc<PlannerPool> {
-        self.planner.pool()
-    }
-
     /// The sync-phase pruning memo (hit/miss counters for
     /// observability).
     #[must_use]
@@ -619,15 +593,13 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
             // The inner search is deliberately unobserved: the repair is
             // a warm-up, and the dispatch-time search re-emits the full
             // search trace exactly as without repair.
-            self.planner.search_repaired_observed(
-                &planning_ctx!(self),
-                &request,
-                request.submitted_at,
-                Some(&self.memo),
-                Some(&self.replan),
-                &Tracer::disabled(),
-                None,
-            )?;
+            let opts = SearchOpts {
+                memo: Some(&self.memo),
+                repair: Some(&self.replan),
+                ..SearchOpts::default()
+            };
+            self.search
+                .search_with(&planning_ctx!(self), &request, request.submitted_at, opts)?;
             let after = self.replan.stats();
             let reused = after.hits - before.hits;
             let recomputed = after.misses - before.misses;
@@ -814,18 +786,15 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
             // bit-identical with or without it.
             source = PlanSource::FreshSearch;
             let mut audit = collect_audit.then(SearchAudit::default);
-            let repair = self.config.use_repair.then_some(&self.replan);
+            let opts = SearchOpts {
+                memo: Some(&self.memo),
+                repair: Some(&self.replan),
+                tracer: Some(&self.tracer),
+                audit: audit.as_mut(),
+            };
             let best = self
-                .planner
-                .search_repaired_observed(
-                    &planning_ctx!(self),
-                    &request,
-                    request.submitted_at,
-                    Some(&self.memo),
-                    repair,
-                    &self.tracer,
-                    audit.as_mut(),
-                )?
+                .search
+                .search_with(&planning_ctx!(self), &request, request.submitted_at, opts)?
                 .best;
             search_audit = audit;
             best
@@ -858,18 +827,17 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
                 });
                 source = PlanSource::OutageReplan;
                 let floored = SiteFloors::new(&NoQueues, floors.clone());
-                // Floors are time-dependent queue state → memo unsound;
-                // the pool still parallelizes the candidate evaluation.
+                // Floors are time-dependent queue state → the memo and
+                // the replan cache are both unsound here.
                 let mut audit = collect_audit.then(SearchAudit::default);
+                let opts = SearchOpts {
+                    tracer: Some(&self.tracer),
+                    audit: audit.as_mut(),
+                    ..SearchOpts::default()
+                };
                 let best = self
-                    .planner
-                    .search_from_observed(
-                        &planning_ctx!(self, &floored),
-                        &request,
-                        now,
-                        &self.tracer,
-                        audit.as_mut(),
-                    )?
+                    .search
+                    .search_with(&planning_ctx!(self, &floored), &request, now, opts)?
                     .best;
                 search_audit = audit;
                 best
@@ -984,9 +952,13 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
             // NoQueues again — and the memo keys phase *offsets*, so the
             // nominal and revised-belief timelines share frontiers
             // whenever their phases line up.
+            let opts = SearchOpts {
+                memo: Some(&self.memo),
+                ..SearchOpts::default()
+            };
             let ideal = self
-                .planner
-                .search_memoized(&nominal_ctx, &request, now, &self.memo)?
+                .search
+                .search_with(&nominal_ctx, &request, now, opts)?
                 .best;
             iv_lost =
                 (ideal.information_value.value() - delivered.information_value.value()).max(0.0);

@@ -265,7 +265,7 @@ proptest! {
         );
         let (eval1, outcome1) = cache.plan(&ctx, &req1).unwrap();
         prop_assert_eq!(outcome1, CacheOutcome::Miss);
-        let fresh1 = ScatterGatherSearch::new().search(&ctx, &req1).unwrap();
+        let fresh1 = ScatterGatherSearch::new().search_from(&ctx, &req1, req1.submitted_at).unwrap();
         prop_assert!(
             (eval1.information_value.value() - fresh1.best.information_value.value()).abs()
                 <= 1e-12 * fresh1.best.information_value.value().max(1.0),
@@ -283,7 +283,7 @@ proptest! {
         .with_business_value(BusinessValue::new(bv));
         let (eval2, outcome2) = cache.plan(&ctx, &req2).unwrap();
         prop_assert_eq!(outcome2, CacheOutcome::Hit);
-        let fresh2 = ScatterGatherSearch::new().search(&ctx, &req2).unwrap();
+        let fresh2 = ScatterGatherSearch::new().search_from(&ctx, &req2, req2.submitted_at).unwrap();
         prop_assert!(
             (eval2.information_value.value() - fresh2.best.information_value.value()).abs()
                 <= 1e-12 * fresh2.best.information_value.value().max(1.0),
@@ -410,7 +410,7 @@ proptest! {
             SimTime::new(submit),
         );
         let (eval, _) = cache.plan(&ctx, &req).unwrap();
-        let fresh = ScatterGatherSearch::new().search(&ctx, &req).unwrap();
+        let fresh = ScatterGatherSearch::new().search_from(&ctx, &req, req.submitted_at).unwrap();
         prop_assert!(
             (eval.information_value.value() - fresh.best.information_value.value()).abs() <= 1e-12
         );

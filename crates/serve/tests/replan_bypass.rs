@@ -67,7 +67,10 @@ fn outage_replan_bypasses_the_memo_and_matches_the_memo_free_search() {
         .iter()
         .find_map(|spec| {
             let request = QueryRequest::new(spec.clone(), SimTime::new(SUBMIT));
-            let best = search.search(&nominal_ctx, &request).ok()?.best;
+            let best = search
+                .search_from(&nominal_ctx, &request, request.submitted_at)
+                .ok()?
+                .best;
             let remote: Vec<_> = request
                 .query
                 .tables()

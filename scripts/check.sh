@@ -48,6 +48,18 @@ for workload in tpch-paper dashboard-hot tenants-overload; do
       ;;
   esac
 done
+# The traced replay (--trace 1) is the only servebench path that calls
+# the plain search, the cluster's shared memo and the engine's replan
+# cache directly, so one short run keeps it exercised (~1 s).
+report=$(cargo run --quiet --release --offline --manifest-path servebench/Cargo.toml -- \
+  --workload tenants-overload --seed 1 --seconds 1 --trace 1 | tail -n 1)
+case "$report" in
+  *'"correct": true'*) echo "    tenants-overload (traced): correct" ;;
+  *)
+    echo "servebench tenants-overload --trace 1 failed its correctness check: $report" >&2
+    exit 1
+    ;;
+esac
 
 echo "==> markdown link check"
 scripts/linkcheck.sh

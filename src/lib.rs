@@ -96,8 +96,8 @@ pub mod prelude {
     pub use ivdss_core::{
         evaluate_plan, exhaustive_search, AgingPolicy, BusinessValue, DiscountRate, DiscountRates,
         FacilityQueues, FederationPlanner, InformationValue, IvqpPlanner, Latencies, MemoStats,
-        NoQueues, ParallelPlanner, PhaseMemo, PlacementAdvisor, PlanContext, PlanError,
-        PlanEvaluation, Planner, PlannerPool, QueryRequest, ScatterGatherSearch, WarehousePlanner,
+        NoQueues, PhaseMemo, PlacementAdvisor, PlanContext, PlanError, PlanEvaluation, Planner,
+        PlannerPool, QueryRequest, ScatterGatherSearch, SearchOpts, WarehousePlanner,
     };
     pub use ivdss_costmodel::{
         AnalyticCostModel, CalibratedCostModel, CompiledQuery, CostModel, LocalFit, PlanCost,

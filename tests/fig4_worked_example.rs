@@ -55,7 +55,7 @@ fn delayed_plans_enter_the_plan_space() {
         queues: &NoQueues,
     };
     let outcome = ScatterGatherSearch::new()
-        .search(&ctx, &setup.request)
+        .search_from(&ctx, &setup.request, setup.request.submitted_at)
         .unwrap();
     assert!(
         outcome.best.execute_at > setup.request.submitted_at || outcome.best.is_all_remote(),
