@@ -16,17 +16,10 @@
 //! batch at 1 thread. Queries at equal phase offsets reuse each other's
 //! pruned frontiers.
 //!
-//! Two further cell groups pin the incremental-planning work:
-//!
-//! * `repair_vs_rescan` — a [`ReplanCache`] warmed at admission time is
-//!   invalidated by an advance-notice sync slip (revealed long before
-//!   the slipped completion), then every queued query is re-planned
-//!   through `search_with` with the cache vs. a cold `search_from`
-//!   rescan over the revised timelines. Outcomes are asserted
-//!   bit-identical; only the wall clock differs.
-//! * `arena_vs_boxed` — the arena/SoA search vs.
-//!   [`ScatterGatherSearch::reference_search_boxed`], the per-candidate
-//!   heap-allocating oracle, over the same batch.
+//! `arena_vs_boxed` times the arena/SoA search against
+//! [`ScatterGatherSearch::reference_search_boxed`], the per-candidate
+//! heap-allocating oracle, over one batch; outcomes are asserted
+//! bit-identical.
 //!
 //! Flags: `--smoke` (scaled-down run), `--out <path>` (default
 //! `BENCH_planner.json` in the current directory).
@@ -41,12 +34,10 @@ use ivdss_catalog::Catalog;
 use ivdss_core::memo::PhaseMemo;
 use ivdss_core::parallel::PlannerPool;
 use ivdss_core::plan::{NoQueues, PlanContext, QueryRequest};
-use ivdss_core::repair::ReplanCache;
 use ivdss_core::search::{ScatterGatherSearch, SearchOpts};
 use ivdss_core::value::DiscountRates;
 use ivdss_costmodel::model::StylizedCostModel;
 use ivdss_costmodel::query::{QueryId, QuerySpec};
-use ivdss_replication::events::TimelineRevision;
 use ivdss_replication::timelines::{SyncMode, SyncTimelines};
 use ivdss_simkernel::time::SimTime;
 
@@ -244,112 +235,12 @@ fn main() {
         });
     }
 
-    // ---- repair vs rescan -------------------------------------------
-    // An advance-notice slip: revealed just after the batch is planned,
-    // moving a completion that sits beyond every queued query's search
-    // boundary. The queued batch is re-planned through the warm
-    // ReplanCache (repair) and from scratch over the revised timelines
-    // (rescan); outcomes are bit-identical, so the cells measure pure
-    // wall clock.
-    // A wide-footprint fixture: scoring a candidate walks all the
-    // query's tables while a cache probe stays O(1), so wide footprints
-    // are the regime where skipping the scoring kernel pays.
-    let (repair_tables, repair_replicated) = (24usize, 6usize);
-    let (repair_catalog, repair_timelines) = fixture(repair_tables, repair_replicated);
-    let repair_ctx = PlanContext {
-        catalog: &repair_catalog,
-        timelines: &repair_timelines,
-        model: &model,
-        rates: DiscountRates::paper_fig4(),
-        queues: &NoQueues,
-    };
-    let repair_fanout = 32usize;
-    let repair_requests = batch(repair_fanout, repair_tables, repair_replicated);
-    let horizon = SimTime::new(400.0);
-    let revealed_at = SimTime::new(12.0);
-    let scheduled = repair_timelines
-        .schedule(t(0))
-        .expect("table 0 is replicated")
-        .completions_in(SimTime::new(300.0), horizon)[0];
-    let revision = TimelineRevision {
-        revealed_at,
-        table: t(0),
-        scheduled,
-        new_time: Some(SimTime::new(scheduled.value() + 3.0)),
-    };
-    let mut revised = repair_timelines.clone();
-    assert!(revised.revise(&revision, horizon), "the slip must land");
-    let revised_ctx = PlanContext {
-        timelines: &revised,
-        ..repair_ctx
-    };
-
-    let mut repair_samples = Vec::with_capacity(repeats);
-    let mut rescan_samples = Vec::with_capacity(repeats);
-    let mut cache_hits = 0u64;
-    let mut cache_misses = 0u64;
-    for _ in 0..repeats {
-        // Warm at admission time under the pre-revision belief, then
-        // absorb the revision's dirty window — all off the clock, the
-        // way a serving engine plans queries as they arrive.
-        let cache = ReplanCache::new();
-        for r in &repair_requests {
-            let opts = SearchOpts {
-                repair: Some(&cache),
-                ..SearchOpts::default()
-            };
-            search
-                .search_with(&repair_ctx, r, r.submitted_at, opts)
-                .expect("warm search succeeds");
-        }
-        cache.invalidate_revision(&revision);
-
-        let start = Instant::now();
-        let repaired: Vec<_> = repair_requests
-            .iter()
-            .map(|r| {
-                let floor = r.submitted_at.max(revealed_at);
-                let opts = SearchOpts {
-                    repair: Some(&cache),
-                    ..SearchOpts::default()
-                };
-                search
-                    .search_with(&revised_ctx, r, floor, opts)
-                    .expect("repaired search succeeds")
-            })
-            .collect();
-        repair_samples.push(start.elapsed().as_secs_f64() * 1e3);
-
-        let start = Instant::now();
-        let rescanned: Vec<_> = repair_requests
-            .iter()
-            .map(|r| {
-                search
-                    .search_from(&revised_ctx, r, r.submitted_at.max(revealed_at))
-                    .expect("rescan search succeeds")
-            })
-            .collect();
-        rescan_samples.push(start.elapsed().as_secs_f64() * 1e3);
-
-        assert_eq!(repaired, rescanned, "repair diverged from rescan");
-        let stats = cache.stats();
-        cache_hits = stats.hits;
-        cache_misses = stats.misses;
-    }
-    let repair_ms = median_ms(&mut repair_samples);
-    let rescan_ms = median_ms(&mut rescan_samples);
-    let repair_speedup = rescan_ms / repair_ms;
-    println!(
-        "repair vs rescan over {repair_fanout} queued queries: \
-         {repair_ms:.3} ms vs {rescan_ms:.3} ms ({repair_speedup:.2}x, \
-         {cache_hits} hits / {cache_misses} misses)"
-    );
-
     // ---- arena vs boxed ---------------------------------------------
     // The scaling fixture's batch through the arena/SoA search and the
     // per-candidate heap-allocating boxed oracle; bit-identical
     // outcomes required.
-    let arena_requests = batch(repair_fanout, tables, replicated);
+    let arena_fanout = 32usize;
+    let arena_requests = batch(arena_fanout, tables, replicated);
     let mut arena_samples = Vec::with_capacity(repeats);
     let mut boxed_samples = Vec::with_capacity(repeats);
     for _ in 0..repeats {
@@ -381,7 +272,7 @@ fn main() {
     let boxed_ms = median_ms(&mut boxed_samples);
     let arena_speedup = boxed_ms / arena_ms;
     println!(
-        "arena vs boxed over {repair_fanout} queries: \
+        "arena vs boxed over {arena_fanout} queries: \
          {arena_ms:.3} ms vs {boxed_ms:.3} ms ({arena_speedup:.2}x)"
     );
 
@@ -436,13 +327,7 @@ fn main() {
     json.push_str("  ],\n");
     let _ = writeln!(
         json,
-        "  \"repair_vs_rescan\": {{\"queries\": {repair_fanout}, \"repair_ms\": {repair_ms:.4}, \
-         \"rescan_ms\": {rescan_ms:.4}, \"speedup\": {repair_speedup:.3}, \
-         \"cache_hits\": {cache_hits}, \"cache_misses\": {cache_misses}}},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"arena_vs_boxed\": {{\"queries\": {repair_fanout}, \"arena_ms\": {arena_ms:.4}, \
+        "  \"arena_vs_boxed\": {{\"queries\": {arena_fanout}, \"arena_ms\": {arena_ms:.4}, \
          \"boxed_ms\": {boxed_ms:.4}, \"speedup\": {arena_speedup:.3}}},"
     );
     json.push_str(
@@ -462,9 +347,5 @@ fn main() {
     assert!(
         speedup_at_4 >= speedup_bar,
         "expected >= {speedup_bar}x speedup at 4 threads, measured {speedup_at_4:.2}x"
-    );
-    assert!(
-        repair_speedup >= 2.0,
-        "expected >= 2x repair-vs-rescan speedup, measured {repair_speedup:.2}x"
     );
 }

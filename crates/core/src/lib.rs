@@ -21,8 +21,7 @@
 //!   §3.1 plus an exhaustive oracle. Two entry points:
 //!   [`search::ScatterGatherSearch::search_from`] for the plain search and
 //!   [`search::ScatterGatherSearch::search_with`], whose
-//!   [`search::SearchOpts`] add a memo, a repair cache, a tracer and an
-//!   audit;
+//!   [`search::SearchOpts`] add a memo, a tracer and an audit;
 //! * [`planner`] — [`planner::IvqpPlanner`] and the paper's two baselines,
 //!   [`planner::FederationPlanner`] and [`planner::WarehousePlanner`];
 //! * [`parallel`] — [`parallel::PlannerPool`], a deterministic fork-join
@@ -34,10 +33,6 @@
 //! * [`frontier`] — [`frontier::FrontierArena`], the allocation-free
 //!   margin-dominance frontier the memoized search records, with its
 //!   boxed differential oracle;
-//! * [`repair`] — [`repair::ReplanCache`], incremental re-planning:
-//!   candidate scores survive timeline revisions outside their dirty
-//!   window, so a revision-triggered re-plan repairs the previous
-//!   search instead of rescanning from scratch — bit-identically;
 //! * [`starvation`] — the §3.3 aging adaptation for long-queued queries;
 //! * [`advisor`] — the §6 future-work data-placement advisor (greedy
 //!   replica recommendation by marginal information value).
@@ -97,7 +92,6 @@ pub mod memo;
 pub mod parallel;
 pub mod plan;
 pub mod planner;
-pub mod repair;
 pub mod search;
 pub mod starvation;
 pub mod value;
@@ -112,7 +106,6 @@ pub use plan::{
     PlanEvaluation, QueryRequest, QueueEstimator, SiteFloors, SubsetArena, Wave,
 };
 pub use planner::{FederationPlanner, IvqpPlanner, Planner, WarehousePlanner};
-pub use repair::{RepairSession, ReplanCache, ReplanStats};
 pub use search::{
     exhaustive_search, is_better, is_better_score, local_subsets, replicated_footprint,
     ScatterGatherSearch, SearchOpts, SearchOutcome,

@@ -66,22 +66,10 @@ impl PlannerPool {
         PlannerPool { threads: 1 }
     }
 
-    /// A pool sized to the host's available parallelism (1 if unknown).
-    #[must_use]
-    pub fn host_sized() -> Self {
-        PlannerPool::new(std::thread::available_parallelism().map_or(1, usize::from))
-    }
-
     /// The configured thread count.
     #[must_use]
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// `true` if this pool runs everything inline.
-    #[must_use]
-    pub fn is_sequential(&self) -> bool {
-        self.threads == 1
     }
 
     /// Applies `f` to every index in `0..n`, returning results in index
@@ -182,7 +170,5 @@ mod tests {
     #[test]
     fn pool_clamps_to_one_thread() {
         assert_eq!(PlannerPool::new(0).threads(), 1);
-        assert!(PlannerPool::sequential().is_sequential());
-        assert!(PlannerPool::host_sized().threads() >= 1);
     }
 }

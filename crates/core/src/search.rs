@@ -35,26 +35,21 @@
 //! runs branchless ([`is_better_score`]), and only the final winner
 //! materializes into a [`PlanEvaluation`]. [`ScatterGatherSearch::reference_search_boxed`]
 //! preserves the historical per-candidate boxed implementation as a
-//! differential oracle. On top of the arena, a [`ReplanCache`] can make
-//! re-planning *incremental*: scores already computed by a previous
-//! search of the same query survive timeline revisions outside their
-//! dirty window and are reused instead of recomputed — transparently
-//! below the search algorithm, so outcomes, counters and emitted events
-//! stay bit-identical (see [`crate::repair`]).
+//! differential oracle.
 //!
 //! # Entry points
 //!
 //! [`ScatterGatherSearch::search_from`] is the plain search.
 //! [`ScatterGatherSearch::search_with`] takes the optional layers of a
-//! [`SearchOpts`]: a [`PhaseMemo`] of pruning frontiers, a
-//! [`ReplanCache`], a [`Tracer`] and a [`SearchAudit`]. No layer changes
-//! the chosen plan or the boundary. Without a memo the search takes the
-//! *plain walk*, wave by wave. With one it takes the *frontier walk*:
-//! it enumerates the gather waves against the scatter boundary, probes
-//! the memo for each, scores what the probes leave, and replays the
-//! plain walk's boundary pruning over those scores. Both walks run on
-//! the calling thread; callers that plan many queries parallelize per
-//! query (see [`crate::parallel::PlannerPool`]).
+//! [`SearchOpts`]: a [`PhaseMemo`] of pruning frontiers, a [`Tracer`]
+//! and a [`SearchAudit`]. No layer changes the chosen plan or the
+//! boundary. Without a memo the search takes the *plain walk*, wave by
+//! wave. With one it takes the *frontier walk*: it enumerates the
+//! gather waves against the scatter boundary, probes the memo for each,
+//! scores what the probes leave, and replays the plain walk's boundary
+//! pruning over those scores. Both walks run on the calling thread;
+//! callers that plan many queries parallelize per query (see
+//! [`crate::parallel::PlannerPool`]).
 
 use std::collections::BTreeSet;
 
@@ -69,7 +64,6 @@ use crate::plan::{
     evaluate_plan, CandidateScore, PlanContext, PlanError, PlanEvaluation, QueryRequest,
     SubsetArena, Wave,
 };
-use crate::repair::{OutcomeCard, RepairSession, ReplanCache};
 
 /// Hard cap on gather iterations, protecting against unbounded searches
 /// when `λ_CL = 0` (no boundary exists) over infinite periodic schedules.
@@ -106,19 +100,15 @@ impl Default for ScatterGatherSearch {
 /// The optional layers of one [`ScatterGatherSearch::search_with`]
 /// call. `SearchOpts::default()` is the plain search.
 ///
-/// `memo` and `repair` are sound only under a *stateless* queue
-/// estimator (see [`PhaseMemo`] and [`crate::repair`]): leave them
-/// `None` when the context carries live queue state or site floors.
+/// `memo` is sound only under a *stateless* queue estimator (see
+/// [`PhaseMemo`]): leave it `None` when the context carries live queue
+/// state or site floors.
 #[derive(Debug, Default)]
 pub struct SearchOpts<'a> {
     /// Sync-phase pruning frontiers to consult and feed. The chosen
     /// plan, the boundary and the visited waves stay those of the plain
     /// search; only `plans_explored` may shrink.
     pub memo: Option<&'a PhaseMemo>,
-    /// Candidate scores left by previous searches of the same query,
-    /// reused instead of recomputed. Outcome, counters and events stay
-    /// bit-identical; only wall clock shrinks.
-    pub repair: Option<&'a ReplanCache>,
     /// Receives the search events (start, per-wave effort, bound
     /// trajectory, finish). `None` emits nothing.
     pub tracer: Option<&'a Tracer>,
@@ -170,7 +160,7 @@ impl ScatterGatherSearch {
     /// `opts`. Each layer, alone or combined, leaves the chosen plan and
     /// the boundary exactly as the plain search has them.
     ///
-    /// Without a memo this is the plain walk, with or without repair and
+    /// Without a memo this is the plain walk, with or without
     /// instrumentation. With one, the frontier walk runs instead: it
     /// probes the memo for every gather wave up front, scores what the
     /// probes leave, and replays the plain walk's boundary pruning over
@@ -189,7 +179,6 @@ impl ScatterGatherSearch {
     /// use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
     /// use ivdss_core::memo::PhaseMemo;
     /// use ivdss_core::plan::{NoQueues, PlanContext, QueryRequest};
-    /// use ivdss_core::repair::ReplanCache;
     /// use ivdss_core::search::{ScatterGatherSearch, SearchOpts};
     /// use ivdss_core::value::DiscountRates;
     /// use ivdss_costmodel::model::StylizedCostModel;
@@ -222,7 +211,7 @@ impl ScatterGatherSearch {
     ///
     /// let search = ScatterGatherSearch::new();
     /// let plain = search.search_from(&ctx, &request, request.submitted_at)?;
-    /// let (memo, cache) = (PhaseMemo::new(), ReplanCache::new());
+    /// let memo = PhaseMemo::new();
     /// let mut audit = SearchAudit::default();
     /// let layered = search.search_with(
     ///     &ctx,
@@ -230,7 +219,6 @@ impl ScatterGatherSearch {
     ///     request.submitted_at,
     ///     SearchOpts {
     ///         memo: Some(&memo),
-    ///         repair: Some(&cache),
     ///         audit: Some(&mut audit),
     ///         ..SearchOpts::default()
     ///     },
@@ -255,18 +243,7 @@ impl ScatterGatherSearch {
         }
     }
 
-    /// The plain walk: scatter, then gather wave by wave. A
-    /// [`ReplanCache`] sits strictly below it — every wave, candidate,
-    /// counter and event is produced exactly as without one; a cached
-    /// candidate merely skips the scoring kernel.
-    ///
-    /// One exception trades observability for speed without touching
-    /// the bits: when nothing observes the search (no tracer, no
-    /// audit), a re-plan at the same release floor whose recorded
-    /// [`OutcomeCard`] survived every invalidation returns that whole
-    /// outcome directly. The card's scan horizon proves a from-scratch
-    /// walk would reproduce it bit for bit (the `repair_differential`
-    /// suite pins exactly this).
+    /// The plain walk: scatter, then gather wave by wave.
     fn plain_walk(
         &self,
         ctx: &PlanContext<'_>,
@@ -275,43 +252,13 @@ impl ScatterGatherSearch {
         opts: SearchOpts<'_>,
     ) -> Result<SearchOutcome, PlanError> {
         let SearchOpts {
-            repair,
-            tracer,
-            mut audit,
-            ..
+            tracer, mut audit, ..
         } = opts;
         let disabled = Tracer::disabled();
         let tracer = tracer.unwrap_or(&disabled);
         let query = request.id();
         let submit = request.submitted_at.max(not_before);
         let replicated = replicated_footprint(ctx, request);
-        let mut session = repair.map(|cache| cache.begin(ctx, request, &replicated));
-
-        // Whole-outcome fast path: a previous search at the same release
-        // floor whose scan horizon no revision has touched IS this
-        // search — return its recorded outcome without building the
-        // arena or walking a wave. Taken only when nothing observes the
-        // wave structure (no tracer, no audit), so observed runs keep
-        // their full, byte-stable event streams.
-        if !tracer.enabled() && audit.is_none() {
-            if let Some(card) = session
-                .as_mut()
-                .and_then(|s| s.cached_outcome(submit, self.max_sync_points))
-            {
-                if let Some(s) = session.take() {
-                    s.finish();
-                }
-                return Ok(SearchOutcome {
-                    best: card
-                        .best
-                        .into_evaluation(query, card.local_tables.iter().copied().collect()),
-                    plans_explored: card.plans_explored,
-                    sync_points_visited: card.sync_points_visited,
-                    boundary: card.boundary,
-                });
-            }
-        }
-
         let arena = SubsetArena::build(ctx, request, &replicated);
         let n_masks = arena.len();
 
@@ -334,7 +281,7 @@ impl ScatterGatherSearch {
         });
         let wave = arena.wave(ctx, submit);
         for mask in 0..n_masks {
-            let score = score_one(&mut session, &arena, ctx, request, &wave, mask);
+            let score = arena.score(ctx, request, &wave, mask);
             explored += 1;
             note_candidate_score(&mut audit, &arena, mask, score);
             if is_better_score(&score, best.as_ref().map(|(s, _)| s)) {
@@ -343,7 +290,6 @@ impl ScatterGatherSearch {
         }
         let (mut best, mut best_mask) = best.expect("at least the all-remote plan exists");
         let mut boundary = self.boundary_for(ctx, request, best.information_value.value());
-        let mut scan_horizon = boundary.max(submit);
         note_bound(
             tracer,
             &mut audit,
@@ -377,14 +323,13 @@ impl ScatterGatherSearch {
             // mask 0 only adds CL, so gather waves start at mask 1.
             let wave = arena.wave(ctx, now);
             for mask in 1..n_masks {
-                let score = score_one(&mut session, &arena, ctx, request, &wave, mask);
+                let score = arena.score(ctx, request, &wave, mask);
                 explored += 1;
                 note_candidate_score(&mut audit, &arena, mask, score);
                 if is_better_score(&score, Some(&best)) {
                     best = score;
                     best_mask = mask;
                     boundary = self.boundary_for(ctx, request, best.information_value.value());
-                    scan_horizon = scan_horizon.max(boundary);
                     note_bound(
                         tracer,
                         &mut audit,
@@ -411,20 +356,6 @@ impl ScatterGatherSearch {
             release: best.execute_at,
             iv: best.information_value.value(),
         });
-        if let Some(mut session) = session {
-            session.record_outcome(OutcomeCard {
-                release_floor: submit.value().to_bits(),
-                max_sync_points: self.max_sync_points,
-                best,
-                local_tables: arena.local(best_mask).collect(),
-                plans_explored: explored,
-                sync_points_visited: visited,
-                boundary,
-                scan_horizon,
-            });
-            session.finish();
-        }
-
         Ok(SearchOutcome {
             best: arena.evaluation(request, best_mask, best),
             plans_explored: explored,
@@ -455,10 +386,7 @@ impl ScatterGatherSearch {
         opts: SearchOpts<'_>,
     ) -> Result<SearchOutcome, PlanError> {
         let SearchOpts {
-            repair,
-            tracer,
-            mut audit,
-            ..
+            tracer, mut audit, ..
         } = opts;
         let disabled = Tracer::disabled();
         let tracer = tracer.unwrap_or(&disabled);
@@ -467,7 +395,6 @@ impl ScatterGatherSearch {
         let replicated = replicated_footprint(ctx, request);
         let arena = SubsetArena::build(ctx, request, &replicated);
         let n_masks = arena.len();
-        let mut session = repair.map(|cache| cache.begin(ctx, request, &replicated));
 
         tracer.emit_with(submit, || EventKind::SearchStarted {
             query,
@@ -487,14 +414,7 @@ impl ScatterGatherSearch {
             };
         let mut pruned = n_masks - scatter_masks.len();
         let scatter_wave = arena.wave(ctx, submit);
-        let scatter_evals = score_wave(
-            &mut session,
-            &arena,
-            ctx,
-            request,
-            &scatter_wave,
-            &scatter_masks,
-        );
+        let scatter_evals = score_wave(&arena, ctx, request, &scatter_wave, &scatter_masks);
         let mut explored = scatter_evals.len();
         tracer.emit_with(submit, || EventKind::SearchWave {
             query,
@@ -570,7 +490,7 @@ impl ScatterGatherSearch {
         let wave_evals: Vec<Vec<CandidateScore>> = waves
             .iter()
             .zip(&wave_masks)
-            .map(|(wave, masks)| score_wave(&mut session, &arena, ctx, request, wave, masks))
+            .map(|(wave, masks)| score_wave(&arena, ctx, request, wave, masks))
             .collect();
 
         // Record frontiers of the fully scored (miss) waves — valid
@@ -635,10 +555,6 @@ impl ScatterGatherSearch {
             release: best.execute_at,
             iv: best.information_value.value(),
         });
-        if let Some(session) = session {
-            session.finish();
-        }
-
         Ok(SearchOutcome {
             best: arena.evaluation(request, best_mask, best),
             plans_explored: explored,
@@ -652,8 +568,8 @@ impl ScatterGatherSearch {
     /// [`PlanEvaluation`] through [`evaluate_plan`], the incumbent
     /// cloned on every improvement. Kept verbatim as the differential
     /// oracle the arena hot path is pinned against (the
-    /// `repair_differential` suite and the `arena_vs_boxed` bench
-    /// cells).
+    /// `revision_stream_differential` suite and the `arena_vs_boxed`
+    /// bench cell).
     ///
     /// # Errors
     ///
@@ -728,28 +644,8 @@ impl ScatterGatherSearch {
     }
 }
 
-/// Scores one candidate through the repair session when one is open
-/// (reusing a surviving score if the cache has it), directly off the
-/// arena otherwise. Identical bits either way.
-fn score_one(
-    session: &mut Option<RepairSession<'_>>,
-    arena: &SubsetArena,
-    ctx: &PlanContext<'_>,
-    request: &QueryRequest,
-    wave: &Wave,
-    mask: usize,
-) -> CandidateScore {
-    match session {
-        Some(s) => s.score(arena, ctx, request, wave, mask),
-        None => arena.score(ctx, request, wave, mask),
-    }
-}
-
-/// Scores `masks` released at `wave`, in order, through [`score_one`].
-/// No `(release, mask)` slot repeats within one search, so the repair
-/// counters do not depend on the order slots are scored in.
+/// Scores `masks` released at `wave`, in order.
 fn score_wave(
-    session: &mut Option<RepairSession<'_>>,
     arena: &SubsetArena,
     ctx: &PlanContext<'_>,
     request: &QueryRequest,
@@ -758,7 +654,7 @@ fn score_wave(
 ) -> Vec<CandidateScore> {
     masks
         .iter()
-        .map(|&mask| score_one(session, arena, ctx, request, wave, mask))
+        .map(|&mask| arena.score(ctx, request, wave, mask))
         .collect()
 }
 
@@ -1061,52 +957,6 @@ mod tests {
     }
 
     #[test]
-    fn repaired_search_is_bit_identical_and_reuses_scores() {
-        let (catalog, timelines) = fixture(&[(0, 8.0), (1, 2.0), (2, 5.0)]);
-        let model = StylizedCostModel::paper_fig4();
-        let search = ScatterGatherSearch::new();
-        let ctx = ctx(&catalog, &timelines, &model, DiscountRates::new(0.05, 0.05));
-        let req = QueryRequest::new(
-            QuerySpec::new(QueryId::new(0), vec![t(0), t(1), t(2), t(3)]),
-            SimTime::new(11.0),
-        );
-        let cache = crate::repair::ReplanCache::new();
-        let scratch = search.search_from(&ctx, &req, req.submitted_at).unwrap();
-        let repaired = |floor: SimTime| {
-            let opts = SearchOpts {
-                repair: Some(&cache),
-                ..SearchOpts::default()
-            };
-            search.search_with(&ctx, &req, floor, opts).unwrap()
-        };
-        let cold = repaired(req.submitted_at);
-        assert_eq!(cold, scratch, "cold repaired run matches from-scratch");
-        assert_eq!(cache.stats().hits, 0);
-        let warm = repaired(req.submitted_at);
-        assert_eq!(warm, scratch, "warm repaired run matches from-scratch");
-        let stats = cache.stats();
-        assert_eq!(
-            stats.outcome_hits, 1,
-            "a warm identical re-plan reuses the whole recorded outcome"
-        );
-        assert_eq!(
-            stats.hits, 0,
-            "the outcome tier answers before any per-candidate probe"
-        );
-
-        // A later release floor cannot reuse the outcome card, but the
-        // gather waves still sit on the shared absolute sync grid, so
-        // the per-candidate tier reuses their scores.
-        let floor = SimTime::new(12.0);
-        let later = repaired(floor);
-        let later_scratch = search.search_from(&ctx, &req, floor).unwrap();
-        assert_eq!(later, later_scratch, "floored repaired run matches scratch");
-        let stats = cache.stats();
-        assert_eq!(stats.outcome_hits, 1, "a new floor must miss the card");
-        assert!(stats.hits > 0, "shared-grid scores are reused");
-    }
-
-    #[test]
     fn bound_prunes_work() {
         let (catalog, timelines) = fixture(&[(0, 8.0), (1, 2.0), (2, 5.0)]);
         let model = StylizedCostModel::paper_fig4();
@@ -1313,32 +1163,6 @@ mod tests {
         let (outcome2, rendered2, _) = run_observed();
         assert_eq!(outcome2, plain);
         assert_eq!(rendered, rendered2, "identical runs render identical bytes");
-
-        // The repaired search under observation renders the exact same
-        // bytes — the cache sits below the events.
-        let cache = crate::repair::ReplanCache::new();
-        for round in 0..2 {
-            let trace = Arc::new(Trace::new());
-            let tracer = Tracer::recording(Arc::clone(&trace));
-            let mut audit = SearchAudit::default();
-            let opts = SearchOpts {
-                repair: Some(&cache),
-                tracer: Some(&tracer),
-                audit: Some(&mut audit),
-                ..SearchOpts::default()
-            };
-            let repaired = search
-                .search_with(&ctx, &req, req.submitted_at, opts)
-                .unwrap();
-            assert_eq!(repaired, plain, "round={round}");
-            assert_eq!(audit.explored(), plain.plans_explored);
-            assert_eq!(
-                trace.render(),
-                rendered,
-                "repair must not change trace bytes (round={round})"
-            );
-        }
-        assert!(cache.stats().hits > 0, "warm round must reuse scores");
 
         // The memoized search keeps the plan under observation too, and
         // reports its memo probes.

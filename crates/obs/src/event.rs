@@ -144,18 +144,6 @@ pub enum EventKind {
         /// Sites under a release floor at re-plan time.
         floored_sites: usize,
     },
-    /// A timeline revision triggered an incremental re-plan of a queued
-    /// query: the surviving candidate scores of its previous search were
-    /// repaired in place (only the revision's dirty window recomputed)
-    /// instead of rescanning from scratch.
-    PlanRepaired {
-        /// The re-planned query.
-        query: QueryId,
-        /// Candidate scores reused from the replan cache.
-        reused: u64,
-        /// Candidate scores recomputed inside the dirty window.
-        recomputed: u64,
-    },
     /// Injected cost jitter applied at delivery.
     JitterApplied {
         /// The jittered query.
@@ -436,7 +424,6 @@ impl EventKind {
             EventKind::CacheInvalidated { .. } => "cache_invalidated",
             EventKind::CacheLookup { .. } => "cache_lookup",
             EventKind::Replanned { .. } => "replanned",
-            EventKind::PlanRepaired { .. } => "plan_repaired",
             EventKind::JitterApplied { .. } => "jitter",
             EventKind::Completed { .. } => "completed",
             EventKind::SearchStarted { .. } => "search_started",
@@ -582,17 +569,6 @@ impl TraceEvent {
                 floored_sites,
             } => {
                 let _ = write!(out, " query={} floored_sites={floored_sites}", query.raw());
-            }
-            EventKind::PlanRepaired {
-                query,
-                reused,
-                recomputed,
-            } => {
-                let _ = write!(
-                    out,
-                    " query={} reused={reused} recomputed={recomputed}",
-                    query.raw()
-                );
             }
             EventKind::JitterApplied { query, factor } => {
                 let _ = write!(out, " query={} factor={factor}", query.raw());
@@ -918,27 +894,6 @@ mod tests {
         );
         assert!(slip.render().contains("kind=slip new_time=6"));
         assert!(drop.render().contains("kind=drop"));
-    }
-
-    #[test]
-    fn plan_repaired_renders() {
-        let event = TraceEvent::new(
-            SimTime::new(3.0),
-            EventKind::PlanRepaired {
-                query: QueryId::new(5),
-                reused: 12,
-                recomputed: 4,
-            },
-        );
-        assert_eq!(
-            event.kind.name(),
-            "plan_repaired",
-            "the name feeds the per-kind counters"
-        );
-        assert_eq!(
-            event.render(),
-            "t=3 plan_repaired query=5 reused=12 recomputed=4\n"
-        );
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Fixed-boundary histograms with exact merge semantics.
 //!
-//! [`FixedHistogram`] differs from the `simkernel` histogram in one
-//! load-bearing way: bin placement is a **binary search over
-//! precomputed edges**, not a floating-point division. `(x - low) /
-//! width as usize` can misplace a sample lying exactly on a bin
-//! boundary (the same ULP class of bug as the `Periodic::
-//! last_completion_at` regression fixed in the fault-injection PR);
-//! searching the edge array makes boundary behaviour exact *by
-//! construction*: a sample equal to an interior edge always lands in
-//! the bin whose inclusive lower edge it is.
+//! [`FixedHistogram`] is the workspace's one histogram type. Bin
+//! placement is a **binary search over precomputed edges**, not a
+//! floating-point division. `(x - low) / width as usize` can misplace a
+//! sample lying exactly on a bin boundary (with 20 bins over `[0, 1)`,
+//! 0.15 divides to 2.9999999999999996 and lands one bin low — the same
+//! ULP class of bug as the old `Periodic::last_completion_at`
+//! regression); searching the edge array makes
+//! boundary behaviour exact *by construction*: a sample equal to an
+//! interior edge always lands in the bin whose inclusive lower edge it
+//! is.
 //!
 //! Merging adds per-bin integer counts of identically-bounded
 //! histograms, so `merge(a, b)` is *exactly* the histogram of the

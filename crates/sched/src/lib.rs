@@ -58,4 +58,4 @@ pub use greedy::{greedy_schedule, GreedyOutcome, GreedyPick};
 pub use optimizer::{
     AdaptiveConfig, AdaptiveOutcome, AdaptiveScheduler, GaScheduleOutcome, ScheduleSource,
 };
-pub use revise::{apply_reschedule, reschedule_revisions};
+pub use revise::reschedule_revisions;

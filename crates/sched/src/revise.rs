@@ -12,7 +12,6 @@
 //! revisions can only *reduce* the remaining refresh spend — online
 //! re-scheduling never exceeds the already-provisioned budget.
 
-use ivdss_core::repair::ReplanCache;
 use ivdss_replication::events::TimelineRevision;
 use ivdss_replication::timelines::SyncTimelines;
 use ivdss_simkernel::time::SimTime;
@@ -58,41 +57,6 @@ pub fn reschedule_revisions(
         }
     }
     out
-}
-
-/// Computes *and applies* the reschedule in one step: clones `current`,
-/// lands every [`reschedule_revisions`] revision on the clone, and —
-/// when a [`ReplanCache`] is steering dispatch — invalidates each
-/// revision's dirty window so subsequent repaired searches stay
-/// bit-identical to from-scratch searches over the revised timelines.
-///
-/// Returns the revised timelines plus the revisions that were applied
-/// (the caller typically forwards them to engines as fault events).
-///
-/// # Panics
-///
-/// Panics if a computed revision fails to land — impossible for
-/// revisions derived from `current`'s own future completions.
-#[must_use]
-pub fn apply_reschedule(
-    current: &SyncTimelines,
-    target: &SyncTimelines,
-    from: SimTime,
-    horizon: SimTime,
-    repair: Option<&ReplanCache>,
-) -> (SyncTimelines, Vec<TimelineRevision>) {
-    let revisions = reschedule_revisions(current, target, from, horizon);
-    let mut revised = current.clone();
-    for revision in &revisions {
-        assert!(
-            revised.revise(revision, horizon),
-            "reschedule revision must land: {revision:?}"
-        );
-        if let Some(cache) = repair {
-            cache.invalidate_revision(revision);
-        }
-    }
-    (revised, revisions)
 }
 
 #[cfg(test)]
@@ -186,97 +150,6 @@ mod tests {
             SimTime::new(50.0),
         );
         assert!(revisions.is_empty());
-    }
-
-    #[test]
-    fn apply_reschedule_lands_revisions_and_invalidates_the_replan_cache() {
-        use ivdss_catalog::replica::{ReplicaSpec, ReplicationPlan};
-        use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
-        use ivdss_core::plan::{NoQueues, PlanContext, QueryRequest};
-        use ivdss_core::repair::ReplanCache;
-        use ivdss_core::search::{ScatterGatherSearch, SearchOpts};
-        use ivdss_core::value::DiscountRates;
-        use ivdss_costmodel::model::StylizedCostModel;
-        use ivdss_costmodel::query::{QueryId, QuerySpec};
-        use ivdss_replication::timelines::SyncMode;
-
-        let base = synthetic_catalog(&SyntheticConfig {
-            tables: 4,
-            sites: 2,
-            replicated_tables: 0,
-            ..SyntheticConfig::default()
-        })
-        .expect("base catalog configuration is valid");
-        let mut plan = ReplicationPlan::new();
-        plan.add(t(0), ReplicaSpec::new(8.0));
-        plan.add(t(1), ReplicaSpec::new(2.0));
-        let catalog = base.with_replication(plan).expect("replication fits");
-        let current = SyncTimelines::from_plan(catalog.replication(), SyncMode::Deterministic);
-        let model = StylizedCostModel::paper_fig4();
-        let rates = DiscountRates::new(0.01, 0.05);
-        let request = QueryRequest::new(
-            QuerySpec::new(QueryId::new(7), vec![t(0), t(1)]),
-            SimTime::new(11.0),
-        );
-        let search = ScatterGatherSearch::new();
-        let cache = ReplanCache::new();
-        let repaired = |ctx: &PlanContext<'_>| {
-            let opts = SearchOpts {
-                repair: Some(&cache),
-                ..SearchOpts::default()
-            };
-            search.search_with(ctx, &request, request.submitted_at, opts)
-        };
-        // Warm the cache under the pre-reschedule timelines.
-        let warm_ctx = PlanContext {
-            catalog: &catalog,
-            timelines: &current,
-            model: &model,
-            rates,
-            queues: &NoQueues,
-        };
-        let before = repaired(&warm_ctx).expect("warming search plans");
-
-        // Steer table 1's refreshes onto a sparser, shifted grid.
-        let mut target = current.clone();
-        target.insert(t(1), Schedule::periodic(4.0, 1.0));
-        let horizon = SimTime::new(200.0);
-        let (revised, revisions) =
-            apply_reschedule(&current, &target, SimTime::new(11.0), horizon, Some(&cache));
-        assert!(!revisions.is_empty(), "the reschedule must change table 1");
-        assert!(
-            cache.stats().invalidated > 0,
-            "warm scores in the dirty window must be discarded"
-        );
-
-        // A repaired search over the revised timelines must equal the
-        // from-scratch search bit for bit — the invalidation left only
-        // scores whose slots precede every dirty window.
-        let revised_ctx = PlanContext {
-            catalog: &catalog,
-            timelines: &revised,
-            model: &model,
-            rates,
-            queues: &NoQueues,
-        };
-        let after = repaired(&revised_ctx).expect("repaired search plans");
-        let scratch = search
-            .search_from(&revised_ctx, &request, request.submitted_at)
-            .expect("from-scratch search plans");
-        assert_eq!(after, scratch, "repair diverged after a reschedule");
-        // The warm search ran at the same phase, so any surviving scores
-        // were genuinely reusable — and the counters prove the pin is
-        // not vacuous: the repaired search really consulted the cache.
-        let stats = cache.stats();
-        assert!(
-            stats.hits > 0,
-            "scatter scores before the dirty floor must survive the reschedule"
-        );
-        assert_eq!(
-            stats.hits + stats.misses,
-            (before.plans_explored + after.plans_explored) as u64,
-            "every scored candidate probes the cache exactly once"
-        );
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! per query: (1) drains completed synchronization events from the
 //! replication timelines into the plan cache's invalidator, (2) runs
 //! IV-aware admission ([`AdmissionQueue`]), (3) selects a plan — from
-//! the sync-phase [`PlanCache`] or by a fresh [`ScatterGatherSearch`]
-//! (reusing [`PhaseMemo`] pruning frontiers across dispatches) — under a
-//! [`NoQueues`] planning context, and (4) dispatches the plan
-//! through reservation-calendar facilities ([`FacilityQueues`]),
-//! re-evaluating the chosen candidate against live calendar state so the
-//! *delivered* information value reflects actual queuing.
+//! the sync-phase [`PlanCache`], or with the cache off by a fresh
+//! [`ScatterGatherSearch`] reusing [`PhaseMemo`] pruning frontiers
+//! across dispatches — under a [`NoQueues`] planning context, and (4)
+//! dispatches the plan through reservation-calendar facilities
+//! ([`FacilityQueues`]), re-evaluating the chosen candidate against
+//! live calendar state so the *delivered* information value reflects
+//! actual queuing.
 //!
 //! Planning and dispatch are deliberately split across two queue
 //! estimators. Plans are *chosen* under [`NoQueues`], which is what
@@ -56,7 +57,6 @@ use ivdss_core::plan::{
     evaluate_plan, FacilityQueues, NoQueues, PlanContext, PlanError, PlanEvaluation, QueryRequest,
     SiteFloors,
 };
-use ivdss_core::repair::ReplanCache;
 use ivdss_core::search::{ScatterGatherSearch, SearchOpts};
 use ivdss_core::starvation::AgingPolicy;
 use ivdss_core::value::DiscountRates;
@@ -99,12 +99,6 @@ pub struct ServeConfig {
     /// Plan-decision audits retained (most recent first to go; `0`
     /// disables audit collection entirely).
     pub audit_capacity: usize,
-    /// `true` makes a fault revision proactively repair the plans of
-    /// queued queries touching the revised table (emitting a
-    /// `plan_repaired` trace event per query), so their dispatch-time
-    /// searches start warm. Off by default: it adds events to the
-    /// trace.
-    pub replan_on_revision: bool,
 }
 
 impl ServeConfig {
@@ -120,7 +114,6 @@ impl ServeConfig {
             use_cache: true,
             dispatch_backlog: SimDuration::new(f64::INFINITY),
             audit_capacity: 256,
-            replan_on_revision: false,
         }
     }
 }
@@ -153,6 +146,22 @@ pub struct SubmitReport {
     /// Queries dispatched and delivered during this step, in dispatch
     /// order.
     pub completed: Vec<Completion>,
+}
+
+/// What [`ServeEngine::replan_cache`] returns: zero counters.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ZeroReplanStats {
+    pub hits: u64,
+    pub misses: u64,
+}
+
+#[doc(hidden)]
+impl ZeroReplanStats {
+    #[must_use]
+    pub fn stats(self) -> Self {
+        self
+    }
 }
 
 /// Replay state of an armed [`FaultPlan`].
@@ -207,23 +216,17 @@ pub struct ServeEngine<'a, C: Clock> {
     /// Dispatch-time plan searches: cache-off planning, outage
     /// re-planning and the fault-free IV bound.
     search: ScatterGatherSearch,
-    /// Sync-phase pruning frontiers reused across dispatch searches.
-    /// Keyed by phase *offsets*, so timeline revisions never invalidate
-    /// it, and only consulted under stateless-queue contexts (the
-    /// [`NoQueues`] planning and nominal-bound paths — never the
-    /// floored outage re-plan). Owned per engine by default; a cluster
+    /// Sync-phase pruning frontiers reused across the cache-off
+    /// dispatch searches. Keyed by phase *offsets*, so timeline
+    /// revisions never invalidate it, and only consulted under the
+    /// stateless [`NoQueues`] planning context — never by the floored
+    /// outage re-plan. Owned per engine by default; a cluster
     /// shares one across its shards via
     /// [`ServeEngine::with_phase_memo`] — the sharded memo makes that
     /// contention-cheap, and [`PhaseKey`](ivdss_core::memo::PhaseKey)
     /// carries the replicated footprint, so shards with different
     /// replication plans cannot collide.
     memo: Arc<PhaseMemo>,
-    /// Candidate scores surviving from previous searches, reused by
-    /// dispatch-time fresh searches (incremental re-planning). Only
-    /// sound under the [`NoQueues`] planning context, and invalidated
-    /// on every applied timeline revision — the floored outage re-plan
-    /// and the nominal-bound search (different timelines!) bypass it.
-    replan: ReplanCache,
     /// Storage-backed evaluation mode: when armed via
     /// [`ServeEngine::with_storage`], dispatch executes a real scan per
     /// local replica of the chosen plan and the delivered evaluation
@@ -266,7 +269,6 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
             faults: None,
             search: ScatterGatherSearch::new(),
             memo: Arc::new(PhaseMemo::new()),
-            replan: ReplanCache::new(),
             storage: None,
             tracer: Tracer::disabled(),
             audits: AuditLog::new(config.audit_capacity),
@@ -449,11 +451,13 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
         Arc::clone(&self.memo)
     }
 
-    /// The incremental re-planning cache (hit/miss/invalidation
-    /// counters for observability).
+    /// Kept only for servebench's traced run, which reads
+    /// `replan_cache().stats()` for its `replan.hit_share` metric. The
+    /// engine has no replan cache, so both counters read zero.
+    #[doc(hidden)]
     #[must_use]
-    pub fn replan_cache(&self) -> &ReplanCache {
-        &self.replan
+    pub fn replan_cache(&self) -> ZeroReplanStats {
+        ZeroReplanStats::default()
     }
 
     /// The engine's emission handle (disabled unless attached via
@@ -509,8 +513,7 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
     /// Revisions are applied *before* the sync cursor advances, so a
     /// slipped or dropped completion is never delivered at its nominal
     /// time: the cursor walks the already-revised belief.
-    fn sync_tick(&mut self, now: SimTime) -> Result<(), PlanError> {
-        let mut revised: Vec<TableId> = Vec::new();
+    fn sync_tick(&mut self, now: SimTime) {
         if let Some(faults) = &mut self.faults {
             let due = faults.revisions.advance_to(faults.plan.revisions(), now);
             for revision in due {
@@ -521,14 +524,6 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
                 {
                     let evicted = self.cache.invalidate_table(revision.table);
                     self.metrics.record_cache_invalidations(evicted as u64);
-                    // The replan cache keeps every candidate score the
-                    // revision cannot have touched (its dirty floor);
-                    // the invalidation is what keeps incremental
-                    // re-planning bit-exact.
-                    self.replan.invalidate_revision(revision);
-                    if !revised.contains(&revision.table) {
-                        revised.push(revision.table);
-                    }
                     if revision.new_time.is_some() {
                         self.metrics.record_fault_slip();
                     } else {
@@ -565,51 +560,6 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
             }
         }
         self.metrics.set_cache_size(self.cache.len());
-        if self.config.replan_on_revision {
-            self.repair_queued(now, &revised)?;
-        }
-        Ok(())
-    }
-
-    /// Proactively repairs the plans of queued queries whose footprint
-    /// touches a just-revised table: each runs an incremental repaired
-    /// search *now* (scores outside the revision's dirty window are
-    /// reused, the dirty ones recomputed), leaving the replan cache warm
-    /// for its dispatch-time search. One `plan_repaired` event per
-    /// repaired query reports how much survived.
-    fn repair_queued(&mut self, now: SimTime, revised: &[TableId]) -> Result<(), PlanError> {
-        if revised.is_empty() || self.queue.is_empty() {
-            return Ok(());
-        }
-        let affected: Vec<QueryRequest> = self
-            .queue
-            .iter()
-            .filter(|q| q.request.query.tables().iter().any(|t| revised.contains(t)))
-            .map(|q| q.request.clone())
-            .collect();
-        for request in affected {
-            let query = request.id();
-            let before = self.replan.stats();
-            // The inner search is deliberately unobserved: the repair is
-            // a warm-up, and the dispatch-time search re-emits the full
-            // search trace exactly as without repair.
-            let opts = SearchOpts {
-                memo: Some(&self.memo),
-                repair: Some(&self.replan),
-                ..SearchOpts::default()
-            };
-            self.search
-                .search_with(&planning_ctx!(self), &request, request.submitted_at, opts)?;
-            let after = self.replan.stats();
-            let reused = after.hits - before.hits;
-            let recomputed = after.misses - before.misses;
-            self.tracer.emit_with(now, || EventKind::PlanRepaired {
-                query,
-                reused,
-                recomputed,
-            });
-        }
-        Ok(())
     }
 
     /// Moves the engine's clock to `to` (if in the future), delivering
@@ -622,7 +572,7 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
     pub fn advance_to(&mut self, to: SimTime) -> Result<Vec<Completion>, PlanError> {
         self.clock.advance_to(to);
         let now = self.clock.now();
-        self.sync_tick(now)?;
+        self.sync_tick(now);
         self.pump(now, false)
     }
 
@@ -640,7 +590,7 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
     pub fn submit(&mut self, request: QueryRequest) -> Result<SubmitReport, PlanError> {
         self.clock.advance_to(request.submitted_at);
         let now = self.clock.now();
-        self.sync_tick(now)?;
+        self.sync_tick(now);
         self.metrics.record_submitted();
 
         let floors = self.current_floors(now);
@@ -672,7 +622,7 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
     /// Propagates [`PlanError`] from planning a dispatched query.
     pub fn accept(&mut self, queued: QueuedQuery) -> Result<SubmitReport, PlanError> {
         let now = self.clock.now();
-        self.sync_tick(now)?;
+        self.sync_tick(now);
         let floors = self.current_floors(now);
         let floored = SiteFloors::new(&NoQueues, floors);
         let arrival = queued.request.id();
@@ -780,15 +730,11 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
             };
             eval
         } else {
-            // NoQueues context → the sync-phase memo and the replan
-            // cache are both sound here. Repair is transparent: the
-            // outcome, counters and emitted search events are
-            // bit-identical with or without it.
+            // NoQueues context → the sync-phase memo is sound here.
             source = PlanSource::FreshSearch;
             let mut audit = collect_audit.then(SearchAudit::default);
             let opts = SearchOpts {
                 memo: Some(&self.memo),
-                repair: Some(&self.replan),
                 tracer: Some(&self.tracer),
                 audit: audit.as_mut(),
             };
@@ -827,8 +773,8 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
                 });
                 source = PlanSource::OutageReplan;
                 let floored = SiteFloors::new(&NoQueues, floors.clone());
-                // Floors are time-dependent queue state → the memo and
-                // the replan cache are both unsound here.
+                // Floors are time-dependent queue state → the memo is
+                // unsound here.
                 let mut audit = collect_audit.then(SearchAudit::default);
                 let opts = SearchOpts {
                     tracer: Some(&self.tracer),
@@ -949,17 +895,10 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
                 rates: self.config.rates,
                 queues: &NoQueues,
             };
-            // NoQueues again — and the memo keys phase *offsets*, so the
-            // nominal and revised-belief timelines share frontiers
-            // whenever their phases line up.
-            let opts = SearchOpts {
-                memo: Some(&self.memo),
-                ..SearchOpts::default()
-            };
-            let ideal = self
-                .search
-                .search_with(&nominal_ctx, &request, now, opts)?
-                .best;
+            // The plain walk: this bound feeds a metric and decides
+            // nothing, and the memo's frontier walk gives the same IV
+            // more slowly here.
+            let ideal = self.search.search_from(&nominal_ctx, &request, now)?.best;
             iv_lost =
                 (ideal.information_value.value() - delivered.information_value.value()).max(0.0);
             self.metrics.record_fault_iv_lost(iv_lost);
@@ -1012,7 +951,7 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
     /// Propagates [`PlanError`] from planning a dispatched query.
     pub fn drain(&mut self) -> Result<Vec<Completion>, PlanError> {
         let now = self.clock.now();
-        self.sync_tick(now)?;
+        self.sync_tick(now);
         self.pump(now, true)
     }
 

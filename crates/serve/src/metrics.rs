@@ -1,10 +1,11 @@
 //! Serving-engine metrics: counters, gauges and fixed-boundary
 //! histograms, with point-in-time snapshots and a text-format dump.
 //!
-//! The registry reuses the collectors of [`ivdss_simkernel::stats`]:
-//! latency and information-value distributions are [`Histogram`]s with
-//! *fixed* bucket boundaries (so dumps from different runs are directly
-//! comparable bucket-by-bucket), queue depth is a [`TimeWeighted`] gauge
+//! Latency and information-value distributions are
+//! [`FixedHistogram`]s: *fixed* bucket boundaries (so dumps from
+//! different runs are directly comparable bucket-by-bucket) and exact
+//! placement of a sample that lies on an edge. Queue depth is a
+//! [`TimeWeighted`] gauge
 //! (its mean weights each depth by how long the queue sat at it, the
 //! standard DES occupancy statistic), and delivered IV keeps streaming
 //! moments in an [`OnlineStats`].
@@ -15,7 +16,8 @@
 //! Prometheus-flavoured exposition format (counters end in `_total`,
 //! histogram buckets are cumulative with `le` upper bounds).
 
-use ivdss_simkernel::stats::{Histogram, OnlineStats, TimeWeighted};
+use ivdss_obs::FixedHistogram;
+use ivdss_simkernel::stats::{OnlineStats, TimeWeighted};
 use ivdss_simkernel::time::{SimDuration, SimTime};
 
 /// Upper bound (minutes) of the computational/synchronization latency
@@ -46,12 +48,12 @@ pub struct ServeMetrics {
     faults_syncs_dropped: u64,
     faults_outages: u64,
     faults_replans: u64,
-    faults_iv_lost: Histogram,
+    faults_iv_lost: FixedHistogram,
     faults_iv_lost_sum: f64,
     queue_depth: TimeWeighted,
-    cl: Histogram,
-    sl: Histogram,
-    iv: Histogram,
+    cl: FixedHistogram,
+    sl: FixedHistogram,
+    iv: FixedHistogram,
     iv_stats: OnlineStats,
 }
 
@@ -74,12 +76,12 @@ impl ServeMetrics {
             faults_syncs_dropped: 0,
             faults_outages: 0,
             faults_replans: 0,
-            faults_iv_lost: Histogram::new(0.0, IV_HIST_MAX, IV_HIST_BINS),
+            faults_iv_lost: FixedHistogram::new(0.0, IV_HIST_MAX, IV_HIST_BINS),
             faults_iv_lost_sum: 0.0,
             queue_depth: TimeWeighted::new(start, 0.0),
-            cl: Histogram::new(0.0, LATENCY_HIST_MAX, LATENCY_HIST_BINS),
-            sl: Histogram::new(0.0, LATENCY_HIST_MAX, LATENCY_HIST_BINS),
-            iv: Histogram::new(0.0, IV_HIST_MAX, IV_HIST_BINS),
+            cl: FixedHistogram::new(0.0, LATENCY_HIST_MAX, LATENCY_HIST_BINS),
+            sl: FixedHistogram::new(0.0, LATENCY_HIST_MAX, LATENCY_HIST_BINS),
+            iv: FixedHistogram::new(0.0, IV_HIST_MAX, IV_HIST_BINS),
             iv_stats: OnlineStats::new(),
         }
     }
@@ -207,8 +209,8 @@ impl ServeMetrics {
     }
 }
 
-/// Frozen histogram state: fixed bounds, per-bin counts and the
-/// out-of-range tallies.
+/// Frozen histogram state: fixed bounds and edges, per-bin counts and
+/// the out-of-range tallies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     /// Inclusive lower bound of the first bin.
@@ -221,19 +223,21 @@ pub struct HistogramSnapshot {
     pub underflow: u64,
     /// Samples at or above `high`.
     pub overflow: u64,
+    /// The `bins.len() + 1` ascending edges placement used: bin `i`
+    /// covers `[edges[i], edges[i + 1])`, from `low` to `high`.
+    pub edges: Vec<f64>,
 }
 
 impl HistogramSnapshot {
-    fn from_histogram(h: &Histogram) -> Self {
-        let bins = h.bins().to_vec();
-        let (low, _) = h.bin_bounds(0);
-        let (_, high) = h.bin_bounds(bins.len() - 1);
+    fn from_histogram(h: &FixedHistogram) -> Self {
+        let edges = h.edges().to_vec();
         HistogramSnapshot {
-            low,
-            high,
-            bins,
+            low: edges[0],
+            high: edges[edges.len() - 1],
+            bins: h.bins().to_vec(),
             underflow: h.underflow(),
             overflow: h.overflow(),
+            edges,
         }
     }
 
@@ -243,11 +247,11 @@ impl HistogramSnapshot {
         self.underflow + self.overflow + self.bins.iter().sum::<u64>()
     }
 
-    /// Upper bound of bin `idx`.
+    /// Exclusive upper bound of bin `idx`: the edge that opens the next
+    /// bin.
     #[must_use]
     pub fn upper_bound(&self, idx: usize) -> f64 {
-        let width = (self.high - self.low) / self.bins.len() as f64;
-        self.low + width * (idx as f64 + 1.0)
+        self.edges[idx + 1]
     }
 
     fn dump(&self, name: &str, out: &mut String) {
@@ -415,6 +419,23 @@ mod tests {
         assert_eq!(snap.iv.overflow, 1, "IV above unit BV overflows");
         assert!((snap.total_delivered_iv - 2.32).abs() < 1e-12);
         assert!((snap.mean_delivered_iv - 1.16).abs() < 1e-12);
+    }
+
+    #[test]
+    fn iv_on_a_bin_edge_lands_in_the_bin_it_opens() {
+        let mut m = ServeMetrics::new(SimTime::ZERO);
+        let on_edges = [0.15, 0.3, 0.35, 0.6, 0.7, 0.95];
+        for iv in on_edges {
+            m.record_completion(SimDuration::ZERO, SimDuration::ZERO, iv);
+        }
+        let snap = m.snapshot(SimTime::ZERO);
+        for (iv, bin) in on_edges.into_iter().zip([3, 6, 7, 12, 14, 19]) {
+            assert_eq!(snap.iv.bins[bin], 1, "IV {iv} must land in bin {bin}");
+            assert_eq!(snap.iv.upper_bound(bin - 1), iv, "bin {bin} opens at {iv}");
+        }
+        let text = snap.to_text();
+        assert!(text.contains("serve_delivered_iv_bucket{le=\"0.15\"} 0"));
+        assert!(text.contains("serve_delivered_iv_bucket{le=\"0.2\"} 1"));
     }
 
     #[test]

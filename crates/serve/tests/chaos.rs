@@ -19,6 +19,9 @@
 //!    belief (an invalidated phase is never servable).
 //! 5. **Determinism** — the same seed reproduces the identical metrics
 //!    text dump, byte for byte.
+//! 6. **One reuse layer** — with the plan cache on (the default), no
+//!    search probes the phase memo: cache misses, outage re-plans and
+//!    the fault-free `iv_lost` bound all run without it.
 //!
 //! The suite is a plain seeded loop (not proptest): every seed in the
 //! band runs on every invocation, so a failure names a seed that will
@@ -134,6 +137,7 @@ fn run(s: &Scenario) -> (LoadReport, String) {
 
     // Invariant 1: quiescence.
     assert_eq!(engine.queue_depth(), 0, "drained engine must be empty");
+
     assert_eq!(
         report.completions.len() + report.shed.len(),
         s.requests.len(),
@@ -225,6 +229,15 @@ fn run(s: &Scenario) -> (LoadReport, String) {
             c.iv_lost
         );
     }
+
+    // Invariant 6: the cache-on configuration plans from the plan cache
+    // alone; the phase memo serves only the cache-off search.
+    let memo = engine.memo().stats();
+    assert_eq!(
+        memo.hits + memo.misses,
+        0,
+        "the cache-on engine probed the phase memo: {memo:?}"
+    );
 
     let text = engine.snapshot().to_text();
     (report, text)

@@ -14,8 +14,8 @@
 //!   [`rng::ExponentialStream`] the paper uses for query arrivals and table
 //!   synchronization, plus a [`rng::SeedFactory`] for common-random-number
 //!   experiments;
-//! * [`stats`] — online moments, time-weighted gauges, histograms and exact
-//!   quantiles for collecting experiment outputs;
+//! * [`stats`] — online moments, time-weighted gauges and exact quantiles
+//!   for collecting experiment outputs;
 //! * [`facility`] — analytic FIFO server models used both by the simulator
 //!   and by the planners when they estimate queuing delay.
 //!
@@ -61,5 +61,5 @@ pub use facility::{Calendar, Facility, MultiFacility, ServiceWindow};
 pub use rng::{
     ConstantStream, ErlangStream, ExponentialStream, SeedFactory, Stream, UniformStream,
 };
-pub use stats::{Histogram, OnlineStats, SampleSet, TimeWeighted};
+pub use stats::{OnlineStats, SampleSet, TimeWeighted};
 pub use time::{SimDuration, SimTime};

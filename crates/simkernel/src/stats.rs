@@ -3,8 +3,8 @@
 //! Every figure in the paper reports an aggregate over many simulated
 //! queries (mean information value, per-query latencies, …). These
 //! collectors provide numerically stable online moments ([`OnlineStats`]),
-//! time-weighted averages of gauges ([`TimeWeighted`]), fixed-bin
-//! histograms ([`Histogram`]) and exact quantiles ([`SampleSet`]).
+//! time-weighted averages of gauges ([`TimeWeighted`]) and exact
+//! quantiles ([`SampleSet`]).
 
 use std::fmt;
 
@@ -215,91 +215,6 @@ impl TimeWeighted {
     }
 }
 
-/// A fixed-width-bin histogram over `[low, high)` with under/overflow bins.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    low: f64,
-    high: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram over `[low, high)` with `bins` equal-width bins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `low >= high` or `bins == 0`.
-    #[must_use]
-    pub fn new(low: f64, high: f64, bins: usize) -> Self {
-        assert!(low < high, "histogram bounds must satisfy low < high");
-        assert!(bins > 0, "histogram needs at least one bin");
-        Histogram {
-            low,
-            high,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        assert!(!x.is_nan(), "cannot record NaN");
-        self.count += 1;
-        if x < self.low {
-            self.underflow += 1;
-        } else if x >= self.high {
-            self.overflow += 1;
-        } else {
-            let width = (self.high - self.low) / self.bins.len() as f64;
-            let idx = ((x - self.low) / width) as usize;
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Per-bin counts (excluding under/overflow).
-    #[must_use]
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Count of observations below the histogram range.
-    #[must_use]
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Count of observations at or above the histogram range.
-    #[must_use]
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total number of recorded observations.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// The `(low, high)` bounds of bin `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of bounds.
-    #[must_use]
-    pub fn bin_bounds(&self, idx: usize) -> (f64, f64) {
-        assert!(idx < self.bins.len(), "bin index out of range");
-        let width = (self.high - self.low) / self.bins.len() as f64;
-        let lo = self.low + width * idx as f64;
-        (lo, lo + width)
-    }
-}
-
 /// Stores all samples for exact quantiles — fine at experiment scale
 /// (thousands of queries per run).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -449,20 +364,6 @@ mod tests {
         g.add(SimTime::new(5.0), -3.0);
         assert_eq!(g.current(), 0.0);
         assert_eq!(g.peak(), 3.0);
-    }
-
-    #[test]
-    fn histogram_bins_and_overflow() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [0.5, 1.5, 2.5, 9.9, -1.0, 10.0, 25.0] {
-            h.record(x);
-        }
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.bins(), &[2, 1, 0, 0, 1]);
-        assert_eq!(h.bin_bounds(0), (0.0, 2.0));
-        assert_eq!(h.bin_bounds(4), (8.0, 10.0));
     }
 
     #[test]
