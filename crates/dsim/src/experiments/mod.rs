@@ -15,7 +15,6 @@ pub mod fig67;
 pub mod fig8;
 pub mod fig9;
 pub mod scenarios;
-pub mod serve_net;
 
 pub use adaptive_sync::{
     run_adaptive_chaos_point, run_adaptive_point, run_adaptive_sync, AdaptiveChaosPoint,
@@ -39,4 +38,3 @@ pub use scenarios::{
     run_all_scenarios, run_scenario, run_scenario_traced, ScenarioPoint, ScenarioResults,
     TenantPoint,
 };
-pub use serve_net::{run_net_point, NetMode, NetServeConfig, NetServePoint};

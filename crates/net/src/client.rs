@@ -2,9 +2,10 @@
 //!
 //! One [`NetClient`] wraps one TCP connection and speaks strict
 //! request/response: every call writes one frame and blocks for the
-//! answering frame. That is all the loopback suites and the closed-loop
-//! load driver need — a driver wanting pipelining opens more
-//! connections instead.
+//! answering frame. That is all the loopback suites need. A caller that
+//! keeps several frames in flight, as the serving benchmark does, writes
+//! and reads them on its own socket with [`write_frame`] and
+//! [`read_frame_blocking`].
 
 use std::net::{TcpStream, ToSocketAddrs};
 

@@ -23,10 +23,9 @@
 //!   workers assembling frames under a short read timeout, every
 //!   request executed on the single engine thread in channel order.
 //! * [`client`] — a blocking request/response client.
-//! * [`driver`] — a closed-loop load driver (fixed client population,
-//!   batched submissions, RTT histogram) backing the
-//!   `BENCH_serve_net.json` trajectory.
 //!
+//! The serving benchmark (`servebench/`, its own cargo workspace)
+//! drives this crate over loopback and writes `BENCH_serve_net.json`.
 //! See `docs/SERVING_NET.md` for the frame layout and the wall-clock
 //! time-unit semantics.
 
@@ -34,13 +33,11 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod driver;
 pub mod proto;
 pub mod server;
 pub mod service;
 
 pub use client::{NetClient, NetError};
-pub use driver::{run_net_closed_loop, DriverConfig, NetLoadReport, SubmitTiming};
 pub use proto::{
     CompletionMsg, ErrorCode, ReportMsg, Request, Response, RouteMsg, ShedMsg, SubmitSpec,
     WireError, MAX_FRAME_LEN, PROTOCOL_VERSION,

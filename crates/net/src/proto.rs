@@ -154,16 +154,16 @@ impl SubmitSpec {
         }
     }
 
-    /// Validates the spec and converts it to an engine request, stamping
-    /// `now` when no submission time was carried.
+    /// Checks every field the engine's constructors would reject. No
+    /// check depends on the stamping time, so a whole batch can be
+    /// validated before any of it is submitted.
     ///
     /// # Errors
     ///
-    /// Returns [`WireError::Invalid`] on any field the engine's
-    /// constructors would reject — empty footprint, non-positive or
-    /// non-finite weight/business value, selectivity outside `(0, 1]`,
-    /// or a non-finite submission time.
-    pub fn to_request(&self, now: SimTime) -> Result<QueryRequest, WireError> {
+    /// Returns [`WireError::Invalid`] on an empty footprint, a
+    /// non-positive or non-finite weight/business value, a selectivity
+    /// outside `(0, 1]`, or a non-finite submission time.
+    pub fn validate(&self) -> Result<(), WireError> {
         if self.tables.is_empty() {
             return Err(WireError::Invalid("empty table footprint"));
         }
@@ -178,13 +178,22 @@ impl SubmitSpec {
                 "business value must be positive and finite",
             ));
         }
-        let submitted_at = match self.submitted_at {
-            Some(t) if !t.is_finite() => {
-                return Err(WireError::Invalid("submission time must be finite"))
-            }
-            Some(t) => SimTime::new(t),
-            None => now,
-        };
+        if self.submitted_at.is_some_and(|t| !t.is_finite()) {
+            return Err(WireError::Invalid("submission time must be finite"));
+        }
+        Ok(())
+    }
+
+    /// Validates the spec and converts it to an engine request, stamping
+    /// `now` when no submission time was carried.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError::Invalid`] on any field
+    /// [`SubmitSpec::validate`] refuses.
+    pub fn to_request(&self, now: SimTime) -> Result<QueryRequest, WireError> {
+        self.validate()?;
+        let submitted_at = self.submitted_at.map_or(now, SimTime::new);
         let tables: Vec<TableId> = self.tables.iter().map(|&t| TableId::new(t)).collect();
         let spec =
             QuerySpec::with_profile(QueryId::new(self.id), tables, self.weight, self.selectivity);

@@ -31,7 +31,7 @@ use std::collections::HashMap;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -39,8 +39,8 @@ use ivdss_costmodel::query::QueryId;
 use ivdss_simkernel::time::SimTime;
 
 use crate::proto::{
-    write_frame, ErrorCode, FrameReader, ReadEvent, ReportMsg, Request, Response, WireError,
-    PROTOCOL_VERSION,
+    write_frame, ErrorCode, FrameReader, ReadEvent, ReportMsg, Request, Response, SubmitSpec,
+    WireError, PROTOCOL_VERSION,
 };
 use crate::service::QueryService;
 
@@ -312,6 +312,14 @@ impl NetServer {
                 },
             },
             Request::SubmitBatch(specs) => {
+                // All or nothing on validation: a batch holding an
+                // invalid spec is refused before any spec is admitted.
+                if let Err(err) = specs.iter().try_for_each(SubmitSpec::validate) {
+                    return Response::Error {
+                        code: ErrorCode::Malformed,
+                        message: err.to_string(),
+                    };
+                }
                 let mut merged = ReportMsg::default();
                 for spec in specs {
                     match spec.to_request(service.now()) {
@@ -404,14 +412,4 @@ fn read_loop(conn: u64, mut stream: TcpStream, tx: &Sender<ConnEvent>, shutdown:
         }
     }
     let _ = tx.send(ConnEvent::Closed(conn));
-}
-
-/// Drains a channel receiver without blocking (used by tests).
-#[doc(hidden)]
-pub fn drain_events<T>(rx: &Receiver<T>) -> Vec<T> {
-    let mut out = Vec::new();
-    while let Ok(x) = rx.try_recv() {
-        out.push(x);
-    }
-    out
 }

@@ -27,7 +27,7 @@ use ivdss_net::server::{NetConfig, NetServer};
 use ivdss_net::service::QueryService;
 use ivdss_net::{NetClient, NetError};
 use ivdss_replication::timelines::{SyncMode, SyncTimelines};
-use ivdss_serve::clock::DesClock;
+use ivdss_serve::clock::{Clock, DesClock, WallClock};
 use ivdss_serve::engine::ServeConfig;
 use ivdss_simkernel::rng::SeedFactory;
 use ivdss_workloads::stream::ArrivalStream;
@@ -62,10 +62,10 @@ fn arrivals() -> Vec<QueryRequest> {
     ArrivalStream::new(templates, 2.0, seeds.seed_for("arrivals")).take_requests(QUERIES)
 }
 
-/// Builds the cluster scenario and hands it to `f`. Each call
-/// constructs an identical, independently seeded instance — the
+/// Builds the cluster scenario on `clock` and hands it to `f`. Each
+/// call constructs an identical, independently seeded instance — the
 /// determinism the differential relies on.
-fn with_cluster<T>(f: impl FnOnce(&mut Cluster<'_, DesClock>) -> T) -> T {
+fn with_cluster<C: Clock + Clone, T>(clock: C, f: impl FnOnce(&mut Cluster<'_, C>) -> T) -> T {
     let catalog = scenario_catalog();
     let timelines = SyncTimelines::from_plan(catalog.replication(), SyncMode::Deterministic);
     let assignment = ShardAssignment::partition(&catalog, SHARDS, ShardStrategy::Balanced, SEED);
@@ -76,21 +76,14 @@ fn with_cluster<T>(f: impl FnOnce(&mut Cluster<'_, DesClock>) -> T) -> T {
         serve: ServeConfig::new(DiscountRates::new(0.01, 0.05)),
         steal: true,
     };
-    let mut cluster = Cluster::new(
-        &catalog,
-        &shard_timelines,
-        &model,
-        router,
-        config,
-        DesClock::new(),
-    );
+    let mut cluster = Cluster::new(&catalog, &shard_timelines, &model, router, config, clock);
     f(&mut cluster)
 }
 
 /// The in-process reference: the same [`QueryService`] calls the server
 /// would make, no sockets involved.
 fn run_in_process(requests: &[QueryRequest]) -> (Vec<ReportMsg>, String, Vec<Option<String>>) {
-    with_cluster(|cluster| {
+    with_cluster(DesClock::new(), |cluster| {
         let service: &mut dyn QueryService = cluster;
         let mut reports = Vec::new();
         for request in requests {
@@ -107,7 +100,7 @@ fn run_in_process(requests: &[QueryRequest]) -> (Vec<ReportMsg>, String, Vec<Opt
 
 /// The same workload through real sockets.
 fn run_over_loopback(requests: &[QueryRequest]) -> (Vec<ReportMsg>, String, Vec<Option<String>>) {
-    with_cluster(|cluster| {
+    with_cluster(DesClock::new(), |cluster| {
         let server = NetServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind loopback");
         let addr = server.local_addr().expect("bound address");
         std::thread::scope(|scope| {
@@ -166,7 +159,7 @@ fn loopback_run_is_bit_identical_to_in_process_run() {
 /// the server closes the connection — framing is unrecoverable).
 #[test]
 fn malformed_frames_get_an_error_then_disconnect() {
-    with_cluster(|cluster| {
+    with_cluster(DesClock::new(), |cluster| {
         let server = NetServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind loopback");
         let addr = server.local_addr().expect("bound address");
         let switch = server.shutdown_switch();
@@ -217,7 +210,7 @@ fn malformed_frames_get_an_error_then_disconnect() {
 /// completions without end. The connection stays usable.
 #[test]
 fn non_finite_times_are_refused() {
-    with_cluster(|cluster| {
+    with_cluster(DesClock::new(), |cluster| {
         let server = NetServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind loopback");
         let addr = server.local_addr().expect("bound address");
         std::thread::scope(|scope| {
@@ -255,7 +248,7 @@ fn non_finite_times_are_refused() {
 /// A client announcing the wrong protocol version is refused.
 #[test]
 fn version_mismatch_is_refused() {
-    with_cluster(|cluster| {
+    with_cluster(DesClock::new(), |cluster| {
         let server = NetServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind loopback");
         let addr = server.local_addr().expect("bound address");
         let switch = server.shutdown_switch();
@@ -277,4 +270,123 @@ fn version_mismatch_is_refused() {
             assert!(stats.accepted >= 1);
         });
     });
+}
+
+/// A batch holding one invalid spec is refused whole: no spec of it is
+/// admitted, so a client may resend the valid ones alone.
+#[test]
+fn invalid_spec_refuses_the_whole_batch() {
+    let valid = SubmitSpec::from_request(&arrivals()[0]);
+    let empty = SubmitSpec {
+        id: valid.id + 1,
+        tables: Vec::new(),
+        ..valid.clone()
+    };
+    // Everything is asserted after the server has stopped, so a failed
+    // check cannot leave the scope waiting on the server thread.
+    let (refused, text, resent) = with_cluster(DesClock::new(), |cluster| {
+        let server = NetServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind loopback");
+        let addr = server.local_addr().expect("bound address");
+        std::thread::scope(|scope| {
+            let server_thread = scope.spawn(|| server.serve(cluster).expect("server runs"));
+
+            let mut client = NetClient::connect(addr).expect("client connects");
+            let refused = client.submit_batch(vec![valid.clone(), empty]);
+            let text = client.metrics();
+            let resent = [client.submit(valid.clone()), client.drain()];
+            client.shutdown().expect("shutdown handshake");
+            server_thread.join().expect("server thread joins");
+            (refused, text, resent)
+        })
+    });
+
+    assert!(
+        matches!(
+            refused,
+            Err(NetError::Remote {
+                code: ErrorCode::Malformed,
+                ..
+            })
+        ),
+        "{refused:?}"
+    );
+    let text = text.expect("metrics over socket");
+    assert!(
+        text.lines().any(|l| l == "cluster_queries_submitted 0"),
+        "a refused batch admits nothing:\n{text}"
+    );
+    let mut completed = 0;
+    for report in resent {
+        let report = report.expect("the valid spec plans alone");
+        completed += report
+            .completions
+            .iter()
+            .filter(|c| c.query == valid.id)
+            .count();
+    }
+    assert_eq!(completed, 1, "the resent spec completes once");
+}
+
+/// A wall-clock server stamps unstamped specs itself and keeps two
+/// concurrent connections apart: every query is answered exactly once.
+#[test]
+fn wall_clock_server_answers_concurrent_unstamped_batches() {
+    const CLIENTS: usize = 2;
+    const BATCH: usize = 5;
+    let specs: Vec<SubmitSpec> = arrivals()
+        .iter()
+        .map(|r| SubmitSpec {
+            submitted_at: None,
+            ..SubmitSpec::from_request(r)
+        })
+        .collect();
+    let (clients, stats) = with_cluster(WallClock::new(), |cluster| {
+        let server = NetServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind loopback");
+        let addr = server.local_addr().expect("bound address");
+        let switch = server.shutdown_switch();
+        std::thread::scope(|scope| {
+            let server_thread = scope.spawn(|| server.serve(cluster).expect("server runs"));
+
+            // Each client owns a disjoint slice of the ids.
+            let handles: Vec<_> = specs
+                .chunks(QUERIES / CLIENTS)
+                .map(|own| {
+                    scope.spawn(move || -> Result<Vec<ReportMsg>, NetError> {
+                        let mut client = NetClient::connect(addr)?;
+                        let mut reports = own
+                            .chunks(BATCH)
+                            .map(|batch| client.submit_batch(batch.to_vec()))
+                            .collect::<Result<Vec<_>, _>>()?;
+                        reports.push(client.drain()?);
+                        Ok(reports)
+                    })
+                })
+                .collect();
+            let clients: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+            switch.trip();
+            let stats = server_thread.join().expect("server thread joins");
+            (clients, stats)
+        })
+    });
+
+    let mut answers = [0usize; QUERIES];
+    for client in clients {
+        let reports = client
+            .expect("client thread joins")
+            .expect("client session");
+        for report in &reports {
+            let completed = report.completions.iter().map(|c| c.query);
+            for query in completed.chain(report.shed.iter().map(|s| s.query)) {
+                answers[query as usize] += 1;
+            }
+        }
+    }
+    assert!(
+        answers.iter().all(|&n| n == 1),
+        "every query is completed or shed exactly once: {answers:?}"
+    );
+    assert_eq!(stats.accepted, CLIENTS as u64);
+    assert_eq!(stats.frames_in, stats.frames_out);
+    assert_eq!(stats.decode_errors, 0);
+    assert_eq!(stats.plan_errors, 0);
 }

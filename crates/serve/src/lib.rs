@@ -24,8 +24,7 @@
 //! * [`metrics`] — counters, gauges, fixed-boundary CL/SL/IV histograms
 //!   and a time-weighted queue-depth gauge, with snapshots and a text
 //!   dump;
-//! * [`loadgen`] — deterministic open-loop (Poisson) and closed-loop
-//!   (client-population) harnesses.
+//! * [`loadgen`] — a deterministic open-loop (Poisson) harness.
 //!
 //! # Example
 //!
@@ -86,5 +85,5 @@ pub use admission::{marginal_iv, AdmissionQueue, AdmitOutcome, QueuedQuery};
 pub use cache::{CacheOutcome, PlanCache, PlanCacheKey};
 pub use clock::{Clock, DesClock, WallClock};
 pub use engine::{Completion, ServeConfig, ServeEngine, SubmitReport};
-pub use loadgen::{run_closed_loop, run_open_loop, ClosedLoopConfig, LoadReport, OpenLoopConfig};
+pub use loadgen::{run_open_loop, LoadReport, OpenLoopConfig};
 pub use metrics::{HistogramSnapshot, MetricsSnapshot, ServeMetrics};

@@ -1,25 +1,15 @@
-//! Deterministic load-generation harnesses for the serving engine.
+//! Deterministic open-loop load generation for the serving engine.
 //!
-//! Two classic shapes, both driven on the engine's own clock so runs
-//! are exactly reproducible from a seed:
-//!
-//! * **open loop** ([`run_open_loop`]) — arrivals come from a Poisson
-//!   [`ArrivalStream`] regardless of how the engine keeps up; the right
-//!   model for "queries arrive when analysts ask them" and the one the
-//!   paper's experiments use. Under overload the admission queue fills
-//!   and shedding begins.
-//! * **closed loop** ([`run_closed_loop`]) — a fixed population of
-//!   clients, each waiting for its previous query (plus a think time)
-//!   before issuing the next; throughput self-regulates, which is the
-//!   shape benches want when measuring planning cost without unbounded
-//!   queue growth.
+//! [`run_open_loop`] drives the engine on its own clock, so runs are
+//! exactly reproducible from a seed: arrivals come from a Poisson
+//! [`ArrivalStream`] regardless of how the engine keeps up — the model
+//! for "queries arrive when analysts ask them" and the one the paper's
+//! experiments use. Under overload the admission queue fills and
+//! shedding begins.
 
-use std::collections::HashMap;
-
-use ivdss_core::plan::{PlanError, QueryRequest};
+use ivdss_core::plan::PlanError;
 use ivdss_core::value::BusinessValue;
 use ivdss_costmodel::query::{QueryId, QuerySpec};
-use ivdss_simkernel::time::SimTime;
 use ivdss_workloads::stream::ArrivalStream;
 
 use crate::clock::Clock;
@@ -78,120 +68,5 @@ pub fn run_open_loop<C: Clock>(
         report.completions.extend(outcome.completed);
     }
     report.completions.extend(engine.drain()?);
-    Ok(report)
-}
-
-/// Closed-loop (population-driven) generator configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClosedLoopConfig {
-    /// Concurrent clients.
-    pub clients: usize,
-    /// Total queries to issue across all clients.
-    pub queries: usize,
-    /// Fixed think time between a client's completion and its next
-    /// submission.
-    pub think_time: f64,
-    /// Business value assigned to every query.
-    pub business_value: BusinessValue,
-}
-
-/// Runs a fixed client population against the engine: each client
-/// submits, waits for its query to complete (or be shed), thinks, and
-/// submits again, until `config.queries` have been issued in total.
-///
-/// # Errors
-///
-/// Propagates [`PlanError`] from the engine.
-///
-/// # Panics
-///
-/// Panics if `config.clients == 0`.
-pub fn run_closed_loop<C: Clock>(
-    engine: &mut ServeEngine<'_, C>,
-    templates: Vec<QuerySpec>,
-    config: &ClosedLoopConfig,
-) -> Result<LoadReport, PlanError> {
-    assert!(config.clients > 0, "need at least one client");
-    assert!(!templates.is_empty(), "need at least one template");
-    let mut report = LoadReport::default();
-    // Stagger the first submissions so clients do not arrive as one
-    // burst at t=0.
-    let mut next_submit: Vec<Option<f64>> = (0..config.clients)
-        .map(|i| Some(i as f64 * config.think_time / config.clients as f64))
-        .collect();
-    let mut owner: HashMap<QueryId, usize> = HashMap::new();
-    let mut issued = 0usize;
-
-    fn settle(
-        completions: Vec<Completion>,
-        think_time: f64,
-        owner: &mut HashMap<QueryId, usize>,
-        report: &mut LoadReport,
-        next_submit: &mut [Option<f64>],
-    ) {
-        for completion in completions {
-            if let Some(client) = owner.remove(&completion.query) {
-                next_submit[client] = Some(completion.evaluation.finish.value() + think_time);
-            }
-            report.completions.push(completion);
-        }
-    }
-
-    while issued < config.queries {
-        let ready = next_submit
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| t.map(|t| (i, t)))
-            .min_by(|a, b| a.1.total_cmp(&b.1));
-        let Some((client, at)) = ready else {
-            // Every client is waiting on a queued query: force dispatch.
-            let done = engine.drain()?;
-            assert!(
-                !done.is_empty(),
-                "closed loop deadlocked: all clients blocked, nothing queued"
-            );
-            settle(
-                done,
-                config.think_time,
-                &mut owner,
-                &mut report,
-                &mut next_submit,
-            );
-            continue;
-        };
-
-        let id = QueryId::new(issued as u64);
-        let spec = templates[issued % templates.len()].with_id(id);
-        let at = at.max(engine.now().value());
-        let request =
-            QueryRequest::new(spec, SimTime::new(at)).with_business_value(config.business_value);
-        issued += 1;
-        next_submit[client] = None;
-        owner.insert(id, client);
-
-        let outcome = engine.submit(request)?;
-        if let Some(victim) = outcome.shed {
-            if let Some(shed_client) = owner.remove(&victim) {
-                // The shed client moves on after a think time.
-                next_submit[shed_client] = Some(engine.now().value() + config.think_time);
-            }
-            report.shed.push(victim);
-        }
-        settle(
-            outcome.completed,
-            config.think_time,
-            &mut owner,
-            &mut report,
-            &mut next_submit,
-        );
-    }
-    let done = engine.drain()?;
-    settle(
-        done,
-        config.think_time,
-        &mut owner,
-        &mut report,
-        &mut next_submit,
-    );
     Ok(report)
 }

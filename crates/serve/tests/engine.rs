@@ -11,7 +11,7 @@ use ivdss_costmodel::query::{QueryId, QuerySpec};
 use ivdss_replication::timelines::{SyncMode, SyncTimelines};
 use ivdss_serve::clock::DesClock;
 use ivdss_serve::engine::{ServeConfig, ServeEngine};
-use ivdss_serve::loadgen::{run_closed_loop, run_open_loop, ClosedLoopConfig, OpenLoopConfig};
+use ivdss_serve::loadgen::{run_open_loop, OpenLoopConfig};
 use ivdss_simkernel::time::{SimDuration, SimTime};
 
 fn t(i: u32) -> TableId {
@@ -182,29 +182,6 @@ fn cache_off_delivers_identical_iv() {
             "{qc}: cached {ivc} vs fresh {ivf}"
         );
     }
-}
-
-#[test]
-fn closed_loop_completes_every_query() {
-    let (catalog, timelines, model) = fixture();
-    let config = ServeConfig::new(DiscountRates::new(0.01, 0.05));
-    let mut engine = ServeEngine::new(&catalog, &timelines, &model, config, DesClock::new());
-    let report = run_closed_loop(
-        &mut engine,
-        templates(),
-        &ClosedLoopConfig {
-            clients: 4,
-            queries: 60,
-            think_time: 3.0,
-            business_value: BusinessValue::UNIT,
-        },
-    )
-    .unwrap();
-    assert_eq!(report.completions.len() + report.shed.len(), 60);
-    assert!(report.shed.is_empty(), "closed loop self-regulates");
-    // Finishes are causally ordered per client's own stream.
-    assert!(report.total_delivered_iv() > 0.0);
-    assert_eq!(engine.snapshot().queries_completed, 60);
 }
 
 #[test]

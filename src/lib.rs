@@ -28,7 +28,7 @@
 //! | [`obs`] | Deterministic observability: sim-time-stamped structured traces, plan-decision audits, exact fixed-boundary histograms, Prometheus text exposition |
 //! | [`serve`] | Online query-serving engine: IV-aware admission, sync-phase plan caching, calendar dispatch, metrics |
 //! | [`cluster`] | Sharded multi-engine cluster serving: footprint-based shard routing with explicit partial-coverage fallback, IV-guarded work stealing, shard-outage failover, aggregated metrics |
-//! | [`net`] | TCP front door: length-delimited binary protocol, hand-rolled `std::net` server over the serving engines, blocking client, closed-loop load driver |
+//! | [`net`] | TCP front door: length-delimited binary protocol, hand-rolled `std::net` server over the serving engines, blocking client |
 //! | [`sched`] | Adaptive synchronization scheduling: refresh schedules as a decision variable — marginal-IV greedy + GA search at the fixed schedules' refresh budget, behind a never-worse guard |
 //! | [`scenarios`] | Seeded composable traffic scenarios: Zipf popularity, diurnal/flash-crowd arrivals, multi-tenant SLA mixes, schema growth with cold timelines |
 //! | [`storage`] | Record-page storage engine: slotted pages over catalog tables, scan/select/project/product plans with pre-execution estimates, measured scans feeding cost-model calibration |
@@ -112,8 +112,7 @@ pub mod prelude {
         form_workloads, FifoScheduler, MqoScheduler, WorkloadEvaluator, WorkloadScheduler,
     };
     pub use ivdss_net::{
-        run_net_closed_loop, DriverConfig, NetClient, NetConfig, NetError, NetLoadReport,
-        NetServer, QueryService, ReportMsg, SubmitSpec, SubmitTiming,
+        NetClient, NetConfig, NetError, NetServer, QueryService, ReportMsg, SubmitSpec,
     };
     pub use ivdss_obs::{
         AuditLog, EventKind, FixedHistogram, PlanAudit, PlanSource, SearchAudit, Trace, TraceEvent,
@@ -132,8 +131,8 @@ pub mod prelude {
         AdaptiveScheduler, RefreshCosts, ScheduleAllocation, ScheduleEvaluator, ScheduleSource,
     };
     pub use ivdss_serve::{
-        run_closed_loop, run_open_loop, AdmissionQueue, Clock, DesClock, MetricsSnapshot,
-        OpenLoopConfig, PlanCache, ServeConfig, ServeEngine, WallClock,
+        run_open_loop, AdmissionQueue, Clock, DesClock, MetricsSnapshot, OpenLoopConfig, PlanCache,
+        ServeConfig, ServeEngine, WallClock,
     };
     pub use ivdss_simkernel::{
         Engine, ExponentialStream, OnlineStats, SeedFactory, SimDuration, SimTime, Stream,
