@@ -1,20 +1,15 @@
 //! Planner scaling bench: a batch of queries planned one per task on a
-//! [`PlannerPool`], each through [`ScatterGatherSearch::search_with`]
-//! and a [`PhaseMemo`] shared by the batch, across thread counts and
-//! query fan-out, emitting machine-readable JSON (`BENCH_planner.json`).
+//! [`PlannerPool`], each through [`ScatterGatherSearch::search_from`],
+//! across thread counts and query fan-out, emitting machine-readable
+//! JSON (`BENCH_planner.json`).
 //!
 //! The measured configurations are the cross product of
-//! `threads × fan-out`. Each cell's baseline is the same pooled+memo
-//! batch on a 1-thread pool, so a cell's speedup (and
-//! `speedup_at_4_threads`) measures parallel scaling only.
-//! `host_parallelism` is recorded in the JSON so a reader can tell how
-//! many cores the threads had.
-//!
-//! The memo's own effect is reported separately, per fan-out, as
-//! `memo_vs_plain`: a plain [`ScatterGatherSearch::search_from`] loop
-//! over the same batch (no pool, no memo) divided by the pooled+memo
-//! batch at 1 thread. Queries at equal phase offsets reuse each other's
-//! pruned frontiers.
+//! `threads × fan-out`. Each cell's baseline is the same pooled batch
+//! on a 1-thread pool, so a cell's speedup (and `speedup_at_4_threads`)
+//! measures parallel scaling only. Every pooled batch must choose the
+//! plans a sequential loop over the batch chooses. `host_parallelism`
+//! is recorded in the JSON so a reader can tell how many cores the
+//! threads had.
 //!
 //! `arena_vs_boxed` times the arena/SoA search against
 //! [`ScatterGatherSearch::reference_search_boxed`], the per-candidate
@@ -31,10 +26,9 @@ use ivdss_catalog::ids::TableId;
 use ivdss_catalog::replica::{ReplicaSpec, ReplicationPlan};
 use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
 use ivdss_catalog::Catalog;
-use ivdss_core::memo::PhaseMemo;
 use ivdss_core::parallel::PlannerPool;
 use ivdss_core::plan::{NoQueues, PlanContext, QueryRequest};
-use ivdss_core::search::{ScatterGatherSearch, SearchOpts};
+use ivdss_core::search::ScatterGatherSearch;
 use ivdss_core::value::DiscountRates;
 use ivdss_costmodel::model::StylizedCostModel;
 use ivdss_costmodel::query::{QueryId, QuerySpec};
@@ -47,15 +41,6 @@ struct Cell {
     wall_ms: f64,
     baseline_ms: f64,
     speedup: f64,
-}
-
-/// The memo's effect at one fan-out: the plain search loop vs the
-/// pooled+memo batch at 1 thread.
-struct MemoCell {
-    fanout: usize,
-    plain_ms: f64,
-    memo_ms: f64,
-    ratio: f64,
 }
 
 fn t(i: u32) -> TableId {
@@ -72,9 +57,9 @@ fn fixture(tables: usize, replicated: usize) -> (Catalog, SyncTimelines) {
     })
     .expect("valid synthetic configuration");
     let mut plan = ReplicationPlan::new();
-    // Sync periods drawn from divisors of 8 so submit times stepped by
-    // 2.0 revisit a small set of phase offsets — the memo-friendly (and
-    // realistic: periodic ETL) regime.
+    // Sync periods drawn from divisors of 8 (periodic ETL), with submit
+    // times stepped by 2.0: a fixed batch, so cells stay comparable
+    // across runs.
     let periods = [2.0, 4.0, 8.0, 2.0, 8.0, 4.0, 2.0, 8.0, 4.0, 2.0];
     for i in 0..replicated {
         plan.add(t(i as u32), ReplicaSpec::new(periods[i % periods.len()]));
@@ -144,61 +129,47 @@ fn main() {
     );
     println!(
         "{:>8} {:>8} {:>14} {:>14} {:>9}",
-        "threads", "fanout", "pooled+memo ms", "1-thread ms", "speedup"
+        "threads", "fanout", "pooled ms", "1-thread ms", "speedup"
     );
 
     let mut cells: Vec<Cell> = Vec::new();
-    let mut memo_cells: Vec<MemoCell> = Vec::new();
     for &fanout in fanouts {
         let requests = batch(fanout, tables, replicated);
 
-        // The plain search loop, no pool, no memo: the plans every
-        // pooled batch must reproduce, and the memo's reference time.
-        let mut plain_samples = Vec::with_capacity(repeats);
-        let mut plain_plans = Vec::new();
-        for _ in 0..repeats {
-            let start = Instant::now();
-            plain_plans = requests
-                .iter()
-                .map(|r| {
-                    search
-                        .search_from(&ctx, r, r.submitted_at)
-                        .expect("plain search succeeds")
-                        .best
-                })
-                .collect();
-            plain_samples.push(start.elapsed().as_secs_f64() * 1e3);
-        }
-        let plain_ms = median_ms(&mut plain_samples);
+        // The sequential loop, no pool: the plans every pooled batch
+        // must reproduce.
+        let plain_plans: Vec<_> = requests
+            .iter()
+            .map(|r| {
+                search
+                    .search_from(&ctx, r, r.submitted_at)
+                    .expect("plain search succeeds")
+                    .best
+            })
+            .collect();
 
-        // One query per task, all sharing the batch's memo.
+        // One query per task.
         let mut walls: Vec<(usize, f64)> = Vec::with_capacity(threads.len());
         for &n in threads {
             let pool = PlannerPool::new(n);
             let mut samples = Vec::with_capacity(repeats);
             let mut plans = Vec::new();
             for _ in 0..repeats {
-                let memo = PhaseMemo::new(); // cold memo every repeat
                 let start = Instant::now();
                 plans = pool
                     .try_run_indexed(requests.len(), |i| {
                         let r = &requests[i];
-                        let opts = SearchOpts {
-                            memo: Some(&memo),
-                            ..SearchOpts::default()
-                        };
                         search
-                            .search_with(&ctx, r, r.submitted_at, opts)
+                            .search_from(&ctx, r, r.submitted_at)
                             .map(|outcome| outcome.best)
                     })
                     .expect("pooled search succeeds");
                 samples.push(start.elapsed().as_secs_f64() * 1e3);
             }
-            // The memoized pooled batch must choose the same plans.
             for (a, b) in plans.iter().zip(&plain_plans) {
                 assert_eq!(
                     a.information_value, b.information_value,
-                    "memoized plan diverged from the plain search"
+                    "pooled plan diverged from the sequential loop"
                 );
                 assert_eq!(a.local_tables, b.local_tables);
                 assert_eq!(a.execute_at, b.execute_at);
@@ -222,17 +193,6 @@ fn main() {
                 speedup,
             });
         }
-        let ratio = plain_ms / baseline_ms;
-        println!(
-            "    memo vs plain at fanout {fanout}: {plain_ms:.3} ms plain / \
-             {baseline_ms:.3} ms memo = {ratio:.2}x"
-        );
-        memo_cells.push(MemoCell {
-            fanout,
-            plain_ms,
-            memo_ms: baseline_ms,
-            ratio,
-        });
     }
 
     // ---- arena vs boxed ---------------------------------------------
@@ -295,7 +255,9 @@ fn main() {
     let _ = writeln!(json, "  \"tables\": {tables},");
     let _ = writeln!(json, "  \"replicated\": {replicated},");
     let _ = writeln!(json, "  \"repeats\": {repeats},");
-    json.push_str("  \"baseline\": \"the same pooled+memo batch on a 1-thread PlannerPool\",\n");
+    json.push_str(
+        "  \"baseline\": \"the same pooled plain-search batch on a 1-thread PlannerPool\",\n",
+    );
     json.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
         let _ = writeln!(
@@ -312,28 +274,14 @@ fn main() {
     }
     json.push_str("  ],\n");
     let _ = writeln!(json, "  \"speedup_at_4_threads\": {speedup_at_4:.3},");
-    json.push_str("  \"memo_vs_plain\": [\n");
-    for (i, m) in memo_cells.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"fanout\": {}, \"plain_ms\": {:.4}, \"memo_ms\": {:.4}, \"ratio\": {:.3}}}{}",
-            m.fanout,
-            m.plain_ms,
-            m.memo_ms,
-            m.ratio,
-            if i + 1 == memo_cells.len() { "" } else { "," }
-        );
-    }
-    json.push_str("  ],\n");
     let _ = writeln!(
         json,
         "  \"arena_vs_boxed\": {{\"queries\": {arena_fanout}, \"arena_ms\": {arena_ms:.4}, \
          \"boxed_ms\": {boxed_ms:.4}, \"speedup\": {arena_speedup:.3}}},"
     );
     json.push_str(
-        "  \"note\": \"cells measure query-level parallel scaling of the pooled+memo batch \
-         against itself at 1 thread; memo_vs_plain is the sync-phase memo's own effect \
-         (see EXPERIMENTS.md)\"\n",
+        "  \"note\": \"cells measure query-level parallel scaling of the pooled plain-search \
+         batch against itself at 1 thread (see EXPERIMENTS.md)\"\n",
     );
     json.push_str("}\n");
     std::fs::write(&out, json).expect("write bench JSON");

@@ -41,11 +41,9 @@
 //! accounted — when *no* shard is live.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use ivdss_catalog::catalog::Catalog;
 use ivdss_catalog::ids::ShardId;
-use ivdss_core::memo::PhaseMemo;
 use ivdss_core::plan::{NoQueues, PlanContext, PlanError, QueryRequest};
 use ivdss_core::search::ScatterGatherSearch;
 use ivdss_core::value::DiscountRates;
@@ -56,7 +54,7 @@ use ivdss_obs::{EventKind, Tracer};
 use ivdss_replication::timelines::SyncTimelines;
 use ivdss_serve::admission::QueuedQuery;
 use ivdss_serve::clock::Clock;
-use ivdss_serve::engine::{Completion, ServeConfig, ServeEngine, SubmitReport};
+use ivdss_serve::engine::{Completion, ServeConfig, ServeEngine, SubmitReport, ZeroStats};
 use ivdss_simkernel::time::SimTime;
 
 use crate::metrics::{ClusterMetrics, ClusterSnapshot};
@@ -213,9 +211,6 @@ pub struct Cluster<'a, C: Clock + Clone> {
     /// Parallel to `outages`: whether the window's failover already ran.
     handled: Vec<bool>,
     search: ScatterGatherSearch,
-    /// One sharded [`PhaseMemo`] shared by every engine: a sync phase
-    /// explored on one shard prunes the same phase on every other.
-    memo: Arc<PhaseMemo>,
 }
 
 impl<'a, C: Clock + Clone> Cluster<'a, C> {
@@ -254,7 +249,6 @@ impl<'a, C: Clock + Clone> Cluster<'a, C> {
             outages: Vec::new(),
             handled: Vec::new(),
             search: ScatterGatherSearch::new(),
-            memo: Arc::new(PhaseMemo::new()),
         };
         cluster.rebuild_engines();
         cluster
@@ -325,24 +319,19 @@ impl<'a, C: Clock + Clone> Cluster<'a, C> {
                         self.clock0.clone(),
                     ),
                 };
-                engine
-                    .with_phase_memo(Arc::clone(&self.memo))
-                    .with_tracer(self.tracer.for_shard(s))
+                engine.with_tracer(self.tracer.for_shard(s))
             })
             .collect();
         self.engines = engines;
     }
 
-    /// The [`PhaseMemo`] every shard engine plans against. Shards with
-    /// distinct replication plans never collide — [`PhaseKey`] encodes
-    /// the replicated subset — so sharing is safe *and* lets
-    /// phase-equivalent queries routed to different shards reuse each
-    /// other's pruned frontiers.
-    ///
-    /// [`PhaseKey`]: ivdss_core::memo::PhaseKey
+    /// Kept only for servebench's traced run, which reads
+    /// `shared_memo().stats()` for its `memo.hit_share` metric. The
+    /// cluster has no memo, so both counters read zero.
+    #[doc(hidden)]
     #[must_use]
-    pub fn shared_memo(&self) -> Arc<PhaseMemo> {
-        Arc::clone(&self.memo)
+    pub fn shared_memo(&self) -> ZeroStats {
+        ZeroStats::default()
     }
 
     /// The cluster's current time (all engines move in lockstep).

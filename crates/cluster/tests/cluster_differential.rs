@@ -4,9 +4,10 @@
 //!
 //! 1. **Degeneracy**: a 1-shard cluster is *bit-identical* — same
 //!    plans, same delivered IV, same metrics snapshot — to a bare
-//!    [`ServeEngine`] fed the same arrival sequence. The cluster layer
-//!    (routing, restricted timelines, steal pass, lockstep driving)
-//!    must add exactly nothing when there is nothing to shard.
+//!    [`ServeEngine`] fed the same arrival sequence, with the plan cache
+//!    on and with it off (a fresh search per dispatch). The cluster
+//!    layer (routing, restricted timelines, steal pass, lockstep
+//!    driving) must add exactly nothing when there is nothing to shard.
 //! 2. **Stealing is non-destructive**: on a 2-shard cluster where one
 //!    shard owns every replica (so the other is a pure helper that can
 //!    only receive stolen work), total realized IV with work stealing
@@ -120,39 +121,43 @@ fn one_shard_cluster_is_bit_identical_to_a_bare_engine() {
         let catalog = scenario_catalog(SeedFactory::new(seed).seed_for("catalog"), 4);
         let timelines = SyncTimelines::from_plan(catalog.replication(), SyncMode::Deterministic);
         let requests = arrivals(seed);
-        let config = ServeConfig::new(DiscountRates::new(0.01, 0.05));
+        for use_cache in [true, false] {
+            let mut config = ServeConfig::new(DiscountRates::new(0.01, 0.05));
+            config.use_cache = use_cache;
+            let case = format!("seed {seed}, use_cache {use_cache}");
 
-        let (bare_snapshot, bare_completed) = run_bare(&catalog, &timelines, config, &requests);
-        let cluster_config = ClusterConfig {
-            serve: config,
-            steal: true,
-        };
-        let (shards, cluster_completed, steals) =
-            run_cluster(&catalog, 1, cluster_config, &requests, seed);
+            let (bare_snapshot, bare_completed) = run_bare(&catalog, &timelines, config, &requests);
+            let cluster_config = ClusterConfig {
+                serve: config,
+                steal: true,
+            };
+            let (shards, cluster_completed, steals) =
+                run_cluster(&catalog, 1, cluster_config, &requests, seed);
 
-        assert_eq!(steals, 0, "seed {seed}: nothing to steal with one shard");
-        assert_eq!(shards.len(), 1);
-        // Plans and IV, completion by completion, bit for bit.
-        assert_eq!(
-            bare_completed.len(),
-            cluster_completed.len(),
-            "seed {seed}: completion counts diverged"
-        );
-        for (bare, (shard, clustered)) in bare_completed.iter().zip(&cluster_completed) {
-            assert_eq!(*shard, ShardId::new(0));
-            assert_eq!(bare, clustered, "seed {seed}: completion diverged");
+            assert_eq!(steals, 0, "{case}: nothing to steal with one shard");
+            assert_eq!(shards.len(), 1);
+            // Plans and IV, completion by completion, bit for bit.
+            assert_eq!(
+                bare_completed.len(),
+                cluster_completed.len(),
+                "{case}: completion counts diverged"
+            );
+            for (bare, (shard, clustered)) in bare_completed.iter().zip(&cluster_completed) {
+                assert_eq!(*shard, ShardId::new(0));
+                assert_eq!(bare, clustered, "{case}: completion diverged");
+            }
+            // The full metrics registry, including histograms and
+            // time-weighted queue depths.
+            assert_eq!(
+                bare_snapshot, shards[0],
+                "{case}: metrics snapshot diverged"
+            );
+            assert_eq!(
+                bare_snapshot.to_text(),
+                shards[0].to_text(),
+                "{case}: metrics exposition diverged"
+            );
         }
-        // The full metrics registry, including histograms and
-        // time-weighted queue depths.
-        assert_eq!(
-            bare_snapshot, shards[0],
-            "seed {seed}: metrics snapshot diverged"
-        );
-        assert_eq!(
-            bare_snapshot.to_text(),
-            shards[0].to_text(),
-            "seed {seed}: metrics exposition diverged"
-        );
     }
 }
 

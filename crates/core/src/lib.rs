@@ -18,21 +18,15 @@
 //! * [`plan`] — candidate plans *(release time, local tables)* and their
 //!   full evaluation against catalog, timelines, cost model and queues;
 //! * [`search`] — the bounded scatter-and-gather optimal plan search of
-//!   §3.1 plus an exhaustive oracle. Two entry points:
+//!   §3.1 plus an exhaustive oracle. One walk, two entry points:
 //!   [`search::ScatterGatherSearch::search_from`] for the plain search and
 //!   [`search::ScatterGatherSearch::search_with`], whose
-//!   [`search::SearchOpts`] add a memo, a tracer and an audit;
+//!   [`search::SearchOpts`] add a tracer and an audit;
 //! * [`planner`] — [`planner::IvqpPlanner`] and the paper's two baselines,
 //!   [`planner::FederationPlanner`] and [`planner::WarehousePlanner`];
 //! * [`parallel`] — [`parallel::PlannerPool`], a deterministic fork-join
 //!   helper for callers that plan many independent queries or candidate
 //!   orders at once;
-//! * [`memo`] — [`memo::PhaseMemo`], memoized dominance-pruning frontiers
-//!   keyed by sync phase so repeated scatter points reuse pruned state,
-//!   sharded so one memo serves a whole cluster of engines;
-//! * [`frontier`] — [`frontier::FrontierArena`], the allocation-free
-//!   margin-dominance frontier the memoized search records, with its
-//!   boxed differential oracle;
 //! * [`starvation`] — the §3.3 aging adaptation for long-queued queries;
 //! * [`advisor`] — the §6 future-work data-placement advisor (greedy
 //!   replica recommendation by marginal information value).
@@ -86,9 +80,7 @@
 #![warn(missing_docs)]
 
 pub mod advisor;
-pub mod frontier;
 pub mod latency;
-pub mod memo;
 pub mod parallel;
 pub mod plan;
 pub mod planner;
@@ -97,9 +89,7 @@ pub mod starvation;
 pub mod value;
 
 pub use advisor::{AdvisorStep, PlacementAdvisor, Recommendation};
-pub use frontier::{dominates, BoxedFrontier, FrontierArena, FrontierEntry};
 pub use latency::Latencies;
-pub use memo::{MemoStats, PhaseKey, PhaseMemo};
 pub use parallel::PlannerPool;
 pub use plan::{
     evaluate_plan, CandidateScore, FacilityQueues, IvCeilings, NoQueues, PlanContext, PlanError,

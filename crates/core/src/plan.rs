@@ -614,14 +614,6 @@ pub struct Wave {
     versions: Vec<SimTime>,
 }
 
-impl Wave {
-    /// The release time the versions were looked up at.
-    #[must_use]
-    pub(crate) fn at(&self) -> SimTime {
-        self.at
-    }
-}
-
 /// Structure-of-arrays store of everything about a query's candidate
 /// subsets that does **not** depend on the release time: per-mask
 /// spanned remote sites and cost-model estimates, each flattened into
@@ -634,8 +626,8 @@ impl Wave {
 ///
 /// Mask `m` selects replicated table `i` iff bit `i` of `m` is set, in
 /// exactly the [`local_subsets`](crate::search::local_subsets)
-/// enumeration order (mask 0 is the all-remote plan), so arena masks,
-/// memo frontiers and plan-cache candidates all index the same space.
+/// enumeration order (mask 0 is the all-remote plan), so arena masks
+/// and plan-cache candidates index the same space.
 /// A built arena holds every mask, row `m` being mask `m`;
 /// [`SubsetArena::select`] keeps only some of them.
 #[derive(Debug, Clone)]

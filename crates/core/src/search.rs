@@ -29,7 +29,7 @@
 //! Candidates never touch the heap: the per-mask tables, sites and costs
 //! live in a [`SubsetArena`] built once per search (the cost model runs
 //! once per mask), each release time looks its replica versions up once
-//! into a [`Wave`], each candidate scores into a `Copy`
+//! into a [`Wave`](crate::plan::Wave), each candidate scores into a `Copy`
 //! [`CandidateScore`] through the same kernel [`evaluate_plan`] uses (so
 //! the numbers are bit-identical by construction), the incumbent race
 //! runs branchless ([`is_better_score`]), and only the final winner
@@ -40,29 +40,23 @@
 //! # Entry points
 //!
 //! [`ScatterGatherSearch::search_from`] is the plain search.
-//! [`ScatterGatherSearch::search_with`] takes the optional layers of a
-//! [`SearchOpts`]: a [`PhaseMemo`] of pruning frontiers, a [`Tracer`]
-//! and a [`SearchAudit`]. No layer changes the chosen plan or the
-//! boundary. Without a memo the search takes the *plain walk*, wave by
-//! wave. With one it takes the *frontier walk*: it enumerates the
-//! gather waves against the scatter boundary, probes the memo for each,
-//! scores what the probes leave, and replays the plain walk's boundary
-//! pruning over those scores. Both walks run on the calling thread;
-//! callers that plan many queries parallelize per query (see
+//! [`ScatterGatherSearch::search_with`] takes the optional
+//! instrumentation of a [`SearchOpts`]: a [`Tracer`] and a
+//! [`SearchAudit`]. Neither changes the chosen plan, the boundary or the
+//! candidates explored. The walk runs on the calling thread; callers
+//! that plan many queries parallelize per query (see
 //! [`crate::parallel::PlannerPool`]).
 
 use std::collections::BTreeSet;
 
 use ivdss_catalog::ids::TableId;
 use ivdss_costmodel::query::QueryId;
-use ivdss_obs::{BoundStep, EventKind, MemoProbe, SearchAudit, SearchCandidate, Tracer};
+use ivdss_obs::{BoundStep, EventKind, SearchAudit, SearchCandidate, Tracer};
 use ivdss_simkernel::time::SimTime;
 
-use crate::frontier::{FrontierArena, FrontierEntry};
-use crate::memo::{PhaseKey, PhaseMemo};
 use crate::plan::{
     evaluate_plan, CandidateScore, PlanContext, PlanError, PlanEvaluation, QueryRequest,
-    SubsetArena, Wave,
+    SubsetArena,
 };
 
 /// Hard cap on gather iterations, protecting against unbounded searches
@@ -97,18 +91,11 @@ impl Default for ScatterGatherSearch {
     }
 }
 
-/// The optional layers of one [`ScatterGatherSearch::search_with`]
-/// call. `SearchOpts::default()` is the plain search.
-///
-/// `memo` is sound only under a *stateless* queue estimator (see
-/// [`PhaseMemo`]): leave it `None` when the context carries live queue
-/// state or site floors.
+/// The optional instrumentation of one
+/// [`ScatterGatherSearch::search_with`] call. `SearchOpts::default()`
+/// is the plain search.
 #[derive(Debug, Default)]
 pub struct SearchOpts<'a> {
-    /// Sync-phase pruning frontiers to consult and feed. The chosen
-    /// plan, the boundary and the visited waves stay those of the plain
-    /// search; only `plans_explored` may shrink.
-    pub memo: Option<&'a PhaseMemo>,
     /// Receives the search events (start, per-wave effort, bound
     /// trajectory, finish). `None` emits nothing.
     pub tracer: Option<&'a Tracer>,
@@ -156,16 +143,11 @@ impl ScatterGatherSearch {
         self.search_with(ctx, request, not_before, SearchOpts::default())
     }
 
-    /// [`ScatterGatherSearch::search_from`] with the optional layers in
-    /// `opts`. Each layer, alone or combined, leaves the chosen plan and
-    /// the boundary exactly as the plain search has them.
-    ///
-    /// Without a memo this is the plain walk, with or without
-    /// instrumentation. With one, the frontier walk runs instead: it
-    /// probes the memo for every gather wave up front, scores what the
-    /// probes leave, and replays the plain walk's boundary pruning over
-    /// those scores. All events are stamped at the release floor; wave
-    /// and bound payloads carry the release times they describe.
+    /// [`ScatterGatherSearch::search_from`] with the optional
+    /// instrumentation in `opts`, which never changes the outcome. The
+    /// search scatters, then gathers wave by wave. All events are
+    /// stamped at the release floor; wave and bound payloads carry the
+    /// release times they describe.
     ///
     /// # Errors
     ///
@@ -174,16 +156,17 @@ impl ScatterGatherSearch {
     /// # Examples
     ///
     /// ```
+    /// use std::sync::Arc;
+    ///
     /// use ivdss_catalog::ids::TableId;
     /// use ivdss_catalog::replica::{ReplicaSpec, ReplicationPlan};
     /// use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
-    /// use ivdss_core::memo::PhaseMemo;
     /// use ivdss_core::plan::{NoQueues, PlanContext, QueryRequest};
     /// use ivdss_core::search::{ScatterGatherSearch, SearchOpts};
     /// use ivdss_core::value::DiscountRates;
     /// use ivdss_costmodel::model::StylizedCostModel;
     /// use ivdss_costmodel::query::{QueryId, QuerySpec};
-    /// use ivdss_obs::SearchAudit;
+    /// use ivdss_obs::{SearchAudit, Trace, Tracer};
     /// use ivdss_replication::timelines::{SyncMode, SyncTimelines};
     /// use ivdss_simkernel::time::SimTime;
     ///
@@ -211,22 +194,22 @@ impl ScatterGatherSearch {
     ///
     /// let search = ScatterGatherSearch::new();
     /// let plain = search.search_from(&ctx, &request, request.submitted_at)?;
-    /// let memo = PhaseMemo::new();
+    /// let trace = Arc::new(Trace::new());
+    /// let tracer = Tracer::recording(Arc::clone(&trace));
     /// let mut audit = SearchAudit::default();
-    /// let layered = search.search_with(
+    /// let observed = search.search_with(
     ///     &ctx,
     ///     &request,
     ///     request.submitted_at,
     ///     SearchOpts {
-    ///         memo: Some(&memo),
+    ///         tracer: Some(&tracer),
     ///         audit: Some(&mut audit),
-    ///         ..SearchOpts::default()
     ///     },
     /// )?;
-    /// // Same plan and boundary as the plain search.
-    /// assert_eq!(layered.best, plain.best);
-    /// assert_eq!(layered.boundary, plain.boundary);
-    /// assert_eq!(audit.explored(), layered.plans_explored);
+    /// // Same outcome as the plain search, now with a record of it.
+    /// assert_eq!(observed, plain);
+    /// assert_eq!(audit.explored(), observed.plans_explored);
+    /// assert_eq!(trace.counts()["search_finished"], 1);
     /// # Ok(())
     /// # }
     /// ```
@@ -237,23 +220,7 @@ impl ScatterGatherSearch {
         not_before: SimTime,
         opts: SearchOpts<'_>,
     ) -> Result<SearchOutcome, PlanError> {
-        match opts.memo {
-            None => self.plain_walk(ctx, request, not_before, opts),
-            Some(memo) => self.frontier_walk(ctx, request, not_before, memo, opts),
-        }
-    }
-
-    /// The plain walk: scatter, then gather wave by wave.
-    fn plain_walk(
-        &self,
-        ctx: &PlanContext<'_>,
-        request: &QueryRequest,
-        not_before: SimTime,
-        opts: SearchOpts<'_>,
-    ) -> Result<SearchOutcome, PlanError> {
-        let SearchOpts {
-            tracer, mut audit, ..
-        } = opts;
+        let SearchOpts { tracer, mut audit } = opts;
         let disabled = Tracer::disabled();
         let tracer = tracer.unwrap_or(&disabled);
         let query = request.id();
@@ -266,7 +233,6 @@ impl ScatterGatherSearch {
             query,
             release_floor: submit,
             subsets: n_masks,
-            memo: false,
         });
 
         let mut explored = 0usize;
@@ -277,7 +243,6 @@ impl ScatterGatherSearch {
             query,
             wave: submit,
             candidates: n_masks,
-            memo: MemoProbe::Off,
         });
         let wave = arena.wave(ctx, submit);
         for mask in 0..n_masks {
@@ -316,7 +281,6 @@ impl ScatterGatherSearch {
                 query,
                 wave: now,
                 candidates: n_masks - 1,
-                memo: MemoProbe::Off,
             });
             // "if only base tables are involved, then the query evaluation
             // should be executed immediately" — delaying the all-remote
@@ -351,206 +315,6 @@ impl ScatterGatherSearch {
             query,
             explored,
             waves: visited,
-            pruned: 0,
-            boundary,
-            release: best.execute_at,
-            iv: best.information_value.value(),
-        });
-        Ok(SearchOutcome {
-            best: arena.evaluation(request, best_mask, best),
-            plans_explored: explored,
-            sync_points_visited: visited,
-            boundary,
-        })
-    }
-
-    /// The frontier walk: the search with a [`PhaseMemo`]. Each wave
-    /// scores its memoized frontier on a hit (plus the all-remote
-    /// subset at the scatter) and every subset on a miss, whose
-    /// frontier it then records.
-    ///
-    /// The gather waves are enumerated against the *scatter* boundary,
-    /// a superset of the plain walk's visit because the boundary only
-    /// ever tightens. All of them are probed before any is scored or
-    /// recorded, and the plain walk's boundary pruning is then replayed
-    /// over the scores in its exact order, so the incumbent/boundary
-    /// trajectory, including every tie-break of [`is_better_score`], is
-    /// reproduced. Events come only from the replay: the trace reports
-    /// the waves the decision consumed, not the speculative superset.
-    fn frontier_walk(
-        &self,
-        ctx: &PlanContext<'_>,
-        request: &QueryRequest,
-        not_before: SimTime,
-        memo: &PhaseMemo,
-        opts: SearchOpts<'_>,
-    ) -> Result<SearchOutcome, PlanError> {
-        let SearchOpts {
-            tracer, mut audit, ..
-        } = opts;
-        let disabled = Tracer::disabled();
-        let tracer = tracer.unwrap_or(&disabled);
-        let query = request.id();
-        let submit = request.submitted_at.max(not_before);
-        let replicated = replicated_footprint(ctx, request);
-        let arena = SubsetArena::build(ctx, request, &replicated);
-        let n_masks = arena.len();
-
-        tracer.emit_with(submit, || EventKind::SearchStarted {
-            query,
-            release_floor: submit,
-            subsets: n_masks,
-            memo: true,
-        });
-
-        // Scatter: the memoized frontier plus the all-remote subset,
-        // which only ever competes at release-now — or, on a miss,
-        // every subset.
-        let scatter_key = PhaseKey::for_wave(ctx, request, &replicated, submit);
-        let (scatter_probe, scatter_masks): (MemoProbe, Vec<usize>) =
-            match memo.lookup(&scatter_key) {
-                Some(frontier) => (MemoProbe::Hit, std::iter::once(0).chain(frontier).collect()),
-                None => (MemoProbe::Miss, (0..n_masks).collect()),
-            };
-        let mut pruned = n_masks - scatter_masks.len();
-        let scatter_wave = arena.wave(ctx, submit);
-        let scatter_evals = score_wave(&arena, ctx, request, &scatter_wave, &scatter_masks);
-        let mut explored = scatter_evals.len();
-        tracer.emit_with(submit, || EventKind::SearchWave {
-            query,
-            wave: submit,
-            candidates: scatter_evals.len(),
-            memo: scatter_probe,
-        });
-        note_probe(&mut audit, scatter_probe);
-        let mut best: Option<(CandidateScore, usize)> = None;
-        for (&mask, score) in scatter_masks.iter().zip(&scatter_evals) {
-            note_candidate_score(&mut audit, &arena, mask, *score);
-            if is_better_score(score, best.as_ref().map(|(s, _)| s)) {
-                best = Some((*score, mask));
-            }
-        }
-        let (mut best, mut best_mask) = best.expect("at least the all-remote plan exists");
-        let mut boundary = self.boundary_for(ctx, request, best.information_value.value());
-        note_bound(
-            tracer,
-            &mut audit,
-            query,
-            submit,
-            submit,
-            best.information_value.value(),
-            boundary,
-        );
-        if matches!(scatter_probe, MemoProbe::Miss) && n_masks > 1 {
-            memo.record(
-                scatter_key,
-                frontier_of(&scatter_masks[1..], &scatter_evals[1..]),
-            );
-        }
-
-        // Enumerate the gather waves against the scatter boundary — a
-        // superset of the plain walk's visit, since later improvements
-        // only tighten it.
-        let mut waves: Vec<Wave> = Vec::new();
-        let mut cursor = submit;
-        while waves.len() < self.max_sync_points {
-            let Some((_, next_sync)) = ctx.timelines.next_sync_among(&replicated, cursor) else {
-                break;
-            };
-            if next_sync > boundary {
-                break;
-            }
-            waves.push(arena.wave(ctx, next_sync));
-            cursor = next_sync;
-        }
-
-        // Candidate subsets per wave: the memoized frontier on a hit,
-        // every non-empty subset on a miss (whose key is kept so its
-        // frontier gets recorded below).
-        let mut wave_keys: Vec<Option<PhaseKey>> = Vec::with_capacity(waves.len());
-        let mut wave_probes: Vec<MemoProbe> = Vec::with_capacity(waves.len());
-        let wave_masks: Vec<Vec<usize>> = waves
-            .iter()
-            .map(|wave| {
-                let key = PhaseKey::for_wave(ctx, request, &replicated, wave.at());
-                match memo.lookup(&key) {
-                    Some(frontier) => {
-                        wave_keys.push(None);
-                        wave_probes.push(MemoProbe::Hit);
-                        frontier
-                    }
-                    None => {
-                        wave_keys.push(Some(key));
-                        wave_probes.push(MemoProbe::Miss);
-                        (1..n_masks).collect()
-                    }
-                }
-            })
-            .collect();
-        let wave_evals: Vec<Vec<CandidateScore>> = waves
-            .iter()
-            .zip(&wave_masks)
-            .map(|(wave, masks)| score_wave(&arena, ctx, request, wave, masks))
-            .collect();
-
-        // Record frontiers of the fully scored (miss) waves — valid
-        // whether or not the replay below reaches them.
-        for ((key, masks), evals) in wave_keys.into_iter().zip(&wave_masks).zip(&wave_evals) {
-            if let Some(key) = key {
-                if !masks.is_empty() {
-                    memo.record(key, frontier_of(masks, evals));
-                }
-            }
-        }
-
-        // Replay the plain walk's gather over the precomputed scores.
-        let mut visited = 0usize;
-        for (w, wave) in waves.iter().enumerate() {
-            let at = wave.at();
-            if at > boundary {
-                break;
-            }
-            let masks = &wave_masks[w];
-            let evals = &wave_evals[w];
-            visited += 1;
-            tracer.emit_with(submit, || EventKind::SearchWave {
-                query,
-                wave: at,
-                candidates: evals.len(),
-                memo: wave_probes[w],
-            });
-            note_probe(&mut audit, wave_probes[w]);
-            pruned += (n_masks - 1) - masks.len();
-            for (&mask, score) in masks.iter().zip(evals) {
-                explored += 1;
-                note_candidate_score(&mut audit, &arena, mask, *score);
-                if is_better_score(score, Some(&best)) {
-                    best = *score;
-                    best_mask = mask;
-                    boundary = self.boundary_for(ctx, request, best.information_value.value());
-                    note_bound(
-                        tracer,
-                        &mut audit,
-                        query,
-                        submit,
-                        at,
-                        best.information_value.value(),
-                        boundary,
-                    );
-                }
-            }
-        }
-
-        if let Some(a) = audit {
-            a.waves = visited;
-            a.boundary = boundary;
-            a.pruned = pruned;
-        }
-        tracer.emit_with(submit, || EventKind::SearchFinished {
-            query,
-            explored,
-            waves: visited,
-            pruned,
             boundary,
             release: best.execute_at,
             iv: best.information_value.value(),
@@ -644,20 +408,6 @@ impl ScatterGatherSearch {
     }
 }
 
-/// Scores `masks` released at `wave`, in order.
-fn score_wave(
-    arena: &SubsetArena,
-    ctx: &PlanContext<'_>,
-    request: &QueryRequest,
-    wave: &Wave,
-    masks: &[usize],
-) -> Vec<CandidateScore> {
-    masks
-        .iter()
-        .map(|&mask| arena.score(ctx, request, wave, mask))
-        .collect()
-}
-
 /// Appends a candidate to the audit (no-op without one). Audit
 /// collection is recording-only: the search never reads it back.
 fn note_candidate_score(
@@ -701,17 +451,6 @@ fn note_bound(
             incumbent_iv,
             boundary,
         });
-    }
-}
-
-/// Tallies a wave's memo probe into the audit counters.
-fn note_probe(audit: &mut Option<&mut SearchAudit>, probe: MemoProbe) {
-    if let Some(a) = audit.as_deref_mut() {
-        match probe {
-            MemoProbe::Off => {}
-            MemoProbe::Hit => a.memo_hits += 1,
-            MemoProbe::Miss => a.memo_misses += 1,
-        }
     }
 }
 
@@ -839,25 +578,6 @@ pub fn is_better_score(candidate: &CandidateScore, incumbent: Option<&CandidateS
     let tied_finish = candidate.finish == inc.finish;
     let more_local = candidate.local_len > inc.local_len;
     better_iv | (tied_iv & (earlier_finish | (tied_finish & more_local)))
-}
-
-/// The masks whose IV is within a relative
-/// [`FRONTIER_MARGIN`](crate::memo::FRONTIER_MARGIN) of the wave winner
-/// — every potential winner at any other wave with the same phase
-/// offsets (see [`PhaseMemo`] for the argument). Computed by margin
-/// dominance over a [`FrontierArena`]: a mask survives iff no mask
-/// dominates it, which is exactly the within-margin-of-the-winner set
-/// (domination by *any* mask implies domination by the winner). `masks`
-/// and `scores` are aligned; masks ascending in, ascending out.
-fn frontier_of(masks: &[usize], scores: &[CandidateScore]) -> Vec<usize> {
-    let mut frontier = FrontierArena::with_capacity(masks.len());
-    for (&mask, score) in masks.iter().zip(scores) {
-        frontier.insert(FrontierEntry {
-            mask,
-            iv: score.information_value.value(),
-        });
-    }
-    frontier.masks()
 }
 
 #[cfg(test)]
@@ -1064,48 +784,6 @@ mod tests {
     }
 
     #[test]
-    fn memoized_search_keeps_plan_and_cuts_effort() {
-        let (catalog, timelines) = fixture(&[(0, 8.0), (1, 2.0), (2, 4.0)]);
-        let model = StylizedCostModel::paper_fig4();
-        let ctx = ctx(&catalog, &timelines, &model, DiscountRates::new(0.02, 0.08));
-        let search = ScatterGatherSearch::new();
-        let memo = crate::memo::PhaseMemo::new();
-        // The same phase recurs every lcm(8,2,4)=8 time units: the second
-        // pass over the phase-equivalent submissions hits the memo.
-        let mut cold = 0usize;
-        let mut warm = 0usize;
-        for round in 0..2 {
-            for submit in [1.0, 9.0, 17.0, 25.0] {
-                let req = QueryRequest::new(
-                    QuerySpec::new(QueryId::new(0), vec![t(0), t(1), t(2)]),
-                    SimTime::new(submit),
-                );
-                let seq = search.search_from(&ctx, &req, req.submitted_at).unwrap();
-                let opts = SearchOpts {
-                    memo: Some(&memo),
-                    ..SearchOpts::default()
-                };
-                let memoized = search
-                    .search_with(&ctx, &req, req.submitted_at, opts)
-                    .unwrap();
-                assert_eq!(memoized.best, seq.best, "submit={submit}");
-                assert_eq!(memoized.boundary, seq.boundary);
-                assert_eq!(memoized.sync_points_visited, seq.sync_points_visited);
-                if round == 0 && submit == 1.0 {
-                    cold = memoized.plans_explored;
-                } else {
-                    warm = memoized.plans_explored;
-                }
-            }
-        }
-        assert!(memo.stats().hits > 0, "phase-equivalent waves must hit");
-        assert!(
-            warm < cold,
-            "frontier reuse must cut effort ({warm} vs {cold})"
-        );
-    }
-
-    #[test]
     fn observed_search_matches_unobserved_and_audits_the_decision() {
         use ivdss_obs::Trace;
         use std::sync::Arc;
@@ -1127,7 +805,6 @@ mod tests {
             let opts = SearchOpts {
                 tracer: Some(&tracer),
                 audit: Some(&mut audit),
-                ..SearchOpts::default()
             };
             let outcome = search
                 .search_with(&ctx, &req, req.submitted_at, opts)
@@ -1163,29 +840,6 @@ mod tests {
         let (outcome2, rendered2, _) = run_observed();
         assert_eq!(outcome2, plain);
         assert_eq!(rendered, rendered2, "identical runs render identical bytes");
-
-        // The memoized search keeps the plan under observation too, and
-        // reports its memo probes.
-        let memo = crate::memo::PhaseMemo::new();
-        for round in 0..2 {
-            let mut audit = SearchAudit::default();
-            let opts = SearchOpts {
-                memo: Some(&memo),
-                audit: Some(&mut audit),
-                ..SearchOpts::default()
-            };
-            let memoized = search
-                .search_with(&ctx, &req, req.submitted_at, opts)
-                .unwrap();
-            assert_eq!(memoized.best, plain.best, "round={round}");
-            assert_eq!(memoized.boundary, plain.boundary);
-            if round == 0 {
-                assert!(audit.memo_misses > 0, "cold round must record misses");
-            } else {
-                assert!(audit.memo_hits > 0, "warm round must report hits");
-                assert!(audit.pruned > 0, "frontier reuse must prune");
-            }
-        }
     }
 
     #[test]

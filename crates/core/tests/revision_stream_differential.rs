@@ -36,8 +36,8 @@ fn t(i: u32) -> TableId {
     TableId::new(i)
 }
 
-/// The same 5-table, 3-replica shape the parallel differential uses:
-/// 8-subset scatter waves and a non-trivial gather frontier.
+/// A 5-table, 3-replica shape: 8-subset scatter waves and a
+/// non-trivial gather walk.
 fn fixture(seed: u64) -> (Catalog, SyncTimelines) {
     let seeds = SeedFactory::new(seed);
     let mut periods = UniformStream::new(2.0, 15.0, seeds.seed_for("periods"));

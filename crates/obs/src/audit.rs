@@ -2,12 +2,11 @@
 //!
 //! A [`SearchAudit`] is filled in by the scatter-and-gather search as
 //! it runs — every candidate it evaluated, the bound trajectory
-//! (incumbent IV and tightened boundary after each improvement), and
-//! the dominance-prune accounting (candidates skipped thanks to
-//! memoized frontiers). The serving engine wraps it in a [`PlanAudit`]
-//! recording *how* the decision was reached (cache hit, fresh search,
-//! outage re-plan) and keeps the most recent audit per query in a
-//! bounded [`AuditLog`].
+//! (incumbent IV and tightened boundary after each improvement), the
+//! gather waves visited and the final boundary. The serving engine
+//! wraps it in a [`PlanAudit`] recording *how* the decision was reached
+//! (cache hit, fresh search, outage re-plan) and keeps the most recent
+//! audit per query in a bounded [`AuditLog`].
 //!
 //! Audits are collection-only — they never influence the search — and
 //! like trace events they are driven entirely by sim time, so the
@@ -54,13 +53,6 @@ pub struct SearchAudit {
     pub candidates: Vec<SearchCandidate>,
     /// The bound trajectory (first entry is the scatter incumbent).
     pub bounds: Vec<BoundStep>,
-    /// Waves answered from a memoized frontier.
-    pub memo_hits: usize,
-    /// Waves that evaluated every subset (and recorded a frontier).
-    pub memo_misses: usize,
-    /// Candidate evaluations skipped because a memoized dominance
-    /// frontier excluded their subset.
-    pub pruned: usize,
     /// Gather waves visited.
     pub waves: usize,
     /// The final boundary.
@@ -82,10 +74,10 @@ pub enum PlanSource {
     CacheHit,
     /// Cache miss: a fresh search ran inside the cache fill.
     CacheMiss,
-    /// Cache disabled: a fresh (memoized) search at dispatch.
+    /// Cache disabled: a fresh search at dispatch.
     FreshSearch,
     /// The chosen plan spanned a site inside an outage; the engine
-    /// re-planned with release floors visible and the memo bypassed.
+    /// re-planned with release floors visible.
     OutageReplan,
 }
 
@@ -148,12 +140,9 @@ impl PlanAudit {
         if let Some(search) = &self.search {
             let _ = writeln!(
                 out,
-                "  search explored={} waves={} pruned={} memo_hits={} memo_misses={} boundary={}",
+                "  search explored={} waves={} boundary={}",
                 search.explored(),
                 search.waves,
-                search.pruned,
-                search.memo_hits,
-                search.memo_misses,
                 if search.boundary == SimTime::MAX {
                     "max".to_string()
                 } else {
@@ -272,9 +261,6 @@ mod tests {
                     incumbent_iv: 0.75,
                     boundary: SimTime::MAX,
                 }],
-                memo_hits: 0,
-                memo_misses: 1,
-                pruned: 0,
                 waves: 0,
                 boundary: SimTime::MAX,
             }),

@@ -24,31 +24,6 @@ use ivdss_catalog::ids::{ShardId, SiteId, TableId};
 use ivdss_costmodel::query::QueryId;
 use ivdss_simkernel::time::{SimDuration, SimTime};
 
-/// How a memoized search wave resolved against the [`PhaseMemo`]
-/// frontier store (or `Off` when no memo was consulted — e.g. the
-/// floored outage re-plan, where the memo would be unsound).
-///
-/// [`PhaseMemo`]: https://docs.rs/ivdss-core
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemoProbe {
-    /// No memo in play for this search.
-    Off,
-    /// The wave's phase had a recorded frontier; only it was evaluated.
-    Hit,
-    /// First visit to this phase; every subset was evaluated.
-    Miss,
-}
-
-impl MemoProbe {
-    fn label(self) -> &'static str {
-        match self {
-            MemoProbe::Off => "off",
-            MemoProbe::Hit => "hit",
-            MemoProbe::Miss => "miss",
-        }
-    }
-}
-
 /// The admission decision taken for one submitted query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionVerdict {
@@ -137,7 +112,7 @@ pub enum EventKind {
         hit: bool,
     },
     /// The chosen plan spanned a site inside an outage and was
-    /// re-planned with the release floors visible (memo bypassed).
+    /// re-planned with the release floors visible.
     Replanned {
         /// The re-planned query.
         query: QueryId,
@@ -186,10 +161,6 @@ pub enum EventKind {
         release_floor: SimTime,
         /// Local-subset candidates per wave (2^replicated tables).
         subsets: usize,
-        /// `true` when a [`PhaseMemo`] is consulted.
-        ///
-        /// [`PhaseMemo`]: https://docs.rs/ivdss-core
-        memo: bool,
     },
     /// One search wave (the scatter at the release floor, or a gather
     /// wave at a synchronization point) was evaluated.
@@ -198,10 +169,9 @@ pub enum EventKind {
         query: QueryId,
         /// The wave's release time.
         wave: SimTime,
-        /// Candidates actually evaluated at this wave.
+        /// Candidates evaluated at this wave: every subset at the
+        /// scatter, every subset but the all-remote one at a gather wave.
         candidates: usize,
-        /// How the wave resolved against the memo.
-        memo: MemoProbe,
     },
     /// The incumbent improved: a new bound-trajectory step.
     SearchBound {
@@ -222,8 +192,6 @@ pub enum EventKind {
         explored: usize,
         /// Gather waves visited.
         waves: usize,
-        /// Candidate evaluations skipped thanks to memoized frontiers.
-        pruned: usize,
         /// The final boundary.
         boundary: SimTime,
         /// The chosen plan's release time.
@@ -604,28 +572,24 @@ impl TraceEvent {
                 query,
                 release_floor,
                 subsets,
-                memo,
             } => {
                 let _ = write!(
                     out,
-                    " query={} release_floor={} subsets={subsets} memo={}",
+                    " query={} release_floor={} subsets={subsets}",
                     query.raw(),
                     fmt_time(*release_floor),
-                    if *memo { "on" } else { "off" }
                 );
             }
             EventKind::SearchWave {
                 query,
                 wave,
                 candidates,
-                memo,
             } => {
                 let _ = write!(
                     out,
-                    " query={} wave={} candidates={candidates} memo={}",
+                    " query={} wave={} candidates={candidates}",
                     query.raw(),
                     fmt_time(*wave),
-                    memo.label()
                 );
             }
             EventKind::SearchBound {
@@ -646,15 +610,13 @@ impl TraceEvent {
                 query,
                 explored,
                 waves,
-                pruned,
                 boundary,
                 release,
                 iv,
             } => {
                 let _ = write!(
                     out,
-                    " query={} explored={explored} waves={waves} pruned={pruned} boundary={} \
-                     release={} iv={iv}",
+                    " query={} explored={explored} waves={waves} boundary={} release={} iv={iv}",
                     query.raw(),
                     fmt_time(*boundary),
                     fmt_time(*release),
@@ -915,6 +877,78 @@ mod tests {
         assert_eq!(
             untagged.render(),
             "t=2.5 cache_lookup query=7 outcome=miss\n"
+        );
+    }
+
+    #[test]
+    fn search_events_render() {
+        let query = QueryId::new(6);
+        let started = TraceEvent::new(
+            SimTime::new(11.0),
+            EventKind::SearchStarted {
+                query,
+                release_floor: SimTime::new(11.0),
+                subsets: 4,
+            },
+        );
+        assert_eq!(
+            started.render(),
+            "t=11 search_started query=6 release_floor=11 subsets=4\n"
+        );
+        let wave = TraceEvent::new(
+            SimTime::new(11.0),
+            EventKind::SearchWave {
+                query,
+                wave: SimTime::new(12.5),
+                candidates: 3,
+            },
+        );
+        assert_eq!(
+            wave.render(),
+            "t=11 search_wave query=6 wave=12.5 candidates=3\n"
+        );
+        let bound = TraceEvent::new(
+            SimTime::new(11.0),
+            EventKind::SearchBound {
+                query,
+                at: SimTime::new(12.5),
+                incumbent_iv: 0.75,
+                boundary: SimTime::new(40.25),
+            },
+        );
+        assert_eq!(
+            bound.render(),
+            "t=11 search_bound query=6 at=12.5 incumbent_iv=0.75 boundary=40.25\n"
+        );
+        let finished = TraceEvent::new(
+            SimTime::new(11.0),
+            EventKind::SearchFinished {
+                query,
+                explored: 7,
+                waves: 1,
+                boundary: SimTime::new(40.25),
+                release: SimTime::new(12.5),
+                iv: 0.75,
+            },
+        );
+        assert_eq!(
+            finished.render(),
+            "t=11 search_finished query=6 explored=7 waves=1 boundary=40.25 release=12.5 iv=0.75\n"
+        );
+        let unbounded = TraceEvent::new(
+            SimTime::ZERO,
+            EventKind::SearchFinished {
+                query,
+                explored: 1,
+                waves: 0,
+                boundary: SimTime::MAX,
+                release: SimTime::ZERO,
+                iv: 1.0,
+            },
+        );
+        assert_eq!(
+            unbounded.render(),
+            "t=0 search_finished query=6 explored=1 waves=0 boundary=max release=0 iv=1\n"
         );
     }
 

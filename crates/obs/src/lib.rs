@@ -12,10 +12,10 @@
 //!
 //! * **Deterministic** — events carry [`SimTime`] stamps and are emitted
 //!   only from sequential code paths (the serving engine's pipeline and
-//!   the plan search, whose memoized walk emits only from its replay
-//!   phase), so emission order is a pure function of the inputs. Rendering uses Rust's
-//!   shortest-round-trip `f64` formatting, which is itself
-//!   deterministic. Golden-trace tests diff runs byte for byte.
+//!   the plan search), so emission order is a pure function of the
+//!   inputs. Rendering uses Rust's shortest-round-trip `f64` formatting,
+//!   which is itself deterministic. Golden-trace tests diff runs byte for
+//!   byte.
 //! * **Cheap when off** — instrumented code holds a [`Tracer`] handle;
 //!   a disabled tracer makes [`Tracer::emit_with`] skip the closure
 //!   entirely, so hot paths pay one branch, not an allocation.
@@ -67,6 +67,6 @@ pub mod hist;
 pub mod trace;
 
 pub use audit::{AuditLog, BoundStep, PlanAudit, PlanSource, SearchAudit, SearchCandidate};
-pub use event::{AdmissionVerdict, EventKind, MemoProbe, TraceEvent};
+pub use event::{AdmissionVerdict, EventKind, TraceEvent};
 pub use hist::FixedHistogram;
 pub use trace::{Trace, TraceHistograms, Tracer};

@@ -12,8 +12,8 @@ use crate::scenario::{Popularity, ScenarioSpec};
 use crate::tenant::TenantSpec;
 
 /// Zipf-skewed template popularity over steady arrivals: a handful of
-/// hot reports dominate, so the plan cache and memo should carry most
-/// of the load.
+/// hot reports dominate, so the plan cache should carry most of the
+/// load.
 ///
 /// # Examples
 ///

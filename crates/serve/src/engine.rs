@@ -5,8 +5,7 @@
 //! replication timelines into the plan cache's invalidator, (2) runs
 //! IV-aware admission ([`AdmissionQueue`]), (3) selects a plan — from
 //! the sync-phase [`PlanCache`], or with the cache off by a fresh
-//! [`ScatterGatherSearch`] reusing [`PhaseMemo`] pruning frontiers
-//! across dispatches — under a [`NoQueues`] planning context, and (4)
+//! [`ScatterGatherSearch`] — under a [`NoQueues`] planning context, and (4)
 //! dispatches the plan through reservation-calendar facilities
 //! ([`FacilityQueues`]), re-evaluating the chosen candidate against
 //! live calendar state so the *delivered* information value reflects
@@ -48,11 +47,9 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use ivdss_catalog::catalog::Catalog;
 use ivdss_catalog::ids::{SiteId, TableId};
-use ivdss_core::memo::PhaseMemo;
 use ivdss_core::plan::{
     evaluate_plan, FacilityQueues, NoQueues, PlanContext, PlanError, PlanEvaluation, QueryRequest,
     SiteFloors,
@@ -148,16 +145,18 @@ pub struct SubmitReport {
     pub completed: Vec<Completion>,
 }
 
-/// What [`ServeEngine::replan_cache`] returns: zero counters.
+/// Zero hit and miss counters, for reuse layers the workspace no longer
+/// has. Returned by [`ServeEngine::replan_cache`] and by the cluster's
+/// `shared_memo`.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ZeroReplanStats {
+pub struct ZeroStats {
     pub hits: u64,
     pub misses: u64,
 }
 
 #[doc(hidden)]
-impl ZeroReplanStats {
+impl ZeroStats {
     #[must_use]
     pub fn stats(self) -> Self {
         self
@@ -216,17 +215,6 @@ pub struct ServeEngine<'a, C: Clock> {
     /// Dispatch-time plan searches: cache-off planning, outage
     /// re-planning and the fault-free IV bound.
     search: ScatterGatherSearch,
-    /// Sync-phase pruning frontiers reused across the cache-off
-    /// dispatch searches. Keyed by phase *offsets*, so timeline
-    /// revisions never invalidate it, and only consulted under the
-    /// stateless [`NoQueues`] planning context — never by the floored
-    /// outage re-plan. Owned per engine by default; a cluster
-    /// shares one across its shards via
-    /// [`ServeEngine::with_phase_memo`] — the sharded memo makes that
-    /// contention-cheap, and [`PhaseKey`](ivdss_core::memo::PhaseKey)
-    /// carries the replicated footprint, so shards with different
-    /// replication plans cannot collide.
-    memo: Arc<PhaseMemo>,
     /// Storage-backed evaluation mode: when armed via
     /// [`ServeEngine::with_storage`], dispatch executes a real scan per
     /// local replica of the chosen plan and the delivered evaluation
@@ -268,23 +256,10 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
             clock,
             faults: None,
             search: ScatterGatherSearch::new(),
-            memo: Arc::new(PhaseMemo::new()),
             storage: None,
             tracer: Tracer::disabled(),
             audits: AuditLog::new(config.audit_capacity),
         }
-    }
-
-    /// Shares a sync-phase memo with this engine (builder-style) — the
-    /// cluster injects one memo into all its shard engines so
-    /// frontiers recorded by any shard prune every shard's searches.
-    /// Hit-for-hit behavior within one engine is unchanged: a shared
-    /// memo can only *add* frontiers another engine recorded, and the
-    /// frontier replay is bit-exact regardless of who recorded it.
-    #[must_use]
-    pub fn with_phase_memo(mut self, memo: Arc<PhaseMemo>) -> Self {
-        self.memo = memo;
-        self
     }
 
     /// Attaches a structured-event tracer (builder-style). The engine
@@ -308,8 +283,8 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
     /// replaces the model's local-processing estimate in the delivered
     /// evaluation (remote and transmission components stay modeled).
     /// Planning is untouched — plans are still *chosen* analytically, so
-    /// the cache and memo soundness arguments are unchanged; only
-    /// delivery is measured.
+    /// the cache's soundness argument is unchanged; only delivery is
+    /// measured.
     #[must_use]
     pub fn with_storage(mut self, storage: &'a StorageEngine) -> Self {
         self.storage = Some(storage);
@@ -437,27 +412,13 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
         self.storage
     }
 
-    /// The sync-phase pruning memo (hit/miss counters for
-    /// observability).
-    #[must_use]
-    pub fn memo(&self) -> &PhaseMemo {
-        &self.memo
-    }
-
-    /// The memo as a shareable handle (what
-    /// [`ServeEngine::with_phase_memo`] accepts).
-    #[must_use]
-    pub fn shared_memo(&self) -> Arc<PhaseMemo> {
-        Arc::clone(&self.memo)
-    }
-
     /// Kept only for servebench's traced run, which reads
     /// `replan_cache().stats()` for its `replan.hit_share` metric. The
     /// engine has no replan cache, so both counters read zero.
     #[doc(hidden)]
     #[must_use]
-    pub fn replan_cache(&self) -> ZeroReplanStats {
-        ZeroReplanStats::default()
+    pub fn replan_cache(&self) -> ZeroStats {
+        ZeroStats::default()
     }
 
     /// The engine's emission handle (disabled unless attached via
@@ -730,11 +691,9 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
             };
             eval
         } else {
-            // NoQueues context → the sync-phase memo is sound here.
             source = PlanSource::FreshSearch;
             let mut audit = collect_audit.then(SearchAudit::default);
             let opts = SearchOpts {
-                memo: Some(&self.memo),
                 tracer: Some(&self.tracer),
                 audit: audit.as_mut(),
             };
@@ -773,13 +732,10 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
                 });
                 source = PlanSource::OutageReplan;
                 let floored = SiteFloors::new(&NoQueues, floors.clone());
-                // Floors are time-dependent queue state → the memo is
-                // unsound here.
                 let mut audit = collect_audit.then(SearchAudit::default);
                 let opts = SearchOpts {
                     tracer: Some(&self.tracer),
                     audit: audit.as_mut(),
-                    ..SearchOpts::default()
                 };
                 let best = self
                     .search
@@ -895,9 +851,7 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
                 rates: self.config.rates,
                 queues: &NoQueues,
             };
-            // The plain walk: this bound feeds a metric and decides
-            // nothing, and the memo's frontier walk gives the same IV
-            // more slowly here.
+            // Untraced: this bound feeds a metric and decides nothing.
             let ideal = self.search.search_from(&nominal_ctx, &request, now)?.best;
             iv_lost =
                 (ideal.information_value.value() - delivered.information_value.value()).max(0.0);

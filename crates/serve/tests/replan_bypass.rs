@@ -1,13 +1,14 @@
 //! Direct test of the floored-outage re-plan path.
 //!
-//! The engine's [`PhaseMemo`] is sound only under stateless queue
-//! contexts: site floors are time-dependent state, so the outage
-//! re-plan must bypass the memo entirely. This test scripts one outage
+//! Site floors are time-dependent queue state, which the plan cache's
+//! key cannot carry, so the outage re-plan bypasses the cache and runs
+//! a fresh search with the floors visible. This test scripts one outage
 //! over a site the nominal plan spans remotely, drives a single query
 //! through [`ServeEngine`], and asserts — through the plan-decision
-//! audit and the trace — that the re-plan (a) actually fired, (b) never
-//! touched the memo, and (c) chose exactly the plan a memo-free
-//! [`ScatterGatherSearch::search_from`] picks over the identical
+//! audit and the trace — that the re-plan (a) actually fired and is
+//! audited as [`PlanSource::OutageReplan`], and (b) chose exactly the
+//! plan, planned IV (bit for bit) and explored count that
+//! [`ScatterGatherSearch::search_from`] gives over the identical
 //! floored context.
 
 use std::sync::Arc;
@@ -30,7 +31,7 @@ const SUBMIT: f64 = 1.0;
 const OUTAGE_END: f64 = 80.0;
 
 #[test]
-fn outage_replan_bypasses_the_memo_and_matches_the_memo_free_search() {
+fn outage_replan_is_audited_and_matches_search_from_over_the_floors() {
     let catalog = synthetic_catalog(&SyntheticConfig {
         tables: 8,
         sites: 3,
@@ -124,9 +125,7 @@ fn outage_replan_bypasses_the_memo_and_matches_the_memo_free_search() {
     assert_eq!(trace.counts().get("replanned").copied().unwrap_or(0), 1);
     assert_eq!(engine.snapshot().faults_replans, 1);
 
-    // (a) + (b): the audit records the re-plan, and its memo counters
-    // prove the PhaseMemo was never consulted — floors are
-    // time-dependent queue state, so a memo probe here would be unsound.
+    // (a): the audit records the re-plan with its search record.
     let audit = engine
         .plan_audit(request.id())
         .expect("audit collection is on by default");
@@ -135,15 +134,10 @@ fn outage_replan_bypasses_the_memo_and_matches_the_memo_free_search() {
         .search
         .as_ref()
         .expect("an outage re-plan carries its full search audit");
-    assert_eq!(
-        (search_audit.memo_hits, search_audit.memo_misses),
-        (0, 0),
-        "the floored re-plan must bypass the sync-phase memo"
-    );
     assert!(search_audit.explored() > 0);
 
-    // (c): the chosen plan is exactly what the memo-free sequential
-    // search picks over the same floored context at the dispatch time.
+    // (b): the chosen plan is exactly what the plain search picks over
+    // the same floored context at the dispatch time.
     let floors = faults.site_floors(SimTime::new(SUBMIT));
     assert_eq!(floors.get(&down_site), Some(&SimTime::new(OUTAGE_END)));
     let floored = SiteFloors::new(&NoQueues, floors);
@@ -156,7 +150,7 @@ fn outage_replan_bypasses_the_memo_and_matches_the_memo_free_search() {
     };
     let reference = search
         .search_from(&floored_ctx, &request, SimTime::new(SUBMIT))
-        .expect("memo-free floored search succeeds")
+        .expect("floored search succeeds")
         .best;
     assert_eq!(audit.chosen_release, reference.execute_at);
     assert_eq!(
@@ -166,7 +160,7 @@ fn outage_replan_bypasses_the_memo_and_matches_the_memo_free_search() {
     assert_eq!(
         audit.planned_iv.to_bits(),
         reference.information_value.value().to_bits(),
-        "audited planned IV must match the memo-free search bit for bit"
+        "audited planned IV must match the floored search bit for bit"
     );
     assert_eq!(search_audit.explored(), {
         let outcome = search

@@ -11,6 +11,9 @@ cargo fmt --all --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> cargo doc (deny rustdoc warnings, as CI's docs job does)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
@@ -49,8 +52,9 @@ for workload in tpch-paper dashboard-hot tenants-overload; do
   esac
 done
 # The traced replay (--trace 1) is the only servebench path that calls
-# the plain search, the cluster's shared memo and the engine's replan
-# cache directly, so one short run keeps it exercised (~1 s).
+# the plain search directly and reads the cluster's `shared_memo()` and
+# the engine's `replan_cache()` (hidden seams that report zero
+# counters), so one short run keeps it exercised (~1 s).
 report=$(cargo run --quiet --release --offline --manifest-path servebench/Cargo.toml -- \
   --workload tenants-overload --seed 1 --seconds 1 --trace 1 | tail -n 1)
 case "$report" in

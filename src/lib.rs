@@ -20,7 +20,7 @@
 //! | [`catalog`] | Tables, sites, placement, replication plans; TPC-H and synthetic schemas |
 //! | [`costmodel`] | Query footprints, per-combination plan-cost compilation, stylized and analytic cost models |
 //! | [`replication`] | Synchronization schedules/timelines, replica versions, QoS replication |
-//! | [`core`] | **The paper's contribution**: the IV model, plan evaluation, the scatter-and-gather optimal plan search (sequential and pooled-parallel, with sync-phase memoized pruning), IVQP/Federation/Warehouse planners, starvation aging |
+//! | [`core`] | **The paper's contribution**: the IV model, plan evaluation, the bounded scatter-and-gather optimal plan search and its exhaustive oracle, a fork-join pool for planning many queries at once, IVQP/Federation/Warehouse planners, starvation aging |
 //! | [`ga`] | Genetic algorithm with permutation genomes and order crossover |
 //! | [`mqo`] | Workload formation and GA-driven multi-query (order) optimization |
 //! | [`workloads`] | The 22 TPC-H query footprints, synthetic query generators, arrival streams |
@@ -95,9 +95,9 @@ pub mod prelude {
     };
     pub use ivdss_core::{
         evaluate_plan, exhaustive_search, AgingPolicy, BusinessValue, DiscountRate, DiscountRates,
-        FacilityQueues, FederationPlanner, InformationValue, IvqpPlanner, Latencies, MemoStats,
-        NoQueues, PhaseMemo, PlacementAdvisor, PlanContext, PlanError, PlanEvaluation, Planner,
-        PlannerPool, QueryRequest, ScatterGatherSearch, SearchOpts, WarehousePlanner,
+        FacilityQueues, FederationPlanner, InformationValue, IvqpPlanner, Latencies, NoQueues,
+        PlacementAdvisor, PlanContext, PlanError, PlanEvaluation, Planner, PlannerPool,
+        QueryRequest, ScatterGatherSearch, SearchOpts, WarehousePlanner,
     };
     pub use ivdss_costmodel::{
         AnalyticCostModel, CalibratedCostModel, CompiledQuery, CostModel, LocalFit, PlanCost,
