@@ -27,9 +27,7 @@
 //! * [`parallel`] — [`parallel::PlannerPool`], a deterministic fork-join
 //!   helper for callers that plan many independent queries or candidate
 //!   orders at once;
-//! * [`starvation`] — the §3.3 aging adaptation for long-queued queries;
-//! * [`advisor`] — the §6 future-work data-placement advisor (greedy
-//!   replica recommendation by marginal information value).
+//! * [`starvation`] — the §3.3 aging adaptation for long-queued queries.
 //!
 //! # Example
 //!
@@ -79,7 +77,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod advisor;
 pub mod latency;
 pub mod parallel;
 pub mod plan;
@@ -88,7 +85,6 @@ pub mod search;
 pub mod starvation;
 pub mod value;
 
-pub use advisor::{AdvisorStep, PlacementAdvisor, Recommendation};
 pub use latency::Latencies;
 pub use parallel::PlannerPool;
 pub use plan::{

@@ -1,4 +1,4 @@
-//! Property-based tests for the cost model and compilation cache.
+//! Property-based tests for the cost model.
 
 use std::collections::BTreeSet;
 
@@ -6,12 +6,12 @@ use ivdss_catalog::ids::TableId;
 use ivdss_catalog::replica::{ReplicaSpec, ReplicationPlan};
 use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
 use ivdss_catalog::Catalog;
-use ivdss_costmodel::compile::CompiledQuery;
-use ivdss_costmodel::model::{AnalyticCostModel, CostModel, StylizedCostModel};
+use ivdss_costmodel::model::{AnalyticCostModel, CostModel, PlanCost, StylizedCostModel};
 use ivdss_costmodel::query::{QueryId, QuerySpec};
 use proptest::prelude::*;
 
-fn catalog_with(tables: usize, replicated: usize, seed: u64) -> Catalog {
+/// A synthetic catalog whose every table has a replica.
+fn replicated_catalog(tables: usize, seed: u64) -> Catalog {
     let base = synthetic_catalog(&SyntheticConfig {
         tables,
         sites: 3,
@@ -21,44 +21,36 @@ fn catalog_with(tables: usize, replicated: usize, seed: u64) -> Catalog {
     })
     .unwrap();
     let mut plan = ReplicationPlan::new();
-    for i in 0..replicated {
+    for i in 0..tables {
         plan.add(TableId::new(i as u32), ReplicaSpec::new(5.0));
     }
     base.with_replication(plan).unwrap()
 }
 
-proptest! {
-    /// The compilation cache agrees with direct model evaluation for
-    /// every combination.
-    #[test]
-    fn compiled_costs_match_direct(
-        tables in 2usize..8,
-        replicated_frac in 0.0..1.0f64,
-        seed in any::<u64>(),
-        weight in 0.5..3.0f64
-    ) {
-        let replicated = ((tables as f64) * replicated_frac) as usize;
-        let catalog = catalog_with(tables, replicated, seed);
-        let model = AnalyticCostModel::paper_scale();
-        let query = QuerySpec::with_profile(
-            QueryId::new(0),
-            (0..tables as u32).map(TableId::new).collect(),
-            weight,
-            0.01,
-        );
-        let compiled = CompiledQuery::compile(&catalog, &model, query.clone());
-        for (local, cached) in compiled.combinations() {
-            let remote: BTreeSet<TableId> = query
-                .tables()
+/// The cost of every local/remote combination of `query`'s footprint, as
+/// `(remote tables, cost)`: mask bit `i` sends footprint table `i` to its
+/// base copy.
+fn every_combination(
+    catalog: &Catalog,
+    model: &dyn CostModel,
+    query: &QuerySpec,
+) -> Vec<(BTreeSet<TableId>, PlanCost)> {
+    let tables = query.tables();
+    (0..1usize << tables.len())
+        .map(|mask| {
+            let remote: BTreeSet<TableId> = tables
                 .iter()
-                .copied()
-                .filter(|t| !local.contains(t))
+                .enumerate()
+                .filter(|(i, _)| mask & (1 << i) != 0)
+                .map(|(_, &t)| t)
                 .collect();
-            let direct = model.plan_cost(&catalog, &query, &remote);
-            prop_assert_eq!(cached, direct);
-        }
-    }
+            let cost = model.plan_cost(catalog, query, &remote);
+            (remote, cost)
+        })
+        .collect()
+}
 
+proptest! {
     /// All cost components are finite and non-negative; the all-local
     /// plan has zero transmission and zero remote processing.
     #[test]
@@ -68,7 +60,7 @@ proptest! {
         weight in 0.5..3.0f64,
         selectivity in 0.001..0.5f64
     ) {
-        let catalog = catalog_with(tables, tables, seed);
+        let catalog = replicated_catalog(tables, seed);
         let model = AnalyticCostModel::paper_scale();
         let query = QuerySpec::with_profile(
             QueryId::new(0),
@@ -76,14 +68,16 @@ proptest! {
             weight,
             selectivity,
         );
-        let compiled = CompiledQuery::compile(&catalog, &model, query);
-        for (_, cost) in compiled.combinations() {
+        let combinations = every_combination(&catalog, &model, &query);
+        prop_assert_eq!(combinations.len(), 1 << tables);
+        for (_, cost) in &combinations {
             prop_assert!(cost.local_processing.value() >= 0.0);
             prop_assert!(cost.remote_processing.value() >= 0.0);
             prop_assert!(cost.transmission.value() >= 0.0);
             prop_assert!(cost.total().value().is_finite());
         }
-        let all_local = compiled.all_local_cost().unwrap();
+        let (remote, all_local) = &combinations[0];
+        prop_assert!(remote.is_empty());
         prop_assert_eq!(all_local.transmission.value(), 0.0);
         prop_assert_eq!(all_local.remote_processing.value(), 0.0);
     }
@@ -94,16 +88,14 @@ proptest! {
         tables in 2usize..8,
         seed in any::<u64>()
     ) {
-        let catalog = catalog_with(tables, tables, seed);
+        let catalog = replicated_catalog(tables, seed);
         let model = StylizedCostModel::paper_fig4();
         let query = QuerySpec::new(
             QueryId::new(0),
             (0..tables as u32).map(TableId::new).collect(),
         );
-        let compiled = CompiledQuery::compile(&catalog, &model, query.clone());
-        for (local, cost) in compiled.combinations() {
-            let n_remote = query.table_count() - local.len();
-            prop_assert_eq!(cost.total().value(), 2.0 + 2.0 * n_remote as f64);
+        for (remote, cost) in every_combination(&catalog, &model, &query) {
+            prop_assert_eq!(cost.total().value(), 2.0 + 2.0 * remote.len() as f64);
         }
     }
 

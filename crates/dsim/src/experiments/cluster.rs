@@ -75,20 +75,6 @@ pub struct ClusterScalingPoint {
     pub total_iv: f64,
 }
 
-impl ClusterScalingPoint {
-    /// Fraction of routed queries whose shard covered the whole
-    /// replicated footprint.
-    #[must_use]
-    pub fn full_coverage_rate(&self) -> f64 {
-        let routed = self.routed_full + self.routed_partial;
-        if routed == 0 {
-            1.0
-        } else {
-            self.routed_full as f64 / routed as f64
-        }
-    }
-}
-
 /// Shard-scaling sweep output.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterScalingResults {

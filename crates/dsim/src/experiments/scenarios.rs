@@ -67,19 +67,6 @@ pub struct ScenarioPoint {
     pub tenants: Vec<TenantPoint>,
 }
 
-impl ScenarioPoint {
-    /// SLA attainment over tracked completions (`1.0` when nothing is
-    /// tracked).
-    #[must_use]
-    pub fn sla_rate(&self) -> f64 {
-        if self.sla_tracked == 0 {
-            1.0
-        } else {
-            self.sla_met as f64 / self.sla_tracked as f64
-        }
-    }
-}
-
 /// Output of a full registry sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioResults {

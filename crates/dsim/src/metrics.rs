@@ -125,12 +125,6 @@ impl RunMetrics {
         self.per_template(n_templates, |o| o.plan.latencies.synchronization.value())
     }
 
-    /// Per-template mean information value.
-    #[must_use]
-    pub fn per_template_mean_iv(&self, n_templates: usize) -> Vec<f64> {
-        self.per_template(n_templates, |o| o.plan.information_value.value())
-    }
-
     fn per_template<F: Fn(&QueryOutcome) -> f64>(&self, n: usize, f: F) -> Vec<f64> {
         assert!(n > 0, "need at least one template");
         let mut sums = vec![0.0; n];
@@ -225,9 +219,6 @@ mod tests {
         m.record(outcome(3, 0.4, 20.0, 0.0));
         let cl = m.per_template_mean_cl(2);
         assert_eq!(cl, vec![3.0, 15.0]);
-        let iv = m.per_template_mean_iv(2);
-        assert!((iv[0] - 0.2).abs() < 1e-12);
-        assert!((iv[1] - 0.3).abs() < 1e-12);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! # ivdss-replication — synchronization timelines and replica state
+//! # ivdss-replication — synchronization timelines
 //!
 //! The dynamic side of the hybrid DSS architecture: *when* each local
 //! replica is refreshed from its base table. Plan selection (in
@@ -10,11 +10,8 @@
 //!   strictly periodic or an explicit/stochastic trace;
 //! * [`timelines::SyncTimelines`] — per-table schedules derived from a
 //!   [`ivdss_catalog::replica::ReplicationPlan`];
-//! * [`timelines::ReplicaVersions`] — live version state during simulation;
 //! * [`events::SyncEventCursor`] — push-style delivery of completed syncs
-//!   to online consumers (plan-cache invalidation in `ivdss-serve`);
-//! * [`qos::QosReplicationManager`] — staleness-bounded replication, the
-//!   paper's "QoS aware replication manager".
+//!   to online consumers (plan-cache invalidation in `ivdss-serve`).
 //!
 //! # Example
 //!
@@ -29,22 +26,22 @@
 //! plan.add(TableId::new(1), ReplicaSpec::new(2.0));
 //! let tl = SyncTimelines::from_plan(&plan, SyncMode::Deterministic);
 //!
-//! // At t = 11 the stalest of the two replicas was synced at t = 8.
-//! let stalest = tl
-//!     .stalest_version(&[TableId::new(0), TableId::new(1)], SimTime::new(11.0))
-//!     .unwrap();
-//! assert_eq!(stalest, Some(SimTime::new(8.0)));
+//! // At t = 11 the two replicas were last synced at t = 8 and t = 10; a
+//! // plan reading both sees data as stale as the earlier one.
+//! let t = SimTime::new(11.0);
+//! assert_eq!(tl.last_sync(TableId::new(0), t), Some(SimTime::new(8.0)));
+//! assert_eq!(tl.last_sync(TableId::new(1), t), Some(SimTime::new(10.0)));
+//! // The faster replica refreshes next, at t = 12.
+//! assert_eq!(tl.next_sync(TableId::new(1), t), Some(SimTime::new(12.0)));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod events;
-pub mod qos;
 pub mod schedule;
 pub mod timelines;
 
 pub use events::{RevisionCursor, SyncEvent, SyncEventCursor, TimelineRevision};
-pub use qos::QosReplicationManager;
 pub use schedule::Schedule;
-pub use timelines::{NotReplicatedError, ReplicaVersions, SyncMode, SyncTimelines};
+pub use timelines::{SyncMode, SyncTimelines};

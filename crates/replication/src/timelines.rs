@@ -1,9 +1,6 @@
-//! Synchronization timelines for every replicated table, plus the live
-//! replica-version state a running simulation maintains.
+//! Synchronization timelines for every replicated table.
 
 use std::collections::BTreeMap;
-use std::error::Error;
-use std::fmt;
 
 use ivdss_catalog::ids::TableId;
 use ivdss_catalog::replica::ReplicationPlan;
@@ -12,28 +9,6 @@ use ivdss_simkernel::time::SimTime;
 
 use crate::events::TimelineRevision;
 use crate::schedule::Schedule;
-
-/// Error raised when a table without a replica is used as one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NotReplicatedError {
-    table: TableId,
-}
-
-impl NotReplicatedError {
-    /// The offending table.
-    #[must_use]
-    pub fn table(&self) -> TableId {
-        self.table
-    }
-}
-
-impl fmt::Display for NotReplicatedError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "table {} has no local replica", self.table)
-    }
-}
-
-impl Error for NotReplicatedError {}
 
 /// How synchronization timelines are derived from a
 /// [`ReplicationPlan`].
@@ -227,78 +202,6 @@ impl SyncTimelines {
             .filter_map(|&table| self.next_sync(table, t).map(|at| (table, at)))
             .min_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)))
     }
-
-    /// The stalest replica timestamp among `tables` at time `t` — the
-    /// paper's observation that "synchronization latency is decided by the
-    /// earliest synchronized table".
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NotReplicatedError`] if any of `tables` has no replica.
-    pub fn stalest_version(
-        &self,
-        tables: &[TableId],
-        t: SimTime,
-    ) -> Result<Option<SimTime>, NotReplicatedError> {
-        let mut stalest: Option<SimTime> = None;
-        for &table in tables {
-            if !self.has_replica(table) {
-                return Err(NotReplicatedError { table });
-            }
-            // A replica that never synced is infinitely stale; represent
-            // its version as time zero's predecessor by treating None as
-            // SimTime::ZERO at the caller. Here we fold None as ZERO.
-            let version = self.last_sync(table, t).unwrap_or(SimTime::ZERO);
-            stalest = Some(match stalest {
-                None => version,
-                Some(cur) => cur.min(version),
-            });
-        }
-        Ok(stalest)
-    }
-}
-
-/// Live replica-version state maintained by a running simulation: each
-/// sync event bumps the table's version to the completion time.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ReplicaVersions {
-    versions: BTreeMap<TableId, SimTime>,
-}
-
-impl ReplicaVersions {
-    /// Creates an empty version map (all replicas at version `t = 0`).
-    #[must_use]
-    pub fn new() -> Self {
-        ReplicaVersions::default()
-    }
-
-    /// Records a completed synchronization of `table` at `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if versions would move backwards.
-    pub fn record_sync(&mut self, table: TableId, at: SimTime) {
-        let entry = self.versions.entry(table).or_insert(SimTime::ZERO);
-        assert!(at >= *entry, "replica version must be monotone");
-        *entry = at;
-    }
-
-    /// Current version of `table`'s replica ([`SimTime::ZERO`] if it never
-    /// synchronized).
-    #[must_use]
-    pub fn version(&self, table: TableId) -> SimTime {
-        self.versions.get(&table).copied().unwrap_or(SimTime::ZERO)
-    }
-
-    /// The stalest version among `tables`.
-    #[must_use]
-    pub fn stalest(&self, tables: &[TableId]) -> SimTime {
-        tables
-            .iter()
-            .map(|&t| self.version(t))
-            .min()
-            .unwrap_or(SimTime::ZERO)
-    }
 }
 
 #[cfg(test)]
@@ -350,48 +253,6 @@ mod tests {
         assert_eq!(next, Some((TableId::new(1), SimTime::new(10.0))));
         let next2 = tl.next_sync_among(&[TableId::new(0), TableId::new(1)], SimTime::new(10.0));
         assert_eq!(next2, Some((TableId::new(0), SimTime::new(12.0))));
-    }
-
-    #[test]
-    fn stalest_version_is_min() {
-        let tl = SyncTimelines::from_plan(&plan(), SyncMode::Deterministic);
-        let v = tl
-            .stalest_version(&[TableId::new(0), TableId::new(1)], SimTime::new(11.0))
-            .unwrap();
-        // T0 synced at 8, T1 at 10 → stalest 8.
-        assert_eq!(v, Some(SimTime::new(8.0)));
-    }
-
-    #[test]
-    fn stalest_version_rejects_unreplicated() {
-        let tl = SyncTimelines::from_plan(&plan(), SyncMode::Deterministic);
-        let err = tl
-            .stalest_version(&[TableId::new(9)], SimTime::new(1.0))
-            .unwrap_err();
-        assert_eq!(err.table(), TableId::new(9));
-        assert!(err.to_string().contains("T9"));
-    }
-
-    #[test]
-    fn replica_versions_track_syncs() {
-        let mut v = ReplicaVersions::new();
-        assert_eq!(v.version(TableId::new(0)), SimTime::ZERO);
-        v.record_sync(TableId::new(0), SimTime::new(5.0));
-        v.record_sync(TableId::new(1), SimTime::new(3.0));
-        assert_eq!(v.version(TableId::new(0)), SimTime::new(5.0));
-        assert_eq!(
-            v.stalest(&[TableId::new(0), TableId::new(1)]),
-            SimTime::new(3.0)
-        );
-        assert_eq!(v.stalest(&[]), SimTime::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "monotone")]
-    fn versions_cannot_regress() {
-        let mut v = ReplicaVersions::new();
-        v.record_sync(TableId::new(0), SimTime::new(5.0));
-        v.record_sync(TableId::new(0), SimTime::new(4.0));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use ivdss_catalog::ids::TableId;
 use ivdss_catalog::replica::{ReplicaSpec, ReplicationPlan};
 use ivdss_replication::events::TimelineRevision;
 use ivdss_replication::schedule::Schedule;
-use ivdss_replication::timelines::{ReplicaVersions, SyncMode, SyncTimelines};
+use ivdss_replication::timelines::{SyncMode, SyncTimelines};
 use ivdss_simkernel::time::SimTime;
 use proptest::prelude::*;
 
@@ -156,22 +156,6 @@ proptest! {
         let s0 = a.schedule(TableId::new(0)).unwrap();
         let s1 = a.schedule(TableId::new(1)).unwrap();
         prop_assert_ne!(s0, s1);
-    }
-
-    /// The stalest version among tables never exceeds any individual
-    /// version, and replica versions are monotone under sorted syncs.
-    #[test]
-    fn stalest_is_min(mut syncs in prop::collection::vec((0u32..4, 0.0..100.0f64), 1..40)) {
-        syncs.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-        let mut versions = ReplicaVersions::new();
-        for &(table, at) in &syncs {
-            versions.record_sync(TableId::new(table), SimTime::new(at));
-        }
-        let tables: Vec<TableId> = (0..4).map(TableId::new).collect();
-        let stalest = versions.stalest(&tables);
-        for &t in &tables {
-            prop_assert!(stalest <= versions.version(t));
-        }
     }
 
     /// Revising a trace in place gives the materialize → remove → push →

@@ -211,45 +211,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// Sets the base-catalog shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any count is zero or more tables are replicated than
-    /// exist.
-    #[must_use]
-    pub fn with_catalog_shape(
-        mut self,
-        tables: usize,
-        sites: usize,
-        replicated_tables: usize,
-    ) -> Self {
-        assert!(tables > 0 && sites > 0, "catalog shape must be non-empty");
-        assert!(
-            replicated_tables <= tables,
-            "cannot replicate more tables than exist"
-        );
-        self.tables = tables;
-        self.sites = sites;
-        self.replicated_tables = replicated_tables;
-        self
-    }
-
-    /// Sets the base replicas' mean sync period.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is not strictly positive and finite.
-    #[must_use]
-    pub fn with_sync_period(mut self, period: f64) -> Self {
-        assert!(
-            period.is_finite() && period > 0.0,
-            "sync period must be positive"
-        );
-        self.mean_sync_period = period;
-        self
-    }
-
     /// Sets the template-pool shape.
     ///
     /// # Panics

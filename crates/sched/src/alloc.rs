@@ -42,30 +42,6 @@ impl ScheduleAllocation {
         }
     }
 
-    /// The allocation an existing set of timelines spends: each table's
-    /// completion count in `(0, horizon]`. This is how the fixed periodic
-    /// schedules enter the search as a baseline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `timelines` is empty or `horizon` is not strictly
-    /// positive.
-    #[must_use]
-    pub fn from_timelines(timelines: &SyncTimelines, horizon: SimTime) -> Self {
-        assert!(!timelines.is_empty(), "allocation needs at least one table");
-        assert!(
-            horizon > SimTime::ZERO,
-            "allocation horizon must be positive"
-        );
-        ScheduleAllocation {
-            counts: timelines
-                .iter()
-                .map(|(t, s)| (t, s.count_in(SimTime::ZERO, horizon)))
-                .collect(),
-            horizon,
-        }
-    }
-
     /// The allocation horizon.
     #[must_use]
     pub fn horizon(&self) -> SimTime {
@@ -198,19 +174,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn from_timelines_reads_back_fixed_spending() {
-        let mut tl = SyncTimelines::new();
-        tl.insert(t(0), Schedule::periodic(10.0, 0.0));
-        tl.insert(t(1), Schedule::periodic(4.0, 0.0));
-        let alloc = ScheduleAllocation::from_timelines(&tl, SimTime::new(40.0));
-        assert_eq!(alloc.count(t(0)), 4);
-        assert_eq!(alloc.count(t(1)), 10);
-        assert_eq!(alloc.total_refreshes(), 14);
-        let costs = RefreshCosts::uniform(&[t(0), t(1)]);
-        assert_eq!(alloc.spend(&costs), 14.0);
     }
 
     #[test]

@@ -11,10 +11,9 @@
 //!   time moves on its own.
 //!
 //! Simulated time is in the same unit as the rest of the workspace
-//! (minutes, per the paper's figures). `WallClock` converts real
-//! elapsed seconds into that unit by a fixed `units_per_second` scale —
-//! see [`WallClock::with_scale`] for the exact mapping and the two
-//! interesting boundary scales (`1.0` and `60.0`).
+//! (minutes, per the paper's figures). `WallClock` reads one real
+//! second as one such unit, so a live run replays the paper's time line
+//! 60× faster than real time.
 
 use std::time::Instant;
 
@@ -42,12 +41,6 @@ impl DesClock {
     pub fn new() -> Self {
         DesClock::default()
     }
-
-    /// Creates a clock at `start`.
-    #[must_use]
-    pub fn starting_at(start: SimTime) -> Self {
-        DesClock { now: start }
-    }
 }
 
 impl Clock for DesClock {
@@ -60,80 +53,21 @@ impl Clock for DesClock {
     }
 }
 
-/// Real elapsed time since construction, scaled into simulation units.
+/// Real elapsed time since construction: one real **second** advances
+/// the clock by one simulation time unit — one paper *minute* — so the
+/// system replays 60× faster than real time.
 #[derive(Debug, Clone, Copy)]
 pub struct WallClock {
     origin: Instant,
-    units_per_second: f64,
 }
 
 impl WallClock {
-    /// The scale at which one simulation time unit (one paper minute)
-    /// elapses per real *minute* — true real-time operation.
-    pub const REAL_TIME_SCALE: f64 = 1.0 / 60.0;
-
-    /// Creates a wall clock at the default scale `1.0`: one real
-    /// **second** advances the simulation by one time *unit* — i.e. one
-    /// paper *minute* — so the system replays 60× faster than real
-    /// time. Use [`WallClock::real_time`] for 1:1 operation.
+    /// Creates a wall clock reading zero now.
     #[must_use]
     pub fn new() -> Self {
-        WallClock::with_scale(1.0)
-    }
-
-    /// Creates a wall clock running at true real time: one real minute
-    /// is one simulation time unit (one paper minute), so latencies
-    /// read off this clock are directly comparable to the paper's
-    /// minute-based figures.
-    #[must_use]
-    pub fn real_time() -> Self {
-        WallClock::with_scale(WallClock::REAL_TIME_SCALE)
-    }
-
-    /// Creates a wall clock where one real second is `units_per_second`
-    /// simulation time units.
-    ///
-    /// Because the workspace's time unit is the paper's **minute**, the
-    /// scale is a replay-speed factor of `60 × units_per_second`:
-    ///
-    /// | `units_per_second` | 1 real second advances | replay speed |
-    /// |---|---|---|
-    /// | `1/60` ([`WallClock::real_time`]) | 1 sim second | 1× (real time) |
-    /// | `1.0` ([`WallClock::new`]) | 1 sim minute | 60× |
-    /// | `60.0` | 1 sim hour (60 units) | 3600× |
-    ///
-    /// When interpreting network-serving latency numbers against the
-    /// paper's figures, divide measured *real* seconds by 60 and
-    /// multiply by the scale to recover simulation minutes — or just
-    /// read [`Clock::now`], which already reports units.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scale is not finite and positive.
-    #[must_use]
-    pub fn with_scale(units_per_second: f64) -> Self {
-        assert!(
-            units_per_second.is_finite() && units_per_second > 0.0,
-            "clock scale must be finite and positive"
-        );
         WallClock {
             origin: Instant::now(),
-            units_per_second,
         }
-    }
-
-    /// The configured scale: simulation time units (paper minutes) per
-    /// real second.
-    #[must_use]
-    pub fn units_per_second(&self) -> f64 {
-        self.units_per_second
-    }
-
-    /// Real time elapsed since this clock's origin — the denominator
-    /// for converting a [`Clock::now`] reading back to wall seconds.
-    #[must_use]
-    pub fn real_elapsed(&self) -> std::time::Duration {
-        self.origin.elapsed()
     }
 }
 
@@ -145,7 +79,7 @@ impl Default for WallClock {
 
 impl Clock for WallClock {
     fn now(&self) -> SimTime {
-        SimTime::new(self.origin.elapsed().as_secs_f64() * self.units_per_second)
+        SimTime::new(self.origin.elapsed().as_secs_f64())
     }
 
     fn advance_to(&mut self, _to: SimTime) {}
@@ -167,14 +101,8 @@ mod tests {
     }
 
     #[test]
-    fn des_clock_can_start_late() {
-        let clock = DesClock::starting_at(SimTime::new(100.0));
-        assert_eq!(clock.now(), SimTime::new(100.0));
-    }
-
-    #[test]
     fn wall_clock_moves_on_its_own() {
-        let mut clock = WallClock::with_scale(60.0);
+        let mut clock = WallClock::new();
         let a = clock.now();
         clock.advance_to(SimTime::new(1e9)); // ignored
         std::thread::sleep(std::time::Duration::from_millis(5));
@@ -183,59 +111,17 @@ mod tests {
         assert!(b < SimTime::new(1e9));
     }
 
-    #[test]
-    #[should_panic(expected = "finite and positive")]
-    fn wall_clock_rejects_bad_scale() {
-        let _ = WallClock::with_scale(0.0);
-    }
-
-    /// At the default scale `1.0`, one real second is one time unit —
-    /// one paper *minute*, not one paper second. Verified over a short
-    /// real sleep: elapsed units must equal elapsed real seconds (×1)
-    /// within generous scheduling slack.
+    /// One real second is one time unit — one paper *minute*, not one
+    /// paper second. The clock is created after `before` and read before
+    /// `real`, so its reading is bracketed by the sleep and `real`.
     #[test]
     fn wall_clock_scale_one_maps_seconds_to_units() {
+        let before = Instant::now();
         let clock = WallClock::new();
-        assert_eq!(clock.units_per_second(), 1.0);
         std::thread::sleep(std::time::Duration::from_millis(20));
         let units = clock.now().value();
-        let real = clock.real_elapsed().as_secs_f64();
-        // now() and real_elapsed() are separate Instant reads, so allow
-        // slack both ways.
+        let real = before.elapsed().as_secs_f64();
         assert!(units >= 0.02, "slept 20ms, read {units} units");
-        assert!(
-            (units - real).abs() <= 0.5,
-            "scale 1.0 should track real seconds 1:1, got {units} units over {real}s"
-        );
-    }
-
-    /// At scale `60.0`, one real second is 60 units (a paper hour):
-    /// the 60× clock must read ~60× what a scale-1 clock started at the
-    /// same moment reads.
-    #[test]
-    fn wall_clock_scale_sixty_runs_sixty_times_faster() {
-        let fast = WallClock::with_scale(60.0);
-        let slow = WallClock::new();
-        assert_eq!(fast.units_per_second(), 60.0);
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let fast_units = fast.now().value();
-        let slow_units = slow.now().value();
-        assert!(fast_units >= 60.0 * 0.02);
-        // Construction of the two clocks is microseconds apart; the
-        // ratio over a 20ms window is robustly near 60.
-        let ratio = fast_units / slow_units;
-        assert!(
-            (30.0..=120.0).contains(&ratio),
-            "expected ~60x ratio, got {ratio}"
-        );
-    }
-
-    /// `real_time()` is the 1:1 mapping: one real *minute* per time
-    /// unit, i.e. `1/60` units per second.
-    #[test]
-    fn wall_clock_real_time_parity_scale() {
-        let clock = WallClock::real_time();
-        assert_eq!(clock.units_per_second(), WallClock::REAL_TIME_SCALE);
-        assert!((WallClock::REAL_TIME_SCALE * 60.0 - 1.0).abs() < 1e-12);
+        assert!(units <= real, "read {units} units over {real}s");
     }
 }

@@ -173,7 +173,6 @@ impl<E> EventQueue<E> {
 pub struct Engine<E> {
     now: SimTime,
     queue: EventQueue<E>,
-    fired: u64,
 }
 
 impl<E> Default for Engine<E> {
@@ -189,7 +188,6 @@ impl<E> Engine<E> {
         Engine {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
-            fired: 0,
         }
     }
 
@@ -197,18 +195,6 @@ impl<E> Engine<E> {
     #[must_use]
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Total number of events dispatched so far.
-    #[must_use]
-    pub fn events_fired(&self) -> u64 {
-        self.fired
-    }
-
-    /// Number of events still pending.
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.queue.len()
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -241,7 +227,6 @@ impl<E> Engine<E> {
         let scheduled = self.queue.pop()?;
         let (time, event) = scheduled.into_parts();
         self.now = time;
-        self.fired += 1;
         Some(event)
     }
 
@@ -252,26 +237,6 @@ impl<E> Engine<E> {
     {
         while let Some(event) = self.step() {
             handler(self, event);
-        }
-    }
-
-    /// Runs until the queue drains or the clock would pass `horizon`.
-    ///
-    /// Events scheduled strictly after `horizon` are left in the queue and
-    /// the clock is advanced to `horizon` on return.
-    pub fn run_until<F>(&mut self, horizon: SimTime, mut handler: F)
-    where
-        F: FnMut(&mut Engine<E>, E),
-    {
-        while let Some(next) = self.queue.peek_time() {
-            if next > horizon {
-                break;
-            }
-            let event = self.step().expect("peeked event must exist");
-            handler(self, event);
-        }
-        if self.now < horizon {
-            self.now = horizon;
         }
     }
 }
@@ -313,7 +278,6 @@ mod tests {
         assert_eq!(e.step(), Some("a"));
         assert_eq!(e.now(), SimTime::new(10.0));
         assert_eq!(e.step(), None);
-        assert_eq!(e.events_fired(), 2);
     }
 
     #[test]
@@ -323,21 +287,6 @@ mod tests {
         e.schedule(SimTime::new(5.0), ());
         e.step();
         e.schedule(SimTime::new(1.0), ());
-    }
-
-    #[test]
-    fn run_until_respects_horizon() {
-        let mut e = Engine::new();
-        for t in [1.0, 2.0, 3.0, 4.0] {
-            e.schedule(SimTime::new(t), t);
-        }
-        let mut seen = Vec::new();
-        e.run_until(SimTime::new(2.5), |_, v| seen.push(v));
-        assert_eq!(seen, vec![1.0, 2.0]);
-        assert_eq!(e.now(), SimTime::new(2.5));
-        assert_eq!(e.pending(), 2);
-        e.run(|_, v| seen.push(v));
-        assert_eq!(seen, vec![1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

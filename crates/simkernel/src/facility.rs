@@ -1,19 +1,19 @@
-//! Server facilities: FIFO queueing abstractions.
+//! Server calendars: when does a job on a busy server start?
 //!
 //! The paper's computational latency is "query queuing time + query
-//! processing time + query result transmission time". [`Facility`] models a
-//! single FIFO server (a remote database server or the local federation
-//! server): work arriving while the server is busy queues behind the busy
-//! period. [`MultiFacility`] generalizes to `c` identical servers.
+//! processing time + query result transmission time". A [`Calendar`]
+//! models one server (a remote database server or the local federation
+//! server) as a set of reserved intervals: work arriving while the server
+//! is busy waits for the first idle gap that fits it.
 //!
-//! Facilities are *analytic*: they answer "if a job of length `d` arrives at
+//! Calendars are *analytic*: they answer "if a job of length `d` arrives at
 //! `t`, when does it start and finish?" and can also answer hypothetically
 //! (without committing the job), which is exactly what plan selection needs
 //! when it weighs candidate execution times.
 
 use crate::time::{SimDuration, SimTime};
 
-/// Start and finish times assigned to one job by a facility.
+/// Start and finish times assigned to one job by a calendar.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ServiceWindow {
     /// When the job begins service (arrival + queuing delay).
@@ -30,236 +30,14 @@ impl ServiceWindow {
     }
 }
 
-/// A single FIFO server.
-///
-/// # Examples
-///
-/// ```
-/// use ivdss_simkernel::facility::Facility;
-/// use ivdss_simkernel::time::{SimDuration, SimTime};
-///
-/// let mut server = Facility::new();
-/// let w1 = server.submit(SimTime::new(0.0), SimDuration::new(5.0));
-/// assert_eq!(w1.finish, SimTime::new(5.0));
-/// // Arrives while busy: queues until t=5.
-/// let w2 = server.submit(SimTime::new(2.0), SimDuration::new(1.0));
-/// assert_eq!(w2.start, SimTime::new(5.0));
-/// assert_eq!(w2.finish, SimTime::new(6.0));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Facility {
-    busy_until: SimTime,
-    jobs: u64,
-    busy_time: SimDuration,
-}
-
-impl Facility {
-    /// Creates an idle facility.
-    #[must_use]
-    pub fn new() -> Self {
-        Facility::default()
-    }
-
-    /// The time at which the server becomes idle.
-    #[must_use]
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
-    }
-
-    /// Number of jobs served so far.
-    #[must_use]
-    pub fn jobs_served(&self) -> u64 {
-        self.jobs
-    }
-
-    /// Total busy (service) time accumulated.
-    #[must_use]
-    pub fn total_busy_time(&self) -> SimDuration {
-        self.busy_time
-    }
-
-    /// Answers when a job of length `service` arriving at `arrival` would be
-    /// served, *without* committing it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `service` is negative.
-    #[must_use]
-    pub fn probe(&self, arrival: SimTime, service: SimDuration) -> ServiceWindow {
-        assert!(!service.is_negative(), "service time must be non-negative");
-        let start = arrival.max(self.busy_until);
-        ServiceWindow {
-            start,
-            finish: start + service,
-        }
-    }
-
-    /// Commits a job of length `service` arriving at `arrival` and returns
-    /// its service window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `service` is negative.
-    pub fn submit(&mut self, arrival: SimTime, service: SimDuration) -> ServiceWindow {
-        let window = self.probe(arrival, service);
-        self.busy_until = window.finish;
-        self.jobs += 1;
-        self.busy_time += service;
-        window
-    }
-
-    /// Utilization over `[SimTime::ZERO, now]` (busy time / elapsed time).
-    #[must_use]
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        let elapsed = now.value();
-        if elapsed <= 0.0 {
-            0.0
-        } else {
-            (self.busy_time.value() / elapsed).min(1.0)
-        }
-    }
-}
-
-/// `c` identical FIFO servers fed by a single queue; each job is assigned
-/// to the server that frees up first.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MultiFacility {
-    servers: Vec<Facility>,
-}
-
-impl MultiFacility {
-    /// Creates a facility with `servers` identical servers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `servers == 0`.
-    #[must_use]
-    pub fn new(servers: usize) -> Self {
-        assert!(servers > 0, "need at least one server");
-        MultiFacility {
-            servers: vec![Facility::new(); servers],
-        }
-    }
-
-    /// Number of servers.
-    #[must_use]
-    pub fn server_count(&self) -> usize {
-        self.servers.len()
-    }
-
-    fn earliest_free(&self) -> usize {
-        self.servers
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, s)| s.busy_until())
-            .map(|(i, _)| i)
-            .expect("at least one server")
-    }
-
-    /// Answers when a job of length `service` arriving at `arrival` would be
-    /// served, without committing it.
-    #[must_use]
-    pub fn probe(&self, arrival: SimTime, service: SimDuration) -> ServiceWindow {
-        self.servers[self.earliest_free()].probe(arrival, service)
-    }
-
-    /// Commits a job and returns its service window.
-    pub fn submit(&mut self, arrival: SimTime, service: SimDuration) -> ServiceWindow {
-        let idx = self.earliest_free();
-        self.servers[idx].submit(arrival, service)
-    }
-
-    /// Total jobs served across all servers.
-    #[must_use]
-    pub fn jobs_served(&self) -> u64 {
-        self.servers.iter().map(Facility::jobs_served).sum()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn idle_server_starts_immediately() {
-        let mut f = Facility::new();
-        let w = f.submit(SimTime::new(3.0), SimDuration::new(2.0));
-        assert_eq!(w.start, SimTime::new(3.0));
-        assert_eq!(w.finish, SimTime::new(5.0));
-        assert_eq!(w.queue_delay(SimTime::new(3.0)), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn busy_server_queues_fifo() {
-        let mut f = Facility::new();
-        f.submit(SimTime::ZERO, SimDuration::new(10.0));
-        let w = f.submit(SimTime::new(1.0), SimDuration::new(2.0));
-        assert_eq!(w.start, SimTime::new(10.0));
-        assert_eq!(w.queue_delay(SimTime::new(1.0)), SimDuration::new(9.0));
-        let w2 = f.submit(SimTime::new(1.5), SimDuration::new(1.0));
-        assert_eq!(w2.start, SimTime::new(12.0));
-    }
-
-    #[test]
-    fn probe_does_not_commit() {
-        let f = {
-            let mut f = Facility::new();
-            f.submit(SimTime::ZERO, SimDuration::new(4.0));
-            f
-        };
-        let p1 = f.probe(SimTime::new(1.0), SimDuration::new(3.0));
-        let p2 = f.probe(SimTime::new(1.0), SimDuration::new(3.0));
-        assert_eq!(p1, p2);
-        assert_eq!(f.jobs_served(), 1);
-    }
-
-    #[test]
-    fn utilization_tracks_busy_time() {
-        let mut f = Facility::new();
-        f.submit(SimTime::ZERO, SimDuration::new(5.0));
-        assert!((f.utilization(SimTime::new(10.0)) - 0.5).abs() < 1e-12);
-        assert_eq!(f.utilization(SimTime::ZERO), 0.0);
-        assert_eq!(f.total_busy_time(), SimDuration::new(5.0));
-    }
-
-    #[test]
-    fn multi_facility_parallelism() {
-        let mut m = MultiFacility::new(2);
-        let w1 = m.submit(SimTime::ZERO, SimDuration::new(10.0));
-        let w2 = m.submit(SimTime::ZERO, SimDuration::new(10.0));
-        // Two servers: both start at t=0.
-        assert_eq!(w1.start, SimTime::ZERO);
-        assert_eq!(w2.start, SimTime::ZERO);
-        // Third job waits for the earliest finisher.
-        let w3 = m.submit(SimTime::new(1.0), SimDuration::new(1.0));
-        assert_eq!(w3.start, SimTime::new(10.0));
-        assert_eq!(m.jobs_served(), 3);
-        assert_eq!(m.server_count(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_service_rejected() {
-        let mut f = Facility::new();
-        let _ = f.submit(SimTime::ZERO, SimDuration::new(-1.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one server")]
-    fn zero_servers_rejected() {
-        let _ = MultiFacility::new(0);
-    }
-}
-
 /// A single server with an *interval calendar*: bookings occupy
 /// `[start, start + duration)` windows and later arrivals may backfill
 /// idle gaps before existing reservations.
 ///
-/// [`Facility`] models a FIFO server whose queue never reorders; a
-/// `Calendar` models a reservation-based server — the right abstraction
-/// when plans may be *released in the future* (delayed execution, paper
-/// Fig. 2): a reservation at a future time must not block the server for
-/// the idle gap before it.
+/// A reservation-based server is the right abstraction when plans may be
+/// *released in the future* (delayed execution, paper Fig. 2): a
+/// reservation at a future time must not block the server for the idle
+/// gap before it.
 ///
 /// # Examples
 ///

@@ -16,8 +16,8 @@
 //!   experiments;
 //! * [`stats`] — online moments, time-weighted gauges and exact quantiles
 //!   for collecting experiment outputs;
-//! * [`facility`] — analytic FIFO server models used both by the simulator
-//!   and by the planners when they estimate queuing delay.
+//! * [`facility`] — the [`facility::Calendar`] server model used both by
+//!   the simulator and by the planners when they estimate queuing delay.
 //!
 //! # Example
 //!
@@ -57,7 +57,7 @@ pub mod stats;
 pub mod time;
 
 pub use events::{Engine, EventQueue};
-pub use facility::{Calendar, Facility, MultiFacility, ServiceWindow};
+pub use facility::{Calendar, ServiceWindow};
 pub use rng::{
     ConstantStream, ErlangStream, ExponentialStream, SeedFactory, Stream, UniformStream,
 };

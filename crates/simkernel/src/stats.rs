@@ -26,13 +26,19 @@ use crate::time::SimTime;
 /// assert_eq!(s.min(), Some(1.0));
 /// assert_eq!(s.max(), Some(4.0));
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
     m2: f64,
     min: f64,
     max: f64,
+}
+
+impl Default for OnlineStats {
+    fn default() -> Self {
+        OnlineStats::new()
+    }
 }
 
 impl OnlineStats {
@@ -285,6 +291,18 @@ impl SampleSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn default_collector_tracks_min_and_max_like_new() {
+        let mut s = OnlineStats::default();
+        s.record(5.0);
+        s.record(7.0);
+        assert_eq!((s.min(), s.max()), (Some(5.0), Some(7.0)));
+        let mut neg = OnlineStats::default();
+        neg.record(-3.0);
+        assert_eq!((neg.min(), neg.max()), (Some(-3.0), Some(-3.0)));
+        assert_eq!(OnlineStats::default(), OnlineStats::new());
+    }
 
     #[test]
     fn welford_matches_naive() {

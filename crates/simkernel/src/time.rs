@@ -4,8 +4,10 @@
 //! latency, synchronization cycles) are expressed in abstract *time units*
 //! (the worked example in the paper uses minutes). [`SimTime`] is a point on
 //! the simulation time line and [`SimDuration`] is a signed span between two
-//! points; both wrap a finite `f64` and are validated on construction so that
-//! `NaN` can never enter the event queue ordering.
+//! points; both wrap an `f64` that is validated on construction and by
+//! every operator so that `NaN` can never enter the event queue ordering.
+//! Infinities are allowed, so horizons like [`SimTime::MAX`] stay
+//! representable.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -62,9 +64,13 @@ impl SimTime {
     }
 
     /// Returns the signed duration `self - earlier`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the difference is NaN (both points the same infinity).
     #[must_use]
     pub fn since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0 - earlier.0)
+        SimDuration::new(self.0 - earlier.0)
     }
 
     /// Returns the later of two time points.
@@ -324,6 +330,13 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn nan_duration_rejected() {
         let _ = SimDuration::new(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimDuration must not be NaN")]
+    fn infinite_minus_infinite_time_rejected() {
+        let inf = SimTime::new(f64::INFINITY);
+        let _ = inf - inf;
     }
 
     #[test]

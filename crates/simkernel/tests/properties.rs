@@ -1,7 +1,7 @@
 //! Property-based tests for the simulation kernel invariants.
 
 use ivdss_simkernel::events::{Engine, EventQueue};
-use ivdss_simkernel::facility::{Calendar, Facility, ServiceWindow};
+use ivdss_simkernel::facility::{Calendar, ServiceWindow};
 use ivdss_simkernel::rng::{ErlangStream, ExponentialStream, SeedFactory, Stream};
 use ivdss_simkernel::stats::{OnlineStats, SampleSet};
 use ivdss_simkernel::time::{SimDuration, SimTime};
@@ -128,27 +128,6 @@ proptest! {
             prop_assert!(x.is_finite());
             prop_assert!(x >= 0.0);
         }
-    }
-
-    /// FIFO facility: start times and finish times are non-decreasing in
-    /// submission order, and no job starts before its arrival.
-    #[test]
-    fn facility_is_fifo(
-        jobs in prop::collection::vec((0.0..1000.0f64, 0.0..50.0f64), 1..100)
-    ) {
-        let mut jobs = jobs;
-        jobs.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        let mut f = Facility::new();
-        let mut last_finish = SimTime::ZERO;
-        for &(arrival, service) in &jobs {
-            let w = f.submit(SimTime::new(arrival), SimDuration::new(service));
-            prop_assert!(w.start >= SimTime::new(arrival));
-            prop_assert!(w.start >= last_finish.min(w.start));
-            prop_assert!(w.finish >= last_finish);
-            prop_assert!(w.finish.value() >= w.start.value());
-            last_finish = w.finish;
-        }
-        prop_assert_eq!(f.jobs_served(), jobs.len() as u64);
     }
 
     /// `Calendar::probe` skips the bookings that end by the arrival with a

@@ -20,8 +20,7 @@ use ivdss_simkernel::rng::SeedFactory;
 use ivdss_simkernel::time::SimDuration;
 
 use crate::heap::TableStorage;
-use crate::plan::{Plan, SelectPlan, TablePlan};
-use crate::scan::{run_to_end, Predicate};
+use crate::plan::TablePlan;
 use crate::stats::AccessStats;
 
 /// Storage build parameters.
@@ -102,7 +101,6 @@ pub struct ScanMeasurement {
 /// Materialized storage for every table of one catalog.
 #[derive(Debug)]
 pub struct StorageEngine {
-    config: StorageConfig,
     device: DeviceProfile,
     tables: Vec<TableStorage>,
     model_bytes: Vec<u64>,
@@ -131,32 +129,12 @@ impl StorageEngine {
             model_bytes.push(rows.saturating_mul(u64::from(meta.row_bytes())));
         }
         StorageEngine {
-            config: *config,
             device: DeviceProfile::default(),
             tables,
             model_bytes,
             capped,
             recorder: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Replaces the device timing profile.
-    #[must_use]
-    pub fn with_device(mut self, device: DeviceProfile) -> Self {
-        self.device = device;
-        self
-    }
-
-    /// The build configuration.
-    #[must_use]
-    pub fn config(&self) -> StorageConfig {
-        self.config
-    }
-
-    /// The device timing profile.
-    #[must_use]
-    pub fn device(&self) -> DeviceProfile {
-        self.device
     }
 
     /// Whether every table holds its full catalog row count (no table hit
@@ -202,25 +180,7 @@ impl StorageEngine {
     #[must_use]
     pub fn execute_table_scan(&self, table: TableId) -> ScanMeasurement {
         let stats = AccessStats::new();
-        let plan = TablePlan::new(self.table(table), &stats);
-        let _ = run_to_end(plan.open().as_mut());
-        self.measure(table, &stats)
-    }
-
-    /// Executes a predicated scan; returns the measurement and the number
-    /// of records the selection output.
-    #[must_use]
-    pub fn execute_select(&self, table: TableId, predicate: Predicate) -> (ScanMeasurement, u64) {
-        let stats = AccessStats::new();
-        let plan = SelectPlan::new(
-            Box::new(TablePlan::new(self.table(table), &stats)),
-            predicate,
-        );
-        let output = run_to_end(plan.open().as_mut());
-        (self.measure(table, &stats), output)
-    }
-
-    fn measure(&self, table: TableId, stats: &AccessStats) -> ScanMeasurement {
+        let _ = TablePlan::new(self.table(table), &stats).open().count();
         ScanMeasurement {
             table,
             blocks: stats.blocks(),
@@ -253,18 +213,6 @@ impl StorageEngine {
             .lock()
             .expect("storage recorder poisoned")
             .clone()
-    }
-
-    /// Clears the sample recorder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the recorder mutex is poisoned.
-    pub fn clear_samples(&self) {
-        self.recorder
-            .lock()
-            .expect("storage recorder poisoned")
-            .clear();
     }
 
     /// Fits local-scan coefficients from the recorded samples.
@@ -376,12 +324,12 @@ mod tests {
             s.record_sample(m.bytes as f64, m.seconds);
         }
         let a = s.fit().unwrap();
-        s.clear_samples();
+        let again = StorageEngine::build(&cat, &StorageConfig::default());
         for t in cat.table_ids() {
-            let m = s.execute_table_scan(t);
-            s.record_sample(m.bytes as f64, m.seconds);
+            let m = again.execute_table_scan(t);
+            again.record_sample(m.bytes as f64, m.seconds);
         }
-        let b = s.fit().unwrap();
+        let b = again.fit().unwrap();
         assert_eq!(a.overhead.to_bits(), b.overhead.to_bits());
         assert_eq!(a.secs_per_byte.to_bits(), b.secs_per_byte.to_bits());
     }

@@ -11,12 +11,12 @@
 //! * [`page`] — fixed-size slotted pages of fixed-length records;
 //! * [`heap`] — [`heap::TableStorage`], an in-memory page heap per table
 //!   with deterministic seeded population;
-//! * [`scan`] — executable scans ([`scan::TableScan`], [`scan::SelectScan`],
-//!   [`scan::ProjectScan`], [`scan::ProductScan`]) that count every block
-//!   and record access into an [`stats::AccessStats`] collector;
-//! * [`plan`] — the [`plan::Plan`] tree mirroring the scans, reporting
+//! * [`scan`] — [`scan::TableScan`], an executable full table scan that
+//!   counts every block and record access into an [`stats::AccessStats`]
+//!   collector;
+//! * [`plan`] — [`plan::TablePlan`], reporting the scan's
 //!   `blocks_accessed()` / `records_output()` *estimates before execution*
-//!   (deterministic functions of the layout, so the differential suite can
+//!   (deterministic functions of the heap, so the differential suite can
 //!   assert estimate == measured bit-exactly);
 //! * [`engine`] — [`engine::StorageEngine`], which materializes every
 //!   catalog table, executes scans under a [`engine::DeviceProfile`] that
@@ -63,7 +63,7 @@ pub mod stats;
 pub use engine::{DeviceProfile, MeasuredLocalCost, ScanMeasurement, StorageConfig, StorageEngine};
 pub use heap::{RecordId, TableStorage};
 pub use page::Page;
-pub use plan::{Plan, ProductPlan, ProjectPlan, SelectPlan, TablePlan};
-pub use scan::{run_to_end, Predicate, ProductScan, ProjectScan, Scan, SelectScan, TableScan};
+pub use plan::TablePlan;
+pub use scan::TableScan;
 pub use schema::{key_field, table_layout, table_schema, FieldType, Layout, Schema};
 pub use stats::AccessStats;

@@ -1,31 +1,17 @@
-//! Plan nodes: pre-execution estimates mirroring the executable scans.
+//! Table plans: pre-execution estimates of a full table scan.
 //!
-//! Each [`Plan`] reports `blocks_accessed()` and `records_output()` as
-//! deterministic functions of the layout *before* opening a scan — the
-//! classic SimpleDB planning interface. For densely packed sequentially
-//! keyed heaps (what [`crate::heap::TableStorage::populate`] builds) and
-//! the exact predicate shapes documented on [`Predicate`], the estimates
-//! agree bit-exactly with the [`crate::stats::AccessStats`] counts the
-//! scans record; the differential suite asserts exactly that.
+//! A [`TablePlan`] reports `blocks_accessed()` and `records_output()` as
+//! deterministic functions of the heap *before* opening a scan — the
+//! classic SimpleDB planning interface. For densely packed heaps (what
+//! [`crate::heap::TableStorage::populate`] builds) the estimates agree
+//! bit-exactly with the [`crate::stats::AccessStats`] counts the scan
+//! records; the differential suite asserts exactly that.
 
 use crate::heap::TableStorage;
-use crate::scan::{Predicate, ProductScan, ProjectScan, Scan, SelectScan, TableScan};
-use crate::schema::Schema;
+use crate::scan::TableScan;
 use crate::stats::AccessStats;
 
-/// A query-plan node that can estimate its cost and open an executor.
-pub trait Plan {
-    /// Estimated number of block (page) accesses a full execution incurs.
-    fn blocks_accessed(&self) -> u64;
-    /// Estimated number of records the node outputs.
-    fn records_output(&self) -> u64;
-    /// The schema of the node's output records.
-    fn schema(&self) -> &Schema;
-    /// Opens an executable scan over the node's output.
-    fn open(&self) -> Box<dyn Scan + '_>;
-}
-
-/// Leaf plan: full sequential scan of one table heap.
+/// Full sequential scan of one table heap.
 pub struct TablePlan<'a> {
     table: &'a TableStorage,
     stats: &'a AccessStats,
@@ -37,167 +23,29 @@ impl<'a> TablePlan<'a> {
     pub fn new(table: &'a TableStorage, stats: &'a AccessStats) -> Self {
         TablePlan { table, stats }
     }
-}
 
-impl Plan for TablePlan<'_> {
-    fn blocks_accessed(&self) -> u64 {
+    /// Estimated number of block (page) accesses a full execution incurs.
+    #[must_use]
+    pub fn blocks_accessed(&self) -> u64 {
         self.table.blocks()
     }
 
-    fn records_output(&self) -> u64 {
+    /// Estimated number of records the scan outputs.
+    #[must_use]
+    pub fn records_output(&self) -> u64 {
         self.table.live_records()
     }
 
-    fn schema(&self) -> &Schema {
-        self.table.layout().schema()
-    }
-
-    fn open(&self) -> Box<dyn Scan + '_> {
-        Box::new(TableScan::new(self.table, self.stats))
-    }
-}
-
-/// Selection plan: filters its input by a [`Predicate`].
-pub struct SelectPlan<'a> {
-    inner: Box<dyn Plan + 'a>,
-    predicate: Predicate,
-}
-
-impl<'a> SelectPlan<'a> {
-    /// Creates a selection over `inner`.
+    /// Opens the executable scan.
     #[must_use]
-    pub fn new(inner: Box<dyn Plan + 'a>, predicate: Predicate) -> Self {
-        SelectPlan { inner, predicate }
-    }
-}
-
-impl Plan for SelectPlan<'_> {
-    fn blocks_accessed(&self) -> u64 {
-        // Selection reads everything its input reads.
-        self.inner.blocks_accessed()
-    }
-
-    fn records_output(&self) -> u64 {
-        self.predicate.estimate_output(self.inner.records_output())
-    }
-
-    fn schema(&self) -> &Schema {
-        self.inner.schema()
-    }
-
-    fn open(&self) -> Box<dyn Scan + '_> {
-        Box::new(SelectScan::new(self.inner.open(), self.predicate.clone()))
-    }
-}
-
-/// Projection plan: restricts the output schema to named fields.
-pub struct ProjectPlan<'a> {
-    inner: Box<dyn Plan + 'a>,
-    schema: Schema,
-    fields: Vec<String>,
-}
-
-impl<'a> ProjectPlan<'a> {
-    /// Creates a projection keeping only `fields`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any field is absent from the inner schema.
-    #[must_use]
-    pub fn new(inner: Box<dyn Plan + 'a>, fields: Vec<String>) -> Self {
-        let mut schema = Schema::new();
-        for f in &fields {
-            let idx = inner
-                .schema()
-                .field_index(f)
-                .unwrap_or_else(|| panic!("projection of unknown field {f:?}"));
-            let (name, ty) = &inner.schema().fields()[idx];
-            match ty {
-                crate::schema::FieldType::Int => schema.add_int(name.clone()),
-                crate::schema::FieldType::Bytes(n) => schema.add_bytes(name.clone(), *n),
-            }
-        }
-        ProjectPlan {
-            inner,
-            schema,
-            fields,
-        }
-    }
-}
-
-impl Plan for ProjectPlan<'_> {
-    fn blocks_accessed(&self) -> u64 {
-        self.inner.blocks_accessed()
-    }
-
-    fn records_output(&self) -> u64 {
-        self.inner.records_output()
-    }
-
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn open(&self) -> Box<dyn Scan + '_> {
-        Box::new(ProjectScan::new(self.inner.open(), self.fields.clone()))
-    }
-}
-
-/// Cross-product plan: the textbook `B₁ + R₁·B₂` block estimate.
-pub struct ProductPlan<'a> {
-    left: Box<dyn Plan + 'a>,
-    right: Box<dyn Plan + 'a>,
-    schema: Schema,
-}
-
-impl<'a> ProductPlan<'a> {
-    /// Creates a product of two plans.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operand schemas share a field name.
-    #[must_use]
-    pub fn new(left: Box<dyn Plan + 'a>, right: Box<dyn Plan + 'a>) -> Self {
-        let mut schema = Schema::new();
-        schema.add_all(left.schema());
-        schema.add_all(right.schema());
-        ProductPlan {
-            left,
-            right,
-            schema,
-        }
-    }
-}
-
-impl Plan for ProductPlan<'_> {
-    fn blocks_accessed(&self) -> u64 {
-        // Left read once; right re-read per estimated left output record.
-        self.left.blocks_accessed().saturating_add(
-            self.left
-                .records_output()
-                .saturating_mul(self.right.blocks_accessed()),
-        )
-    }
-
-    fn records_output(&self) -> u64 {
-        self.left
-            .records_output()
-            .saturating_mul(self.right.records_output())
-    }
-
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn open(&self) -> Box<dyn Scan + '_> {
-        Box::new(ProductScan::new(self.left.open(), self.right.open()))
+    pub fn open(&self) -> TableScan<'a> {
+        TableScan::new(self.table, self.stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::run_to_end;
     use ivdss_catalog::ids::TableId;
     use ivdss_catalog::table::TableMeta;
 
@@ -211,68 +59,9 @@ mod tests {
         let h = heap(0, "t", 23);
         let stats = AccessStats::new();
         let plan = TablePlan::new(&h, &stats);
-        let out = run_to_end(plan.open().as_mut());
+        let out = plan.open().count() as u64;
         assert_eq!(out, plan.records_output());
         assert_eq!(stats.blocks(), plan.blocks_accessed());
         assert_eq!(stats.records(), plan.records_output());
-    }
-
-    #[test]
-    fn select_plan_estimate_exact_for_last_residue() {
-        let h = heap(0, "t", 100);
-        let stats = AccessStats::new();
-        let plan = SelectPlan::new(
-            Box::new(TablePlan::new(&h, &stats)),
-            Predicate::KeyModEq {
-                field: "t_key".into(),
-                modulus: 7,
-                residue: 6,
-            },
-        );
-        let out = run_to_end(plan.open().as_mut());
-        assert_eq!(out, plan.records_output());
-        assert_eq!(stats.blocks(), plan.blocks_accessed());
-    }
-
-    #[test]
-    fn product_plan_textbook_cost() {
-        let l = heap(0, "l", 10);
-        let r = heap(1, "r", 8);
-        let stats = AccessStats::new();
-        let plan = ProductPlan::new(
-            Box::new(TablePlan::new(&l, &stats)),
-            Box::new(TablePlan::new(&r, &stats)),
-        );
-        assert_eq!(plan.records_output(), 80);
-        let out = run_to_end(plan.open().as_mut());
-        assert_eq!(out, 80);
-        assert_eq!(stats.blocks(), plan.blocks_accessed());
-        assert!(plan.schema().has_field("l_key"));
-        assert!(plan.schema().has_field("r_key"));
-    }
-
-    #[test]
-    fn project_plan_narrows_schema_only() {
-        let h = heap(0, "t", 12);
-        let stats = AccessStats::new();
-        let plan = ProjectPlan::new(
-            Box::new(TablePlan::new(&h, &stats)),
-            vec!["t_key".to_string()],
-        );
-        assert_eq!(plan.schema().len(), 1);
-        let out = run_to_end(plan.open().as_mut());
-        assert_eq!(out, plan.records_output());
-        assert_eq!(stats.blocks(), plan.blocks_accessed());
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown field")]
-    fn projecting_missing_field_rejected() {
-        let h = heap(0, "t", 1);
-        let stats = AccessStats::new();
-        let _ = ProjectPlan::new(
-            Box::new(TablePlan::new(&h, &stats)),
-            vec!["nope".to_string()],
-        );
     }
 }

@@ -1,55 +1,22 @@
 //! Executable scans that count every block and record access.
 //!
-//! Scans mirror the [`crate::plan`] tree: a [`TableScan`] walks a
-//! [`TableStorage`] heap page by page, [`SelectScan`] filters,
-//! [`ProjectScan`] restricts the visible fields, and [`ProductScan`]
-//! forms the cross product by re-scanning its right input once per left
-//! record. Every page entered and every live record yielded by a table
-//! scan is counted into the execution's [`AccessStats`].
+//! A [`TableScan`] walks a [`TableStorage`] heap page by page and yields
+//! the id of every live record. Every page entered and every record
+//! yielded is counted into the execution's [`AccessStats`].
 //!
-//! `before_first` only resets cursors — no access is counted until
-//! iteration actually touches a page. This makes [`ProductScan`] lazily
-//! exact: an empty left input never opens the right side, so measured
-//! blocks are `B₁` rather than the planner's `B₁ + R₁·B₂` upper bound.
+//! Creating a scan counts nothing: no access is counted until iteration
+//! actually touches a page, so an empty heap costs zero blocks.
 
 use crate::heap::{RecordId, TableStorage};
 use crate::stats::AccessStats;
 
-/// A positioned iterator over records.
-pub trait Scan {
-    /// Repositions before the first record (no access is counted).
-    fn before_first(&mut self);
-    /// Advances to the next record; returns false when exhausted.
-    fn next(&mut self) -> bool;
-    /// Reads an integer field of the current record.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scan is not positioned on a record or the field is
-    /// unknown (or hidden by a projection).
-    fn get_int(&self, field: &str) -> i64;
-    /// Whether the scan exposes this field.
-    fn has_field(&self, field: &str) -> bool;
-}
-
-/// Drives a scan from the start to exhaustion, returning the number of
-/// records it yields.
-pub fn run_to_end(scan: &mut dyn Scan) -> u64 {
-    scan.before_first();
-    let mut n = 0;
-    while scan.next() {
-        n += 1;
-    }
-    n
-}
-
-/// Sequential scan over one table's heap.
+/// Sequential scan over one table's heap, yielding each live record's
+/// [`RecordId`] in page order.
 pub struct TableScan<'a> {
     table: &'a TableStorage,
     stats: &'a AccessStats,
     page: Option<usize>,
     slot: usize,
-    current: Option<RecordId>,
 }
 
 impl<'a> TableScan<'a> {
@@ -61,24 +28,19 @@ impl<'a> TableScan<'a> {
             stats,
             page: None,
             slot: 0,
-            current: None,
         }
     }
 }
 
-impl Scan for TableScan<'_> {
-    fn before_first(&mut self) {
-        self.page = None;
-        self.slot = 0;
-        self.current = None;
-    }
+impl Iterator for TableScan<'_> {
+    type Item = RecordId;
 
-    fn next(&mut self) -> bool {
+    fn next(&mut self) -> Option<RecordId> {
         loop {
             match self.page {
                 None => {
                     if self.table.blocks() == 0 {
-                        return false;
+                        return None;
                     }
                     self.page = Some(0);
                     self.slot = 0;
@@ -92,15 +54,13 @@ impl Scan for TableScan<'_> {
                         };
                         self.slot += 1;
                         if self.table.is_live(rid) {
-                            self.current = Some(rid);
                             self.stats.count_record();
-                            return true;
+                            return Some(rid);
                         }
                     }
                     let next = p + 1;
                     if next as u64 >= self.table.blocks() {
-                        self.current = None;
-                        return false;
+                        return None;
                     }
                     self.page = Some(next);
                     self.slot = 0;
@@ -108,212 +68,6 @@ impl Scan for TableScan<'_> {
                 }
             }
         }
-    }
-
-    fn get_int(&self, field: &str) -> i64 {
-        let rid = self.current.expect("table scan not positioned on a record");
-        let idx = self
-            .table
-            .layout()
-            .schema()
-            .field_index(field)
-            .unwrap_or_else(|| panic!("unknown field {field:?}"));
-        self.table.get_int(rid, idx)
-    }
-
-    fn has_field(&self, field: &str) -> bool {
-        self.table.layout().schema().has_field(field)
-    }
-}
-
-/// A selection predicate over a single integer field.
-///
-/// The variants are chosen so output counts are *computable from the
-/// layout* for sequentially keyed tables: `KeyLt` is always exact, and
-/// `KeyModEq` with `residue = modulus − 1` is exact (the coarse
-/// `rows / modulus` optimizer estimate misses at most the final partial
-/// stride, which residue `modulus − 1` never lands in).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Predicate {
-    /// Matches every record.
-    True,
-    /// `field % modulus == residue`.
-    KeyModEq {
-        /// The integer field to test.
-        field: String,
-        /// Stride of the residue class; must be positive.
-        modulus: u64,
-        /// Residue selected from each stride.
-        residue: u64,
-    },
-    /// `field < bound` (fields are interpreted as unsigned keys).
-    KeyLt {
-        /// The integer field to test.
-        field: String,
-        /// Exclusive upper bound.
-        bound: u64,
-    },
-}
-
-impl Predicate {
-    /// Evaluates the predicate on the scan's current record.
-    #[must_use]
-    pub fn matches(&self, scan: &dyn Scan) -> bool {
-        match self {
-            Predicate::True => true,
-            Predicate::KeyModEq {
-                field,
-                modulus,
-                residue,
-            } => {
-                assert!(*modulus > 0, "modulus must be positive");
-                (scan.get_int(field) as u64) % modulus == *residue
-            }
-            Predicate::KeyLt { field, bound } => (scan.get_int(field) as u64) < *bound,
-        }
-    }
-
-    /// The optimizer's output estimate for `input` incoming records.
-    #[must_use]
-    pub fn estimate_output(&self, input: u64) -> u64 {
-        match self {
-            Predicate::True => input,
-            Predicate::KeyModEq { modulus, .. } => {
-                assert!(*modulus > 0, "modulus must be positive");
-                input / modulus
-            }
-            Predicate::KeyLt { bound, .. } => input.min(*bound),
-        }
-    }
-}
-
-/// Filters an inner scan by a [`Predicate`].
-pub struct SelectScan<'a> {
-    inner: Box<dyn Scan + 'a>,
-    predicate: Predicate,
-}
-
-impl<'a> SelectScan<'a> {
-    /// Creates a filtering scan.
-    #[must_use]
-    pub fn new(inner: Box<dyn Scan + 'a>, predicate: Predicate) -> Self {
-        SelectScan { inner, predicate }
-    }
-}
-
-impl Scan for SelectScan<'_> {
-    fn before_first(&mut self) {
-        self.inner.before_first();
-    }
-
-    fn next(&mut self) -> bool {
-        while self.inner.next() {
-            if self.predicate.matches(self.inner.as_ref()) {
-                return true;
-            }
-        }
-        false
-    }
-
-    fn get_int(&self, field: &str) -> i64 {
-        self.inner.get_int(field)
-    }
-
-    fn has_field(&self, field: &str) -> bool {
-        self.inner.has_field(field)
-    }
-}
-
-/// Restricts the fields visible through an inner scan.
-pub struct ProjectScan<'a> {
-    inner: Box<dyn Scan + 'a>,
-    fields: Vec<String>,
-}
-
-impl<'a> ProjectScan<'a> {
-    /// Creates a projecting scan.
-    #[must_use]
-    pub fn new(inner: Box<dyn Scan + 'a>, fields: Vec<String>) -> Self {
-        ProjectScan { inner, fields }
-    }
-}
-
-impl Scan for ProjectScan<'_> {
-    fn before_first(&mut self) {
-        self.inner.before_first();
-    }
-
-    fn next(&mut self) -> bool {
-        self.inner.next()
-    }
-
-    fn get_int(&self, field: &str) -> i64 {
-        assert!(
-            self.has_field(field),
-            "field {field:?} hidden by projection"
-        );
-        self.inner.get_int(field)
-    }
-
-    fn has_field(&self, field: &str) -> bool {
-        self.fields.iter().any(|f| f == field)
-    }
-}
-
-/// Cross product: for every left record, re-scans the right input.
-pub struct ProductScan<'a> {
-    left: Box<dyn Scan + 'a>,
-    right: Box<dyn Scan + 'a>,
-    left_valid: bool,
-}
-
-impl<'a> ProductScan<'a> {
-    /// Creates a product scan positioned before the first pair.
-    #[must_use]
-    pub fn new(left: Box<dyn Scan + 'a>, right: Box<dyn Scan + 'a>) -> Self {
-        ProductScan {
-            left,
-            right,
-            left_valid: false,
-        }
-    }
-}
-
-impl Scan for ProductScan<'_> {
-    fn before_first(&mut self) {
-        self.left.before_first();
-        self.right.before_first();
-        self.left_valid = false;
-    }
-
-    fn next(&mut self) -> bool {
-        if !self.left_valid {
-            if !self.left.next() {
-                return false;
-            }
-            self.left_valid = true;
-        }
-        loop {
-            if self.right.next() {
-                return true;
-            }
-            if !self.left.next() {
-                return false;
-            }
-            self.right.before_first();
-        }
-    }
-
-    fn get_int(&self, field: &str) -> i64 {
-        if self.left.has_field(field) {
-            self.left.get_int(field)
-        } else {
-            self.right.get_int(field)
-        }
-    }
-
-    fn has_field(&self, field: &str) -> bool {
-        self.left.has_field(field) || self.right.has_field(field)
     }
 }
 
@@ -332,8 +86,7 @@ mod tests {
     fn table_scan_counts_every_block_and_record() {
         let h = heap("t", 20); // slot 25, spp 5 -> 4 pages
         let stats = AccessStats::new();
-        let mut scan = TableScan::new(&h, &stats);
-        assert_eq!(run_to_end(&mut scan), 20);
+        assert_eq!(TableScan::new(&h, &stats).count(), 20);
         assert_eq!(stats.blocks(), h.blocks());
         assert_eq!(stats.records(), 20);
     }
@@ -342,79 +95,7 @@ mod tests {
     fn empty_table_touches_no_blocks() {
         let h = heap("t", 0);
         let stats = AccessStats::new();
-        let mut scan = TableScan::new(&h, &stats);
-        assert_eq!(run_to_end(&mut scan), 0);
+        assert_eq!(TableScan::new(&h, &stats).count(), 0);
         assert_eq!(stats.blocks(), 0);
-    }
-
-    #[test]
-    fn select_mod_residue_last_is_exact() {
-        let h = heap("t", 17);
-        let stats = AccessStats::new();
-        let pred = Predicate::KeyModEq {
-            field: "t_key".into(),
-            modulus: 5,
-            residue: 4,
-        };
-        let expect = pred.estimate_output(17);
-        let mut scan = SelectScan::new(Box::new(TableScan::new(&h, &stats)), pred);
-        assert_eq!(run_to_end(&mut scan), expect);
-        assert_eq!(expect, 3); // keys 4, 9, 14
-    }
-
-    #[test]
-    fn select_mod_residue_zero_overshoots_estimate() {
-        let h = heap("t", 17);
-        let stats = AccessStats::new();
-        let pred = Predicate::KeyModEq {
-            field: "t_key".into(),
-            modulus: 5,
-            residue: 0,
-        };
-        let mut scan = SelectScan::new(Box::new(TableScan::new(&h, &stats)), pred.clone());
-        // keys 0, 5, 10, 15 -> 4 matches; estimate 17/5 = 3.
-        assert_eq!(run_to_end(&mut scan), 4);
-        assert_eq!(pred.estimate_output(17), 3);
-    }
-
-    #[test]
-    fn product_rescans_right_per_left_record() {
-        let left = heap("l", 3); // 1 page
-        let right = heap("r", 7); // slot 25, spp 5 -> 2 pages
-        let stats = AccessStats::new();
-        let mut scan = ProductScan::new(
-            Box::new(TableScan::new(&left, &stats)),
-            Box::new(TableScan::new(&right, &stats)),
-        );
-        assert_eq!(run_to_end(&mut scan), 21);
-        // B1 + R1·B2 = 1 + 3·2 = 7 blocks.
-        assert_eq!(stats.blocks(), 7);
-    }
-
-    #[test]
-    fn product_with_empty_left_never_opens_right() {
-        let left = heap("l", 0);
-        let right = heap("r", 7);
-        let stats = AccessStats::new();
-        let mut scan = ProductScan::new(
-            Box::new(TableScan::new(&left, &stats)),
-            Box::new(TableScan::new(&right, &stats)),
-        );
-        assert_eq!(run_to_end(&mut scan), 0);
-        assert_eq!(stats.blocks(), 0);
-    }
-
-    #[test]
-    fn projection_hides_fields() {
-        let h = heap("t", 2);
-        let stats = AccessStats::new();
-        let mut scan = ProjectScan::new(
-            Box::new(TableScan::new(&h, &stats)),
-            vec!["t_key".to_string()],
-        );
-        assert!(scan.next());
-        assert!(scan.has_field("t_key"));
-        assert!(!scan.has_field("t_pad"));
-        let _ = scan.get_int("t_key");
     }
 }

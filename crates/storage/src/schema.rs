@@ -74,23 +74,10 @@ impl Schema {
         self.fields.push((name, ty));
     }
 
-    /// Appends every field of `other` (names must stay unique).
-    pub fn add_all(&mut self, other: &Schema) {
-        for (name, ty) in &other.fields {
-            self.add(name.clone(), *ty);
-        }
-    }
-
     /// Whether a field with this name exists.
     #[must_use]
     pub fn has_field(&self, name: &str) -> bool {
         self.fields.iter().any(|(n, _)| n == name)
-    }
-
-    /// Index of the named field, if present.
-    #[must_use]
-    pub fn field_index(&self, name: &str) -> Option<usize> {
-        self.fields.iter().position(|(n, _)| n == name)
     }
 
     /// The fields in declaration order.
@@ -253,16 +240,5 @@ mod tests {
         let mut s = Schema::new();
         s.add_int("x");
         s.add_int("x");
-    }
-
-    #[test]
-    fn add_all_merges() {
-        let mut a = Schema::new();
-        a.add_int("x");
-        let mut b = Schema::new();
-        b.add_bytes("y", 3);
-        a.add_all(&b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.field_index("y"), Some(1));
     }
 }

@@ -42,12 +42,6 @@ impl AccessStats {
     pub fn records(&self) -> u64 {
         self.records.get()
     }
-
-    /// Resets both counters to zero.
-    pub fn reset(&self) {
-        self.blocks.set(0);
-        self.records.set(0);
-    }
 }
 
 #[cfg(test)]
@@ -55,13 +49,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counts_accumulate_and_reset() {
+    fn counts_accumulate() {
         let s = AccessStats::new();
+        assert_eq!((s.blocks(), s.records()), (0, 0));
         s.count_block();
         s.count_block();
         s.count_record();
         assert_eq!((s.blocks(), s.records()), (2, 1));
-        s.reset();
-        assert_eq!((s.blocks(), s.records()), (0, 0));
     }
 }

@@ -1,34 +1,18 @@
-//! Differential suite: plan estimates vs measured access counts.
+//! Differential suite: table-scan estimates vs measured access counts.
 //!
-//! Over 160 seeded table configurations × plan shapes drawn from the
-//! *exact grammar* — table scans, `KeyLt` selections, `KeyModEq`
-//! selections with `residue = modulus − 1`, `Lt`-innermost compositions,
-//! projections, and products of exact subtrees — the planner's
-//! `blocks_accessed()` / `records_output()` estimates must agree
-//! **bit-exactly** with what [`AccessStats`] counts and the scan yields.
-//! No tolerance: the heaps are densely packed and sequentially keyed, so
-//! any disagreement is a bug in either the estimator or the executor.
-//!
-//! Shapes *outside* the grammar legitimately diverge; those are pinned
-//! as counterexamples with their exact divergent numbers so a future
-//! "fix" that silently changes the estimator's semantics fails loudly:
-//!
-//! * `KeyModEq` with residue 0 over a table whose row count is not a
-//!   multiple of the modulus (the coarse `rows / modulus` estimate
-//!   misses the final partial stride, which residue 0 always lands in),
-//! * `Lt` applied *outside* a `ModEq` (the estimator treats the bound as
-//!   an output cardinality cap, but the filtered keys are sparse),
-//! * a product whose left operand carries the residue-0 overshoot (the
-//!   `B₁ + R₁·B₂` block estimate amplifies the off-by-one by `B₂`).
+//! Each of 160 seeds draws three heaps — row counts from 0 to 257, row
+//! widths from 9 to 64 bytes and four page sizes; two of the 480 heaps are
+//! empty. On every heap the plan's `blocks_accessed()` /
+//! `records_output()` estimates must agree **bit-exactly** with what
+//! [`AccessStats`] counts and the scan yields. No tolerance: the heaps
+//! are densely packed, so any disagreement is a bug in either the
+//! estimator or the executor.
 
 use ivdss_catalog::ids::TableId;
 use ivdss_catalog::table::TableMeta;
-use ivdss_storage::{
-    run_to_end, AccessStats, Plan, Predicate, ProductPlan, ProjectPlan, SelectPlan, TablePlan,
-    TableStorage,
-};
+use ivdss_storage::{AccessStats, TablePlan, TableStorage};
 
-/// Splitmix64 — enough entropy to derive shapes, no vendored-rand needed.
+/// Splitmix64 — enough entropy to derive heaps, no vendored-rand needed.
 struct Rng(u64);
 
 impl Rng {
@@ -57,223 +41,35 @@ fn heap(rng: &mut Rng, id: u32, name: &str) -> TableStorage {
     TableStorage::populate(&meta, rows, page_size, rng.next())
 }
 
-/// Runs the plan and asserts estimates equal measurements bit-exactly.
-fn check_exact(plan: &dyn Plan, stats: &AccessStats, ctx: &str) {
-    let blocks_est = plan.blocks_accessed();
-    let records_est = plan.records_output();
-    let yielded = run_to_end(plan.open().as_mut());
-    assert_eq!(
-        yielded, records_est,
-        "{ctx}: output records diverged from estimate"
-    );
-    assert_eq!(
-        stats.blocks(),
-        blocks_est,
-        "{ctx}: measured blocks diverged from estimate"
-    );
-}
-
-/// Wraps `inner` in a selection chain from the exact grammar: optional
-/// `KeyLt` innermost, optional `KeyModEq` with the last residue outside.
-fn exact_selects<'a>(
-    rng: &mut Rng,
-    table_name: &str,
-    inner: Box<dyn Plan + 'a>,
-) -> Box<dyn Plan + 'a> {
-    let field = format!("{table_name}_key");
-    let mut plan = inner;
-    if rng.below(2) == 1 {
-        let bound = rng.below(300);
-        plan = Box::new(SelectPlan::new(
-            plan,
-            Predicate::KeyLt {
-                field: field.clone(),
-                bound,
-            },
-        ));
-    }
-    if rng.below(2) == 1 {
-        let modulus = 2 + rng.below(9); // 2..=10
-        plan = Box::new(SelectPlan::new(
-            plan,
-            Predicate::KeyModEq {
-                field,
-                modulus,
-                residue: modulus - 1,
-            },
-        ));
-    }
-    plan
-}
-
 #[test]
 fn estimates_match_measured_across_160_seeded_shapes() {
-    let mut exercised = [0usize; 7];
+    let mut empty = 0;
     for seed in 0..160u64 {
         let mut rng = Rng::new(seed);
-        let a = heap(&mut rng, 0, "a");
-        let b = heap(&mut rng, 1, "b");
-        let c = heap(&mut rng, 2, "c");
-        let stats = AccessStats::new();
-        let shape = rng.below(7) as usize;
-        exercised[shape] += 1;
-        let ctx = format!("seed {seed} shape {shape}");
-        match shape {
-            // Bare table scan.
-            0 => check_exact(&TablePlan::new(&a, &stats), &stats, &ctx),
-            // KeyLt over a table.
-            1 => {
-                let bound = rng.below(300);
-                let plan = SelectPlan::new(
-                    Box::new(TablePlan::new(&a, &stats)),
-                    Predicate::KeyLt {
-                        field: "a_key".into(),
-                        bound,
-                    },
-                );
-                check_exact(&plan, &stats, &ctx);
-            }
-            // Last-residue KeyModEq over a table.
-            2 => {
-                let modulus = 2 + rng.below(9);
-                let plan = SelectPlan::new(
-                    Box::new(TablePlan::new(&a, &stats)),
-                    Predicate::KeyModEq {
-                        field: "a_key".into(),
-                        modulus,
-                        residue: modulus - 1,
-                    },
-                );
-                check_exact(&plan, &stats, &ctx);
-            }
-            // ModEq over Lt — Lt innermost keeps the composition exact.
-            3 => {
-                let bound = rng.below(300);
-                let modulus = 2 + rng.below(9);
-                let plan = SelectPlan::new(
-                    Box::new(SelectPlan::new(
-                        Box::new(TablePlan::new(&a, &stats)),
-                        Predicate::KeyLt {
-                            field: "a_key".into(),
-                            bound,
-                        },
-                    )),
-                    Predicate::KeyModEq {
-                        field: "a_key".into(),
-                        modulus,
-                        residue: modulus - 1,
-                    },
-                );
-                check_exact(&plan, &stats, &ctx);
-            }
-            // Projection over an exact select chain (pass-through counts).
-            4 => {
-                let inner = exact_selects(&mut rng, "a", Box::new(TablePlan::new(&a, &stats)));
-                let plan = ProjectPlan::new(inner, vec!["a_key".to_string()]);
-                check_exact(&plan, &stats, &ctx);
-            }
-            // Product of two exact subtrees.
-            5 => {
-                let left = exact_selects(&mut rng, "a", Box::new(TablePlan::new(&a, &stats)));
-                let right = exact_selects(&mut rng, "b", Box::new(TablePlan::new(&b, &stats)));
-                let plan = ProductPlan::new(left, right);
-                check_exact(&plan, &stats, &ctx);
-            }
-            // Three-way product: (a × b) × σ(c).
-            6 => {
-                let ab = ProductPlan::new(
-                    Box::new(TablePlan::new(&a, &stats)),
-                    Box::new(TablePlan::new(&b, &stats)),
-                );
-                let right = exact_selects(&mut rng, "c", Box::new(TablePlan::new(&c, &stats)));
-                let plan = ProductPlan::new(Box::new(ab), right);
-                check_exact(&plan, &stats, &ctx);
-            }
-            _ => unreachable!(),
+        let heaps = [
+            heap(&mut rng, 0, "a"),
+            heap(&mut rng, 1, "b"),
+            heap(&mut rng, 2, "c"),
+        ];
+        for (i, h) in heaps.iter().enumerate() {
+            empty += usize::from(h.live_records() == 0);
+            let stats = AccessStats::new();
+            let plan = TablePlan::new(h, &stats);
+            let blocks_est = plan.blocks_accessed();
+            let records_est = plan.records_output();
+            let yielded = plan.open().count() as u64;
+            let ctx = format!("seed {seed} heap {i}");
+            assert_eq!(
+                yielded, records_est,
+                "{ctx}: output records diverged from estimate"
+            );
+            assert_eq!(
+                stats.blocks(),
+                blocks_est,
+                "{ctx}: measured blocks diverged from estimate"
+            );
+            assert_eq!(stats.records(), records_est, "{ctx}");
         }
     }
-    assert!(
-        exercised.iter().all(|&n| n > 0),
-        "every grammar shape must be exercised: {exercised:?}"
-    );
-}
-
-fn fixed_heap(id: u32, name: &str, rows: u64) -> TableStorage {
-    // slot 25, spp 5 at page 128 -> blocks = ceil(rows / 5).
-    let meta = TableMeta::new(TableId::new(id), name, rows, 24);
-    TableStorage::populate(&meta, rows, 128, 0xC0_DE)
-}
-
-/// Counterexample: residue 0 lands in the final partial stride the
-/// `rows / modulus` estimate drops. 100 rows, modulus 7: keys 0, 7, …,
-/// 98 — 15 matches against an estimate of 14.
-#[test]
-fn pinned_counterexample_residue_zero_overshoots() {
-    let h = fixed_heap(0, "a", 100);
-    let stats = AccessStats::new();
-    let plan = SelectPlan::new(
-        Box::new(TablePlan::new(&h, &stats)),
-        Predicate::KeyModEq {
-            field: "a_key".into(),
-            modulus: 7,
-            residue: 0,
-        },
-    );
-    assert_eq!(plan.records_output(), 14);
-    assert_eq!(run_to_end(plan.open().as_mut()), 15);
-    // Blocks stay exact: selection reads every page regardless.
-    assert_eq!(stats.blocks(), plan.blocks_accessed());
-}
-
-/// Counterexample: `Lt` *outside* `ModEq`. The estimator caps the
-/// filtered cardinality at the bound (min(20, 100/7) = 14) but the
-/// surviving keys are sparse — only 6 and 13 fall below 20.
-#[test]
-fn pinned_counterexample_lt_over_modeq_diverges() {
-    let h = fixed_heap(0, "a", 100);
-    let stats = AccessStats::new();
-    let plan = SelectPlan::new(
-        Box::new(SelectPlan::new(
-            Box::new(TablePlan::new(&h, &stats)),
-            Predicate::KeyModEq {
-                field: "a_key".into(),
-                modulus: 7,
-                residue: 6,
-            },
-        )),
-        Predicate::KeyLt {
-            field: "a_key".into(),
-            bound: 20,
-        },
-    );
-    assert_eq!(plan.records_output(), 14);
-    assert_eq!(run_to_end(plan.open().as_mut()), 2);
-    assert_eq!(stats.blocks(), plan.blocks_accessed());
-}
-
-/// Counterexample: the product block estimate `B₁ + R₁·B₂` amplifies a
-/// left-side cardinality overshoot by `B₂`. Left: 17 rows, modulus 5,
-/// residue 0 — estimate 3, actual 4 (keys 0, 5, 10, 15). Left spans 4
-/// pages, right 2, so blocks: estimated 4 + 3·2 = 10, measured
-/// 4 + 4·2 = 12; records: estimated 3·7 = 21, measured 4·7 = 28.
-#[test]
-fn pinned_counterexample_product_amplifies_left_overshoot() {
-    let l = fixed_heap(0, "a", 17);
-    let r = fixed_heap(1, "b", 7);
-    let stats = AccessStats::new();
-    let plan = ProductPlan::new(
-        Box::new(SelectPlan::new(
-            Box::new(TablePlan::new(&l, &stats)),
-            Predicate::KeyModEq {
-                field: "a_key".into(),
-                modulus: 5,
-                residue: 0,
-            },
-        )),
-        Box::new(TablePlan::new(&r, &stats)),
-    );
-    assert_eq!(plan.blocks_accessed(), 10);
-    assert_eq!(plan.records_output(), 21);
-    assert_eq!(run_to_end(plan.open().as_mut()), 28);
-    assert_eq!(stats.blocks(), 12);
+    assert_eq!(empty, 2, "the seeds draw two empty heaps");
 }

@@ -156,13 +156,6 @@ impl ArrivalStream {
     pub fn take_requests(&mut self, count: usize) -> Vec<QueryRequest> {
         (0..count).map(|_| self.next_request()).collect()
     }
-
-    /// The template a generated id maps back to (ids cycle through the
-    /// template list).
-    #[must_use]
-    pub fn template_of(&self, id: QueryId) -> &QuerySpec {
-        &self.templates[(id.raw() as usize) % self.templates.len()]
-    }
 }
 
 #[cfg(test)]
@@ -213,13 +206,6 @@ mod tests {
         let mut stream =
             ArrivalStream::new(templates(), 5.0, 1).with_business_value(BusinessValue::new(3.0));
         assert_eq!(stream.next_request().business_value.value(), 3.0);
-    }
-
-    #[test]
-    fn template_lookup_by_id() {
-        let stream = ArrivalStream::new(templates(), 5.0, 1);
-        assert_eq!(stream.template_of(QueryId::new(4)).table_count(), 1);
-        assert_eq!(stream.template_of(QueryId::new(5)).table_count(), 2);
     }
 
     #[test]

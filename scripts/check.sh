@@ -8,6 +8,9 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> dead-code scan (pub items nothing references)"
+scripts/deadcode.sh
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -34,6 +37,15 @@ echo "==> storage differential + property + calibration + golden suites (release
 cargo test --offline --release -p ivdss-storage
 cargo test --offline --release -p ivdss-dsim --test calibration_regression
 cargo test --offline --release -p ivdss-serve --test golden_storage_trace
+
+echo "==> examples (release)"
+# Each example asserts its own acceptance criteria and panics when one
+# fails, so a clean exit is a real check.
+for example in examples/*.rs; do
+  name=$(basename "$example" .rs)
+  echo "    $name"
+  cargo run --quiet --release --offline --example "$name" > /dev/null
+done
 
 echo "==> serving benchmark correctness check (release)"
 # servebench is its own cargo workspace, so the steps above never build

@@ -16,10 +16,10 @@
 //!
 //! | Crate | Contents |
 //! |---|---|
-//! | [`simkernel`] | Discrete-event simulation kernel (clock, events, random streams, statistics, FIFO facilities) |
+//! | [`simkernel`] | Discrete-event simulation kernel (clock, events, random streams, statistics, server calendars) |
 //! | [`catalog`] | Tables, sites, placement, replication plans; TPC-H and synthetic schemas |
-//! | [`costmodel`] | Query footprints, per-combination plan-cost compilation, stylized and analytic cost models |
-//! | [`replication`] | Synchronization schedules/timelines, replica versions, QoS replication |
+//! | [`costmodel`] | Query footprints; stylized, analytic and storage-calibrated cost models for one local/remote combination |
+//! | [`replication`] | Synchronization schedules and timelines, sync-event and revision cursors |
 //! | [`core`] | **The paper's contribution**: the IV model, plan evaluation, the bounded scatter-and-gather optimal plan search and its exhaustive oracle, a fork-join pool for planning many queries at once, IVQP/Federation/Warehouse planners, starvation aging |
 //! | [`ga`] | Genetic algorithm with permutation genomes and order crossover |
 //! | [`mqo`] | Workload formation and GA-driven multi-query (order) optimization |
@@ -31,7 +31,7 @@
 //! | [`net`] | TCP front door: length-delimited binary protocol, hand-rolled `std::net` server over the serving engines, blocking client |
 //! | [`sched`] | Adaptive synchronization scheduling: refresh schedules as a decision variable — marginal-IV greedy + GA search at the fixed schedules' refresh budget, behind a never-worse guard |
 //! | [`scenarios`] | Seeded composable traffic scenarios: Zipf popularity, diurnal/flash-crowd arrivals, multi-tenant SLA mixes, schema growth with cold timelines |
-//! | [`storage`] | Record-page storage engine: slotted pages over catalog tables, scan/select/project/product plans with pre-execution estimates, measured scans feeding cost-model calibration |
+//! | [`storage`] | Record-page storage engine: slotted pages over catalog tables, full table scans with pre-execution estimates, measured scans feeding cost-model calibration |
 //! | [`dsim`] | End-to-end DSS simulator and the per-figure experiment drivers |
 //!
 //! # Quickstart
@@ -96,12 +96,12 @@ pub mod prelude {
     pub use ivdss_core::{
         evaluate_plan, exhaustive_search, AgingPolicy, BusinessValue, DiscountRate, DiscountRates,
         FacilityQueues, FederationPlanner, InformationValue, IvqpPlanner, Latencies, NoQueues,
-        PlacementAdvisor, PlanContext, PlanError, PlanEvaluation, Planner, PlannerPool,
-        QueryRequest, ScatterGatherSearch, SearchOpts, WarehousePlanner,
+        PlanContext, PlanError, PlanEvaluation, Planner, PlannerPool, QueryRequest,
+        ScatterGatherSearch, SearchOpts, WarehousePlanner,
     };
     pub use ivdss_costmodel::{
-        AnalyticCostModel, CalibratedCostModel, CompiledQuery, CostModel, LocalFit, PlanCost,
-        QueryId, QuerySpec, StylizedCostModel,
+        AnalyticCostModel, CalibratedCostModel, CostModel, LocalFit, PlanCost, QueryId, QuerySpec,
+        StylizedCostModel,
     };
     pub use ivdss_dsim::{
         run_arrival_driven, run_prioritized, Environment, ReplicaLoading, RunMetrics,
@@ -137,9 +137,7 @@ pub mod prelude {
     pub use ivdss_simkernel::{
         Engine, ExponentialStream, OnlineStats, SeedFactory, SimDuration, SimTime, Stream,
     };
-    pub use ivdss_storage::{
-        DeviceProfile, Plan, Predicate, Scan, ScanMeasurement, StorageConfig, StorageEngine,
-    };
+    pub use ivdss_storage::{DeviceProfile, ScanMeasurement, StorageConfig, StorageEngine};
     pub use ivdss_workloads::{
         mid_cost_query_specs, overlapping_queries, random_queries, tpch_query_specs, ArrivalStream,
         FrequencyRatio, OverlapConfig, RandomQueryConfig, RequestSource,

@@ -1,6 +1,9 @@
 //! Integration test: the paper's Fig. 4 worked example, end to end
 //! through the facade crate.
 
+use std::collections::BTreeSet;
+
+use ivdss::core::local_subsets;
 use ivdss::dsim::experiments::fig4::{fig4_setup, run_fig4};
 use ivdss::prelude::*;
 
@@ -35,10 +38,25 @@ fn stylized_costs_match_paper() {
     //  1, 2, 3, and 4 base tables"
     let setup = fig4_setup();
     let model = StylizedCostModel::paper_fig4();
-    let compiled = CompiledQuery::compile(&setup.catalog, &model, setup.request.query.clone());
-    assert_eq!(compiled.combination_count(), 16);
-    assert_eq!(compiled.all_remote_cost().total().value(), 10.0);
-    assert_eq!(compiled.all_local_cost().unwrap().total().value(), 2.0);
+    let query = &setup.request.query;
+    assert!(query
+        .tables()
+        .iter()
+        .all(|&t| setup.catalog.is_replicated(t)));
+    // Every local/remote combination of the footprint, in the order the
+    // search enumerates them.
+    let combinations = local_subsets(query.tables());
+    assert_eq!(combinations.len(), 16);
+    for local in combinations {
+        let remote: BTreeSet<TableId> = query
+            .tables()
+            .iter()
+            .copied()
+            .filter(|t| !local.contains(t))
+            .collect();
+        let total = model.plan_cost(&setup.catalog, query, &remote).total();
+        assert_eq!(total.value(), 2.0 + 2.0 * remote.len() as f64, "{remote:?}");
+    }
 }
 
 #[test]
