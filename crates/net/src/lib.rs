@@ -21,7 +21,8 @@
 //! * [`server`] — a hand-rolled `std::net` server: nonblocking
 //!   listener polled from the engine loop, a bounded pool of reader
 //!   workers assembling frames under a short read timeout, every
-//!   request executed on the single engine thread in channel order.
+//!   request executed on the single engine thread in channel order,
+//!   and each connection's answers of one engine turn written at once.
 //! * [`client`] — a blocking request/response client.
 //!
 //! The serving benchmark (`servebench/`, its own cargo workspace)

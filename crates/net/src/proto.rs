@@ -519,36 +519,66 @@ impl Response {
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends this response to `out` as one whole frame: the `u32` LE
+    /// length prefix, patched in place once the body behind it is
+    /// encoded, then the body. The bytes are those of
+    /// [`write_frame`] over [`Response::encode`], without the two
+    /// intermediate buffers, so a server can gather many responses into
+    /// one reused buffer and write them at once.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a body over [`MAX_FRAME_LEN`] with
+    /// [`std::io::ErrorKind::InvalidData`], as [`write_frame`] does, and
+    /// leaves `out` as it was.
+    pub fn encode_frame(&self, out: &mut Vec<u8>) -> std::io::Result<()> {
+        let start = out.len();
+        out.extend_from_slice(&[0; 4]);
+        self.encode_into(out);
+        let len = out.len() - start - 4;
+        if len > MAX_FRAME_LEN {
+            out.truncate(start);
+            return Err(frame_too_large());
+        }
+        out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        Ok(())
+    }
+
+    /// Appends the frame body to `out`.
+    fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Response::Welcome { version } => {
-                put_u8(&mut out, 0x81);
-                put_u32(&mut out, *version);
+                put_u8(out, 0x81);
+                put_u32(out, *version);
             }
             Response::Pong { token } => {
-                put_u8(&mut out, 0x82);
-                put_u64(&mut out, *token);
+                put_u8(out, 0x82);
+                put_u64(out, *token);
             }
             Response::Report(report) => {
-                put_u8(&mut out, 0x83);
-                put_report(&mut out, report);
+                put_u8(out, 0x83);
+                put_report(out, report);
             }
             Response::Metrics { text } => {
-                put_u8(&mut out, 0x84);
-                put_str(&mut out, text);
+                put_u8(out, 0x84);
+                put_str(out, text);
             }
             Response::Audit { found, text } => {
-                put_u8(&mut out, 0x85);
-                put_bool(&mut out, *found);
-                put_str(&mut out, text);
+                put_u8(out, 0x85);
+                put_bool(out, *found);
+                put_str(out, text);
             }
             Response::Error { code, message } => {
-                put_u8(&mut out, 0x86);
-                put_u8(&mut out, code.to_u8());
-                put_str(&mut out, message);
+                put_u8(out, 0x86);
+                put_u8(out, code.to_u8());
+                put_str(out, message);
             }
-            Response::Bye => put_u8(&mut out, 0x87),
+            Response::Bye => put_u8(out, 0x87),
         }
-        out
     }
 
     /// Decodes a frame body.
@@ -749,15 +779,19 @@ impl<'b> Reader<'b> {
 /// [`std::io::ErrorKind::InvalidData`].
 pub fn write_frame(w: &mut impl std::io::Write, body: &[u8]) -> std::io::Result<()> {
     if body.len() > MAX_FRAME_LEN {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "frame body exceeds MAX_FRAME_LEN",
-        ));
+        return Err(frame_too_large());
     }
     let mut frame = Vec::with_capacity(4 + body.len());
     frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
     frame.extend_from_slice(body);
     w.write_all(&frame)
+}
+
+fn frame_too_large() -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        "frame body exceeds MAX_FRAME_LEN",
+    )
 }
 
 /// Reads one complete frame with blocking semantics. Returns `None` on
@@ -799,24 +833,37 @@ pub fn read_frame_blocking(r: &mut impl std::io::Read) -> std::io::Result<Option
 }
 
 /// What [`FrameReader::poll`] observed on the socket.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadEvent {
-    /// One complete frame body.
-    Frame(Vec<u8>),
-    /// No complete frame yet (the read would block or timed out);
-    /// partial bytes stay buffered.
+    /// The read appended bytes; every frame they completed is ready for
+    /// [`FrameReader::next_frame`].
+    Data,
+    /// Nothing arrived (the read would block or timed out); partial
+    /// bytes stay buffered.
     NotReady,
     /// The peer closed the connection at a frame boundary.
     Eof,
 }
 
+/// Initial size of a [`FrameReader`]'s buffer, which doubles whenever a
+/// partial frame fills it.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// Incremental frame assembly over a socket with a read timeout: bytes
 /// accumulate across [`FrameReader::poll`] calls, so a timeout mid-frame
 /// loses nothing. This is what lets server workers wake up periodically
 /// to check the shutdown flag without corrupting the stream.
+///
+/// Each [`FrameReader::poll`] is one `read`; [`FrameReader::next_frame`]
+/// then hands out the frames it completed, borrowed from the buffer and
+/// consumed by offset. The unconsumed tail moves to the front once per
+/// read, not once per frame.
 #[derive(Debug, Default)]
 pub struct FrameReader {
+    /// Received bytes; `buf[start..end]` are not consumed yet.
     buf: Vec<u8>,
+    start: usize,
+    end: usize,
 }
 
 impl FrameReader {
@@ -826,56 +873,39 @@ impl FrameReader {
         FrameReader::default()
     }
 
-    /// Pops a complete buffered frame, if one is fully assembled.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`std::io::ErrorKind::InvalidData`] when the buffered
-    /// length prefix exceeds [`MAX_FRAME_LEN`].
-    fn take_buffered(&mut self) -> std::io::Result<Option<Vec<u8>>> {
-        if self.buf.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
-        if len > MAX_FRAME_LEN {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "announced frame length exceeds MAX_FRAME_LEN",
-            ));
-        }
-        if self.buf.len() < 4 + len {
-            return Ok(None);
-        }
-        let body = self.buf[4..4 + len].to_vec();
-        self.buf.drain(..4 + len);
-        Ok(Some(body))
-    }
-
-    /// Reads whatever the socket has and returns the next complete
-    /// frame, [`ReadEvent::NotReady`] on timeout / would-block, or
-    /// [`ReadEvent::Eof`] when the peer closed cleanly.
+    /// Reads once from `r` into the buffer. Take every complete frame
+    /// with [`FrameReader::next_frame`] before polling again: bytes still
+    /// buffered at EOF count as a frame cut short.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors; EOF with a partial frame buffered is
     /// [`std::io::ErrorKind::UnexpectedEof`].
     pub fn poll(&mut self, r: &mut impl std::io::Read) -> std::io::Result<ReadEvent> {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.end == self.buf.len() {
+            // A partial frame fills the buffer. Frames are bounded, so
+            // doubling stops below twice the largest one.
+            let grown = (2 * self.buf.len()).max(READ_CHUNK);
+            self.buf.resize(grown, 0);
+        }
         loop {
-            if let Some(frame) = self.take_buffered()? {
-                return Ok(ReadEvent::Frame(frame));
-            }
-            let mut chunk = [0u8; 16 * 1024];
-            match r.read(&mut chunk) {
+            match r.read(&mut self.buf[self.end..]) {
+                Ok(0) if self.end == 0 => return Ok(ReadEvent::Eof),
                 Ok(0) => {
-                    if self.buf.is_empty() {
-                        return Ok(ReadEvent::Eof);
-                    }
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::UnexpectedEof,
                         "EOF inside a frame",
-                    ));
+                    ))
                 }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(ReadEvent::Data);
+                }
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
                         || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -886,6 +916,33 @@ impl FrameReader {
                 Err(e) => return Err(e),
             }
         }
+    }
+
+    /// Takes the next complete buffered frame body, or `None` until more
+    /// bytes arrive.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`std::io::ErrorKind::InvalidData`] when the buffered
+    /// length prefix exceeds [`MAX_FRAME_LEN`].
+    pub fn next_frame(&mut self) -> std::io::Result<Option<&[u8]>> {
+        let pending = &self.buf[self.start..self.end];
+        let Some(prefix) = pending.first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let len = u32::from_le_bytes(*prefix) as usize;
+        if len > MAX_FRAME_LEN {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "announced frame length exceeds MAX_FRAME_LEN",
+            ));
+        }
+        if pending.len() < 4 + len {
+            return Ok(None);
+        }
+        let body = self.start + 4..self.start + 4 + len;
+        self.start = body.end;
+        Ok(Some(&self.buf[body]))
     }
 }
 
@@ -960,6 +1017,20 @@ mod tests {
         for resp in resps {
             assert_eq!(Response::decode(&resp.encode()), Ok(resp));
         }
+    }
+
+    #[test]
+    fn oversized_response_frame_leaves_the_buffer_as_it_was() {
+        let mut out = Vec::new();
+        Response::Bye.encode_frame(&mut out).expect("Bye fits");
+        let huge = Response::Metrics {
+            text: "x".repeat(MAX_FRAME_LEN),
+        };
+        let err = huge
+            .encode_frame(&mut out)
+            .expect_err("body over the bound");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(out, [1, 0, 0, 0, 0x87]);
     }
 
     #[test]

@@ -97,6 +97,32 @@ impl SyncEventCursor {
         events
     }
 
+    /// Each table's latest completion in `(position, now]` — the last of
+    /// its events [`SyncEventCursor::advance_to`] would return — written
+    /// to `latest` in table order, and moves the cursor to `now`. This is
+    /// one lookup per table: no event list is built or sorted, which is
+    /// all a consumer that only asks "has this table synced since?"
+    /// needs.
+    pub fn advance_latest(
+        &mut self,
+        timelines: &SyncTimelines,
+        now: SimTime,
+        latest: &mut Vec<SyncEvent>,
+    ) {
+        latest.clear();
+        if now <= self.position {
+            return;
+        }
+        let position = self.position;
+        latest.extend(timelines.iter().filter_map(|(table, schedule)| {
+            schedule
+                .last_completion_at(now)
+                .filter(|&at| at > position)
+                .map(|at| SyncEvent { at, table })
+        }));
+        self.position = now;
+    }
+
     /// [`SyncEventCursor::advance_to`] with observability: every
     /// delivered completion is also emitted as a `sync_delivered` trace
     /// event, stamped at the observation instant `now` (the payload
@@ -262,6 +288,30 @@ mod tests {
             .map(|e| e.table)
             .collect();
         assert_eq!(at_ten, vec![t(0), t(1)]);
+    }
+
+    #[test]
+    fn latest_is_each_tables_last_event() {
+        let tl = timelines();
+        let mut latest = vec![SyncEvent {
+            at: SimTime::ZERO,
+            table: t(9),
+        }];
+        let mut cursor = SyncEventCursor::new(SimTime::new(5.0));
+        cursor.advance_latest(&tl, SimTime::new(17.0), &mut latest);
+        let at = |v: f64, i: u32| SyncEvent {
+            at: SimTime::new(v),
+            table: t(i),
+        };
+        assert_eq!(latest, vec![at(15.0, 0), at(10.0, 1)]);
+        // Table 1's next sync (t=20) lies beyond the window; table 0's
+        // last (t=15) is not after the position.
+        cursor.advance_latest(&tl, SimTime::new(19.0), &mut latest);
+        assert!(latest.is_empty());
+        assert_eq!(cursor.position(), SimTime::new(19.0));
+        cursor.advance_latest(&tl, SimTime::new(3.0), &mut latest);
+        assert!(latest.is_empty());
+        assert_eq!(cursor.position(), SimTime::new(19.0));
     }
 
     #[test]

@@ -556,7 +556,13 @@ impl PlanCache {
     /// Evicts every entry invalidated by the given synchronization
     /// events (an entry is stale once any table of its replicated
     /// footprint completed a sync after the entry's recorded phase) and
-    /// returns how many entries were dropped.
+    /// returns how many entries were dropped. Only each table's latest
+    /// event can decide that, so each table's latest sync of a window
+    /// ([`SyncEventCursor::advance_latest`]) evicts exactly what every
+    /// sync of the window ([`SyncEventCursor::advance_to`]) evicts.
+    ///
+    /// [`SyncEventCursor::advance_latest`]: ivdss_replication::events::SyncEventCursor::advance_latest
+    /// [`SyncEventCursor::advance_to`]: ivdss_replication::events::SyncEventCursor::advance_to
     pub fn apply_sync_events(&mut self, events: &[SyncEvent]) -> usize {
         if events.is_empty() || self.entries.map.is_empty() {
             return 0;
@@ -573,5 +579,123 @@ impl PlanCache {
         });
         self.invalidations += evicted as u64;
         evicted
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashSet;
+
+    use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
+    use ivdss_core::plan::NoQueues;
+    use ivdss_core::value::DiscountRates;
+    use ivdss_costmodel::model::StylizedCostModel;
+    use ivdss_costmodel::query::{QueryId, QuerySpec};
+    use ivdss_replication::events::{SyncEventCursor, TimelineRevision};
+    use ivdss_replication::schedule::Schedule;
+    use proptest::prelude::*;
+
+    use super::*;
+
+    const HORIZON: f64 = 60.0;
+
+    /// Tables `0..schedules.len()` replicated: `kind` 0 keeps the
+    /// periodic schedule, 1 lists every completion twice in a trace, 2
+    /// slips or drops every third completion through a revision.
+    fn timelines(schedules: &[(u8, f64, f64)]) -> SyncTimelines {
+        let horizon = SimTime::new(HORIZON);
+        let mut timelines = SyncTimelines::new();
+        for (i, &(kind, period, phase)) in schedules.iter().enumerate() {
+            let table = TableId::new(i as u32);
+            let periodic = Schedule::periodic(period, phase);
+            let times = periodic.materialize(horizon);
+            if kind % 3 == 1 {
+                let doubled = times.iter().chain(&times).copied().collect();
+                timelines.insert(table, Schedule::trace(doubled));
+                continue;
+            }
+            timelines.insert(table, periodic);
+            if kind % 3 == 2 {
+                for (k, &at) in times.iter().enumerate().step_by(3) {
+                    let revision = TimelineRevision {
+                        revealed_at: at,
+                        table,
+                        scheduled: at,
+                        new_time: (k % 2 == 0).then(|| SimTime::new(at.value() + period / 2.0)),
+                    };
+                    timelines.revise(&revision, horizon);
+                }
+            }
+        }
+        timelines
+    }
+
+    fn keys(cache: &PlanCache) -> HashSet<PlanCacheKey> {
+        cache.entries.map.keys().cloned().collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Passing each table's latest sync of a window evicts the same
+        /// entries, with the same count, as passing every sync of it.
+        #[test]
+        fn latest_syncs_evict_what_every_sync_evicts(
+            schedules in prop::collection::vec((0u8..3, 1.0..15.0f64, 0.0..1.0f64), 1..5),
+            queries in prop::collection::vec((1u8..32, 0.0..HORIZON), 1..24),
+            window in (0.0..HORIZON, 0.0..HORIZON, any::<bool>()),
+        ) {
+            let schedules: Vec<(u8, f64, f64)> =
+                schedules.into_iter().map(|(k, p, ph)| (k, p, ph * p)).collect();
+            let timelines = timelines(&schedules);
+            let catalog = synthetic_catalog(&SyntheticConfig {
+                tables: 5,
+                sites: 2,
+                replicated_tables: 0,
+                seed: 29,
+                ..SyntheticConfig::default()
+            })
+            .expect("fixture catalog is valid");
+            let model = StylizedCostModel::paper_fig4();
+            let ctx = PlanContext {
+                catalog: &catalog,
+                timelines: &timelines,
+                model: &model,
+                rates: DiscountRates::new(0.02, 0.05),
+                queues: &NoQueues,
+            };
+            let mut cache = PlanCache::new(64);
+            for (i, &(mask, at)) in queries.iter().enumerate() {
+                let tables = (0..5u32)
+                    .filter(|t| mask & (1 << t) != 0)
+                    .map(TableId::new)
+                    .collect();
+                let request =
+                    QueryRequest::new(QuerySpec::new(QueryId::new(i as u64), tables), SimTime::new(at));
+                cache.plan(&ctx, &request).expect("the fixture plans");
+            }
+
+            let (mut from, mut to) = (SimTime::new(window.0), SimTime::new(window.1));
+            if window.2 {
+                // The window starts and ends on completion instants.
+                let first = timelines.schedule(TableId::new(0)).expect("table 0 is replicated");
+                from = first.last_completion_at(from).unwrap_or(from);
+                to = first.next_completion_after(to).unwrap_or(to);
+            }
+            let every = SyncEventCursor::new(from).advance_to(&timelines, to);
+            let mut latest = Vec::new();
+            SyncEventCursor::new(from).advance_latest(&timelines, to, &mut latest);
+            for table in timelines.iter().map(|(t, _)| t) {
+                let last = every.iter().filter(|e| e.table == table).map(|e| e.at).max();
+                let reduced = latest.iter().find(|e| e.table == table).map(|e| e.at);
+                prop_assert_eq!(last, reduced);
+            }
+
+            let (mut by_every, mut by_latest) = (cache.clone(), cache);
+            let evicted = by_every.apply_sync_events(&every);
+            prop_assert_eq!(by_latest.apply_sync_events(&latest), evicted);
+            prop_assert_eq!(keys(&by_latest), keys(&by_every));
+            prop_assert_eq!(by_latest.invalidations(), by_every.invalidations());
+        }
     }
 }

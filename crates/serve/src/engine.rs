@@ -64,7 +64,7 @@ use ivdss_mqo::workload::live_batch_windows;
 use ivdss_obs::{
     AdmissionVerdict, AuditLog, EventKind, PlanAudit, PlanSource, SearchAudit, Tracer,
 };
-use ivdss_replication::events::{RevisionCursor, SyncEventCursor};
+use ivdss_replication::events::{RevisionCursor, SyncEvent, SyncEventCursor};
 use ivdss_replication::timelines::SyncTimelines;
 use ivdss_simkernel::time::{SimDuration, SimTime};
 use ivdss_storage::{MeasuredLocalCost, StorageEngine};
@@ -210,6 +210,9 @@ pub struct ServeEngine<'a, C: Clock> {
     cache: PlanCache,
     facilities: FacilityQueues,
     cursor: SyncEventCursor,
+    /// The syncs the last tick delivered to the cache, reused across
+    /// ticks.
+    synced: Vec<SyncEvent>,
     metrics: ServeMetrics,
     faults: Option<FaultState>,
     /// Dispatch-time plan searches: cache-off planning, outage
@@ -251,6 +254,7 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
             cache: PlanCache::new(config.cache_capacity),
             facilities: FacilityQueues::new(catalog.site_count()),
             cursor: SyncEventCursor::new(start),
+            synced: Vec::new(),
             metrics: ServeMetrics::new(start),
             config,
             clock,
@@ -468,8 +472,8 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
     }
 
     /// Applies due fault revisions to the timeline belief, counts outage
-    /// windows that have opened, then delivers pending sync events to
-    /// the cache's invalidator.
+    /// windows that have opened, then delivers the syncs completed since
+    /// the last tick to the cache's invalidator.
     ///
     /// Revisions are applied *before* the sync cursor advances, so a
     /// slipped or dropped completion is never delivered at its nominal
@@ -509,11 +513,19 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
                 });
             }
         }
-        let events = self
-            .cursor
-            .advance_observed(&self.timelines, now, &self.tracer);
-        if !events.is_empty() {
-            let evicted = self.cache.apply_sync_events(&events);
+        // Eviction reads only each table's latest sync in the window,
+        // one lookup per table; the `sync_delivered` trace lines need
+        // every completion.
+        if self.tracer.enabled() {
+            self.synced = self
+                .cursor
+                .advance_observed(&self.timelines, now, &self.tracer);
+        } else {
+            self.cursor
+                .advance_latest(&self.timelines, now, &mut self.synced);
+        }
+        if !self.synced.is_empty() {
+            let evicted = self.cache.apply_sync_events(&self.synced);
             self.metrics.record_cache_invalidations(evicted as u64);
             if evicted > 0 {
                 self.tracer

@@ -5,8 +5,9 @@
 # scenario-sweep and storage-calibration reports (BENCH_planner.json,
 # BENCH_cluster.json, BENCH_serve_net.json, BENCH_sched.json,
 # BENCH_scenarios.json and BENCH_storage.json at the repo root).
-# The network-serving report comes from the serving benchmark
-# (servebench/, its own cargo workspace), run on its three workloads.
+# The network-serving report comes from scripts/bench_net.sh, which runs
+# the serving benchmark (servebench/, its own cargo workspace) on its
+# three workloads and can regenerate that report alone.
 #
 # Usage:
 #   scripts/bench.sh                    # full run (minutes)
@@ -97,49 +98,11 @@ cargo run --offline --release -p ivdss-bench --bin cluster_scaling -- \
   ${QUICK[@]+"${QUICK[@]}"} --out "$CLUSTER_OUT"
 
 echo "==> network serving: servebench over loopback TCP (writes $NET_OUT)"
-# Each servebench run serves its workload's seeded stream over loopback
-# TCP and checks every answer against an in-process run. Its last line
-# is the JSON report; the "digest in-process" line carries the per-query
-# IV digest of that in-process run. The step fails unless every run is
-# correct.
-NET_MODE=full
-NET_SECONDS=10
+NET_FLAGS=()
 if [[ $SMOKE -eq 1 ]]; then
-  NET_MODE=smoke
-  NET_SECONDS=1
+  NET_FLAGS=(--smoke)
 fi
-cargo build --offline --release --quiet --manifest-path servebench/Cargo.toml
-NET_WORKLOADS=""
-separator=""
-for workload in tpch-paper dashboard-hot tenants-overload; do
-  output=$(cargo run --offline --release --quiet --manifest-path servebench/Cargo.toml -- \
-    --workload "$workload" --seed 1 --seconds "$NET_SECONDS" --trace 0)
-  printf '%s\n' "$output"
-  report=$(tail -n 1 <<<"$output")
-  digest=$(sed -n 's/^digest in-process \([0-9a-f]\{16\}\),.*/\1/p' <<<"$output")
-  case "$report" in
-    *'"correct": true'*) ;;
-    *)
-      echo "servebench $workload failed its correctness check: $report" >&2
-      exit 1
-      ;;
-  esac
-  [[ -n $digest ]] || { echo "servebench $workload printed no IV digest" >&2; exit 1; }
-  NET_WORKLOADS+="$separator    {\"workload\": \"$workload\", \"digest\": \"$digest\", \"report\": $report}"
-  separator=$',\n'
-done
-cat >"$NET_OUT" <<EOF
-{
-  "bench": "servebench",
-  "mode": "$NET_MODE",
-  "seed": 1,
-  "seconds": $NET_SECONDS,
-  "host_parallelism": $(nproc),
-  "workloads": [
-$NET_WORKLOADS
-  ]
-}
-EOF
+scripts/bench_net.sh ${NET_FLAGS[@]+"${NET_FLAGS[@]}"} --out "$NET_OUT"
 
 echo "==> adaptive sync scheduling gain (writes $SCHED_OUT)"
 cargo run --offline --release -p ivdss-bench --bin sched_gain -- \
