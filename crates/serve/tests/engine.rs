@@ -1,6 +1,8 @@
 //! End-to-end tests of the serving engine: overload shedding, cache
 //! behaviour under syncs, determinism, and the MQO batch-window seam.
 
+use std::sync::Arc;
+
 use ivdss_catalog::catalog::Catalog;
 use ivdss_catalog::ids::TableId;
 use ivdss_catalog::replica::{ReplicaSpec, ReplicationPlan};
@@ -8,6 +10,7 @@ use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
 use ivdss_core::value::{BusinessValue, DiscountRates};
 use ivdss_costmodel::model::StylizedCostModel;
 use ivdss_costmodel::query::{QueryId, QuerySpec};
+use ivdss_obs::{Trace, Tracer};
 use ivdss_replication::timelines::{SyncMode, SyncTimelines};
 use ivdss_serve::clock::DesClock;
 use ivdss_serve::engine::{ServeConfig, ServeEngine};
@@ -114,6 +117,43 @@ fn cache_hits_and_sync_invalidations_accumulate() {
         "periodic syncs across a 300-minute run must invalidate entries"
     );
     assert!(snap.cache_hit_rate() > 0.0 && snap.cache_hit_rate() < 1.0);
+}
+
+#[test]
+fn tracing_does_not_change_what_syncs_evict() {
+    // Untraced, a tick evicts by each table's latest sync in its window;
+    // traced, it hands every sync to the trace and evicts by all of them.
+    // Sparse arrivals make one tick cross several syncs of a table.
+    let (catalog, timelines, model) = fixture();
+    for mean_interarrival in [1.0, 20.0] {
+        let run = |tracer: Tracer| {
+            let config = ServeConfig::new(DiscountRates::new(0.01, 0.05));
+            let mut engine =
+                ServeEngine::new(&catalog, &timelines, &model, config, DesClock::new())
+                    .with_tracer(tracer);
+            let report = run_open_loop(
+                &mut engine,
+                templates(),
+                &OpenLoopConfig {
+                    queries: 300,
+                    mean_interarrival,
+                    seed: 3,
+                    business_value: BusinessValue::UNIT,
+                },
+            )
+            .unwrap();
+            (report, engine.snapshot())
+        };
+        let (untraced, untraced_snap) = run(Tracer::disabled());
+        let (traced, traced_snap) = run(Tracer::recording(Arc::new(Trace::new())));
+        assert_eq!(untraced, traced);
+        assert_eq!(untraced_snap.plan_cache_hits, traced_snap.plan_cache_hits);
+        assert_eq!(
+            untraced_snap.plan_cache_invalidations,
+            traced_snap.plan_cache_invalidations
+        );
+        assert!(untraced_snap.plan_cache_invalidations > 0);
+    }
 }
 
 #[test]
