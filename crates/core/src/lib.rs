@@ -25,8 +25,7 @@
 //! * [`planner`] — [`planner::IvqpPlanner`] and the paper's two baselines,
 //!   [`planner::FederationPlanner`] and [`planner::WarehousePlanner`];
 //! * [`parallel`] — [`parallel::PlannerPool`], a deterministic fork-join
-//!   helper for callers that plan many independent queries or candidate
-//!   orders at once;
+//!   helper for callers that plan many independent queries at once;
 //! * [`starvation`] — the §3.3 aging adaptation for long-queued queries.
 //!
 //! # Example

@@ -1,19 +1,17 @@
 //! Deterministic fork-join over independent planning work.
 //!
 //! Callers that plan many *independent* things fan them out over a
-//! [`PlannerPool`]: the MQO evaluator and the refresh-schedule GA score
-//! whole candidate orders or schedules per task, and the
-//! `planner_scaling` bench plans one query per task. One search stays on
-//! the calling thread (see [`crate::search`]); the parallel grain is the
-//! query or the candidate order, not the candidate plan.
+//! [`PlannerPool`]. Its one user is the `planner_scaling` bench, which
+//! plans one query per task and measures how the pool scales. One
+//! search stays on the calling thread (see [`crate::search`]); the
+//! parallel grain is the query, not the candidate plan.
 //!
 //! The pool runs over OS threads (`std::thread::scope`; the workspace
 //! vendors no external thread-pool crate). Results are always gathered
 //! **in index order**, so any reduction over them is independent of
 //! scheduling. A pool with `threads == 1` degrades to plain inline
 //! evaluation with zero threading overhead, so parallel-capable call
-//! sites need no special-casing. One pool is meant to be shared: build
-//! an `Arc<PlannerPool>` once and hand clones to every evaluator.
+//! sites need no special-casing.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -150,6 +150,28 @@ impl FacilityQueues {
     pub fn remote(&self, site: SiteId) -> &Calendar {
         &self.remotes[site.index()]
     }
+
+    /// Books `plan`'s service window on the servers it occupies: the
+    /// local federation server for the full service time, and each
+    /// remote site `request` reads a base table from for the processing
+    /// component, all at the plan's service start.
+    pub fn commit(&mut self, catalog: &Catalog, request: &QueryRequest, plan: &PlanEvaluation) {
+        self.local
+            .book(plan.service_start, plan.cost.local_service());
+        let remote: Vec<TableId> = request
+            .query
+            .tables()
+            .iter()
+            .copied()
+            .filter(|t| !plan.local_tables.contains(t))
+            .collect();
+        if !remote.is_empty() {
+            for site in catalog.sites_spanned(&remote) {
+                self.remote_mut(site)
+                    .book(plan.service_start, plan.cost.remote_processing);
+            }
+        }
+    }
 }
 
 impl QueueEstimator for FacilityQueues {

@@ -6,35 +6,23 @@
 //! periodic timelines, then lets `ivdss-sched` re-spend the *same*
 //! refresh budget — greedy marginal-IV and GA search, both evaluated
 //! with the production planner — and reports the fixed / greedy / GA /
-//! committed IV side by side.
-//!
-//! [`run_adaptive_chaos_point`] composes the committed adaptive
-//! schedule with the chaos harness: the same open-loop arrival stream
-//! runs once clean and once under a seeded [`FaultPlan`] generated
-//! *against the adaptive timelines*, with the same bit-for-bit
-//! trace-vs-metrics reconciliation as `experiments::chaos`.
+//! committed IV side by side. The `sched_gain` bench bin sweeps the
+//! seeds and owns the table; `crates/sched/tests/golden_sched.rs` pins
+//! the committed schedule served under faults.
 
 use ivdss_catalog::catalog::Catalog;
 use ivdss_catalog::ids::TableId;
 use ivdss_catalog::placement::PlacementStrategy;
 use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
 use ivdss_core::plan::QueryRequest;
-use ivdss_core::value::{BusinessValue, DiscountRates};
+use ivdss_core::value::DiscountRates;
 use ivdss_costmodel::model::StylizedCostModel;
-use ivdss_faults::observe::emit_fault_plan;
-use ivdss_faults::FaultPlan;
 use ivdss_ga::engine::GaConfig;
-use ivdss_obs::{EventKind, Tracer};
 use ivdss_replication::timelines::{SyncMode, SyncTimelines};
-use ivdss_sched::{AdaptiveConfig, AdaptiveOutcome, AdaptiveScheduler, RefreshCosts};
-use ivdss_serve::clock::DesClock;
-use ivdss_serve::engine::{ServeConfig, ServeEngine};
-use ivdss_serve::loadgen::{run_open_loop, OpenLoopConfig};
+use ivdss_sched::{AdaptiveConfig, AdaptiveScheduler, RefreshCosts};
 use ivdss_simkernel::rng::{SeedFactory, Stream, UniformStream};
 use ivdss_simkernel::time::SimTime;
 use ivdss_workloads::synthetic::{random_queries, RandomQueryConfig};
-
-use super::chaos::severity_faults;
 
 /// Configuration of the adaptive-sync sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,25 +72,20 @@ impl Default for AdaptiveSyncConfig {
 
 /// One seeded scenario: catalog, fixed timelines and the workload the
 /// scheduler optimizes for.
-pub struct AdaptiveScenario {
+struct AdaptiveScenario {
     /// The federation catalog (with replication).
-    pub catalog: Catalog,
+    catalog: Catalog,
     /// The paper's fixed periodic timelines.
-    pub fixed: SyncTimelines,
+    fixed: SyncTimelines,
     /// The evaluation workload, in submission order.
-    pub requests: Vec<QueryRequest>,
+    requests: Vec<QueryRequest>,
     /// Per-table refresh costs (size-proportional).
-    pub costs: RefreshCosts,
+    costs: RefreshCosts,
 }
 
 /// Builds the seeded scenario for `config` at `seed_index` of the
 /// sweep (every point derives its own catalog, workload and costs).
-///
-/// # Panics
-///
-/// Panics if the synthetic configuration is invalid.
-#[must_use]
-pub fn adaptive_scenario(config: &AdaptiveSyncConfig, seed_index: u64) -> AdaptiveScenario {
+fn adaptive_scenario(config: &AdaptiveSyncConfig, seed_index: u64) -> AdaptiveScenario {
     let seeds = SeedFactory::new(config.seed).seed_for_indexed("point", seed_index as usize);
     let seeds = SeedFactory::new(seeds);
     let catalog = synthetic_catalog(&SyntheticConfig {
@@ -189,66 +172,14 @@ impl AdaptiveSyncPoint {
     }
 }
 
-/// Adaptive-sync sweep output.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveSyncResults {
-    /// One point per seed, in seed order.
-    pub points: Vec<AdaptiveSyncPoint>,
-}
-
-impl AdaptiveSyncResults {
-    /// Mean absolute IV gain over fixed across the sweep.
-    #[must_use]
-    pub fn mean_gain(&self) -> f64 {
-        if self.points.is_empty() {
-            0.0
-        } else {
-            self.points.iter().map(AdaptiveSyncPoint::gain).sum::<f64>() / self.points.len() as f64
-        }
-    }
-
-    /// Renders the sweep as an aligned table.
-    #[must_use]
-    pub fn to_table(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "== Adaptive sync — IV at equal refresh budget ==");
-        let _ = writeln!(
-            out,
-            "{:<6} {:>8} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8}",
-            "seed", "budget", "fixed IV", "greedy IV", "GA IV", "chosen IV", "source", "gain %"
-        );
-        for p in &self.points {
-            let ga = p
-                .ga_iv
-                .map_or_else(|| "-".to_string(), |iv| format!("{iv:.3}"));
-            let _ = writeln!(
-                out,
-                "{:<6} {:>8.2} {:>10.3} {:>10.3} {:>10} {:>10.3} {:>8} {:>8.2}",
-                p.seed_index,
-                p.budget,
-                p.fixed_iv,
-                p.greedy_iv,
-                ga,
-                p.chosen_iv,
-                p.source,
-                p.gain_pct()
-            );
-        }
-        let _ = writeln!(out, "mean gain: {:.4}", self.mean_gain());
-        out
-    }
-}
-
-/// Runs the full adaptive optimization for one seeded point, returning
-/// the scheduler's outcome alongside the scenario (for callers that
-/// keep driving the chosen timelines, e.g. the chaos composition).
+/// Runs one swept point: optimizes the seeded scenario's schedules at
+/// the fixed budget (greedy, then GA) and reports each candidate's IV.
+///
+/// # Panics
+///
+/// Panics if the synthetic configuration is invalid.
 #[must_use]
-pub fn optimize_point(
-    config: &AdaptiveSyncConfig,
-    seed_index: u64,
-    tracer: &Tracer,
-) -> (AdaptiveScenario, AdaptiveOutcome) {
+pub fn run_adaptive_point(config: &AdaptiveSyncConfig, seed_index: u64) -> AdaptiveSyncPoint {
     let scenario = adaptive_scenario(config, seed_index);
     let model = StylizedCostModel::paper_fig4();
     let scheduler = AdaptiveScheduler::new(
@@ -256,19 +187,11 @@ pub fn optimize_point(
         &model,
         config.rates,
         &scenario.requests,
-        scenario.costs.clone(),
-    )
-    .with_tracer(tracer.clone());
+        scenario.costs,
+    );
     let mut adaptive = AdaptiveConfig::new(config.horizon);
     adaptive.ga = Some(config.ga);
     let outcome = scheduler.optimize(&scenario.fixed, &adaptive);
-    (scenario, outcome)
-}
-
-/// Runs one swept point (untraced).
-#[must_use]
-pub fn run_adaptive_point(config: &AdaptiveSyncConfig, seed_index: u64) -> AdaptiveSyncPoint {
-    let (_, outcome) = optimize_point(config, seed_index, &Tracer::disabled());
     AdaptiveSyncPoint {
         seed_index,
         budget: outcome.budget,
@@ -280,127 +203,6 @@ pub fn run_adaptive_point(config: &AdaptiveSyncConfig, seed_index: u64) -> Adapt
         picks: outcome.greedy.picks.len(),
         evaluations: outcome.greedy.evaluations
             + outcome.ga.as_ref().map_or(0, |ga| ga.evaluations),
-    }
-}
-
-/// Runs the sweep over `seeds` consecutive seed indices.
-#[must_use]
-pub fn run_adaptive_sync(config: &AdaptiveSyncConfig, seeds: u64) -> AdaptiveSyncResults {
-    AdaptiveSyncResults {
-        points: (0..seeds).map(|i| run_adaptive_point(config, i)).collect(),
-    }
-}
-
-/// One paired (clean, faulted) serving run over the *adaptive* chosen
-/// timelines.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveChaosPoint {
-    /// Fault severity in `[0, 1]`.
-    pub severity: f64,
-    /// Which schedule candidate the run served (`fixed`/`greedy`/`ga`).
-    pub source: &'static str,
-    /// Synchronizations slipped by the fault plan.
-    pub slips: u64,
-    /// Synchronizations dropped by the fault plan.
-    pub drops: u64,
-    /// Outage windows opened during the run.
-    pub outages: u64,
-    /// Dispatches re-planned because their plan spanned a down site.
-    pub replans: u64,
-    /// Queries delivered by the faulted run.
-    pub delivered: usize,
-    /// Total IV delivered by the clean run.
-    pub clean_iv: f64,
-    /// Total IV delivered by the faulted run.
-    pub faulted_iv: f64,
-    /// Total IV-lost-to-degradation recorded by the engine.
-    pub iv_lost: f64,
-}
-
-/// Open-loop queries driven through the serving engine per chaos run.
-pub const ADAPTIVE_CHAOS_QUERIES: usize = 80;
-
-/// Runs one paired (clean, faulted) chaos point over the adaptive
-/// schedule committed for `seed_index`. The scheduler's decisions and
-/// the fault plan land in `tracer` as headers, the faulted engine emits
-/// its full pipeline trace, and the point closes with an
-/// `adaptive_chaos_point` span; a disabled tracer reproduces the
-/// untraced numbers exactly.
-#[must_use]
-pub fn run_adaptive_chaos_point(
-    config: &AdaptiveSyncConfig,
-    seed_index: u64,
-    severity: f64,
-    tracer: &Tracer,
-) -> AdaptiveChaosPoint {
-    let (scenario, outcome) = optimize_point(config, seed_index, tracer);
-    let seeds = SeedFactory::new(config.seed).seed_for_indexed("chaos", seed_index as usize);
-    let seeds = SeedFactory::new(seeds);
-    let model = StylizedCostModel::paper_fig4();
-    let serve_config = ServeConfig::new(config.rates);
-    let templates = random_queries(&RandomQueryConfig {
-        queries: 10,
-        tables: config.tables,
-        max_tables_per_query: 4,
-        weight_range: (0.8, 2.0),
-        seed: seeds.seed_for("templates"),
-    });
-    let open = OpenLoopConfig {
-        queries: ADAPTIVE_CHAOS_QUERIES,
-        mean_interarrival: 1.5,
-        seed: seeds.seed_for("arrivals"),
-        business_value: BusinessValue::UNIT,
-    };
-    // Faults must cover the whole serving run, which extends past the
-    // scheduling horizon (periodic grids keep ticking).
-    let fault_horizon =
-        SimTime::new((ADAPTIVE_CHAOS_QUERIES as f64 * open.mean_interarrival).mul_add(4.0, 100.0));
-
-    let mut clean = ServeEngine::new(
-        &scenario.catalog,
-        &outcome.chosen,
-        &model,
-        serve_config,
-        DesClock::new(),
-    );
-    let clean_report =
-        run_open_loop(&mut clean, templates.clone(), &open).expect("clean run is feasible");
-
-    let faults = FaultPlan::generate(
-        &severity_faults(severity, fault_horizon),
-        &outcome.chosen,
-        scenario.catalog.site_count(),
-        seeds.seed_for("faults"),
-    );
-    emit_fault_plan(&faults, tracer);
-    let mut faulted = ServeEngine::with_faults(
-        &scenario.catalog,
-        &outcome.chosen,
-        &model,
-        serve_config,
-        DesClock::new(),
-        faults,
-    )
-    .with_tracer(tracer.clone());
-    let faulted_report =
-        run_open_loop(&mut faulted, templates, &open).expect("faulted run is feasible");
-    let snap = faulted.snapshot();
-    tracer.emit_with(faulted.now(), || EventKind::Span {
-        name: "adaptive_chaos_point",
-        start: SimTime::ZERO,
-    });
-
-    AdaptiveChaosPoint {
-        severity,
-        source: outcome.source.label(),
-        slips: snap.faults_syncs_slipped,
-        drops: snap.faults_syncs_dropped,
-        outages: snap.faults_outages,
-        replans: snap.faults_replans,
-        delivered: faulted_report.completions.len(),
-        clean_iv: clean_report.total_delivered_iv(),
-        faulted_iv: faulted_report.total_delivered_iv(),
-        iv_lost: snap.faults_iv_lost_total,
     }
 }
 
@@ -427,10 +229,12 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic_and_never_worse() {
-        let a = run_adaptive_sync(&small(), 3);
-        let b = run_adaptive_sync(&small(), 3);
-        assert_eq!(a, b, "same config must reproduce the same sweep");
-        for p in &a.points {
+        let sweep = || -> Vec<AdaptiveSyncPoint> {
+            (0..3).map(|i| run_adaptive_point(&small(), i)).collect()
+        };
+        let a = sweep();
+        assert_eq!(a, sweep(), "same config must reproduce the same sweep");
+        for p in &a {
             assert!(
                 p.chosen_iv >= p.fixed_iv,
                 "seed {}: chosen {} below fixed {}",
@@ -441,58 +245,5 @@ mod tests {
             assert!(p.budget > 0.0);
             assert!(p.evaluations > 0);
         }
-        assert!(a.mean_gain() >= 0.0);
-        let table = a.to_table();
-        assert!(table.contains("Adaptive sync"));
-        assert!(table.contains("mean gain"));
-    }
-
-    #[test]
-    fn zero_severity_chaos_is_a_perfect_shadow() {
-        let p = run_adaptive_chaos_point(&small(), 0, 0.0, &Tracer::disabled());
-        assert_eq!(p.slips + p.drops + p.outages + p.replans, 0);
-        assert_eq!(p.delivered, ADAPTIVE_CHAOS_QUERIES);
-        assert!(
-            (p.faulted_iv - p.clean_iv).abs() < 1e-9,
-            "an empty fault plan must not change delivered IV: {} vs {}",
-            p.faulted_iv,
-            p.clean_iv
-        );
-    }
-
-    #[test]
-    fn traced_adaptive_chaos_reconciles_bit_for_bit() {
-        use ivdss_obs::Trace;
-        use std::sync::Arc;
-
-        let trace = Arc::new(Trace::new());
-        let traced =
-            run_adaptive_chaos_point(&small(), 0, 1.0, &Tracer::recording(Arc::clone(&trace)));
-        assert_eq!(
-            traced,
-            run_adaptive_chaos_point(&small(), 0, 1.0, &Tracer::disabled()),
-            "observing a run must not change its numbers"
-        );
-        assert!(traced.slips + traced.drops > 0, "severity 1 must fault");
-
-        let mut trace_iv_lost = 0.0;
-        let mut completions = 0usize;
-        for event in trace.events() {
-            if let EventKind::Completed { iv_lost, .. } = event.kind {
-                trace_iv_lost += iv_lost;
-                completions += 1;
-            }
-        }
-        assert_eq!(completions, traced.delivered);
-        assert_eq!(
-            trace_iv_lost.to_bits(),
-            traced.iv_lost.to_bits(),
-            "trace iv_lost must reconcile bit-for-bit with metrics"
-        );
-
-        let counts = trace.counts();
-        assert_eq!(counts.get("span").copied().unwrap_or(0), 1);
-        assert_eq!(counts.get("sched_budget").copied().unwrap_or(0), 1);
-        assert_eq!(counts.get("sched_chosen").copied().unwrap_or(0), 1);
     }
 }

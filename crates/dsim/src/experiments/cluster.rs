@@ -7,6 +7,7 @@
 //! and total realized IV. Every shard count sees identical inputs, so
 //! differences between points are attributable to sharding alone, and
 //! the whole sweep is reproducible from `ClusterScalingConfig::seed`.
+//! The `cluster_scaling` bench bin owns the sweep loop and the table.
 
 use ivdss_catalog::placement::PlacementStrategy;
 use ivdss_catalog::sharding::{ShardAssignment, ShardStrategy};
@@ -75,44 +76,7 @@ pub struct ClusterScalingPoint {
     pub total_iv: f64,
 }
 
-/// Shard-scaling sweep output.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterScalingResults {
-    /// One point per swept shard count, in ascending order.
-    pub points: Vec<ClusterScalingPoint>,
-}
-
-impl ClusterScalingResults {
-    /// Renders the sweep as an aligned table.
-    #[must_use]
-    pub fn to_table(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "== Cluster — realized IV vs shard count ==");
-        let _ = writeln!(
-            out,
-            "{:<8} {:>6} {:>8} {:>7} {:>10} {:>10} {:>6} {:>10}",
-            "shards", "full", "partial", "steals", "steal gain", "completed", "shed", "total IV"
-        );
-        for p in &self.points {
-            let _ = writeln!(
-                out,
-                "{:<8} {:>6} {:>8} {:>7} {:>10.3} {:>10} {:>6} {:>10.2}",
-                p.shards,
-                p.routed_full,
-                p.routed_partial,
-                p.steals,
-                p.steal_iv_gain,
-                p.completed,
-                p.shed,
-                p.total_iv
-            );
-        }
-        out
-    }
-}
-
-/// Shard counts swept by [`run_cluster_scaling`].
+/// Shard counts the `cluster_scaling` bench bin sweeps.
 pub const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Runs one shard count over the seeded workload.
@@ -186,17 +150,6 @@ pub fn run_cluster_point(config: &ClusterScalingConfig, shards: usize) -> Cluste
     }
 }
 
-/// Runs the shard-scaling sweep.
-#[must_use]
-pub fn run_cluster_scaling(config: &ClusterScalingConfig) -> ClusterScalingResults {
-    ClusterScalingResults {
-        points: SHARD_COUNTS
-            .into_iter()
-            .map(|shards| run_cluster_point(config, shards))
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,11 +161,20 @@ mod tests {
         }
     }
 
+    /// The sweep the `cluster_scaling` bin runs, one point per shard
+    /// count.
+    fn sweep() -> Vec<ClusterScalingPoint> {
+        SHARD_COUNTS
+            .into_iter()
+            .map(|shards| run_cluster_point(&small(), shards))
+            .collect()
+    }
+
     #[test]
     fn every_point_conserves_queries() {
-        let results = run_cluster_scaling(&small());
-        assert_eq!(results.points.len(), SHARD_COUNTS.len());
-        for p in &results.points {
+        let points = sweep();
+        assert_eq!(points.len(), SHARD_COUNTS.len());
+        for p in &points {
             assert_eq!(
                 p.completed + p.shed,
                 60,
@@ -226,9 +188,9 @@ mod tests {
 
     #[test]
     fn multi_shard_points_exercise_stealing() {
-        let results = run_cluster_scaling(&small());
-        assert_eq!(results.points[0].steals, 0, "one shard has nobody to rob");
-        let multi_steals: u64 = results.points[1..].iter().map(|p| p.steals).sum();
+        let points = sweep();
+        assert_eq!(points[0].steals, 0, "one shard has nobody to rob");
+        let multi_steals: u64 = points[1..].iter().map(|p| p.steals).sum();
         assert!(
             multi_steals > 0,
             "the sweep workload must exercise work stealing"
@@ -237,28 +199,10 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic() {
-        let a = run_cluster_scaling(&small());
-        let b = run_cluster_scaling(&small());
-        assert_eq!(a, b, "same config must reproduce the same sweep");
-    }
-
-    #[test]
-    fn table_renders() {
-        let r = ClusterScalingResults {
-            points: vec![ClusterScalingPoint {
-                shards: 4,
-                routed_full: 50,
-                routed_partial: 10,
-                steals: 7,
-                steal_iv_gain: 1.25,
-                completed: 58,
-                shed: 2,
-                total_iv: 42.5,
-            }],
-        };
-        let t = r.to_table();
-        assert!(t.contains("Cluster"));
-        assert!(t.contains("steal gain"));
-        assert!(t.contains("42.50"));
+        assert_eq!(
+            sweep(),
+            sweep(),
+            "same config must reproduce the same sweep"
+        );
     }
 }

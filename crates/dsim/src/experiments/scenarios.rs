@@ -12,7 +12,6 @@ use std::collections::BTreeMap;
 
 use ivdss_costmodel::model::StylizedCostModel;
 use ivdss_obs::{EventKind, Tracer};
-use ivdss_scenarios::named::all_scenarios;
 use ivdss_scenarios::scenario::ScenarioSpec;
 use ivdss_serve::clock::DesClock;
 use ivdss_serve::engine::{Completion, ServeConfig, ServeEngine};
@@ -65,57 +64,6 @@ pub struct ScenarioPoint {
     pub births: usize,
     /// Per-tenant breakdown, in mix order.
     pub tenants: Vec<TenantPoint>,
-}
-
-/// Output of a full registry sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioResults {
-    /// One point per named scenario, in registry order.
-    pub points: Vec<ScenarioPoint>,
-}
-
-impl ScenarioResults {
-    /// Renders the sweep as an aligned table.
-    #[must_use]
-    pub fn to_table(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "== Scenario sweeps — delivered IV per regime ==");
-        let _ = writeln!(
-            out,
-            "{:<18} {:>9} {:>9} {:>6} {:>9} {:>10} {:>8} {:>8} {:>9}",
-            "scenario",
-            "submitted",
-            "completed",
-            "shed",
-            "shed rate",
-            "total IV",
-            "p99 CL",
-            "SLA met",
-            "births"
-        );
-        for p in &self.points {
-            let sla = if p.sla_tracked == 0 {
-                "-".to_string()
-            } else {
-                format!("{}/{}", p.sla_met, p.sla_tracked)
-            };
-            let _ = writeln!(
-                out,
-                "{:<18} {:>9} {:>9} {:>6} {:>9.3} {:>10.2} {:>8.2} {:>8} {:>9}",
-                p.name,
-                p.submitted,
-                p.completed,
-                p.shed,
-                p.shed_rate,
-                p.total_iv,
-                p.p99_cl,
-                sla,
-                p.births
-            );
-        }
-        out
-    }
 }
 
 /// Exact nearest-rank p99 over raw computational latencies.
@@ -274,38 +222,31 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioPoint {
     run_scenario_traced(spec, &Tracer::disabled())
 }
 
-/// Runs every registry scenario with horizons multiplied by `scale`
-/// (`1.0` = the full catalog-pinned runs; bench smoke uses a fraction).
-///
-/// # Panics
-///
-/// Panics if `scale` is not strictly positive and finite.
-#[must_use]
-pub fn run_all_scenarios(scale: f64) -> ScenarioResults {
-    assert!(scale.is_finite() && scale > 0.0, "scale must be positive");
-    ScenarioResults {
-        points: all_scenarios()
-            .into_iter()
-            .map(|spec| {
-                let horizon = spec.horizon * scale;
-                run_scenario(&spec.with_horizon(horizon))
-            })
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ivdss_obs::Trace;
-    use ivdss_scenarios::named::{multi_tenant_sla, scenario_by_name, schema_growth};
+    use ivdss_scenarios::named::{
+        all_scenarios, multi_tenant_sla, scenario_by_name, schema_growth,
+    };
     use std::sync::Arc;
+
+    /// Every registry scenario at half its pinned horizon.
+    fn half_horizon_sweep() -> Vec<ScenarioPoint> {
+        all_scenarios()
+            .into_iter()
+            .map(|spec| {
+                let horizon = spec.horizon * 0.5;
+                run_scenario(&spec.with_horizon(horizon))
+            })
+            .collect()
+    }
 
     #[test]
     fn every_scenario_conserves_queries() {
-        let results = run_all_scenarios(0.5);
-        assert_eq!(results.points.len(), 4);
-        for p in &results.points {
+        let points = half_horizon_sweep();
+        assert_eq!(points.len(), 4);
+        for p in &points {
             assert_eq!(
                 p.completed + p.shed,
                 p.submitted,
@@ -322,9 +263,11 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic() {
-        let a = run_all_scenarios(0.5);
-        let b = run_all_scenarios(0.5);
-        assert_eq!(a, b, "same registry must reproduce the same sweep");
+        assert_eq!(
+            half_horizon_sweep(),
+            half_horizon_sweep(),
+            "same registry must reproduce the same sweep"
+        );
     }
 
     #[test]
@@ -362,15 +305,5 @@ mod tests {
             point.shed > 0,
             "the flash crowd must overwhelm the small queue"
         );
-    }
-
-    #[test]
-    fn table_renders() {
-        let results = run_all_scenarios(0.25);
-        let table = results.to_table();
-        assert!(table.contains("Scenario sweeps"));
-        for p in &results.points {
-            assert!(table.contains(p.name));
-        }
     }
 }

@@ -30,6 +30,4 @@ pub mod metrics;
 pub mod simulator;
 
 pub use metrics::{QueryOutcome, RunMetrics};
-pub use simulator::{
-    commit_plan, run_arrival_driven, run_prioritized, Environment, ReplicaLoading,
-};
+pub use simulator::{run_arrival_driven, run_prioritized, Environment, ReplicaLoading};

@@ -18,7 +18,6 @@
 //!   starvation experiments toggle that policy.
 
 use ivdss_catalog::catalog::Catalog;
-use ivdss_catalog::ids::TableId;
 use ivdss_core::plan::{FacilityQueues, PlanContext, PlanError, PlanEvaluation, QueryRequest};
 use ivdss_core::planner::Planner;
 use ivdss_core::starvation::AgingPolicy;
@@ -102,34 +101,6 @@ impl std::fmt::Debug for Environment<'_> {
     }
 }
 
-/// Books `plan`'s service window on the servers it occupies: the local
-/// federation server for the full service time, each spanned remote site
-/// for the processing component.
-pub fn commit_plan(
-    queues: &mut FacilityQueues,
-    catalog: &Catalog,
-    request: &QueryRequest,
-    plan: &PlanEvaluation,
-) {
-    queues
-        .local_mut()
-        .book(plan.service_start, plan.cost.local_service());
-    let remote: Vec<TableId> = request
-        .query
-        .tables()
-        .iter()
-        .copied()
-        .filter(|t| !plan.local_tables.contains(t))
-        .collect();
-    if !remote.is_empty() {
-        for site in catalog.sites_spanned(&remote) {
-            queues
-                .remote_mut(site)
-                .book(plan.service_start, plan.cost.remote_processing);
-        }
-    }
-}
-
 /// Runs the arrival-driven discipline: each request is planned at its
 /// submission instant against the queue state left by earlier requests.
 ///
@@ -186,7 +157,7 @@ pub fn run_arrival_driven(
         };
         match planner.select_plan(&ctx, request) {
             Ok(plan) => {
-                commit_plan(&mut queues, env.catalog, request, &plan);
+                queues.commit(env.catalog, request, &plan);
                 metrics.record(QueryOutcome {
                     index: idx,
                     request: request.clone(),
@@ -323,7 +294,7 @@ pub fn run_prioritized(
         let (pos, _, plan) = best.expect("pending set is non-empty");
         let idx = pending.remove(pos);
         let request = &requests[idx];
-        commit_plan(&mut queues, env.catalog, request, &plan);
+        queues.commit(env.catalog, request, &plan);
         // Wake the dispatcher when this query completes.
         dispatched_until = plan.finish;
         if plan.finish > now {
@@ -345,6 +316,7 @@ pub fn run_prioritized(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ivdss_catalog::ids::TableId;
     use ivdss_catalog::replica::{ReplicaSpec, ReplicationPlan};
     use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
     use ivdss_core::planner::{FederationPlanner, IvqpPlanner, WarehousePlanner};

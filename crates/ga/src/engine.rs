@@ -112,39 +112,12 @@ pub fn optimize_permutation<F>(len: usize, config: &GaConfig, fitness: F) -> GaR
 where
     F: Fn(&Permutation) -> f64,
 {
-    optimize_permutation_batch(len, config, |generation| {
-        generation.iter().map(&fitness).collect()
-    })
-}
-
-/// Like [`optimize_permutation`], but fitness is computed one
-/// *generation at a time*: `batch_fitness` receives every unevaluated
-/// individual of a generation at once and returns their fitnesses in
-/// order. This is the hook for parallel evaluators (each individual's
-/// fitness is independent) — and because chromosome generation never
-/// consumes fitness values, the run is **bit-identical** to
-/// [`optimize_permutation`] with the same seed and a pointwise
-/// `batch_fitness`.
-///
-/// # Panics
-///
-/// Panics if the configuration is inconsistent, if `batch_fitness`
-/// returns the wrong number of values, or if any fitness is NaN.
-pub fn optimize_permutation_batch<F>(len: usize, config: &GaConfig, batch_fitness: F) -> GaResult
-where
-    F: Fn(&[Permutation]) -> Vec<f64>,
-{
     config.validate();
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut evaluations = 0usize;
     let mut evaluate_all = |generation: &[Permutation]| -> Vec<f64> {
         evaluations += generation.len();
-        let fits = batch_fitness(generation);
-        assert_eq!(
-            fits.len(),
-            generation.len(),
-            "batch fitness must return one value per individual"
-        );
+        let fits: Vec<f64> = generation.iter().map(&fitness).collect();
         assert!(fits.iter().all(|f| !f.is_nan()), "fitness must not be NaN");
         fits
     };
@@ -173,7 +146,7 @@ where
         let mut next: Vec<(Permutation, f64)> =
             population.iter().take(config.elites).cloned().collect();
 
-        // Breed the whole generation first, then evaluate it as a batch.
+        // Breed the whole generation first, then evaluate it.
         let mut children: Vec<Permutation> = Vec::with_capacity(config.population - next.len());
         while next.len() + children.len() < config.population {
             let i = rng.random_range(0..parents.len());
@@ -249,28 +222,6 @@ mod tests {
         let c = optimize_permutation(9, &other, ascending_fitness);
         // Same optimum but (almost surely) different evaluation counts.
         assert_eq!(c.best_fitness, a.best_fitness);
-    }
-
-    #[test]
-    fn batch_matches_pointwise_bitwise() {
-        let rugged = |p: &Permutation| {
-            p.iter()
-                .enumerate()
-                .map(|(i, x)| if (i + x) % 3 == 0 { 1.0 } else { 0.0 })
-                .sum::<f64>()
-                + ascending_fitness(p)
-        };
-        let pointwise = optimize_permutation(10, &GaConfig::paper(), rugged);
-        let batch = optimize_permutation_batch(10, &GaConfig::paper(), |generation| {
-            generation.iter().map(rugged).collect()
-        });
-        assert_eq!(pointwise, batch);
-    }
-
-    #[test]
-    #[should_panic(expected = "one value per individual")]
-    fn short_batch_rejected() {
-        let _ = optimize_permutation_batch(4, &GaConfig::paper(), |_| vec![1.0]);
     }
 
     #[test]

@@ -28,5 +28,5 @@
 pub mod engine;
 pub mod permutation;
 
-pub use engine::{optimize_permutation, optimize_permutation_batch, GaConfig, GaResult};
+pub use engine::{optimize_permutation, GaConfig, GaResult};
 pub use permutation::Permutation;

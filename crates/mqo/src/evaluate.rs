@@ -12,11 +12,7 @@
 //! queueing the earlier ones induce. The total information value of the
 //! order is the GA's fitness.
 
-use std::sync::Arc;
-
 use ivdss_catalog::catalog::Catalog;
-use ivdss_catalog::ids::TableId;
-use ivdss_core::parallel::PlannerPool;
 use ivdss_core::plan::{FacilityQueues, PlanContext, PlanError, PlanEvaluation, QueryRequest};
 use ivdss_core::planner::{IvqpPlanner, Planner};
 use ivdss_core::value::DiscountRates;
@@ -64,7 +60,6 @@ pub struct WorkloadEvaluator<'a> {
     rates: DiscountRates,
     requests: &'a [QueryRequest],
     planner: IvqpPlanner,
-    pool: Arc<PlannerPool>,
 }
 
 impl<'a> WorkloadEvaluator<'a> {
@@ -89,25 +84,7 @@ impl<'a> WorkloadEvaluator<'a> {
             rates,
             requests,
             planner: IvqpPlanner::new(),
-            pool: Arc::new(PlannerPool::sequential()),
         }
-    }
-
-    /// Shares a planner pool with this evaluator (builder-style):
-    /// [`WorkloadEvaluator::fitness_population`] fans candidate orders
-    /// out over it. One order's replay stays sequential — each query's
-    /// plan depends on the queues committed by the queries before it —
-    /// so the parallelism is *across* independent candidate orders.
-    #[must_use]
-    pub fn with_pool(mut self, pool: Arc<PlannerPool>) -> Self {
-        self.pool = pool;
-        self
-    }
-
-    /// The planner pool candidate orders are evaluated on.
-    #[must_use]
-    pub fn pool(&self) -> &Arc<PlannerPool> {
-        &self.pool
     }
 
     /// The requests under evaluation.
@@ -156,7 +133,7 @@ impl<'a> WorkloadEvaluator<'a> {
                 queues: &queues,
             };
             let plan = self.planner.select_plan(&ctx, request)?;
-            commit_plan(&mut queues, self.catalog, request, &plan);
+            queues.commit(self.catalog, request, &plan);
             total += plan.information_value.value();
             plans.push(ScheduledQuery {
                 request_index: idx,
@@ -183,21 +160,6 @@ impl<'a> WorkloadEvaluator<'a> {
             .expect("workload evaluation cannot fail on valid context")
             .total_information_value
     }
-
-    /// Evaluates a whole GA generation, fanning the independent candidate
-    /// orders out over the evaluator's [`PlannerPool`]. Returns fitnesses
-    /// in input order, identical to mapping [`WorkloadEvaluator::fitness`]
-    /// over `perms` (each order replays against its own fresh queues).
-    ///
-    /// # Panics
-    ///
-    /// Panics if plan selection fails, which indicates an inconsistent
-    /// evaluator (the search only generates valid candidates).
-    #[must_use]
-    pub fn fitness_population(&self, perms: &[Permutation]) -> Vec<f64> {
-        self.pool
-            .run_indexed(perms.len(), |i| self.fitness(&perms[i]))
-    }
 }
 
 impl std::fmt::Debug for WorkloadEvaluator<'_> {
@@ -209,37 +171,10 @@ impl std::fmt::Debug for WorkloadEvaluator<'_> {
     }
 }
 
-/// Books the plan's service window on every server it touches: the local
-/// federation server for the full service time, and each spanned remote
-/// site for the processing component.
-fn commit_plan(
-    queues: &mut FacilityQueues,
-    catalog: &Catalog,
-    request: &QueryRequest,
-    plan: &PlanEvaluation,
-) {
-    queues
-        .local_mut()
-        .book(plan.service_start, plan.cost.local_service());
-    let remote: Vec<TableId> = request
-        .query
-        .tables()
-        .iter()
-        .copied()
-        .filter(|t| !plan.local_tables.contains(t))
-        .collect();
-    if !remote.is_empty() {
-        for site in catalog.sites_spanned(&remote) {
-            queues
-                .remote_mut(site)
-                .book(plan.service_start, plan.cost.remote_processing);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ivdss_catalog::ids::TableId;
     use ivdss_catalog::replica::{ReplicaSpec, ReplicationPlan};
     use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
     use ivdss_core::value::BusinessValue;
@@ -379,36 +314,6 @@ mod tests {
             .unwrap()
             .total_information_value;
         assert_eq!(by_fitness, by_eval);
-    }
-
-    #[test]
-    fn pooled_population_fitness_matches_pointwise() {
-        let (catalog, timelines) = fixture();
-        let model = StylizedCostModel::paper_fig4();
-        let reqs = requests();
-        let sequential = WorkloadEvaluator::new(
-            &catalog,
-            &timelines,
-            &model,
-            DiscountRates::new(0.05, 0.05),
-            &reqs,
-        );
-        let pooled = WorkloadEvaluator::new(
-            &catalog,
-            &timelines,
-            &model,
-            DiscountRates::new(0.05, 0.05),
-            &reqs,
-        )
-        .with_pool(Arc::new(PlannerPool::new(4)));
-        assert_eq!(pooled.pool().threads(), 4);
-        let perms: Vec<Permutation> = [[0, 1, 2], [2, 1, 0], [1, 0, 2], [0, 2, 1]]
-            .iter()
-            .map(|o| Permutation::new(o.to_vec()).unwrap())
-            .collect();
-        let batch = pooled.fitness_population(&perms);
-        let pointwise: Vec<f64> = perms.iter().map(|p| sequential.fitness(p)).collect();
-        assert_eq!(batch, pointwise);
     }
 
     #[test]

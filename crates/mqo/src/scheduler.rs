@@ -11,7 +11,7 @@
 //!   reference point for the ablation benches.
 
 use ivdss_core::plan::PlanError;
-use ivdss_ga::engine::{optimize_permutation_batch, GaConfig};
+use ivdss_ga::engine::{optimize_permutation, GaConfig};
 
 use crate::evaluate::{ScheduleOutcome, WorkloadEvaluator};
 
@@ -67,12 +67,7 @@ impl WorkloadScheduler for MqoScheduler {
         if n == 1 {
             return evaluator.evaluate_order(&[0]);
         }
-        // Generation-at-a-time evaluation fans the independent candidate
-        // orders out over the evaluator's planner pool; the GA run is
-        // bit-identical to per-individual evaluation.
-        let result = optimize_permutation_batch(n, &self.config, |generation| {
-            evaluator.fitness_population(generation)
-        });
+        let result = optimize_permutation(n, &self.config, |perm| evaluator.fitness(perm));
         evaluator.evaluate_order(result.best.as_slice())
     }
 }

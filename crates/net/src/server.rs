@@ -32,7 +32,8 @@
 //! buffer that has not finished within [`WRITE_TIMEOUT`], or fails,
 //! evicts the connection ([`ServerStats::evicted`]), so a client that
 //! stops reading, or reads too slowly, stalls the others for at most
-//! that long. A [`Request::Shutdown`] from any client — or an external
+//! that long. Requests still queued from a closed or evicted connection
+//! are not run. A [`Request::Shutdown`] from any client — or an external
 //! trip of the [`ShutdownSwitch`] — stops the accept loop, answers
 //! [`Response::Bye`] and joins the workers before returning.
 
@@ -264,7 +265,7 @@ impl NetServer {
         let (tx, rx) = std::sync::mpsc::channel::<ConnEvent>();
         // Write halves and their outbound buffers, owned by the engine
         // loop. A connection leaves the map when it closes or is
-        // evicted; answers to its remaining requests are dropped.
+        // evicted; its remaining requests are then not run.
         let mut conns: HashMap<u64, Outbound> = HashMap::new();
         let mut pending: Vec<ConnEvent> = Vec::new();
         let mut next_conn: u64 = 0;
@@ -349,15 +350,15 @@ impl NetServer {
                         }
                         ConnEvent::Requests(conn, requests) => {
                             for request in requests {
+                                let Some(out) = conns.get_mut(&conn) else {
+                                    break;
+                                };
                                 stats.frames_in += 1;
                                 let response = self.execute(service, request, &mut stats);
                                 if matches!(response, Response::Bye) {
                                     self.shutdown.trip();
                                 }
-                                if conns
-                                    .get_mut(&conn)
-                                    .is_some_and(|out| !out.push(&response, &mut stats))
-                                {
+                                if !out.push(&response, &mut stats) {
                                     conns.remove(&conn);
                                 }
                             }

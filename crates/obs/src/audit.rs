@@ -182,34 +182,29 @@ impl PlanAudit {
 ///
 /// Lookup returns the *latest* audit for a query (a re-planned query's
 /// final decision supersedes its first).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct AuditLog {
     entries: VecDeque<PlanAudit>,
     capacity: usize,
 }
 
 impl AuditLog {
-    /// Creates a log keeping at most `capacity` audits (0 disables
-    /// collection entirely).
+    /// Creates a log keeping at most `capacity` audits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "an audit log must keep at least one audit");
         AuditLog {
             entries: VecDeque::new(),
             capacity,
         }
     }
 
-    /// `true` if the log keeps nothing.
-    #[must_use]
-    pub fn is_disabled(&self) -> bool {
-        self.capacity == 0
-    }
-
     /// Stores an audit, evicting the oldest beyond capacity.
     pub fn push(&mut self, audit: PlanAudit) {
-        if self.capacity == 0 {
-            return;
-        }
         if self.entries.len() == self.capacity {
             self.entries.pop_front();
         }
@@ -295,14 +290,5 @@ mod tests {
         assert!(log.get(QueryId::new(2)).is_some());
         assert_eq!(log.iter().count(), 2);
         assert!(!log.is_empty());
-    }
-
-    #[test]
-    fn zero_capacity_disables_collection() {
-        let mut log = AuditLog::new(0);
-        assert!(log.is_disabled());
-        log.push(audit(1, PlanSource::FreshSearch));
-        assert!(log.is_empty());
-        assert!(log.get(QueryId::new(1)).is_none());
     }
 }

@@ -223,14 +223,6 @@ pub enum EventKind {
         /// Window end (exclusive).
         end: SimTime,
     },
-    /// A generic named span (e.g. one experiment point in a sweep). The
-    /// event stamp is the span's end.
-    Span {
-        /// Span name (static so rendering never allocates labels).
-        name: &'static str,
-        /// When the span began.
-        start: SimTime,
-    },
     /// The cluster front door routed a query to a shard.
     ShardRouted {
         /// The routed query.
@@ -401,7 +393,6 @@ impl EventKind {
             EventKind::FaultSlipPlanned { .. } => "fault_slip_planned",
             EventKind::FaultDropPlanned { .. } => "fault_drop_planned",
             EventKind::FaultOutagePlanned { .. } => "fault_outage_planned",
-            EventKind::Span { .. } => "span",
             EventKind::ShardRouted { .. } => "shard_routed",
             EventKind::ShardStolen { .. } => "shard_stolen",
             EventKind::ShardOutageStarted { .. } => "shard_outage_started",
@@ -645,9 +636,6 @@ impl TraceEvent {
             }
             EventKind::FaultOutagePlanned { site, end } => {
                 let _ = write!(out, " site={} end={}", site.index(), fmt_time(*end));
-            }
-            EventKind::Span { name, start } => {
-                let _ = write!(out, " name={name} start={}", fmt_time(*start));
             }
             EventKind::ShardRouted {
                 query,

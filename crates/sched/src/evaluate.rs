@@ -8,10 +8,7 @@
 //! so schedule fitness and query planning share one source of truth
 //! (same search, same cost model, same queueing).
 
-use std::sync::Arc;
-
 use ivdss_catalog::catalog::Catalog;
-use ivdss_core::parallel::PlannerPool;
 use ivdss_core::plan::QueryRequest;
 use ivdss_core::value::DiscountRates;
 use ivdss_costmodel::model::CostModel;
@@ -24,7 +21,6 @@ pub struct ScheduleEvaluator<'a> {
     model: &'a dyn CostModel,
     rates: DiscountRates,
     requests: &'a [QueryRequest],
-    pool: Arc<PlannerPool>,
 }
 
 impl<'a> ScheduleEvaluator<'a> {
@@ -48,25 +44,7 @@ impl<'a> ScheduleEvaluator<'a> {
             model,
             rates,
             requests,
-            pool: Arc::new(PlannerPool::sequential()),
         }
-    }
-
-    /// Shares a planner pool (builder-style):
-    /// [`ScheduleEvaluator::workload_iv_batch`] fans independent
-    /// candidate schedules out over it. One schedule's replay stays
-    /// sequential — each query's plan depends on the queues committed by
-    /// the queries before it.
-    #[must_use]
-    pub fn with_pool(mut self, pool: Arc<PlannerPool>) -> Self {
-        self.pool = pool;
-        self
-    }
-
-    /// The pool candidate schedules are evaluated on.
-    #[must_use]
-    pub fn pool(&self) -> &Arc<PlannerPool> {
-        &self.pool
     }
 
     /// The requests under evaluation.
@@ -95,15 +73,6 @@ impl<'a> ScheduleEvaluator<'a> {
         .evaluate_order(&order)
         .expect("workload evaluation cannot fail on valid context")
         .total_information_value
-    }
-
-    /// Evaluates a batch of candidate schedules, fanned over the pool.
-    /// Returns IVs in input order, identical to mapping
-    /// [`ScheduleEvaluator::workload_iv`].
-    #[must_use]
-    pub fn workload_iv_batch(&self, candidates: &[SyncTimelines]) -> Vec<f64> {
-        self.pool
-            .run_indexed(candidates.len(), |i| self.workload_iv(&candidates[i]))
     }
 }
 
@@ -169,20 +138,6 @@ mod tests {
         let b = eval.workload_iv(&timelines);
         assert_eq!(a.to_bits(), b.to_bits());
         assert!(a > 0.0);
-    }
-
-    #[test]
-    fn batch_matches_pointwise_on_a_pool() {
-        let (catalog, timelines, requests) = fixture();
-        let model = StylizedCostModel::paper_fig4();
-        let eval =
-            ScheduleEvaluator::new(&catalog, &model, DiscountRates::new(0.02, 0.08), &requests)
-                .with_pool(Arc::new(PlannerPool::new(3)));
-        assert_eq!(eval.pool().threads(), 3);
-        let candidates = vec![timelines.clone(), timelines.clone(), timelines];
-        let batch = eval.workload_iv_batch(&candidates);
-        let pointwise: Vec<f64> = candidates.iter().map(|tl| eval.workload_iv(tl)).collect();
-        assert_eq!(batch, pointwise);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! allocation and the budget is respected by construction.
 //!
 //! The item list puts the greedy pass's picks first, in pick order, so
-//! the identity permutation — which `ga::optimize_permutation_batch`
-//! always seeds into the initial population — decodes to the greedy
+//! the identity permutation — which `ga::optimize_permutation` always
+//! seeds into the initial population — decodes to the greedy
 //! allocation (plus whatever leftover budget can still buy). The GA
 //! starts its search at the greedy incumbent rather than from scratch.
 

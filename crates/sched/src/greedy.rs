@@ -2,9 +2,7 @@
 //!
 //! Start from zero refreshes and repeatedly buy the single refresh with
 //! the highest workload-IV gain *per unit cost*, until the budget is
-//! exhausted or no affordable refresh improves the workload. Candidate
-//! evaluations within one step are independent and fan out over the
-//! evaluator's `PlannerPool`.
+//! exhausted or no affordable refresh improves the workload.
 //!
 //! Tie-breaking is by gain-per-cost, then raw gain, then smaller table
 //! id — a total order on exact `f64` equality, so the pick sequence is a
@@ -94,15 +92,14 @@ pub fn greedy_schedule(
         if candidates.is_empty() {
             break;
         }
-        let trials: Vec<SyncTimelines> = candidates
+        let ivs: Vec<f64> = candidates
             .iter()
             .map(|&t| {
                 let mut next = allocation.clone();
                 next.add(t);
-                next.to_timelines()
+                evaluator.workload_iv(&next.to_timelines())
             })
             .collect();
-        let ivs = evaluator.workload_iv_batch(&trials);
         evaluations += ivs.len();
 
         // Best (gain/cost, gain, smaller id): a total order under exact

@@ -24,9 +24,8 @@
 //!   budget runs out or no refresh gains.
 //! * **GA search** ([`AdaptiveScheduler::optimize`] with
 //!   [`AdaptiveConfig::ga`]): refresh increments become genome items
-//!   ([`UpgradePool`]); `ga::optimize_permutation_batch` searches item
-//!   orders, each decoded by spending the budget left-to-right, with
-//!   generations fanned over the shared `PlannerPool`.
+//!   ([`UpgradePool`]); `ga::optimize_permutation` searches item
+//!   orders, each decoded by spending the budget left-to-right.
 //!
 //! The committed result is **never worse than the fixed schedules**: the
 //! fixed timelines stay in the candidate set and

@@ -10,15 +10,12 @@
 //! re-derives the chosen IV from the chosen timelines to keep this
 //! honest.
 
-use std::sync::Arc;
-
 use ivdss_catalog::catalog::Catalog;
 use ivdss_catalog::ids::TableId;
-use ivdss_core::parallel::PlannerPool;
 use ivdss_core::plan::QueryRequest;
 use ivdss_core::value::DiscountRates;
 use ivdss_costmodel::model::CostModel;
-use ivdss_ga::engine::{optimize_permutation_batch, GaConfig};
+use ivdss_ga::engine::{optimize_permutation, GaConfig};
 use ivdss_obs::{EventKind, Tracer};
 use ivdss_replication::timelines::SyncTimelines;
 use ivdss_simkernel::time::SimTime;
@@ -169,13 +166,6 @@ impl<'a> AdaptiveScheduler<'a> {
         }
     }
 
-    /// Fans candidate evaluations out over `pool` (builder-style).
-    #[must_use]
-    pub fn with_pool(mut self, pool: Arc<PlannerPool>) -> Self {
-        self.evaluator = self.evaluator.with_pool(pool);
-        self
-    }
-
     /// Emits scheduler decisions (`sched_budget`, `sched_pick`,
     /// `sched_chosen`) into `tracer` (builder-style).
     #[must_use]
@@ -238,12 +228,9 @@ impl<'a> AdaptiveScheduler<'a> {
             if pool.len() < 2 {
                 return None;
             }
-            let result = optimize_permutation_batch(pool.len(), &ga_config, |generation| {
-                let candidates: Vec<SyncTimelines> = generation
-                    .iter()
-                    .map(|perm| pool.decode(perm).to_timelines())
-                    .collect();
-                self.evaluator.workload_iv_batch(&candidates)
+            let result = optimize_permutation(pool.len(), &ga_config, |perm| {
+                self.evaluator
+                    .workload_iv(&pool.decode(perm).to_timelines())
             });
             let allocation = pool.decode(&result.best);
             let budget_used = allocation.spend(&self.costs);
@@ -429,35 +416,9 @@ mod tests {
     }
 
     #[test]
-    fn pooled_run_matches_sequential() {
-        let (catalog, fixed, requests) = fixture();
-        let model = StylizedCostModel::paper_fig4();
-        let costs = RefreshCosts::uniform(&[t(0), t(1), t(2)]);
-        let mut config = AdaptiveConfig::new(SimTime::new(36.0));
-        config.ga = Some(small_ga());
-        let sequential = AdaptiveScheduler::new(
-            &catalog,
-            &model,
-            DiscountRates::new(0.02, 0.08),
-            &requests,
-            costs.clone(),
-        )
-        .optimize(&fixed, &config);
-        let pooled = AdaptiveScheduler::new(
-            &catalog,
-            &model,
-            DiscountRates::new(0.02, 0.08),
-            &requests,
-            costs,
-        )
-        .with_pool(Arc::new(PlannerPool::new(3)))
-        .optimize(&fixed, &config);
-        assert_eq!(sequential, pooled, "pooling must not change the search");
-    }
-
-    #[test]
     fn tracer_sees_budget_picks_and_choice() {
         use ivdss_obs::Trace;
+        use std::sync::Arc;
 
         let (catalog, fixed, requests) = fixture();
         let model = StylizedCostModel::paper_fig4();

@@ -93,10 +93,10 @@ pub struct ServeConfig {
     /// Maximum local-server backlog tolerated before dispatch defers
     /// and queries wait in the admission queue.
     pub dispatch_backlog: SimDuration,
-    /// Plan-decision audits retained (most recent first to go; `0`
-    /// disables audit collection entirely).
-    pub audit_capacity: usize,
 }
+
+/// Plan-decision audits an engine retains; beyond it the oldest goes.
+pub const AUDIT_CAPACITY: usize = 256;
 
 impl ServeConfig {
     /// A permissive default configuration for the given rates: deep
@@ -110,7 +110,6 @@ impl ServeConfig {
             aging: AgingPolicy::DISABLED,
             use_cache: true,
             dispatch_backlog: SimDuration::new(f64::INFINITY),
-            audit_capacity: 256,
         }
     }
 }
@@ -228,8 +227,7 @@ pub struct ServeEngine<'a, C: Clock> {
     /// Structured-event emission handle (disabled unless a trace is
     /// attached via [`ServeEngine::with_tracer`]).
     tracer: Tracer,
-    /// Per-query plan-decision audits, bounded by
-    /// [`ServeConfig::audit_capacity`].
+    /// Per-query plan-decision audits, bounded by [`AUDIT_CAPACITY`].
     audits: AuditLog,
 }
 
@@ -262,7 +260,7 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
             search: ScatterGatherSearch::new(),
             storage: None,
             tracer: Tracer::disabled(),
-            audits: AuditLog::new(config.audit_capacity),
+            audits: AuditLog::new(AUDIT_CAPACITY),
         }
     }
 
@@ -683,7 +681,6 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
     fn dispatch(&mut self, queued: QueuedQuery, now: SimTime) -> Result<Completion, PlanError> {
         let request = queued.request;
         let query = request.id();
-        let collect_audit = !self.audits.is_disabled();
         let mut search_audit: Option<SearchAudit> = None;
         let mut source;
         let planned = if self.config.use_cache {
@@ -704,16 +701,16 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
             eval
         } else {
             source = PlanSource::FreshSearch;
-            let mut audit = collect_audit.then(SearchAudit::default);
+            let mut audit = SearchAudit::default();
             let opts = SearchOpts {
                 tracer: Some(&self.tracer),
-                audit: audit.as_mut(),
+                audit: Some(&mut audit),
             };
             let best = self
                 .search
                 .search_with(&planning_ctx!(self), &request, request.submitted_at, opts)?
                 .best;
-            search_audit = audit;
+            search_audit = Some(audit);
             best
         };
 
@@ -744,16 +741,16 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
                 });
                 source = PlanSource::OutageReplan;
                 let floored = SiteFloors::new(&NoQueues, floors.clone());
-                let mut audit = collect_audit.then(SearchAudit::default);
+                let mut audit = SearchAudit::default();
                 let opts = SearchOpts {
                     tracer: Some(&self.tracer),
-                    audit: audit.as_mut(),
+                    audit: Some(&mut audit),
                 };
                 let best = self
                     .search
                     .search_with(&planning_ctx!(self, &floored), &request, now, opts)?
                     .best;
-                search_audit = audit;
+                search_audit = Some(audit);
                 best
             } else {
                 planned
@@ -890,17 +887,15 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
                 iv_lost,
                 replanned,
             });
-        if collect_audit {
-            self.audits.push(PlanAudit {
-                query,
-                decided_at: now,
-                source,
-                search: search_audit,
-                chosen_release: planned.execute_at,
-                chosen_local: planned.local_tables.iter().copied().collect(),
-                planned_iv: planned.information_value.value(),
-            });
-        }
+        self.audits.push(PlanAudit {
+            query,
+            decided_at: now,
+            source,
+            search: search_audit,
+            chosen_release: planned.execute_at,
+            chosen_local: planned.local_tables.iter().copied().collect(),
+            planned_iv: planned.information_value.value(),
+        });
         Ok(Completion {
             query,
             evaluation: delivered,

@@ -19,6 +19,11 @@
 //!    belief (an invalidated phase is never servable).
 //! 5. **Determinism** — the same seed reproduces the identical metrics
 //!    text dump, byte for byte.
+//! 6. **Perfect shadow** — an engine armed with an empty fault plan
+//!    delivers exactly what the plain engine delivers.
+//! 7. **Reconciliation** — attaching a recording tracer changes nothing,
+//!    and the trace's per-completion IV loss and re-plan events add up
+//!    to the engine's fault counters exactly.
 //!
 //! The suite is a plain seeded loop (not proptest): every seed in the
 //! band runs on every invocation, so a failure names a seed that will
@@ -32,18 +37,23 @@ use ivdss_core::planner::{IvqpPlanner, Planner};
 use ivdss_core::value::DiscountRates;
 use ivdss_costmodel::model::StylizedCostModel;
 use ivdss_faults::{FaultConfig, FaultPlan};
+use ivdss_obs::{EventKind, Trace, Tracer};
 use ivdss_replication::timelines::{SyncMode, SyncTimelines};
 use ivdss_serve::clock::DesClock;
 use ivdss_serve::engine::{Completion, ServeConfig, ServeEngine};
 use ivdss_serve::loadgen::LoadReport;
+use ivdss_serve::metrics::MetricsSnapshot;
 use ivdss_simkernel::rng::SeedFactory;
 use ivdss_simkernel::time::SimTime;
 use ivdss_workloads::stream::ArrivalStream;
 use ivdss_workloads::synthetic::{random_queries, RandomQueryConfig};
+use std::sync::Arc;
 
 const SEEDS: u64 = 120;
 const QUERIES: usize = 40;
 const HORIZON: f64 = 600.0;
+/// Seeds of the band that the slower whole-run comparisons replay.
+const SPOT_SEEDS: [u64; 4] = [0, 17, 63, 111];
 
 struct Scenario {
     catalog: Catalog,
@@ -100,21 +110,26 @@ fn scenario(seed: u64) -> Scenario {
     }
 }
 
-/// Runs the scenario's request stream through a faulted engine,
-/// asserting cache hygiene after every step, and returns the report and
-/// the metrics text dump.
-fn run(s: &Scenario) -> (LoadReport, String) {
+fn config(s: &Scenario) -> ServeConfig {
     let mut config = ServeConfig::new(s.rates);
     // A finite queue so IV-aware shedding participates in some seeds.
     config.queue_capacity = 16;
+    config
+}
+
+/// Runs the scenario's request stream through a faulted engine that
+/// emits into `tracer`, asserting cache hygiene after every step, and
+/// returns the report and the final metrics snapshot.
+fn run(s: &Scenario, tracer: &Tracer) -> (LoadReport, MetricsSnapshot) {
     let mut engine = ServeEngine::with_faults(
         &s.catalog,
         &s.timelines,
         &s.model,
-        config,
+        config(s),
         DesClock::new(),
         s.faults.clone(),
-    );
+    )
+    .with_tracer(tracer.clone());
     let mut report = LoadReport::default();
     for request in &s.requests {
         let outcome = engine.submit(request.clone()).expect("submission plans");
@@ -227,8 +242,22 @@ fn run(s: &Scenario) -> (LoadReport, String) {
         );
     }
 
-    let text = engine.snapshot().to_text();
-    (report, text)
+    (report, engine.snapshot())
+}
+
+/// Submits every request, then drains; returns the completions in
+/// delivery order.
+fn deliver_all(
+    engine: &mut ServeEngine<'_, DesClock>,
+    requests: &[QueryRequest],
+) -> Vec<Completion> {
+    let mut completions = Vec::new();
+    for request in requests {
+        let outcome = engine.submit(request.clone()).expect("submission plans");
+        completions.extend(outcome.completed);
+    }
+    completions.extend(engine.drain().expect("drain plans"));
+    completions
 }
 
 #[test]
@@ -240,7 +269,7 @@ fn chaos_invariants_hold_across_the_seed_band() {
         if !s.faults.is_empty() {
             faulted_seeds += 1;
         }
-        let (report, _) = run(&s);
+        let (report, _) = run(&s, &Tracer::disabled());
         replans += report
             .completions
             .iter()
@@ -260,12 +289,12 @@ fn chaos_invariants_hold_across_the_seed_band() {
 
 #[test]
 fn same_seed_reproduces_identical_metrics() {
-    for seed in [0, 17, 63, 111] {
+    for seed in SPOT_SEEDS {
         let s1 = scenario(seed);
         let s2 = scenario(seed);
         assert_eq!(s1.faults, s2.faults, "fault generation is deterministic");
-        let (_, text1) = run(&s1);
-        let (_, text2) = run(&s2);
+        let text1 = run(&s1, &Tracer::disabled()).1.to_text();
+        let text2 = run(&s2, &Tracer::disabled()).1.to_text();
         assert_eq!(
             text1, text2,
             "seed {seed}: metrics text dumps must match byte for byte"
@@ -280,7 +309,8 @@ fn faulted_run_degrades_but_still_delivers() {
     // in the fault counters rather than as a stall or panic.
     let s = scenario(7);
     assert!(!s.faults.is_empty());
-    let (report, text) = run(&s);
+    let (report, snapshot) = run(&s, &Tracer::disabled());
+    let text = snapshot.to_text();
     assert!(
         report.completions.len() >= QUERIES * 3 / 4,
         "most queries still complete under chaos, got {}",
@@ -288,4 +318,97 @@ fn faulted_run_degrades_but_still_delivers() {
     );
     assert!(text.contains("serve_faults_syncs_slipped_total"));
     assert!(text.contains("serve_faults_iv_lost_total"));
+}
+
+#[test]
+fn empty_fault_plan_is_a_perfect_shadow() {
+    // Arming the fault machinery with nothing to inject must not move a
+    // single delivery: same plans, same timing, same IV, bit for bit.
+    let delivered = |c: &Completion| (c.query, c.evaluation.clone(), c.waited, c.replanned);
+    for seed in SPOT_SEEDS {
+        let s = scenario(seed);
+        let mut plain = ServeEngine::new(
+            &s.catalog,
+            &s.timelines,
+            &s.model,
+            config(&s),
+            DesClock::new(),
+        );
+        let mut armed = ServeEngine::with_faults(
+            &s.catalog,
+            &s.timelines,
+            &s.model,
+            config(&s),
+            DesClock::new(),
+            FaultPlan::none(SimTime::new(HORIZON)),
+        );
+        let plain_out: Vec<_> = deliver_all(&mut plain, &s.requests)
+            .iter()
+            .map(delivered)
+            .collect();
+        let armed_out: Vec<_> = deliver_all(&mut armed, &s.requests)
+            .iter()
+            .map(delivered)
+            .collect();
+        assert_eq!(
+            armed_out, plain_out,
+            "seed {seed}: an empty fault plan changed the deliveries"
+        );
+        let snap = armed.snapshot();
+        assert_eq!(
+            (
+                snap.faults_syncs_slipped,
+                snap.faults_syncs_dropped,
+                snap.faults_outages,
+                snap.faults_replans
+            ),
+            (0, 0, 0, 0),
+            "seed {seed}: an empty fault plan counted a fault"
+        );
+    }
+}
+
+#[test]
+fn tracing_a_faulted_run_changes_nothing_and_reconciles() {
+    let mut replans = 0;
+    for seed in SPOT_SEEDS {
+        let s = scenario(seed);
+        let (untraced, untraced_snap) = run(&s, &Tracer::disabled());
+        let trace = Arc::new(Trace::new());
+        let (traced, snap) = run(&s, &Tracer::recording(Arc::clone(&trace)));
+        assert_eq!(
+            traced.completions, untraced.completions,
+            "seed {seed}: observing a run must not change its deliveries"
+        );
+        assert_eq!(
+            snap.to_text(),
+            untraced_snap.to_text(),
+            "seed {seed}: observing a run must not change its metrics"
+        );
+
+        // Both sides accumulate the same f64 terms in dispatch order, so
+        // the trace reconciles with the counter bit for bit.
+        let mut trace_iv_lost = 0.0;
+        let mut completed = 0usize;
+        for event in trace.events() {
+            if let EventKind::Completed { iv_lost, .. } = event.kind {
+                trace_iv_lost += iv_lost;
+                completed += 1;
+            }
+        }
+        assert_eq!(completed, traced.completions.len());
+        assert_eq!(
+            trace_iv_lost.to_bits(),
+            snap.faults_iv_lost_total.to_bits(),
+            "seed {seed}: trace iv_lost {trace_iv_lost} must equal the metric {}",
+            snap.faults_iv_lost_total
+        );
+        assert_eq!(
+            trace.counts().get("replanned").copied().unwrap_or(0),
+            snap.faults_replans,
+            "seed {seed}: each counted re-plan leaves one trace event"
+        );
+        replans += snap.faults_replans;
+    }
+    assert!(replans > 0, "the spot seeds must re-plan somewhere");
 }

@@ -10,7 +10,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// An event together with its firing time and a tie-breaking sequence number.
 #[derive(Debug, Clone)]
@@ -21,18 +21,6 @@ pub struct Scheduled<E> {
 }
 
 impl<E> Scheduled<E> {
-    /// The time at which the event fires.
-    #[must_use]
-    pub fn time(&self) -> SimTime {
-        self.time
-    }
-
-    /// The event payload.
-    #[must_use]
-    pub fn event(&self) -> &E {
-        &self.event
-    }
-
     /// Consumes the entry, returning the firing time and payload.
     #[must_use]
     pub fn into_parts(self) -> (SimTime, E) {
@@ -116,29 +104,6 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
         self.heap.pop()
     }
-
-    /// Returns the earliest scheduled time without removing the event.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(Scheduled::time)
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Returns `true` if no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drops all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
 }
 
 /// A discrete-event engine: a clock plus an [`EventQueue`].
@@ -164,7 +129,7 @@ impl<E> EventQueue<E> {
 /// engine.run(|eng, Ev::Tick(n)| {
 ///     seen.push((eng.now().value(), n));
 ///     if n < 2 {
-///         eng.schedule_in(SimDuration::new(1.5), Ev::Tick(n + 1));
+///         eng.schedule(eng.now() + SimDuration::new(1.5), Ev::Tick(n + 1));
 ///     }
 /// });
 /// assert_eq!(seen, vec![(0.0, 0), (1.5, 1), (3.0, 2)]);
@@ -212,16 +177,6 @@ impl<E> Engine<E> {
         self.queue.push(at, event);
     }
 
-    /// Schedules `event` after the given non-negative `delay`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delay` is negative.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
-        assert!(!delay.is_negative(), "delay must be non-negative");
-        self.queue.push(self.now + delay, event);
-    }
-
     /// Removes and returns the next event, advancing the clock to its time.
     pub fn step(&mut self) -> Option<E> {
         let scheduled = self.queue.pop()?;
@@ -244,6 +199,7 @@ impl<E> Engine<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
 
     #[test]
     fn queue_orders_by_time_then_fifo() {
@@ -254,18 +210,6 @@ mod tests {
         q.push(SimTime::new(4.0), 4);
         let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|s| s.into_parts().1)).collect();
         assert_eq!(order, vec![2, 4, 1, 3]);
-    }
-
-    #[test]
-    fn peek_time_reports_earliest() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
-        q.push(SimTime::new(9.0), ());
-        q.push(SimTime::new(2.0), ());
-        assert_eq!(q.peek_time(), Some(SimTime::new(2.0)));
-        assert_eq!(q.len(), 2);
-        q.clear();
-        assert!(q.is_empty());
     }
 
     #[test]
@@ -297,7 +241,7 @@ mod tests {
         e.run(|eng, n| {
             count += 1;
             if n < 9 {
-                eng.schedule_in(SimDuration::new(1.0), n + 1);
+                eng.schedule(eng.now() + SimDuration::new(1.0), n + 1);
             }
         });
         assert_eq!(count, 10);

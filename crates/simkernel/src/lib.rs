@@ -41,7 +41,7 @@
 //!     gaps.record((eng.now() - last).value());
 //!     last = eng.now();
 //!     if n < 99 {
-//!         eng.schedule_in(arrivals.next_duration(), Ev::Arrival(n + 1));
+//!         eng.schedule(eng.now() + arrivals.next_duration(), Ev::Arrival(n + 1));
 //!     }
 //! });
 //! assert_eq!(gaps.count(), 100);

@@ -72,8 +72,9 @@ proptest! {
         }
         let mut last = f64::NEG_INFINITY;
         while let Some(s) = q.pop() {
-            prop_assert!(s.time().value() >= last);
-            last = s.time().value();
+            let (time, _) = s.into_parts();
+            prop_assert!(time.value() >= last);
+            last = time.value();
         }
     }
 
@@ -102,7 +103,7 @@ proptest! {
             last = eng.now();
             fired += 1;
             if idx < delays.len() {
-                eng.schedule_in(SimDuration::new(delays[idx]), idx + 1);
+                eng.schedule(eng.now() + SimDuration::new(delays[idx]), idx + 1);
             }
         });
         prop_assert_eq!(fired, delays.len() + 1);

@@ -8,23 +8,17 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "==> serving-engine chaos invariants (120-seed band)"
+echo "==> serving-engine chaos invariants (120-seed band, clean shadow, trace reconciliation)"
 cargo test --offline --release -p ivdss-serve --test chaos
 
 echo "==> scatter-gather vs oracle differential, nominal + slipped (80-seed band)"
 cargo test --offline --release -p ivdss-core --test differential
-
-echo "==> severity-sweep chaos experiment"
-cargo test --offline --release -p ivdss-dsim chaos
 
 echo "==> cluster shard-outage chaos (20-seed band, trace reconciliation)"
 cargo test --offline --release -p ivdss-cluster --test cluster_chaos
 
 echo "==> adaptive-schedule chaos composition (24-seed band)"
 cargo test --offline --release -p ivdss-sched --test adaptive_chaos
-
-echo "==> adaptive-sync chaos point (trace reconciliation)"
-cargo test --offline --release -p ivdss-dsim adaptive
 
 echo "==> scripted outage-and-recovery end to end"
 cargo test --offline --release --test chaos_recovery
