@@ -206,17 +206,6 @@ impl Catalog {
         self.placement[table.index()]
     }
 
-    /// Tables whose base copy lives at `site`.
-    #[must_use]
-    pub fn tables_at(&self, site: SiteId) -> Vec<TableId> {
-        self.placement
-            .iter()
-            .enumerate()
-            .filter(|(_, &s)| s == site)
-            .map(|(i, _)| TableId::new(i as u32))
-            .collect()
-    }
-
     /// The replication plan.
     #[must_use]
     pub fn replication(&self) -> &ReplicationPlan {
@@ -333,10 +322,11 @@ mod tests {
         assert_eq!(cat.table_count(), 4);
         assert_eq!(cat.site_count(), 2);
         assert_eq!(cat.site_of(TableId::new(3)), SiteId::new(1));
-        assert_eq!(
-            cat.tables_at(SiteId::new(0)),
-            vec![TableId::new(0), TableId::new(2)]
-        );
+        let at_site0: Vec<TableId> = (0..4)
+            .map(TableId::new)
+            .filter(|&t| cat.site_of(t) == SiteId::new(0))
+            .collect();
+        assert_eq!(at_site0, vec![TableId::new(0), TableId::new(2)]);
         assert_eq!(cat.table(TableId::new(1)).name(), "t1");
         assert_eq!(cat.table_ids().len(), 4);
     }

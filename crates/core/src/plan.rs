@@ -376,12 +376,6 @@ pub struct PlanEvaluation {
 }
 
 impl PlanEvaluation {
-    /// `true` if the plan reads every footprint table from replicas.
-    #[must_use]
-    pub fn is_all_local(&self, query: &QuerySpec) -> bool {
-        self.local_tables.len() == query.table_count()
-    }
-
     /// `true` if the plan reads every footprint table remotely.
     #[must_use]
     pub fn is_all_remote(&self) -> bool {
@@ -1022,7 +1016,7 @@ mod tests {
         assert_eq!(eval.data_version, SimTime::new(8.0));
         assert_eq!(eval.latencies.computational, SimDuration::new(2.0));
         assert_eq!(eval.latencies.synchronization, SimDuration::new(5.0));
-        assert!(eval.is_all_local(&req.query));
+        assert_eq!(eval.local_tables.len(), req.query.table_count());
     }
 
     #[test]
@@ -1178,7 +1172,7 @@ mod tests {
 
         // The planner steers to the replica-only plan instead of stalling
         // on the outage, and the degraded IV never beats the nominal one.
-        assert!(degraded.best.is_all_local(&req.query));
+        assert_eq!(degraded.best.local_tables.len(), req.query.table_count());
         assert!(
             degraded.best.information_value <= nominal.best.information_value,
             "outage must not improve IV"

@@ -24,7 +24,8 @@ pub trait Planner {
     /// A short human-readable name ("IVQP", "Federation", …).
     fn name(&self) -> &str;
 
-    /// Selects a plan for `request`.
+    /// Selects a plan for `request`, released no earlier than its
+    /// submission.
     ///
     /// # Errors
     ///
@@ -35,7 +36,9 @@ pub trait Planner {
         &self,
         ctx: &PlanContext<'_>,
         request: &QueryRequest,
-    ) -> Result<PlanEvaluation, PlanError>;
+    ) -> Result<PlanEvaluation, PlanError> {
+        self.select_plan_from(ctx, request, request.submitted_at)
+    }
 
     /// Selects a plan that is released no earlier than `not_before` —
     /// used when a queued query is (re-)planned after its submission
@@ -116,14 +119,6 @@ impl Planner for IvqpPlanner {
         "IVQP"
     }
 
-    fn select_plan(
-        &self,
-        ctx: &PlanContext<'_>,
-        request: &QueryRequest,
-    ) -> Result<PlanEvaluation, PlanError> {
-        self.select_plan_from(ctx, request, request.submitted_at)
-    }
-
     fn select_plan_from(
         &self,
         ctx: &PlanContext<'_>,
@@ -154,14 +149,6 @@ impl Planner for FederationPlanner {
         "Federation"
     }
 
-    fn select_plan(
-        &self,
-        ctx: &PlanContext<'_>,
-        request: &QueryRequest,
-    ) -> Result<PlanEvaluation, PlanError> {
-        evaluate_plan(ctx, request, request.submitted_at, &BTreeSet::new())
-    }
-
     fn select_plan_from(
         &self,
         ctx: &PlanContext<'_>,
@@ -189,14 +176,6 @@ impl WarehousePlanner {
 impl Planner for WarehousePlanner {
     fn name(&self) -> &str {
         "Data Warehouse"
-    }
-
-    fn select_plan(
-        &self,
-        ctx: &PlanContext<'_>,
-        request: &QueryRequest,
-    ) -> Result<PlanEvaluation, PlanError> {
-        self.select_plan_from(ctx, request, request.submitted_at)
     }
 
     fn select_plan_from(
@@ -338,7 +317,7 @@ mod tests {
         let ok = WarehousePlanner::new()
             .select_plan(&ctx, &request(&[0]))
             .unwrap();
-        assert!(ok.is_all_local(&request(&[0]).query));
+        assert_eq!(ok.local_tables.len(), 1);
     }
 
     #[test]

@@ -735,7 +735,7 @@ mod tests {
             .search_from(&ctx, &req, req.submitted_at)
             .unwrap();
         assert!(!sg.best.is_delayed(SimTime::new(11.0)));
-        assert!(sg.best.is_all_local(&req.query));
+        assert_eq!(sg.best.local_tables.len(), req.query.table_count());
     }
 
     #[test]

@@ -68,12 +68,6 @@ impl AgingPolicy {
         self.rate
     }
 
-    /// Returns `true` if this policy performs no aging.
-    #[must_use]
-    pub fn is_disabled(&self) -> bool {
-        self.rate == 0.0
-    }
-
     /// The effective scheduling value of a query that has waited `waiting`
     /// and whose best achievable plan currently delivers `iv`:
     /// `iv × (1 + α)^waiting`.
@@ -101,13 +95,14 @@ mod tests {
     use ivdss_simkernel::time::SimDuration;
 
     fn iv(v: f64) -> InformationValue {
-        InformationValue::from_raw(v)
+        let zero = Latencies::new(SimDuration::ZERO, SimDuration::ZERO);
+        InformationValue::compute(BusinessValue::new(v), DiscountRates::default(), zero)
     }
 
     #[test]
     fn disabled_policy_is_identity() {
         let p = AgingPolicy::DISABLED;
-        assert!(p.is_disabled());
+        assert_eq!(p.rate(), 0.0);
         assert_eq!(p.effective_value(iv(0.5), SimDuration::new(100.0)), 0.5);
     }
 

@@ -216,30 +216,10 @@ impl InformationValue {
         InformationValue(iv)
     }
 
-    /// Wraps a raw value (e.g. a workload sum).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` is negative or not finite.
-    #[must_use]
-    pub fn from_raw(value: f64) -> Self {
-        assert!(
-            value.is_finite() && value >= 0.0,
-            "information value must be non-negative and finite"
-        );
-        InformationValue(value)
-    }
-
     /// The raw value.
     #[must_use]
     pub fn value(self) -> f64 {
         self.0
-    }
-
-    /// Fraction of the business value retained.
-    #[must_use]
-    pub fn retention(self, bv: BusinessValue) -> f64 {
-        self.0 / bv.value()
     }
 }
 
@@ -265,7 +245,6 @@ mod tests {
             lat(0.0, 0.0),
         );
         assert_eq!(iv.value(), 5.0);
-        assert_eq!(iv.retention(BusinessValue::new(5.0)), 1.0);
     }
 
     #[test]
@@ -323,7 +302,7 @@ mod tests {
         assert_eq!(BusinessValue::UNIT.to_string(), "1.0000");
         assert!(DiscountRate::new(0.05).to_string().contains("0.050"));
         assert!(DiscountRates::new(0.01, 0.05).to_string().contains("λsl"));
-        assert!(InformationValue::from_raw(0.5).to_string().contains("0.5"));
+        assert!(InformationValue(0.5).to_string().contains("0.5"));
     }
 
     #[test]
@@ -336,12 +315,6 @@ mod tests {
     #[should_panic(expected = "[0, 1)")]
     fn rate_of_one_rejected() {
         let _ = DiscountRate::new(1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_raw_iv_rejected() {
-        let _ = InformationValue::from_raw(-0.1);
     }
 
     #[test]

@@ -226,9 +226,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioPoint {
 mod tests {
     use super::*;
     use ivdss_obs::Trace;
-    use ivdss_scenarios::named::{
-        all_scenarios, multi_tenant_sla, scenario_by_name, schema_growth,
-    };
+    use ivdss_scenarios::named::{all_scenarios, flash_crowd, multi_tenant_sla, schema_growth};
     use std::sync::Arc;
 
     /// Every registry scenario at half its pinned horizon.
@@ -300,7 +298,7 @@ mod tests {
 
     #[test]
     fn flash_crowd_sheds_under_burst() {
-        let point = run_scenario(&scenario_by_name("flash-crowd").unwrap());
+        let point = run_scenario(&flash_crowd());
         assert!(
             point.shed > 0,
             "the flash crowd must overwhelm the small queue"

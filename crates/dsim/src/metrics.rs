@@ -160,7 +160,7 @@ mod tests {
     use super::*;
     use ivdss_catalog::ids::TableId;
     use ivdss_core::latency::Latencies;
-    use ivdss_core::value::InformationValue;
+    use ivdss_core::value::{BusinessValue, DiscountRates, InformationValue};
     use ivdss_costmodel::model::PlanCost;
     use ivdss_costmodel::query::{QueryId, QuerySpec};
     use ivdss_simkernel::time::SimTime;
@@ -182,7 +182,12 @@ mod tests {
                 finish: SimTime::new(1.0 + cl),
                 data_version: SimTime::ZERO,
                 latencies: Latencies::new(SimDuration::new(cl), SimDuration::new(sl)),
-                information_value: InformationValue::from_raw(iv),
+                // Zero rates discount nothing: IV equals the business value.
+                information_value: InformationValue::compute(
+                    BusinessValue::new(iv),
+                    DiscountRates::default(),
+                    Latencies::new(SimDuration::new(cl), SimDuration::new(sl)),
+                ),
                 cost: PlanCost::ZERO,
             },
         }

@@ -145,28 +145,6 @@ pub fn live_batch_windows(
     Ok(form_workloads(&clamped))
 }
 
-/// The average pairwise overlap rate of a set of ranges — the knob the
-/// paper varies on the x-axis of Fig. 9(a). Defined as the fraction of
-/// query pairs whose ranges overlap.
-#[must_use]
-pub fn overlap_rate(ranges: &[ExecutionRange]) -> f64 {
-    let n = ranges.len();
-    if n < 2 {
-        return 0.0;
-    }
-    let mut overlapping = 0usize;
-    let mut pairs = 0usize;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            pairs += 1;
-            if ranges[i].overlaps(&ranges[j]) {
-                overlapping += 1;
-            }
-        }
-    }
-    overlapping as f64 / pairs as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,21 +186,6 @@ mod tests {
     #[test]
     fn empty_input_is_empty() {
         assert!(form_workloads(&[]).is_empty());
-    }
-
-    #[test]
-    fn overlap_rate_extremes() {
-        assert_eq!(overlap_rate(&[]), 0.0);
-        assert_eq!(overlap_rate(&[r(0, 0.0, 1.0)]), 0.0);
-        // All overlap.
-        let all = [r(0, 0.0, 10.0), r(1, 1.0, 9.0), r(2, 2.0, 8.0)];
-        assert_eq!(overlap_rate(&all), 1.0);
-        // None overlap.
-        let none = [r(0, 0.0, 1.0), r(1, 2.0, 3.0), r(2, 4.0, 5.0)];
-        assert_eq!(overlap_rate(&none), 0.0);
-        // Half: 0-1 overlap, 0-2 and 1-2 don't → 1/3.
-        let third = [r(0, 0.0, 2.0), r(1, 1.0, 3.0), r(2, 10.0, 11.0)];
-        assert!((overlap_rate(&third) - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -80,8 +80,7 @@ fn run_golden(through_dyn: bool) -> String {
     });
     let mut stream = ArrivalStream::new(templates, 2.0, seeds.seed_for("arrivals"));
 
-    let mut config = ServeConfig::new(DiscountRates::new(0.01, 0.05));
-    config.use_cache = false;
+    let config = ServeConfig::new(DiscountRates::new(0.01, 0.05));
 
     let trace = Arc::new(Trace::new());
     let tracer = Tracer::recording(Arc::clone(&trace));

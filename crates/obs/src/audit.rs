@@ -5,7 +5,7 @@
 //! (incumbent IV and tightened boundary after each improvement), the
 //! gather waves visited and the final boundary. The serving engine
 //! wraps it in a [`PlanAudit`] recording *how* the decision was reached
-//! (cache hit, fresh search, outage re-plan) and keeps the most recent
+//! (cache hit, cache miss, outage re-plan) and keeps the most recent
 //! audit per query in a bounded [`AuditLog`].
 //!
 //! Audits are collection-only — they never influence the search — and
@@ -74,8 +74,6 @@ pub enum PlanSource {
     CacheHit,
     /// Cache miss: a fresh search ran inside the cache fill.
     CacheMiss,
-    /// Cache disabled: a fresh search at dispatch.
-    FreshSearch,
     /// The chosen plan spanned a site inside an outage; the engine
     /// re-planned with release floors visible.
     OutageReplan,
@@ -86,7 +84,6 @@ impl PlanSource {
         match self {
             PlanSource::CacheHit => "cache_hit",
             PlanSource::CacheMiss => "cache_miss",
-            PlanSource::FreshSearch => "fresh_search",
             PlanSource::OutageReplan => "outage_replan",
         }
     }
@@ -101,8 +98,8 @@ pub struct PlanAudit {
     pub decided_at: SimTime,
     /// How the plan was obtained.
     pub source: PlanSource,
-    /// The search record, when a search ran on the dispatch path
-    /// (`None` for cache-served plans, whose search ran at fill time).
+    /// The search record of an outage re-plan (`None` for cache-served
+    /// plans, whose search ran at fill time).
     pub search: Option<SearchAudit>,
     /// The chosen plan's release time.
     pub chosen_release: SimTime,
@@ -216,23 +213,6 @@ impl AuditLog {
     pub fn get(&self, query: QueryId) -> Option<&PlanAudit> {
         self.entries.iter().rev().find(|a| a.query == query)
     }
-
-    /// All retained audits, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &PlanAudit> {
-        self.entries.iter()
-    }
-
-    /// Retained audits.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` if nothing is retained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -285,10 +265,16 @@ mod tests {
             PlanSource::OutageReplan,
             "latest audit wins"
         );
-        log.push(audit(2, PlanSource::CacheHit));
-        assert_eq!(log.len(), 2, "capacity evicts the oldest");
+
+        let mut log = AuditLog::new(2);
+        for query in 1..=3 {
+            log.push(audit(query, PlanSource::CacheHit));
+        }
+        assert!(
+            log.get(QueryId::new(1)).is_none(),
+            "capacity evicts the oldest"
+        );
         assert!(log.get(QueryId::new(2)).is_some());
-        assert_eq!(log.iter().count(), 2);
-        assert!(!log.is_empty());
+        assert!(log.get(QueryId::new(3)).is_some());
     }
 }

@@ -24,9 +24,9 @@
 //! # Example
 //!
 //! ```
-//! use ivdss_scenarios::named::{all_scenarios, scenario_by_name};
+//! use ivdss_scenarios::named::{all_scenarios, flash_crowd};
 //!
-//! let crowd = scenario_by_name("flash-crowd").unwrap();
+//! let crowd = flash_crowd();
 //! let world = crowd.build_world().unwrap();
 //! let events: Vec<_> = crowd.stream(&world).collect();
 //! assert!(!events.is_empty());
@@ -45,7 +45,7 @@ pub mod tenant;
 
 pub use arrival::{ArrivalProcess, IntensityProfile};
 pub use growth::{grow_catalog, BornTable, GrowthSpec};
-pub use named::{all_scenarios, scenario_by_name};
+pub use named::all_scenarios;
 pub use popularity::ZipfSampler;
 pub use scenario::{Popularity, ScenarioEvent, ScenarioSpec, ScenarioStream, ScenarioWorld};
 pub use tenant::{TenantDraw, TenantMix, TenantSpec};

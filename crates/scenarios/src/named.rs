@@ -73,6 +73,15 @@ pub fn schema_growth() -> ScenarioSpec {
 }
 
 /// Every named scenario, in catalog order.
+///
+/// # Examples
+///
+/// ```
+/// use ivdss_scenarios::named::all_scenarios;
+///
+/// let crowd = all_scenarios().into_iter().find(|s| s.name == "flash-crowd");
+/// assert!(crowd.is_some());
+/// ```
 #[must_use]
 pub fn all_scenarios() -> Vec<ScenarioSpec> {
     vec![
@@ -81,21 +90,6 @@ pub fn all_scenarios() -> Vec<ScenarioSpec> {
         multi_tenant_sla(),
         schema_growth(),
     ]
-}
-
-/// Looks a scenario up by its catalog name.
-///
-/// # Examples
-///
-/// ```
-/// use ivdss_scenarios::named::scenario_by_name;
-///
-/// assert!(scenario_by_name("flash-crowd").is_some());
-/// assert!(scenario_by_name("no-such-scenario").is_none());
-/// ```
-#[must_use]
-pub fn scenario_by_name(name: &str) -> Option<ScenarioSpec> {
-    all_scenarios().into_iter().find(|s| s.name == name)
 }
 
 #[cfg(test)]
@@ -111,9 +105,6 @@ mod tests {
         assert_eq!(names.len(), 4, "scenario names must be unique");
         let seeds: BTreeSet<u64> = all.iter().map(|s| s.seed).collect();
         assert_eq!(seeds.len(), 4, "scenario seeds must be distinct");
-        for spec in &all {
-            assert_eq!(scenario_by_name(spec.name).as_ref(), Some(spec));
-        }
     }
 
     #[test]

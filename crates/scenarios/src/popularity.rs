@@ -18,8 +18,6 @@ use ivdss_simkernel::rng::{Stream, UniformStream};
 /// use ivdss_scenarios::popularity::ZipfSampler;
 ///
 /// let mut z = ZipfSampler::new(100, 1.1, 7);
-/// // Rank 0 is the hottest index by construction.
-/// assert!(z.probability(0) > z.probability(1));
 /// let i = z.sample();
 /// assert!(i < 100);
 /// // Bounded draws never escape the eligibility prefix.
@@ -70,9 +68,10 @@ impl ZipfSampler {
         self.prefix.is_empty()
     }
 
-    /// The probability mass of rank `i` under the full distribution.
-    #[must_use]
-    pub fn probability(&self, i: usize) -> f64 {
+    /// The probability mass of rank `i` under the full distribution (a
+    /// read-back for tests).
+    #[cfg(test)]
+    fn probability(&self, i: usize) -> f64 {
         let total = *self.prefix.last().expect("non-empty by construction");
         let below = if i == 0 { 0.0 } else { self.prefix[i - 1] };
         (self.prefix[i] - below) / total

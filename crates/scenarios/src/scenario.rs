@@ -20,7 +20,6 @@ use ivdss_costmodel::query::{QueryId, QuerySpec};
 use ivdss_replication::timelines::{SyncMode, SyncTimelines};
 use ivdss_simkernel::rng::{SeedFactory, Stream, UniformStream};
 use ivdss_simkernel::time::SimTime;
-use ivdss_workloads::stream::RequestSource;
 use ivdss_workloads::synthetic::{random_queries, RandomQueryConfig};
 
 use crate::arrival::{ArrivalProcess, IntensityProfile};
@@ -443,12 +442,6 @@ impl Iterator for ScenarioStream {
     }
 }
 
-impl RequestSource for ScenarioStream {
-    fn next_request(&mut self) -> Option<QueryRequest> {
-        self.next_event().map(|event| event.request)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,20 +513,5 @@ mod tests {
                 Some(event.request.submitted_at + ivdss_simkernel::time::SimDuration::new(10.0))
             );
         }
-    }
-
-    #[test]
-    fn request_source_view_matches_events() {
-        let spec = ScenarioSpec::new("src", 4).with_horizon(30.0);
-        let world = spec.build_world().unwrap();
-        let events: Vec<ScenarioEvent> = spec.stream(&world).collect();
-        let mut source = spec.stream(&world);
-        for event in &events {
-            assert_eq!(
-                RequestSource::next_request(&mut source),
-                Some(event.request.clone())
-            );
-        }
-        assert_eq!(RequestSource::next_request(&mut source), None);
     }
 }

@@ -159,9 +159,10 @@ impl TenantMix {
         &self.tenants[index]
     }
 
-    /// A tenant's normalized share of the stream.
-    #[must_use]
-    pub fn normalized_share(&self, index: usize) -> f64 {
+    /// A tenant's normalized share of the stream (a read-back for
+    /// tests).
+    #[cfg(test)]
+    fn normalized_share(&self, index: usize) -> f64 {
         let below = if index == 0 {
             0.0
         } else {

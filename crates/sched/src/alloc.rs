@@ -83,12 +83,6 @@ impl ScheduleAllocation {
         self.counts.keys().copied()
     }
 
-    /// Total refreshes across all tables.
-    #[must_use]
-    pub fn total_refreshes(&self) -> usize {
-        self.counts.values().sum()
-    }
-
     /// The budget this allocation spends under `costs`.
     ///
     /// # Panics

@@ -266,6 +266,6 @@ mod tests {
         );
         assert!(out.picks.is_empty());
         assert_eq!(out.budget_used, 0.0);
-        assert_eq!(out.allocation.total_refreshes(), 0);
+        assert_eq!(out.allocation.iter().map(|(_, c)| c).sum::<usize>(), 0);
     }
 }

@@ -53,13 +53,6 @@ impl AdaptiveConfig {
             max_refreshes_per_table: None,
         }
     }
-
-    /// Drops the GA stage (builder-style).
-    #[must_use]
-    pub fn greedy_only(mut self) -> Self {
-        self.ga = None;
-        self
-    }
 }
 
 /// Which candidate the guard committed.
@@ -409,7 +402,10 @@ mod tests {
             &requests,
             costs,
         );
-        let config = AdaptiveConfig::new(SimTime::new(36.0)).greedy_only();
+        let config = AdaptiveConfig {
+            ga: None,
+            ..AdaptiveConfig::new(SimTime::new(36.0))
+        };
         let out = sched.optimize(&fixed, &config);
         assert!(out.ga.is_none());
         assert_ne!(out.source, ScheduleSource::Ga);
@@ -432,7 +428,10 @@ mod tests {
             costs,
         )
         .with_tracer(Tracer::recording(Arc::clone(&trace)));
-        let config = AdaptiveConfig::new(SimTime::new(36.0)).greedy_only();
+        let config = AdaptiveConfig {
+            ga: None,
+            ..AdaptiveConfig::new(SimTime::new(36.0))
+        };
         let out = sched.optimize(&fixed, &config);
         let counts = trace.counts();
         assert_eq!(counts.get("sched_budget").copied().unwrap_or(0), 1);

@@ -3,9 +3,9 @@
 //! [`ServeEngine`] accepts a continuous stream of [`QueryRequest`]s and,
 //! per query: (1) drains completed synchronization events from the
 //! replication timelines into the plan cache's invalidator, (2) runs
-//! IV-aware admission ([`AdmissionQueue`]), (3) selects a plan — from
-//! the sync-phase [`PlanCache`], or with the cache off by a fresh
-//! [`ScatterGatherSearch`] — under a [`NoQueues`] planning context, and (4)
+//! IV-aware admission ([`AdmissionQueue`]), (3) selects a plan from the
+//! sync-phase [`PlanCache`], which reproduces the §3.1 scatter-and-gather
+//! search exactly, under a [`NoQueues`] planning context, and (4)
 //! dispatches the plan through reservation-calendar facilities
 //! ([`FacilityQueues`]), re-evaluating the chosen candidate against
 //! live calendar state so the *delivered* information value reflects
@@ -39,7 +39,8 @@
 //! IV and dispatch-time re-planning see the degraded topology) and the
 //! live calendars (delivered IV pays for waiting out the outage), and a
 //! dispatched plan that would span a down site is re-planned on the
-//! spot. Cost jitter applies only at delivery
+//! spot by a [`ScatterGatherSearch`] with the floors visible. Cost jitter
+//! applies only at delivery
 //! ([`JitteredCostModel`]): plans are chosen from estimates, execution
 //! runs hotter — so the cache's exactness argument is untouched. Every
 //! completion under faults additionally reports the IV it lost versus
@@ -87,9 +88,6 @@ pub struct ServeConfig {
     /// Aging applied to queued queries' marginal IV (§3.3); disabled by
     /// default.
     pub aging: AgingPolicy,
-    /// `false` runs a fresh plan search per query (the cache-off
-    /// baseline of the throughput bench).
-    pub use_cache: bool,
     /// Maximum local-server backlog tolerated before dispatch defers
     /// and queries wait in the admission queue.
     pub dispatch_backlog: SimDuration,
@@ -100,7 +98,7 @@ pub const AUDIT_CAPACITY: usize = 256;
 
 impl ServeConfig {
     /// A permissive default configuration for the given rates: deep
-    /// queue, caching on, no aging, effectively unbounded dispatch.
+    /// queue, no aging, effectively unbounded dispatch.
     #[must_use]
     pub fn new(rates: DiscountRates) -> Self {
         ServeConfig {
@@ -108,7 +106,6 @@ impl ServeConfig {
             queue_capacity: 64,
             cache_capacity: 256,
             aging: AgingPolicy::DISABLED,
-            use_cache: true,
             dispatch_backlog: SimDuration::new(f64::INFINITY),
         }
     }
@@ -214,8 +211,8 @@ pub struct ServeEngine<'a, C: Clock> {
     synced: Vec<SyncEvent>,
     metrics: ServeMetrics,
     faults: Option<FaultState>,
-    /// Dispatch-time plan searches: cache-off planning, outage
-    /// re-planning and the fault-free IV bound.
+    /// The plan searches outside the cache: outage re-planning and the
+    /// fault-free IV bound.
     search: ScatterGatherSearch,
     /// Storage-backed evaluation mode: when armed via
     /// [`ServeEngine::with_storage`], dispatch executes a real scan per
@@ -430,12 +427,6 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
         &self.tracer
     }
 
-    /// The retained plan-decision audits.
-    #[must_use]
-    pub fn audits(&self) -> &AuditLog {
-        &self.audits
-    }
-
     /// The most recent plan-decision audit for `query` — *why* the
     /// engine dispatched the plan it did.
     #[must_use]
@@ -443,10 +434,11 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
         self.audits.get(query)
     }
 
-    /// Freezes the metrics at the current time.
+    /// Freezes the metrics, with the plan cache's own counters, at the
+    /// current time.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.metrics.snapshot(self.clock.now())
+        self.metrics.snapshot(self.clock.now(), &self.cache)
     }
 
     /// Prometheus-style text exposition: the serve metrics dump,
@@ -486,7 +478,6 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
                     .revise(revision, faults.plan.horizon())
                 {
                     let evicted = self.cache.invalidate_table(revision.table);
-                    self.metrics.record_cache_invalidations(evicted as u64);
                     if revision.new_time.is_some() {
                         self.metrics.record_fault_slip();
                     } else {
@@ -524,13 +515,11 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
         }
         if !self.synced.is_empty() {
             let evicted = self.cache.apply_sync_events(&self.synced);
-            self.metrics.record_cache_invalidations(evicted as u64);
             if evicted > 0 {
                 self.tracer
                     .emit_with(now, || EventKind::CacheInvalidated { evicted });
             }
         }
-        self.metrics.set_cache_size(self.cache.len());
     }
 
     /// Moves the engine's clock to `to` (if in the future), delivering
@@ -681,38 +670,16 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
     fn dispatch(&mut self, queued: QueuedQuery, now: SimTime) -> Result<Completion, PlanError> {
         let request = queued.request;
         let query = request.id();
-        let mut search_audit: Option<SearchAudit> = None;
-        let mut source;
-        let planned = if self.config.use_cache {
-            let (eval, outcome) = self.cache.plan(&planning_ctx!(self), &request)?;
-            let hit = matches!(outcome, CacheOutcome::Hit);
-            self.tracer
-                .emit_with(now, || EventKind::CacheLookup { query, hit });
-            match outcome {
-                CacheOutcome::Hit => self.metrics.record_cache_hit(),
-                CacheOutcome::Miss => self.metrics.record_cache_miss(),
-            }
-            self.metrics.set_cache_size(self.cache.len());
-            source = if hit {
-                PlanSource::CacheHit
-            } else {
-                PlanSource::CacheMiss
-            };
-            eval
+        let (planned, outcome) = self.cache.plan(&planning_ctx!(self), &request)?;
+        let hit = outcome == CacheOutcome::Hit;
+        self.tracer
+            .emit_with(now, || EventKind::CacheLookup { query, hit });
+        let mut source = if hit {
+            PlanSource::CacheHit
         } else {
-            source = PlanSource::FreshSearch;
-            let mut audit = SearchAudit::default();
-            let opts = SearchOpts {
-                tracer: Some(&self.tracer),
-                audit: Some(&mut audit),
-            };
-            let best = self
-                .search
-                .search_with(&planning_ctx!(self), &request, request.submitted_at, opts)?
-                .best;
-            search_audit = Some(audit);
-            best
+            PlanSource::CacheMiss
         };
+        let mut search_audit: Option<SearchAudit> = None;
 
         // Outage-aware re-planning: if the chosen plan would span a site
         // that is down at its release, re-plan with the floors visible so

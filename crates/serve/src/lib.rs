@@ -18,9 +18,9 @@
 //!   window the cached per-class champions reproduce the full
 //!   scatter-and-gather optimum exactly, and completed syncs garbage-
 //!   collect dead windows;
-//! * [`engine`] — [`ServeEngine`]: admission → (cached) planning →
-//!   calendar dispatch, with delivered IV re-costed against live queue
-//!   state;
+//! * [`engine`] — [`ServeEngine`]: admission → planning through the
+//!   cache → calendar dispatch, with delivered IV re-costed against live
+//!   queue state;
 //! * [`metrics`] — counters, gauges, fixed-boundary CL/SL/IV histograms
 //!   and a time-weighted queue-depth gauge, with snapshots and a text
 //!   dump;

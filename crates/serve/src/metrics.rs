@@ -10,6 +10,9 @@
 //! standard DES occupancy statistic), and delivered IV keeps streaming
 //! moments in an [`OnlineStats`].
 //!
+//! The plan cache keeps its own counters ([`PlanCache::hits`] and
+//! friends); a snapshot copies them rather than keeping a second count.
+//!
 //! [`ServeMetrics::snapshot`] freezes everything into plain-data
 //! [`MetricsSnapshot`] / [`HistogramSnapshot`] structs;
 //! [`MetricsSnapshot::to_text`] renders the snapshot in a
@@ -19,6 +22,8 @@
 use ivdss_obs::FixedHistogram;
 use ivdss_simkernel::stats::{OnlineStats, TimeWeighted};
 use ivdss_simkernel::time::{SimDuration, SimTime};
+
+use crate::cache::PlanCache;
 
 /// Upper bound (minutes) of the computational/synchronization latency
 /// histograms; 24 ten-minute buckets span `[0, 240)`.
@@ -40,10 +45,6 @@ pub struct ServeMetrics {
     queries_shed: u64,
     shed_iv: f64,
     queries_completed: u64,
-    plan_cache_hits: u64,
-    plan_cache_misses: u64,
-    plan_cache_invalidations: u64,
-    plan_cache_size: u64,
     faults_syncs_slipped: u64,
     faults_syncs_dropped: u64,
     faults_outages: u64,
@@ -68,10 +69,6 @@ impl ServeMetrics {
             queries_shed: 0,
             shed_iv: 0.0,
             queries_completed: 0,
-            plan_cache_hits: 0,
-            plan_cache_misses: 0,
-            plan_cache_invalidations: 0,
-            plan_cache_size: 0,
             faults_syncs_slipped: 0,
             faults_syncs_dropped: 0,
             faults_outages: 0,
@@ -140,26 +137,6 @@ impl ServeMetrics {
         self.iv_stats.record(iv);
     }
 
-    /// Counts one plan-cache hit.
-    pub fn record_cache_hit(&mut self) {
-        self.plan_cache_hits += 1;
-    }
-
-    /// Counts one plan-cache miss.
-    pub fn record_cache_miss(&mut self) {
-        self.plan_cache_misses += 1;
-    }
-
-    /// Counts `evicted` entries invalidated by synchronization events.
-    pub fn record_cache_invalidations(&mut self, evicted: u64) {
-        self.plan_cache_invalidations += evicted;
-    }
-
-    /// Sets the plan-cache size gauge.
-    pub fn set_cache_size(&mut self, size: usize) {
-        self.plan_cache_size = size as u64;
-    }
-
     /// Sets the queue-depth gauge at time `now`.
     ///
     /// # Panics
@@ -177,9 +154,10 @@ impl ServeMetrics {
     }
 
     /// Freezes the registry into a snapshot; `now` closes the
-    /// time-weighted queue-depth window.
+    /// time-weighted queue-depth window and `cache` supplies the
+    /// plan-cache fields.
     #[must_use]
-    pub fn snapshot(&self, now: SimTime) -> MetricsSnapshot {
+    pub fn snapshot(&self, now: SimTime, cache: &PlanCache) -> MetricsSnapshot {
         MetricsSnapshot {
             at: now,
             queries_submitted: self.queries_submitted,
@@ -187,10 +165,10 @@ impl ServeMetrics {
             queries_shed: self.queries_shed,
             shed_iv: self.shed_iv,
             queries_completed: self.queries_completed,
-            plan_cache_hits: self.plan_cache_hits,
-            plan_cache_misses: self.plan_cache_misses,
-            plan_cache_invalidations: self.plan_cache_invalidations,
-            plan_cache_size: self.plan_cache_size,
+            plan_cache_hits: cache.hits(),
+            plan_cache_misses: cache.misses(),
+            plan_cache_invalidations: cache.invalidations(),
+            plan_cache_size: cache.len() as u64,
             faults_syncs_slipped: self.faults_syncs_slipped,
             faults_syncs_dropped: self.faults_syncs_dropped,
             faults_outages: self.faults_outages,
@@ -412,7 +390,7 @@ mod tests {
         m.record_admitted();
         m.record_completion(SimDuration::new(15.0), SimDuration::new(45.0), 0.62);
         m.record_completion(SimDuration::new(500.0), SimDuration::new(5.0), 1.7);
-        let snap = m.snapshot(SimTime::new(10.0));
+        let snap = m.snapshot(SimTime::new(10.0), &PlanCache::new(1));
         assert_eq!(snap.queries_completed, 2);
         assert_eq!(snap.cl.count(), 2);
         assert_eq!(snap.cl.overflow, 1, "500 min exceeds the fixed range");
@@ -428,7 +406,7 @@ mod tests {
         for iv in on_edges {
             m.record_completion(SimDuration::ZERO, SimDuration::ZERO, iv);
         }
-        let snap = m.snapshot(SimTime::ZERO);
+        let snap = m.snapshot(SimTime::ZERO, &PlanCache::new(1));
         for (iv, bin) in on_edges.into_iter().zip([3, 6, 7, 12, 14, 19]) {
             assert_eq!(snap.iv.bins[bin], 1, "IV {iv} must land in bin {bin}");
             assert_eq!(snap.iv.upper_bound(bin - 1), iv, "bin {bin} opens at {iv}");
@@ -443,7 +421,7 @@ mod tests {
         let mut m = ServeMetrics::new(SimTime::ZERO);
         m.set_queue_depth(SimTime::new(0.0), 4);
         m.set_queue_depth(SimTime::new(5.0), 0);
-        let snap = m.snapshot(SimTime::new(10.0));
+        let snap = m.snapshot(SimTime::new(10.0), &PlanCache::new(1));
         // Depth 4 for half the window, 0 for the other half.
         assert!((snap.queue_depth_mean - 2.0).abs() < 1e-12);
         assert_eq!(snap.queue_depth_peak, 4.0);
@@ -455,7 +433,7 @@ mod tests {
         let mut m = ServeMetrics::new(SimTime::ZERO);
         m.record_completion(SimDuration::new(5.0), SimDuration::new(5.0), 0.5);
         m.record_completion(SimDuration::new(15.0), SimDuration::new(15.0), 0.9);
-        let text = m.snapshot(SimTime::new(1.0)).to_text();
+        let text = m.snapshot(SimTime::new(1.0), &PlanCache::new(1)).to_text();
         assert!(text.contains("serve_queries_completed_total 2"));
         assert!(text.contains("serve_cl_minutes_bucket{le=\"10\"} 1"));
         assert!(text.contains("serve_cl_minutes_bucket{le=\"20\"} 2"));
@@ -474,7 +452,7 @@ mod tests {
         m.record_fault_iv_lost(0.25);
         m.record_fault_iv_lost(0.5);
         m.record_shed(0.4);
-        let snap = m.snapshot(SimTime::new(1.0));
+        let snap = m.snapshot(SimTime::new(1.0), &PlanCache::new(1));
         assert_eq!(snap.faults_syncs_slipped, 2);
         assert_eq!(snap.faults_syncs_dropped, 1);
         assert_eq!(snap.faults_outages, 1);
@@ -495,13 +473,10 @@ mod tests {
     #[test]
     fn cache_hit_rate_handles_zero_lookups() {
         let m = ServeMetrics::new(SimTime::ZERO);
-        let snap = m.snapshot(SimTime::ZERO);
+        let mut snap = m.snapshot(SimTime::ZERO, &PlanCache::new(1));
         assert_eq!(snap.cache_hit_rate(), 0.0);
-        let mut m = ServeMetrics::new(SimTime::ZERO);
-        m.record_cache_hit();
-        m.record_cache_hit();
-        m.record_cache_miss();
-        let snap = m.snapshot(SimTime::ZERO);
+        snap.plan_cache_hits = 2;
+        snap.plan_cache_misses = 1;
         assert!((snap.cache_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
 }

@@ -242,7 +242,26 @@ fn run(s: &Scenario, tracer: &Tracer) -> (LoadReport, MetricsSnapshot) {
         );
     }
 
-    (report, engine.snapshot())
+    // The snapshot's plan-cache fields are the cache's own counters.
+    let snap = engine.snapshot();
+    let cache = engine.cache();
+    assert_eq!(
+        (
+            snap.plan_cache_hits,
+            snap.plan_cache_misses,
+            snap.plan_cache_invalidations,
+            snap.plan_cache_size
+        ),
+        (
+            cache.hits(),
+            cache.misses(),
+            cache.invalidations(),
+            cache.len() as u64
+        ),
+        "the snapshot must report the plan cache's counters"
+    );
+
+    (report, snap)
 }
 
 /// Submits every request, then drains; returns the completions in
@@ -390,13 +409,35 @@ fn tracing_a_faulted_run_changes_nothing_and_reconciles() {
         // the trace reconciles with the counter bit for bit.
         let mut trace_iv_lost = 0.0;
         let mut completed = 0usize;
+        let (mut hits, mut misses, mut evicted_total) = (0u64, 0u64, 0u64);
         for event in trace.events() {
-            if let EventKind::Completed { iv_lost, .. } = event.kind {
-                trace_iv_lost += iv_lost;
-                completed += 1;
+            match event.kind {
+                EventKind::Completed { iv_lost, .. } => {
+                    trace_iv_lost += iv_lost;
+                    completed += 1;
+                }
+                EventKind::CacheLookup { hit, .. } => {
+                    if hit {
+                        hits += 1;
+                    } else {
+                        misses += 1;
+                    }
+                }
+                EventKind::RevisionApplied { evicted, .. }
+                | EventKind::CacheInvalidated { evicted } => evicted_total += evicted as u64,
+                _ => {}
             }
         }
         assert_eq!(completed, traced.completions.len());
+        assert_eq!(
+            (hits, misses, evicted_total),
+            (
+                snap.plan_cache_hits,
+                snap.plan_cache_misses,
+                snap.plan_cache_invalidations
+            ),
+            "seed {seed}: each cache lookup and eviction leaves one trace record"
+        );
         assert_eq!(
             trace_iv_lost.to_bits(),
             snap.faults_iv_lost_total.to_bits(),

@@ -7,6 +7,8 @@ use ivdss_catalog::catalog::Catalog;
 use ivdss_catalog::ids::TableId;
 use ivdss_catalog::replica::{ReplicaSpec, ReplicationPlan};
 use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
+use ivdss_core::plan::{NoQueues, PlanContext};
+use ivdss_core::search::ScatterGatherSearch;
 use ivdss_core::value::{BusinessValue, DiscountRates};
 use ivdss_costmodel::model::StylizedCostModel;
 use ivdss_costmodel::query::{QueryId, QuerySpec};
@@ -16,6 +18,7 @@ use ivdss_serve::clock::DesClock;
 use ivdss_serve::engine::{ServeConfig, ServeEngine};
 use ivdss_serve::loadgen::{run_open_loop, OpenLoopConfig};
 use ivdss_simkernel::time::{SimDuration, SimTime};
+use ivdss_workloads::stream::ArrivalStream;
 
 fn t(i: u32) -> TableId {
     TableId::new(i)
@@ -188,39 +191,49 @@ fn runs_are_deterministic() {
 }
 
 #[test]
-fn cache_off_delivers_identical_iv() {
-    // The cache is an exactness-preserving optimization: the delivered
-    // IV stream must be bit-identical with and without it.
+fn dispatched_plans_equal_the_search_at_submission() {
+    // The plan cache is the engine's only planner, and it is exact: every
+    // dispatched plan is the scatter-and-gather search's answer under
+    // `NoQueues` at the query's submission time, bit for bit.
     let (catalog, timelines, model) = fixture();
-    let run = |use_cache: bool| {
-        let mut config = ServeConfig::new(DiscountRates::new(0.01, 0.05));
-        config.use_cache = use_cache;
-        let mut engine = ServeEngine::new(&catalog, &timelines, &model, config, DesClock::new());
-        run_open_loop(
-            &mut engine,
-            templates(),
-            &OpenLoopConfig {
-                queries: 150,
-                mean_interarrival: 1.5,
-                seed: 5,
-                business_value: BusinessValue::UNIT,
-            },
-        )
-        .unwrap()
-        .completions
-        .iter()
-        .map(|c| (c.query, c.evaluation.information_value.value()))
-        .collect::<Vec<_>>()
+    let rates = DiscountRates::new(0.01, 0.05);
+    let requests = ArrivalStream::new(templates(), 1.5, 5).take_requests(150);
+    let mut engine = ServeEngine::new(
+        &catalog,
+        &timelines,
+        &model,
+        ServeConfig::new(rates),
+        DesClock::new(),
+    );
+    for request in &requests {
+        engine.submit(request.clone()).unwrap();
+    }
+    engine.drain().unwrap();
+    assert!(engine.cache().hits() > 0 && engine.cache().misses() > 0);
+
+    let ctx = PlanContext {
+        catalog: &catalog,
+        timelines: &timelines,
+        model: &model,
+        rates,
+        queues: &NoQueues,
     };
-    let cached = run(true);
-    let fresh = run(false);
-    assert_eq!(cached.len(), fresh.len());
-    for ((qc, ivc), (qf, ivf)) in cached.iter().zip(fresh.iter()) {
-        assert_eq!(qc, qf);
-        assert!(
-            (ivc - ivf).abs() <= 1e-12 * ivf.max(1.0),
-            "{qc}: cached {ivc} vs fresh {ivf}"
+    let search = ScatterGatherSearch::new();
+    for request in &requests {
+        let query = request.id();
+        let audit = engine.plan_audit(query).expect("every query is dispatched");
+        assert_eq!(audit.decided_at, request.submitted_at, "{query}");
+        let best = search
+            .search_from(&ctx, request, request.submitted_at)
+            .unwrap()
+            .best;
+        assert_eq!(audit.chosen_release, best.execute_at, "{query}");
+        assert_eq!(
+            audit.chosen_local,
+            best.local_tables.iter().copied().collect::<Vec<_>>(),
+            "{query}"
         );
+        assert_eq!(audit.planned_iv, best.information_value.value(), "{query}");
     }
 }
 

@@ -74,10 +74,10 @@ fn run_golden() -> String {
     });
     let mut stream = ArrivalStream::new(templates, 2.0, seeds.seed_for("arrivals"));
 
-    // Cache off so the trace also snapshots the full search telemetry
-    // (waves, bound trajectory) rather than just cache lookups.
-    let mut config = ServeConfig::new(DiscountRates::new(0.01, 0.05));
-    config.use_cache = false;
+    // Plans come from the plan cache (`cache_lookup` lines); the
+    // outage re-plans still snapshot the full search telemetry (waves,
+    // bound trajectory).
+    let config = ServeConfig::new(DiscountRates::new(0.01, 0.05));
 
     let trace = Arc::new(Trace::new());
     let tracer = Tracer::recording(Arc::clone(&trace));
@@ -119,6 +119,9 @@ fn golden_trace_matches_fixture_byte_for_byte() {
         "fault_outage_planned",
         "submitted",
         " admission ",
+        "cache_lookup",
+        "cache_invalidated",
+        "revision_applied",
         "search_started",
         "search_wave",
         "search_bound",

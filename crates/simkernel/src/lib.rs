@@ -58,8 +58,6 @@ pub mod time;
 
 pub use events::{Engine, EventQueue};
 pub use facility::{Calendar, ServiceWindow};
-pub use rng::{
-    ConstantStream, ErlangStream, ExponentialStream, SeedFactory, Stream, UniformStream,
-};
+pub use rng::{ExponentialStream, SeedFactory, Stream, UniformStream};
 pub use stats::{OnlineStats, SampleSet, TimeWeighted};
 pub use time::{SimDuration, SimTime};

@@ -4,9 +4,9 @@
 //! JavaSim's `ExponentialStream` ("returns an exponentially distributed
 //! stream of random numbers with mean value specified by mean"). This module
 //! reproduces that interface: a [`Stream`] yields positive `f64` samples, and
-//! concrete streams ([`ExponentialStream`], [`UniformStream`],
-//! [`ConstantStream`], [`ErlangStream`]) cover the distributions the
-//! experiments need. All streams are deterministic given a seed.
+//! two concrete streams ([`ExponentialStream`], [`UniformStream`]) cover the
+//! distributions the experiments need. All streams are deterministic given a
+//! seed.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -124,88 +124,6 @@ impl Stream for UniformStream {
     }
 }
 
-/// A degenerate stream that always returns the same value.
-///
-/// Useful for strictly periodic synchronization schedules and for making
-/// tests deterministic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConstantStream {
-    value: f64,
-}
-
-impl ConstantStream {
-    /// Creates a stream that always yields `value`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` is negative or not finite.
-    #[must_use]
-    pub fn new(value: f64) -> Self {
-        assert!(
-            value.is_finite() && value >= 0.0,
-            "constant stream value must be non-negative and finite"
-        );
-        ConstantStream { value }
-    }
-}
-
-impl Stream for ConstantStream {
-    fn next_sample(&mut self) -> f64 {
-        self.value
-    }
-
-    fn mean(&self) -> Option<f64> {
-        Some(self.value)
-    }
-}
-
-/// Erlang-`k` distributed stream (sum of `k` i.i.d. exponentials) with the
-/// given overall mean — a lower-variance alternative to the exponential
-/// stream for sensitivity/ablation experiments.
-#[derive(Debug, Clone)]
-pub struct ErlangStream {
-    k: u32,
-    mean: f64,
-    rng: StdRng,
-}
-
-impl ErlangStream {
-    /// Creates an Erlang-`k` stream with the given overall `mean`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0` or `mean` is not strictly positive and finite.
-    #[must_use]
-    pub fn new(k: u32, mean: f64, seed: u64) -> Self {
-        assert!(k > 0, "Erlang shape k must be positive");
-        assert!(
-            mean.is_finite() && mean > 0.0,
-            "Erlang mean must be positive and finite"
-        );
-        ErlangStream {
-            k,
-            mean,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl Stream for ErlangStream {
-    fn next_sample(&mut self) -> f64 {
-        let stage_mean = self.mean / f64::from(self.k);
-        let mut total = 0.0;
-        for _ in 0..self.k {
-            let u: f64 = self.rng.random();
-            total += -stage_mean * (1.0 - u).ln();
-        }
-        total
-    }
-
-    fn mean(&self) -> Option<f64> {
-        Some(self.mean)
-    }
-}
-
 /// A seed factory that derives independent, reproducible sub-seeds.
 ///
 /// Each named component of a simulation (arrival stream, per-table sync
@@ -300,37 +218,6 @@ mod tests {
             assert!((1.0..3.0).contains(&x));
         }
         assert_eq!(s.mean(), Some(2.0));
-    }
-
-    #[test]
-    fn constant_stream_is_constant() {
-        let mut s = ConstantStream::new(4.0);
-        assert_eq!(s.next_sample(), 4.0);
-        assert_eq!(s.next_duration(), SimDuration::new(4.0));
-        assert_eq!(s.mean(), Some(4.0));
-    }
-
-    #[test]
-    fn erlang_mean_is_close() {
-        let mut s = ErlangStream::new(4, 8.0, 55);
-        let n = 100_000;
-        let total: f64 = (0..n).map(|_| s.next_sample()).sum();
-        let mean = total / f64::from(n);
-        assert!((mean - 8.0).abs() < 0.15, "empirical mean {mean}");
-    }
-
-    #[test]
-    fn erlang_has_lower_variance_than_exponential() {
-        let var = |samples: &[f64]| {
-            let m = samples.iter().sum::<f64>() / samples.len() as f64;
-            samples.iter().map(|x| (x - m).powi(2)).sum::<f64>() / samples.len() as f64
-        };
-        let n = 50_000;
-        let mut e = ExponentialStream::new(10.0, 1);
-        let mut k = ErlangStream::new(5, 10.0, 1);
-        let es: Vec<f64> = (0..n).map(|_| e.next_sample()).collect();
-        let ks: Vec<f64> = (0..n).map(|_| k.next_sample()).collect();
-        assert!(var(&ks) < var(&es));
     }
 
     #[test]

@@ -187,9 +187,9 @@ impl TableStorage {
         self.pages[rid.page].write_bytes(&self.layout, rid.slot, field, value);
     }
 
-    /// Reads a byte field of a record.
-    #[must_use]
-    pub fn get_bytes(&self, rid: RecordId, field: usize) -> &[u8] {
+    /// Reads a byte field of a record (a read-back for tests).
+    #[cfg(test)]
+    fn get_bytes(&self, rid: RecordId, field: usize) -> &[u8] {
         self.pages[rid.page].read_bytes(&self.layout, rid.slot, field)
     }
 }

@@ -31,7 +31,7 @@ pub mod stream;
 pub mod synthetic;
 pub mod tpch;
 
-pub use stream::{ArrivalStream, FrequencyRatio, RequestSource};
+pub use stream::{ArrivalStream, FrequencyRatio};
 pub use synthetic::{
     measured_overlap, overlapping_queries, random_queries, OverlapConfig, RandomQueryConfig,
 };

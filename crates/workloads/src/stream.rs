@@ -63,41 +63,6 @@ impl FrequencyRatio {
     }
 }
 
-/// A pull-based source of timed query requests — the generator seam
-/// shared by the paper's exponential [`ArrivalStream`] (unbounded,
-/// always yields) and richer scenario engines (bounded horizons,
-/// non-homogeneous arrival processes), so drivers can consume traffic
-/// without knowing which generator produced it.
-///
-/// Implementations must be deterministic for a fixed seed and must
-/// yield requests with non-decreasing `submitted_at` times.
-///
-/// # Examples
-///
-/// ```
-/// use ivdss_workloads::stream::{ArrivalStream, RequestSource};
-/// use ivdss_workloads::tpch::tpch_query_specs;
-///
-/// fn drain(source: &mut dyn RequestSource, n: usize) -> usize {
-///     (0..n).map_while(|_| source.next_request()).count()
-/// }
-///
-/// let mut arrivals = ArrivalStream::new(tpch_query_specs(), 20.0, 7);
-/// // The exponential stream is unbounded: it never runs dry.
-/// assert_eq!(drain(&mut arrivals, 50), 50);
-/// ```
-pub trait RequestSource {
-    /// Generates the next arrival, or `None` once the source is
-    /// exhausted (e.g. a scenario past its horizon).
-    fn next_request(&mut self) -> Option<QueryRequest>;
-}
-
-impl RequestSource for ArrivalStream {
-    fn next_request(&mut self) -> Option<QueryRequest> {
-        Some(ArrivalStream::next_request(self))
-    }
-}
-
 /// Generates a stream of [`QueryRequest`]s from a set of templates.
 #[derive(Debug, Clone)]
 pub struct ArrivalStream {
@@ -217,17 +182,6 @@ mod tests {
         assert_eq!(FrequencyRatio::paper_fig5().len(), 4);
         // 1:0.1 means syncs are 10× rarer than queries.
         assert_eq!(FrequencyRatio::one_to(0.1).sync_period(20.0), 200.0);
-    }
-
-    #[test]
-    fn request_source_matches_inherent_stream() {
-        let mut inherent = ArrivalStream::new(templates(), 5.0, 11);
-        let mut via_trait = ArrivalStream::new(templates(), 5.0, 11);
-        let source: &mut dyn RequestSource = &mut via_trait;
-        for _ in 0..20 {
-            let expected = inherent.next_request();
-            assert_eq!(source.next_request(), Some(expected));
-        }
     }
 
     #[test]

@@ -5,14 +5,22 @@
 # and exits non-zero if it lists anything. There is no allowlist.
 #
 # "The code" is every .rs line under crates, src, tests, examples and
-# servebench/src, minus comment lines and `pub use` statements (so a
-# re-export is not a caller). A name counts once per occurrence as a
-# whole identifier, including inside string literals and trailing
-# comments.
+# servebench/src, minus comment lines, `pub use` statements (so a
+# re-export is not a caller) and, under crates/*/src and src/, every
+# `#[cfg(test)]` item: the attribute line plus the item after it, up to
+# its matching closing brace (or its `;` if it has no body). A name
+# counts once per occurrence as a whole identifier, including inside
+# string literals and trailing comments.
 #
-# Blind spot: an item called only by its own unit tests has two or more
-# occurrences and is not listed. Finding those takes a hand check of
-# each item's callers.
+# So an item that only its own unit tests call is listed too. Items
+# under `#[cfg(test)]` are test code and are not scanned as
+# definitions; a read-back that only tests use belongs there.
+#
+# Blind spot: callers in integration tests (crates/*/tests, tests/)
+# still count, since those test the public surface, so an item that
+# only an integration test calls is not listed. Finding those takes a
+# hand check of each item's callers. Doctests do not count as callers
+# (they are comment lines).
 #
 # Usage: scripts/deadcode.sh   (from anywhere; runs in ~0.1 s)
 set -euo pipefail
@@ -23,17 +31,41 @@ code_files() {
   find crates src tests examples servebench/src -name '*.rs' -type f | sort
 }
 
+# Shared awk prelude: drops `#[cfg(test)]` items under crates/*/src and
+# src/. Braces inside string and char literals and `//` comments do not
+# count towards the match.
+skip_tests='
+  function bare(s) {
+    gsub(/"([^"\\]|\\.)*"/, "\"\"", s)
+    gsub(/'"'"'([^'"'"'\\]|\\.)'"'"'/, "x", s)
+    sub(/\/\/.*/, "", s)
+    return s
+  }
+  FNR == 1 {
+    in_use = 0; skip = 0
+    unit = FILENAME ~ /^(crates\/[^\/]+\/)?src\//
+  }
+  skip {
+    s = bare($0)
+    opens = gsub(/\{/, "{", s)
+    depth += opens - gsub(/\}/, "}", s)
+    if (opens > 0) opened = 1
+    if (opened ? depth <= 0 : s ~ /;/) skip = 0
+    next
+  }
+  unit && /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { skip = 1; depth = 0; opened = 0; next }
+'
+
 # Identifier counts over the code, one "count name" line per identifier.
-counts=$(code_files | xargs awk '
-  FNR == 1 { in_use = 0 }
+counts=$(code_files | xargs awk "$skip_tests"'
   in_use { if ($0 ~ /;/) in_use = 0; next }
   /^[[:space:]]*\/\// { next }
   /^[[:space:]]*pub use / { if ($0 !~ /;/) in_use = 1; next }
   { print }
 ' | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort | uniq -c)
 
-# Public definitions as "file:line name".
-defs=$(find crates/*/src src -name '*.rs' -type f | sort | xargs awk '
+# Public definitions outside test code, as "file:line name".
+defs=$(find crates/*/src src -name '*.rs' -type f | sort | xargs awk "$skip_tests"'
   /^[[:space:]]*\/\// { next }
   match($0, /^[[:space:]]*pub (const fn|fn|struct|enum|trait|const|type|static) [A-Za-z_][A-Za-z0-9_]*/) {
     n = split(substr($0, RSTART, RLENGTH), w, " ")

@@ -123,8 +123,8 @@ pub mod prelude {
         TimelineRevision,
     };
     pub use ivdss_scenarios::{
-        all_scenarios, scenario_by_name, ArrivalProcess, GrowthSpec, IntensityProfile, Popularity,
-        ScenarioEvent, ScenarioSpec, ScenarioWorld, TenantMix, TenantSpec, ZipfSampler,
+        all_scenarios, ArrivalProcess, GrowthSpec, IntensityProfile, Popularity, ScenarioEvent,
+        ScenarioSpec, ScenarioWorld, TenantMix, TenantSpec, ZipfSampler,
     };
     pub use ivdss_sched::{
         fixed_budget, greedy_schedule, reschedule_revisions, AdaptiveConfig, AdaptiveOutcome,
@@ -140,6 +140,6 @@ pub mod prelude {
     pub use ivdss_storage::{DeviceProfile, ScanMeasurement, StorageConfig, StorageEngine};
     pub use ivdss_workloads::{
         mid_cost_query_specs, overlapping_queries, random_queries, tpch_query_specs, ArrivalStream,
-        FrequencyRatio, OverlapConfig, RandomQueryConfig, RequestSource,
+        FrequencyRatio, OverlapConfig, RandomQueryConfig,
     };
 }
