@@ -1,7 +1,8 @@
-//! # ivdss-bench — figure regeneration and performance benchmarks
+//! # ivdss-bench — figure regeneration and experiment reports
 //!
 //! Binaries (run with `cargo run -p ivdss-bench --release --bin <name>`,
-//! add `--quick` for a scaled-down run):
+//! add `--quick` for a scaled-down run; `scripts/bench.sh` runs them
+//! all in order):
 //!
 //! * `fig4` — the §3.1 scatter-and-gather worked example;
 //! * `fig5` — information value vs synchronization frequency (Fig. 5a–d);
@@ -9,16 +10,13 @@
 //! * `fig7` — per-query synchronization latency (Fig. 7a–c);
 //! * `fig8` — information value vs number of sites (Fig. 8a–b);
 //! * `fig9` — the effect of multi-query optimization (Fig. 9a–b);
-//! * `all_figures` — everything above in sequence.
+//! * `ablations` — the pruning bound, the GA scheduler, the cost model
+//!   and the aging policy (the design choices DESIGN.md calls out);
+//! * `planner_scaling`, `cluster_scaling`, `sched_gain`, `scenarios`,
+//!   `storage_calibration` — the machine-readable `BENCH_*.json`
+//!   reports.
 //!
-//! Criterion benches (`cargo bench -p ivdss-bench`):
-//!
-//! * `plan_search` — scatter-and-gather vs exhaustive search (the
-//!   pruning-bound ablation);
-//! * `ga_convergence` — GA workload-ordering cost across workload sizes
-//!   and an exhaustive-oracle comparison point;
-//! * `simulator` — end-to-end simulation throughput per planner;
-//! * `iv_math` — the information-value formula and its inversion.
+//! Serving throughput is measured by `servebench/` alone.
 
 /// Returns `true` if the process arguments request a scaled-down run.
 #[must_use]

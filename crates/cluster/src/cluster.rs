@@ -174,15 +174,6 @@ pub struct ClusterReport {
 }
 
 impl ClusterReport {
-    /// Sum of delivered IV across this step's completions.
-    #[must_use]
-    pub fn delivered_iv(&self) -> f64 {
-        self.completed
-            .iter()
-            .map(|(_, c)| c.evaluation.information_value.value())
-            .sum()
-    }
-
     fn absorb(&mut self, shard: ShardId, report: SubmitReport) {
         if let Some(q) = report.shed {
             self.shed.push((Some(shard), q));
@@ -340,34 +331,10 @@ impl<'a, C: Clock + Clone> Cluster<'a, C> {
         self.engines[0].now()
     }
 
-    /// The router.
-    #[must_use]
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &ClusterConfig {
-        &self.config
-    }
-
-    /// The cluster-level counters.
-    #[must_use]
-    pub fn metrics(&self) -> &ClusterMetrics {
-        &self.metrics
-    }
-
     /// The per-shard engines, in shard-id order.
     #[must_use]
     pub fn engines(&self) -> &[ServeEngine<'a, C>] {
         &self.engines
-    }
-
-    /// One shard's engine.
-    #[must_use]
-    pub fn engine(&self, shard: ShardId) -> &ServeEngine<'a, C> {
-        &self.engines[shard.index()]
     }
 
     /// Shards currently inside a scheduled outage window.
@@ -390,10 +357,11 @@ impl<'a, C: Clock + Clone> Cluster<'a, C> {
         )
     }
 
-    /// Prometheus-style text exposition: the cluster dump (with every
-    /// shard's section), followed — when a tracer is attached — by the
-    /// shared trace's event counters and derived histograms, which
-    /// aggregate *all* shards' completions.
+    /// Prometheus-style text exposition: the cluster dump (its
+    /// counters, the cluster-wide CL, SL, delivered-IV and IV-lost
+    /// histograms merged exactly from the shards, and every shard's
+    /// section labelled `shard="<i>"`), followed — when a tracer is
+    /// attached — by the shared trace's per-kind event counters.
     #[must_use]
     pub fn exposition(&self) -> String {
         let mut out = self.snapshot().to_text();

@@ -17,10 +17,11 @@
 //!   order, IV-guarded cross-shard work stealing when a shard idles,
 //!   and full-shard outage failover (evacuate, re-route, re-admit)
 //!   that never silently loses a query.
-//! - [`metrics`] — cluster counters plus per-shard snapshots;
-//!   histograms and traces aggregate through the shared
-//!   [`Trace`](ivdss_obs::Trace) every engine emits into, scoped per
-//!   shard via [`Tracer::for_shard`](ivdss_obs::Tracer::for_shard).
+//! - [`metrics`] — cluster counters plus per-shard snapshots, whose
+//!   histograms merge exactly into the cluster-wide ones. Traces
+//!   aggregate through the shared [`Trace`](ivdss_obs::Trace) every
+//!   engine emits into, scoped per shard via
+//!   [`Tracer::for_shard`](ivdss_obs::Tracer::for_shard).
 //!
 //! Everything is driven by one starting [`Clock`](ivdss_serve::clock::Clock)
 //! and contains no randomness of its own, so seeded cluster runs are

@@ -4,12 +4,12 @@
 //! its own full [`ServeMetrics`](ivdss_serve::metrics::ServeMetrics)
 //! registry; the cluster adds only what no single engine can see —
 //! routing coverage, steals, shard outages and failovers — and its
-//! snapshot embeds every per-shard
-//! [`MetricsSnapshot`] next to
-//! the cross-shard sums. Latency/IV *histograms* aggregate through the
-//! shared trace (all shards emit into one
-//! [`Trace`](ivdss_obs::Trace), whose exposition derives them), so the
-//! cluster never re-implements histogram merging.
+//! snapshot embeds every per-shard [`MetricsSnapshot`] next to the
+//! cross-shard sums. The cluster-wide latency and IV histograms are
+//! the shards' [`FixedHistogram`](ivdss_obs::FixedHistogram)s merged
+//! at render time. [`FixedHistogram::merge`](ivdss_obs::FixedHistogram::merge)
+//! is exact, so they equal one histogram fed every shard's
+//! completions, with or without a tracer attached.
 
 use ivdss_serve::metrics::MetricsSnapshot;
 use ivdss_simkernel::time::SimTime;
@@ -72,18 +72,6 @@ impl ClusterMetrics {
     pub fn record_failover(&mut self, rerouted: u64, shed: u64) {
         self.failover_rerouted += rerouted;
         self.failover_shed += shed;
-    }
-
-    /// Queries offered to the front door so far.
-    #[must_use]
-    pub fn submitted(&self) -> u64 {
-        self.submitted
-    }
-
-    /// Work-stealing transfers so far.
-    #[must_use]
-    pub fn steals(&self) -> u64 {
-        self.steals
     }
 
     /// Point-in-time snapshot combining the cluster counters with every
@@ -163,8 +151,10 @@ impl ClusterSnapshot {
         self.shards.iter().map(|s| s.faults_iv_lost_total).sum()
     }
 
-    /// Renders the cluster counters followed by each shard's full
-    /// Prometheus-flavoured dump.
+    /// Renders the cluster counters, the cluster-wide histograms
+    /// (each shard's merged), then each shard's full section with every
+    /// sample labelled `shard="<i>"`, so no two lines share a name and
+    /// label set.
     #[must_use]
     pub fn to_text(&self) -> String {
         use std::fmt::Write as _;
@@ -196,9 +186,18 @@ impl ClusterSnapshot {
             "cluster_faults_iv_lost_total {}",
             self.faults_iv_lost_total()
         );
+        if let Some((first, rest)) = self.shards.split_first() {
+            for (i, (name, histogram)) in first.histograms().into_iter().enumerate() {
+                let mut merged = histogram.clone();
+                for shard in rest {
+                    merged.merge(shard.histograms()[i].1);
+                }
+                merged.expose(&format!("cluster_{name}"), "", &mut out);
+            }
+        }
         for (idx, shard) in self.shards.iter().enumerate() {
             let _ = writeln!(out, "# shard {idx}");
-            out.push_str(&shard.to_text());
+            shard.write_text(&format!("shard=\"{idx}\""), &mut out);
         }
         out
     }

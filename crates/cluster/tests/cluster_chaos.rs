@@ -13,13 +13,21 @@
 //!    IV sums (`f64::to_bits` equality, same accumulation order), and
 //!    the cluster counters (routing, steals, failover) against their
 //!    event counts.
+//!
+//! The same scenario, served by a bare engine and by a 2-shard cluster,
+//! also checks the text exposition: well-formed histograms, one line
+//! per name and label set, cluster histograms that are the bucket-wise
+//! sum of the shard sections, and a trace that adds only its
+//! `obs_events_total` counters.
 
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use ivdss_catalog::ids::ShardId;
 use ivdss_catalog::placement::PlacementStrategy;
 use ivdss_catalog::sharding::{ShardAssignment, ShardStrategy};
 use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
+use ivdss_catalog::Catalog;
 use ivdss_cluster::{
     Cluster, ClusterConfig, ClusterSnapshot, ShardOutage, ShardRouter, ShardTimelines,
 };
@@ -29,7 +37,7 @@ use ivdss_faults::{FaultConfig, FaultPlan};
 use ivdss_obs::{AdmissionVerdict, EventKind, Trace, TraceEvent, Tracer};
 use ivdss_replication::timelines::{SyncMode, SyncTimelines};
 use ivdss_serve::clock::DesClock;
-use ivdss_serve::engine::ServeConfig;
+use ivdss_serve::engine::{ServeConfig, ServeEngine};
 use ivdss_simkernel::rng::SeedFactory;
 use ivdss_simkernel::time::{SimDuration, SimTime};
 use ivdss_workloads::stream::ArrivalStream;
@@ -39,8 +47,17 @@ const SEEDS: u64 = 20;
 const SHARDS: usize = 3;
 const QUERIES: usize = 24;
 
-/// One seeded chaos run; returns the final snapshot and the trace.
-fn run_chaos(seed: u64) -> (ClusterSnapshot, Vec<TraceEvent>) {
+/// The seeded chaos world every test here serves.
+struct Scenario {
+    catalog: Catalog,
+    timelines: SyncTimelines,
+    faults: FaultPlan,
+    stream: ArrivalStream,
+    serve: ServeConfig,
+    shard_seed: u64,
+}
+
+fn scenario(seed: u64) -> Scenario {
     let seeds = SeedFactory::new(seed);
     let catalog = synthetic_catalog(&SyntheticConfig {
         tables: 9,
@@ -53,15 +70,6 @@ fn run_chaos(seed: u64) -> (ClusterSnapshot, Vec<TraceEvent>) {
     })
     .expect("chaos catalog configuration is valid");
     let timelines = SyncTimelines::from_plan(catalog.replication(), SyncMode::Deterministic);
-    let assignment = ShardAssignment::partition(
-        &catalog,
-        SHARDS,
-        ShardStrategy::BySite,
-        seeds.seed_for("shards"),
-    );
-    let router = ShardRouter::new(assignment);
-    let shard_timelines = ShardTimelines::build(&timelines, &router);
-    let model = StylizedCostModel::paper_fig4();
     let faults = FaultPlan::generate(
         &FaultConfig {
             slip_probability: 0.25,
@@ -83,28 +91,47 @@ fn run_chaos(seed: u64) -> (ClusterSnapshot, Vec<TraceEvent>) {
         weight_range: (0.8, 2.0),
         seed: seeds.seed_for("queries"),
     });
-    let mut stream = ArrivalStream::new(templates, 0.5, seeds.seed_for("arrivals"));
+    let stream = ArrivalStream::new(templates, 0.5, seeds.seed_for("arrivals"));
 
     // Zero dispatch tolerance builds real queues, so the mid-run shard
     // outage evacuates a non-empty queue on most seeds.
     let mut serve = ServeConfig::new(DiscountRates::new(0.05, 0.01));
     serve.dispatch_backlog = SimDuration::ZERO;
+    Scenario {
+        catalog,
+        timelines,
+        faults,
+        stream,
+        serve,
+        shard_seed: seeds.seed_for("shards"),
+    }
+}
 
-    let trace = Arc::new(Trace::new());
-    let tracer = Tracer::recording(Arc::clone(&trace));
+/// One seeded chaos run on `shards` shards, one of which goes down
+/// mid-run; returns the final snapshot and the cluster's exposition.
+fn run_cluster(seed: u64, shards: usize, tracer: Tracer) -> (ClusterSnapshot, String) {
+    let mut s = scenario(seed);
+    let assignment =
+        ShardAssignment::partition(&s.catalog, shards, ShardStrategy::BySite, s.shard_seed);
+    let router = ShardRouter::new(assignment);
+    let shard_timelines = ShardTimelines::build(&s.timelines, &router);
+    let model = StylizedCostModel::paper_fig4();
     // The down shard rotates with the seed so every shard position gets
     // hit across the band.
-    let victim = ShardId::new((seed % SHARDS as u64) as u32);
+    let victim = ShardId::new((seed % shards as u64) as u32);
     let mut cluster = Cluster::new(
-        &catalog,
+        &s.catalog,
         &shard_timelines,
         &model,
         router,
-        ClusterConfig { serve, steal: true },
+        ClusterConfig {
+            serve: s.serve,
+            steal: true,
+        },
         DesClock::new(),
     )
     .with_tracer(tracer)
-    .with_faults(faults)
+    .with_faults(s.faults)
     .with_shard_outages(vec![ShardOutage::new(
         victim,
         SimTime::new(3.0),
@@ -113,30 +140,48 @@ fn run_chaos(seed: u64) -> (ClusterSnapshot, Vec<TraceEvent>) {
 
     for _ in 0..QUERIES {
         cluster
-            .submit(stream.next_request())
+            .submit(s.stream.next_request())
             .expect("chaos submission plans");
     }
     cluster.drain().expect("chaos drain plans");
-    (cluster.snapshot(), trace.events())
+    (cluster.snapshot(), cluster.exposition())
+}
+
+/// One seeded chaos run on [`SHARDS`] shards; returns the final
+/// snapshot and the trace.
+fn run_chaos(seed: u64) -> (ClusterSnapshot, Vec<TraceEvent>) {
+    let trace = Arc::new(Trace::new());
+    let (snapshot, _) = run_cluster(seed, SHARDS, Tracer::recording(Arc::clone(&trace)));
+    (snapshot, trace.events())
+}
+
+/// The same scenario served by one faulted engine; returns its
+/// exposition.
+fn run_engine(seed: u64, tracer: Tracer) -> String {
+    let mut s = scenario(seed);
+    let model = StylizedCostModel::paper_fig4();
+    let mut engine = ServeEngine::with_faults(
+        &s.catalog,
+        &s.timelines,
+        &model,
+        s.serve,
+        DesClock::new(),
+        s.faults,
+    )
+    .with_tracer(tracer);
+    for _ in 0..QUERIES {
+        engine
+            .submit(s.stream.next_request())
+            .expect("chaos submission plans");
+    }
+    engine.drain().expect("chaos drain plans");
+    engine.exposition()
 }
 
 /// Folds `values` in event order — the same order the engine's metrics
 /// accumulated in — so sums can be compared with `f64::to_bits`.
 fn bitwise_sum(values: impl Iterator<Item = f64>) -> f64 {
     values.fold(0.0, |acc, v| acc + v)
-}
-
-/// Replays the engine's Welford accumulator (`OnlineStats::sum()` is
-/// `mean * count`) over `values` in event order, reproducing the exact
-/// float operations the metrics registry performed.
-fn welford_sum(values: impl Iterator<Item = f64>) -> f64 {
-    let mut count = 0u64;
-    let mut mean = 0.0f64;
-    for x in values {
-        count += 1;
-        mean += (x - mean) / count as f64;
-    }
-    mean * count as f64
 }
 
 #[test]
@@ -196,7 +241,7 @@ fn trace_and_metrics_reconcile_bit_for_bit() {
                 shard.queries_completed,
                 "seed {seed} shard {idx}: completion count"
             );
-            let trace_iv = welford_sum(completions.iter().map(|(iv, _)| *iv));
+            let trace_iv = bitwise_sum(completions.iter().map(|(iv, _)| *iv));
             assert_eq!(
                 trace_iv.to_bits(),
                 shard.total_delivered_iv.to_bits(),
@@ -265,4 +310,200 @@ fn trace_and_metrics_reconcile_bit_for_bit() {
             "seed {seed}: cluster IV is the ordered shard sum"
         );
     }
+}
+
+/// One sample line of a text exposition.
+struct Sample<'a> {
+    name: &'a str,
+    /// The label set without `le`, as written (empty for none).
+    labels: String,
+    le: Option<&'a str>,
+    value: &'a str,
+}
+
+fn samples(text: &str) -> Vec<Sample<'_>> {
+    text.lines()
+        .filter(|line| !line.starts_with('#'))
+        .map(|line| {
+            let (series, value) = line.rsplit_once(' ').expect("`series value`");
+            let (name, inner) = match series.split_once('{') {
+                Some((name, rest)) => (name, rest.strip_suffix('}').expect("closed labels")),
+                None => (series, ""),
+            };
+            let mut le = None;
+            let mut labels = Vec::new();
+            for pair in inner.split(',').filter(|p| !p.is_empty()) {
+                match pair.strip_prefix("le=") {
+                    Some(bound) => le = Some(bound.trim_matches('"')),
+                    None => labels.push(pair),
+                }
+            }
+            Sample {
+                name,
+                labels: labels.join(","),
+                le,
+                value,
+            }
+        })
+        .collect()
+}
+
+/// Checks what every exposition must satisfy: no two lines share a
+/// name and label set, and every histogram has cumulative `_bucket`
+/// lines ending at `le="+Inf"`, a `_sum`, and a `_count` equal to the
+/// `+Inf` bucket. Returns each histogram's buckets by (name, labels).
+fn check_well_formed(text: &str) -> BTreeMap<(String, String), Vec<(String, u64)>> {
+    let mut seen = HashSet::new();
+    for line in text.lines().filter(|l| !l.starts_with('#')) {
+        let (series, _) = line.rsplit_once(' ').expect("`series value`");
+        assert!(seen.insert(series), "duplicate series `{series}`");
+    }
+    let parsed = samples(text);
+    let scalar: HashMap<(&str, &str), &str> = parsed
+        .iter()
+        .filter(|s| s.le.is_none())
+        .map(|s| ((s.name, s.labels.as_str()), s.value))
+        .collect();
+    let mut histograms: BTreeMap<(String, String), Vec<(String, u64)>> = BTreeMap::new();
+    for s in &parsed {
+        if let Some(base) = s.name.strip_suffix("_bucket") {
+            let le = s.le.expect("every bucket has an `le`");
+            histograms
+                .entry((base.to_string(), s.labels.clone()))
+                .or_default()
+                .push((le.to_string(), s.value.parse().expect("integer bucket")));
+        }
+    }
+    assert!(!histograms.is_empty(), "the exposition has histograms");
+    for ((base, labels), buckets) in &histograms {
+        let (last_le, inf) = buckets.last().expect("at least one bucket");
+        assert_eq!(last_le, "+Inf", "{base}{{{labels}}} ends at +Inf");
+        assert!(
+            buckets.windows(2).all(|w| w[0].1 <= w[1].1),
+            "{base}{{{labels}}} buckets are cumulative"
+        );
+        let sum = format!("{base}_sum");
+        let count = format!("{base}_count");
+        let sum = scalar.get(&(sum.as_str(), labels.as_str()));
+        assert!(sum.is_some(), "{base}{{{labels}}} has a _sum");
+        let count = scalar.get(&(count.as_str(), labels.as_str()));
+        assert_eq!(
+            count.map(|c| c.parse::<u64>().expect("integer count")),
+            Some(*inf),
+            "{base}{{{labels}}} _count equals its +Inf bucket"
+        );
+    }
+    histograms
+}
+
+/// `text` without the trace's per-kind event counters.
+fn without_event_counters(text: &str) -> String {
+    text.lines()
+        .filter(|line| !line.starts_with("obs_events_total{"))
+        .map(|line| format!("{line}\n"))
+        .collect()
+}
+
+#[test]
+fn bare_engine_exposition_is_well_formed_and_tracing_adds_only_event_counters() {
+    for seed in 0..4 {
+        let untraced = run_engine(seed, Tracer::disabled());
+        let traced = run_engine(seed, Tracer::recording(Arc::new(Trace::new())));
+        let histograms = check_well_formed(&traced);
+        check_well_formed(&untraced);
+        assert_eq!(
+            histograms
+                .keys()
+                .map(|(name, _)| name.as_str())
+                .collect::<Vec<_>>(),
+            [
+                "serve_cl_minutes",
+                "serve_delivered_iv",
+                "serve_faults_iv_lost",
+                "serve_sl_minutes"
+            ],
+            "seed {seed}: a bare engine renders its four histograms unlabelled"
+        );
+        assert!(traced.contains("obs_events_total{kind=\"completed\"}"));
+        assert!(!untraced.contains("obs_events_total"));
+        assert_eq!(
+            without_event_counters(&traced),
+            untraced,
+            "seed {seed}: tracing may add only obs_events_total lines"
+        );
+    }
+}
+
+#[test]
+fn two_shard_cluster_exposition_labels_shards_and_merges_them_exactly() {
+    const PAIRS: [(&str, &str); 4] = [
+        ("cluster_cl_minutes", "serve_cl_minutes"),
+        ("cluster_sl_minutes", "serve_sl_minutes"),
+        ("cluster_delivered_iv", "serve_delivered_iv"),
+        ("cluster_faults_iv_lost", "serve_faults_iv_lost"),
+    ];
+    let mut lost_samples = 0;
+    for seed in 0..4 {
+        let (snapshot, untraced) = run_cluster(seed, 2, Tracer::disabled());
+        let (_, traced) = run_cluster(seed, 2, Tracer::recording(Arc::new(Trace::new())));
+        assert_eq!(
+            without_event_counters(&traced),
+            untraced,
+            "seed {seed}: tracing may add only obs_events_total lines"
+        );
+        let histograms = check_well_formed(&traced);
+        let shard_labels = ["shard=\"0\"", "shard=\"1\""];
+        let parsed = samples(&traced);
+        let value = |name: &str, labels: &str| -> &str {
+            parsed
+                .iter()
+                .find(|s| s.name == name && s.labels == labels)
+                .map(|s| s.value)
+                .unwrap_or_else(|| panic!("seed {seed}: missing {name}{{{labels}}}"))
+        };
+        for (cluster, serve) in PAIRS {
+            let merged = &histograms[&(cluster.to_string(), String::new())];
+            let shards: Vec<_> = shard_labels
+                .iter()
+                .map(|l| &histograms[&(serve.to_string(), l.to_string())])
+                .collect();
+            for (i, (le, count)) in merged.iter().enumerate() {
+                let shard_sum: u64 = shards
+                    .iter()
+                    .map(|h| {
+                        assert_eq!(&h[i].0, le, "same bucket layout");
+                        h[i].1
+                    })
+                    .sum();
+                assert_eq!(
+                    *count, shard_sum,
+                    "seed {seed}: {cluster} le={le} is the shard sum"
+                );
+            }
+            // The merged `_sum` adds the shard sums in shard order.
+            let shard_total = shard_labels
+                .iter()
+                .map(|l| value(&format!("{serve}_sum"), l).parse::<f64>().unwrap());
+            assert_eq!(
+                bitwise_sum(shard_total).to_bits(),
+                value(&format!("{cluster}_sum"), "")
+                    .parse::<f64>()
+                    .unwrap()
+                    .to_bits(),
+                "seed {seed}: {cluster}_sum is the ordered shard sum"
+            );
+        }
+        assert_eq!(
+            value("cluster_cl_minutes_count", "")
+                .parse::<u64>()
+                .unwrap(),
+            snapshot.queries_completed()
+        );
+        lost_samples += snapshot
+            .shards
+            .iter()
+            .map(|s| s.faults_iv_lost.count())
+            .sum::<u64>();
+    }
+    assert!(lost_samples > 0, "the faulted band must record IV lost");
 }

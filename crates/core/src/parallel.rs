@@ -66,6 +66,7 @@ impl PlannerPool {
 
     /// The configured thread count.
     #[must_use]
+    #[cfg(test)]
     pub fn threads(&self) -> usize {
         self.threads
     }

@@ -111,12 +111,6 @@ impl CalibratedCostModel {
     pub fn fit(&self) -> LocalFit {
         self.fit
     }
-
-    /// The base model supplying remote/transmission estimates.
-    #[must_use]
-    pub fn base(&self) -> AnalyticCostModel {
-        self.base
-    }
 }
 
 impl CostModel for CalibratedCostModel {

@@ -73,6 +73,7 @@ impl Fig5Results {
     /// Mean IV of `method` in the cell addressed by labels; `None` if not
     /// present.
     #[must_use]
+    #[cfg(test)]
     pub fn cell(&self, ratio_label: &str, rates_label: &str) -> Option<&Fig5Cell> {
         self.cells
             .iter()

@@ -49,12 +49,6 @@ impl MqoScheduler {
     pub fn with_config(config: GaConfig) -> Self {
         MqoScheduler { config }
     }
-
-    /// The GA configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &GaConfig {
-        &self.config
-    }
 }
 
 impl WorkloadScheduler for MqoScheduler {

@@ -267,12 +267,6 @@ impl ReportMsg {
         self.shed.extend(other.shed);
         self.completions.extend(other.completions);
     }
-
-    /// Sum of delivered IV across this report's completions.
-    #[must_use]
-    pub fn delivered_iv(&self) -> f64 {
-        self.completions.iter().map(|c| c.delivered_iv).sum()
-    }
 }
 
 /// Client → server frames.

@@ -205,21 +205,27 @@ impl FixedHistogram {
     /// Appends a Prometheus-style exposition of this histogram:
     /// cumulative `_bucket` lines with `le` upper bounds (underflow
     /// folded into the first bucket, overflow into `+Inf`), then
-    /// `_sum` and `_count`.
-    pub fn expose(&self, name: &str, out: &mut String) {
+    /// `_sum` and `_count`. `labels` (such as `shard="0"`, or empty
+    /// for none) go on every line, before `le`.
+    pub fn expose(&self, name: &str, labels: &str, out: &mut String) {
+        let (bucket, set) = if labels.is_empty() {
+            (String::new(), String::new())
+        } else {
+            (format!("{labels},"), format!("{{{labels}}}"))
+        };
         let mut cumulative = self.underflow;
         for (i, &c) in self.bins.iter().enumerate() {
             cumulative += c;
             let _ = writeln!(
                 out,
-                "{name}_bucket{{le=\"{}\"}} {cumulative}",
+                "{name}_bucket{{{bucket}le=\"{}\"}} {cumulative}",
                 self.edges[i + 1]
             );
         }
         cumulative += self.overflow;
-        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}");
-        let _ = writeln!(out, "{name}_sum {}", self.sum);
-        let _ = writeln!(out, "{name}_count {cumulative}");
+        let _ = writeln!(out, "{name}_bucket{{{bucket}le=\"+Inf\"}} {cumulative}");
+        let _ = writeln!(out, "{name}_sum{set} {}", self.sum);
+        let _ = writeln!(out, "{name}_count{set} {cumulative}");
     }
 }
 
@@ -281,12 +287,20 @@ mod tests {
         h.record(0.5);
         h.record(3.0);
         let mut out = String::new();
-        h.expose("obs_test", &mut out);
-        assert!(out.contains("obs_test_bucket{le=\"1\"} 2"));
-        assert!(out.contains("obs_test_bucket{le=\"2\"} 2"));
-        assert!(out.contains("obs_test_bucket{le=\"+Inf\"} 3"));
-        assert!(out.contains("obs_test_count 3"));
-        assert!(out.contains("obs_test_sum 2.5"));
+        h.expose("obs_test", "", &mut out);
+        assert_eq!(
+            out,
+            "obs_test_bucket{le=\"1\"} 2\n\
+             obs_test_bucket{le=\"2\"} 2\n\
+             obs_test_bucket{le=\"+Inf\"} 3\n\
+             obs_test_sum 2.5\n\
+             obs_test_count 3\n"
+        );
+        let mut labelled = String::new();
+        h.expose("obs_test", "shard=\"1\"", &mut labelled);
+        assert!(labelled.contains("obs_test_bucket{shard=\"1\",le=\"+Inf\"} 3\n"));
+        assert!(labelled.contains("obs_test_sum{shard=\"1\"} 2.5\n"));
+        assert!(labelled.contains("obs_test_count{shard=\"1\"} 3\n"));
     }
 
     #[test]

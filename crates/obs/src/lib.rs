@@ -69,4 +69,4 @@ pub mod trace;
 pub use audit::{AuditLog, BoundStep, PlanAudit, PlanSource, SearchAudit, SearchCandidate};
 pub use event::{AdmissionVerdict, EventKind, TraceEvent};
 pub use hist::FixedHistogram;
-pub use trace::{Trace, TraceHistograms, Tracer};
+pub use trace::{Trace, Tracer};

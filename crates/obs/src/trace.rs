@@ -13,6 +13,12 @@
 //! disabled (the default — one branch per would-be event, the closure
 //! building the event never runs) or recording into a shared
 //! `Arc<Trace>`.
+//!
+//! The trace is an event log, not a second metrics registry: its
+//! [`Trace::exposition`] counts events per kind and nothing else. The
+//! CL, SL and IV distributions live once, in the serving engine's
+//! [`FixedHistogram`](crate::FixedHistogram)s, which a cluster merges
+//! across shards without a trace.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -21,18 +27,6 @@ use ivdss_catalog::ids::ShardId;
 use ivdss_simkernel::time::SimTime;
 
 use crate::event::{EventKind, TraceEvent};
-use crate::hist::FixedHistogram;
-
-/// Bucket layout of the trace-derived latency histograms: 24 ten-unit
-/// buckets over `[0, 240)`, matching the serve metrics registry.
-pub const TRACE_LATENCY_HIGH: f64 = 240.0;
-/// Bucket count of the trace-derived latency histograms.
-pub const TRACE_LATENCY_BINS: usize = 24;
-/// Upper bound of the trace-derived IV histograms (unit business
-/// value; larger values overflow explicitly).
-pub const TRACE_IV_HIGH: f64 = 1.0;
-/// Bucket count of the trace-derived IV histograms.
-pub const TRACE_IV_BINS: usize = 20;
 
 /// An append-only, sim-time-stamped structured event log.
 #[derive(Debug, Default)]
@@ -92,34 +86,10 @@ impl Trace {
         out
     }
 
-    /// Builds the fixed-boundary latency/IV histograms from the
-    /// `completed` events currently in the trace. Histograms from
-    /// different traces (e.g. shards of a sweep) merge exactly via
-    /// [`TraceHistograms::merge`].
-    #[must_use]
-    pub fn histograms(&self) -> TraceHistograms {
-        let mut h = TraceHistograms::new();
-        for event in self.lock().iter() {
-            if let EventKind::Completed {
-                cl,
-                sl,
-                delivered_iv,
-                iv_lost,
-                ..
-            } = &event.kind
-            {
-                h.cl.record(cl.value());
-                h.sl.record(sl.value());
-                h.delivered_iv.record(*delivered_iv);
-                h.iv_lost.record(*iv_lost);
-            }
-        }
-        h
-    }
-
-    /// Prometheus-style text exposition of the trace: per-kind event
-    /// counters followed by the derived latency/IV histograms. Designed
-    /// to be appended to the serve metrics dump.
+    /// Prometheus-style text exposition of the trace: one
+    /// `obs_events_total{kind="…"}` counter per event kind. The latency
+    /// and IV distributions are the metrics registry's histograms, so
+    /// the trace adds only what the registry cannot count.
     #[must_use]
     pub fn exposition(&self) -> String {
         use std::fmt::Write as _;
@@ -127,7 +97,6 @@ impl Trace {
         for (kind, count) in self.counts() {
             let _ = writeln!(out, "obs_events_total{{kind=\"{kind}\"}} {count}");
         }
-        self.histograms().expose(&mut out);
         out
     }
 
@@ -137,54 +106,6 @@ impl Trace {
         self.events
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-/// Trace-derived fixed-boundary histograms with exact merge.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceHistograms {
-    /// Computational latency of completions.
-    pub cl: FixedHistogram,
-    /// Synchronization latency of completions.
-    pub sl: FixedHistogram,
-    /// Delivered IV of completions.
-    pub delivered_iv: FixedHistogram,
-    /// IV lost to degradation per completion.
-    pub iv_lost: FixedHistogram,
-}
-
-impl Default for TraceHistograms {
-    fn default() -> Self {
-        TraceHistograms::new()
-    }
-}
-
-impl TraceHistograms {
-    /// Empty histograms with the standard trace bucket layout.
-    #[must_use]
-    pub fn new() -> Self {
-        TraceHistograms {
-            cl: FixedHistogram::new(0.0, TRACE_LATENCY_HIGH, TRACE_LATENCY_BINS),
-            sl: FixedHistogram::new(0.0, TRACE_LATENCY_HIGH, TRACE_LATENCY_BINS),
-            delivered_iv: FixedHistogram::new(0.0, TRACE_IV_HIGH, TRACE_IV_BINS),
-            iv_lost: FixedHistogram::new(0.0, TRACE_IV_HIGH, TRACE_IV_BINS),
-        }
-    }
-
-    /// Exactly merges another shard's histograms into this one.
-    pub fn merge(&mut self, other: &TraceHistograms) {
-        self.cl.merge(&other.cl);
-        self.sl.merge(&other.sl);
-        self.delivered_iv.merge(&other.delivered_iv);
-        self.iv_lost.merge(&other.iv_lost);
-    }
-
-    /// Appends the Prometheus exposition of all four histograms.
-    pub fn expose(&self, out: &mut String) {
-        self.cl.expose("obs_cl", out);
-        self.sl.expose("obs_sl", out);
-        self.delivered_iv.expose("obs_delivered_iv", out);
-        self.iv_lost.expose("obs_iv_lost", out);
     }
 }
 
@@ -268,7 +189,7 @@ mod tests {
     use ivdss_costmodel::query::QueryId;
     use ivdss_simkernel::time::SimDuration;
 
-    fn completed(iv: f64, iv_lost: f64) -> EventKind {
+    fn completed() -> EventKind {
         EventKind::Completed {
             query: QueryId::new(1),
             waited: SimDuration::ZERO,
@@ -277,9 +198,9 @@ mod tests {
             finish: SimTime::new(2.0),
             cl: SimDuration::new(2.0),
             sl: SimDuration::new(30.0),
-            planned_iv: iv,
-            delivered_iv: iv,
-            iv_lost,
+            planned_iv: 0.5,
+            delivered_iv: 0.5,
+            iv_lost: 0.0,
             replanned: false,
         }
     }
@@ -299,42 +220,17 @@ mod tests {
         tracer.emit_with(SimTime::new(1.0), || EventKind::CacheInvalidated {
             evicted: 1,
         });
-        tracer.emit_with(SimTime::new(2.0), || completed(0.5, 0.0));
+        tracer.emit_with(SimTime::new(2.0), completed);
         let events = trace.events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].at, SimTime::new(1.0));
         assert_eq!(trace.counts()["completed"], 1);
         assert!(!trace.is_empty());
-    }
-
-    #[test]
-    fn histograms_and_exposition_derive_from_completions() {
-        let trace = Trace::new();
-        trace.emit(TraceEvent::new(SimTime::new(2.0), completed(0.5, 0.25)));
-        trace.emit(TraceEvent::new(SimTime::new(3.0), completed(0.9, 0.0)));
-        let h = trace.histograms();
-        assert_eq!(h.delivered_iv.count(), 2);
-        assert_eq!(h.iv_lost.count(), 2);
-        assert_eq!(h.cl.bins()[0], 2, "cl=2 lands in the first bucket");
-        let text = trace.exposition();
-        assert!(text.contains("obs_events_total{kind=\"completed\"} 2"));
-        assert!(text.contains("obs_delivered_iv_count 2"));
-        assert!(text.contains("obs_iv_lost_sum 0.25"));
-    }
-
-    #[test]
-    fn shard_merge_equals_single_trace() {
-        let a = Trace::new();
-        let b = Trace::new();
-        let whole = Trace::new();
-        for (t, iv) in [(&a, 0.2), (&b, 0.8)] {
-            let e = TraceEvent::new(SimTime::ZERO, completed(iv, 0.0));
-            t.emit(e.clone());
-            whole.emit(e);
-        }
-        let mut merged = a.histograms();
-        merged.merge(&b.histograms());
-        assert_eq!(merged, whole.histograms());
+        assert_eq!(
+            trace.exposition(),
+            "obs_events_total{kind=\"cache_invalidated\"} 1\n\
+             obs_events_total{kind=\"completed\"} 1\n"
+        );
     }
 
     #[test]

@@ -252,12 +252,6 @@ impl ArrivalProcess {
         }
     }
 
-    /// The profile this process samples.
-    #[must_use]
-    pub fn profile(&self) -> IntensityProfile {
-        self.profile
-    }
-
     /// Draws the next arrival time (strictly after the previous one).
     ///
     /// Thinning: candidate gaps are `Exp(peak)`; a candidate at `t` is

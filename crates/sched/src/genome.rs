@@ -113,6 +113,7 @@ impl UpgradePool {
 
     /// The pool's budget.
     #[must_use]
+    #[cfg(test)]
     pub fn budget(&self) -> f64 {
         self.budget
     }

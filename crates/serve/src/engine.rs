@@ -326,12 +326,6 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
         self.queue.len()
     }
 
-    /// The engine's configuration.
-    #[must_use]
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
-    }
-
     /// Time until the local federation server's calendar has an idle
     /// instant at the engine's current time — the backlog the dispatch
     /// gate compares against [`ServeConfig::dispatch_backlog`].
@@ -373,12 +367,6 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
         out
     }
 
-    /// The metrics registry.
-    #[must_use]
-    pub fn metrics(&self) -> &ServeMetrics {
-        &self.metrics
-    }
-
     /// The plan cache.
     #[must_use]
     pub fn cache(&self) -> &PlanCache {
@@ -404,13 +392,6 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
         self.faults.as_ref().map(|f| &f.plan)
     }
 
-    /// The armed storage engine, if the storage-backed evaluation mode
-    /// is on.
-    #[must_use]
-    pub fn storage(&self) -> Option<&'a StorageEngine> {
-        self.storage
-    }
-
     /// Kept only for servebench's traced run, which reads
     /// `replan_cache().stats()` for its `replan.hit_share` metric. The
     /// engine has no replan cache, so both counters read zero.
@@ -418,13 +399,6 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
     #[must_use]
     pub fn replan_cache(&self) -> ZeroStats {
         ZeroStats::default()
-    }
-
-    /// The engine's emission handle (disabled unless attached via
-    /// [`ServeEngine::with_tracer`]).
-    #[must_use]
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// The most recent plan-decision audit for `query` — *why* the
@@ -441,9 +415,12 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
         self.metrics.snapshot(self.clock.now(), &self.cache)
     }
 
-    /// Prometheus-style text exposition: the serve metrics dump,
+    /// Prometheus-style text exposition: the serve metrics dump (its
+    /// counters and its CL, SL, delivered-IV and IV-lost histograms),
     /// followed — when a tracer is attached — by the trace's per-kind
-    /// event counters and its derived latency/IV histograms.
+    /// event counters. The histograms come from the registry alone, so
+    /// a traced and an untraced run of one stream differ only in the
+    /// `obs_events_total` lines.
     #[must_use]
     pub fn exposition(&self) -> String {
         let mut out = self.snapshot().to_text();

@@ -86,4 +86,4 @@ pub use cache::{CacheOutcome, PlanCache, PlanCacheKey};
 pub use clock::{Clock, DesClock, WallClock};
 pub use engine::{Completion, ServeConfig, ServeEngine, SubmitReport};
 pub use loadgen::{run_open_loop, LoadReport, OpenLoopConfig};
-pub use metrics::{HistogramSnapshot, MetricsSnapshot, ServeMetrics};
+pub use metrics::{MetricsSnapshot, ServeMetrics};

@@ -1,26 +1,28 @@
-//! Serving-engine metrics: counters, gauges and fixed-boundary
-//! histograms, with point-in-time snapshots and a text-format dump.
+//! Serving-engine metrics: counters, a queue-depth gauge and
+//! fixed-boundary histograms, with point-in-time snapshots and a
+//! Prometheus-style text exposition.
 //!
 //! Latency and information-value distributions are
-//! [`FixedHistogram`]s: *fixed* bucket boundaries (so dumps from
-//! different runs are directly comparable bucket-by-bucket) and exact
-//! placement of a sample that lies on an edge. Queue depth is a
-//! [`TimeWeighted`] gauge
-//! (its mean weights each depth by how long the queue sat at it, the
-//! standard DES occupancy statistic), and delivered IV keeps streaming
-//! moments in an [`OnlineStats`].
+//! [`FixedHistogram`]s: *fixed* bucket boundaries (so expositions from
+//! different runs and shards compare bucket by bucket and merge
+//! exactly) and exact placement of a sample that lies on an edge. Each
+//! quantity is kept once: the completed-query count is the `iv`
+//! histogram's count, the delivered-IV total its running sum, and the
+//! IV lost to faults the `faults_iv_lost` histogram's sum. Queue depth
+//! is a [`TimeWeighted`] gauge (its mean weights each depth by how long
+//! the queue sat at it, the standard DES occupancy statistic).
 //!
 //! The plan cache keeps its own counters ([`PlanCache::hits`] and
 //! friends); a snapshot copies them rather than keeping a second count.
 //!
-//! [`ServeMetrics::snapshot`] freezes everything into plain-data
-//! [`MetricsSnapshot`] / [`HistogramSnapshot`] structs;
-//! [`MetricsSnapshot::to_text`] renders the snapshot in a
-//! Prometheus-flavoured exposition format (counters end in `_total`,
-//! histogram buckets are cumulative with `le` upper bounds).
+//! [`ServeMetrics::snapshot`] freezes everything into a plain-data
+//! [`MetricsSnapshot`] holding clones of the histograms;
+//! [`MetricsSnapshot::to_text`] renders it (counters end in `_total`,
+//! histograms render through [`FixedHistogram::expose`]: cumulative
+//! `le` buckets, `_sum` and `_count`).
 
 use ivdss_obs::FixedHistogram;
-use ivdss_simkernel::stats::{OnlineStats, TimeWeighted};
+use ivdss_simkernel::stats::TimeWeighted;
 use ivdss_simkernel::time::{SimDuration, SimTime};
 
 use crate::cache::PlanCache;
@@ -44,18 +46,15 @@ pub struct ServeMetrics {
     queries_admitted: u64,
     queries_shed: u64,
     shed_iv: f64,
-    queries_completed: u64,
     faults_syncs_slipped: u64,
     faults_syncs_dropped: u64,
     faults_outages: u64,
     faults_replans: u64,
     faults_iv_lost: FixedHistogram,
-    faults_iv_lost_sum: f64,
     queue_depth: TimeWeighted,
     cl: FixedHistogram,
     sl: FixedHistogram,
     iv: FixedHistogram,
-    iv_stats: OnlineStats,
 }
 
 impl ServeMetrics {
@@ -68,18 +67,15 @@ impl ServeMetrics {
             queries_admitted: 0,
             queries_shed: 0,
             shed_iv: 0.0,
-            queries_completed: 0,
             faults_syncs_slipped: 0,
             faults_syncs_dropped: 0,
             faults_outages: 0,
             faults_replans: 0,
             faults_iv_lost: FixedHistogram::new(0.0, IV_HIST_MAX, IV_HIST_BINS),
-            faults_iv_lost_sum: 0.0,
             queue_depth: TimeWeighted::new(start, 0.0),
             cl: FixedHistogram::new(0.0, LATENCY_HIST_MAX, LATENCY_HIST_BINS),
             sl: FixedHistogram::new(0.0, LATENCY_HIST_MAX, LATENCY_HIST_BINS),
             iv: FixedHistogram::new(0.0, IV_HIST_MAX, IV_HIST_BINS),
-            iv_stats: OnlineStats::new(),
         }
     }
 
@@ -124,17 +120,14 @@ impl ServeMetrics {
     /// the fault-free planning bound).
     pub fn record_fault_iv_lost(&mut self, iv_lost: f64) {
         self.faults_iv_lost.record(iv_lost);
-        self.faults_iv_lost_sum += iv_lost;
     }
 
-    /// Counts one completed query and records its latencies and
-    /// delivered information value.
+    /// Records one completed query's latencies and delivered
+    /// information value.
     pub fn record_completion(&mut self, cl: SimDuration, sl: SimDuration, iv: f64) {
-        self.queries_completed += 1;
         self.cl.record(cl.value());
         self.sl.record(sl.value());
         self.iv.record(iv);
-        self.iv_stats.record(iv);
     }
 
     /// Sets the queue-depth gauge at time `now`.
@@ -147,24 +140,20 @@ impl ServeMetrics {
         self.queue_depth.set(now, depth as f64);
     }
 
-    /// Total delivered information value so far.
-    #[must_use]
-    pub fn total_delivered_iv(&self) -> f64 {
-        self.iv_stats.sum()
-    }
-
     /// Freezes the registry into a snapshot; `now` closes the
     /// time-weighted queue-depth window and `cache` supplies the
-    /// plan-cache fields.
+    /// plan-cache fields. The completion count and the IV totals are
+    /// read off the histograms.
     #[must_use]
     pub fn snapshot(&self, now: SimTime, cache: &PlanCache) -> MetricsSnapshot {
+        let completed = self.iv.count();
         MetricsSnapshot {
             at: now,
             queries_submitted: self.queries_submitted,
             queries_admitted: self.queries_admitted,
             queries_shed: self.queries_shed,
             shed_iv: self.shed_iv,
-            queries_completed: self.queries_completed,
+            queries_completed: completed,
             plan_cache_hits: cache.hits(),
             plan_cache_misses: cache.misses(),
             plan_cache_invalidations: cache.invalidations(),
@@ -173,79 +162,21 @@ impl ServeMetrics {
             faults_syncs_dropped: self.faults_syncs_dropped,
             faults_outages: self.faults_outages,
             faults_replans: self.faults_replans,
-            faults_iv_lost_total: self.faults_iv_lost_sum,
-            faults_iv_lost: HistogramSnapshot::from_histogram(&self.faults_iv_lost),
+            faults_iv_lost_total: self.faults_iv_lost.sum(),
+            faults_iv_lost: self.faults_iv_lost.clone(),
             queue_depth: self.queue_depth.current(),
             queue_depth_peak: self.queue_depth.peak(),
             queue_depth_mean: self.queue_depth.mean_until(now),
-            total_delivered_iv: self.iv_stats.sum(),
-            mean_delivered_iv: self.iv_stats.mean(),
-            cl: HistogramSnapshot::from_histogram(&self.cl),
-            sl: HistogramSnapshot::from_histogram(&self.sl),
-            iv: HistogramSnapshot::from_histogram(&self.iv),
+            total_delivered_iv: self.iv.sum(),
+            mean_delivered_iv: if completed == 0 {
+                0.0
+            } else {
+                self.iv.sum() / completed as f64
+            },
+            cl: self.cl.clone(),
+            sl: self.sl.clone(),
+            iv: self.iv.clone(),
         }
-    }
-}
-
-/// Frozen histogram state: fixed bounds and edges, per-bin counts and
-/// the out-of-range tallies.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSnapshot {
-    /// Inclusive lower bound of the first bin.
-    pub low: f64,
-    /// Exclusive upper bound of the last bin.
-    pub high: f64,
-    /// Per-bin counts.
-    pub bins: Vec<u64>,
-    /// Samples below `low`.
-    pub underflow: u64,
-    /// Samples at or above `high`.
-    pub overflow: u64,
-    /// The `bins.len() + 1` ascending edges placement used: bin `i`
-    /// covers `[edges[i], edges[i + 1])`, from `low` to `high`.
-    pub edges: Vec<f64>,
-}
-
-impl HistogramSnapshot {
-    fn from_histogram(h: &FixedHistogram) -> Self {
-        let edges = h.edges().to_vec();
-        HistogramSnapshot {
-            low: edges[0],
-            high: edges[edges.len() - 1],
-            bins: h.bins().to_vec(),
-            underflow: h.underflow(),
-            overflow: h.overflow(),
-            edges,
-        }
-    }
-
-    /// Total samples recorded, including out-of-range ones.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.underflow + self.overflow + self.bins.iter().sum::<u64>()
-    }
-
-    /// Exclusive upper bound of bin `idx`: the edge that opens the next
-    /// bin.
-    #[must_use]
-    pub fn upper_bound(&self, idx: usize) -> f64 {
-        self.edges[idx + 1]
-    }
-
-    fn dump(&self, name: &str, out: &mut String) {
-        use std::fmt::Write as _;
-        let mut cumulative = self.underflow;
-        for (idx, &count) in self.bins.iter().enumerate() {
-            cumulative += count;
-            let _ = writeln!(
-                out,
-                "{name}_bucket{{le=\"{bound}\"}} {cumulative}",
-                bound = self.upper_bound(idx)
-            );
-        }
-        cumulative += self.overflow;
-        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}");
-        let _ = writeln!(out, "{name}_count {cumulative}");
     }
 }
 
@@ -262,7 +193,8 @@ pub struct MetricsSnapshot {
     pub queries_shed: u64,
     /// Total marginal IV the shed queries carried when evicted.
     pub shed_iv: f64,
-    /// Queries planned, dispatched and delivered.
+    /// Queries planned, dispatched and delivered (the `iv`
+    /// histogram's count).
     pub queries_completed: u64,
     /// Plan-cache hits.
     pub plan_cache_hits: u64,
@@ -280,26 +212,28 @@ pub struct MetricsSnapshot {
     pub faults_outages: u64,
     /// Dispatch-time re-plans forced by faults.
     pub faults_replans: u64,
-    /// Total IV lost to degradation across completions.
+    /// Total IV lost to degradation across completions (the
+    /// `faults_iv_lost` histogram's sum).
     pub faults_iv_lost_total: f64,
     /// Distribution of per-completion IV lost to degradation.
-    pub faults_iv_lost: HistogramSnapshot,
+    pub faults_iv_lost: FixedHistogram,
     /// Queue depth at snapshot time.
     pub queue_depth: f64,
     /// Highest queue depth observed.
     pub queue_depth_peak: f64,
     /// Time-weighted mean queue depth over the run.
     pub queue_depth_mean: f64,
-    /// Sum of delivered information value.
+    /// Sum of delivered information value (the `iv` histogram's sum).
     pub total_delivered_iv: f64,
-    /// Mean delivered information value per completed query.
+    /// Mean delivered information value per completed query; zero when
+    /// none completed.
     pub mean_delivered_iv: f64,
     /// Computational-latency distribution (minutes).
-    pub cl: HistogramSnapshot,
+    pub cl: FixedHistogram,
     /// Synchronization-latency distribution (minutes).
-    pub sl: HistogramSnapshot,
+    pub sl: FixedHistogram,
     /// Delivered-IV distribution.
-    pub iv: HistogramSnapshot,
+    pub iv: FixedHistogram,
 }
 
 impl MetricsSnapshot {
@@ -314,68 +248,74 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Renders the snapshot in a Prometheus-flavoured text format.
+    /// Renders the snapshot in a Prometheus-flavoured text format,
+    /// without labels.
     #[must_use]
     pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = writeln!(out, "# ivdss-serve metrics at t={}", self.at.value());
-        let _ = writeln!(
-            out,
-            "serve_queries_submitted_total {}",
-            self.queries_submitted
-        );
-        let _ = writeln!(
-            out,
-            "serve_queries_admitted_total {}",
-            self.queries_admitted
-        );
-        let _ = writeln!(out, "serve_queries_shed_total {}", self.queries_shed);
-        let _ = writeln!(out, "serve_shed_iv_total {}", self.shed_iv);
-        let _ = writeln!(
-            out,
-            "serve_queries_completed_total {}",
-            self.queries_completed
-        );
-        let _ = writeln!(out, "serve_plan_cache_hits_total {}", self.plan_cache_hits);
-        let _ = writeln!(
-            out,
-            "serve_plan_cache_misses_total {}",
-            self.plan_cache_misses
-        );
-        let _ = writeln!(
-            out,
-            "serve_plan_cache_invalidations_total {}",
-            self.plan_cache_invalidations
-        );
-        let _ = writeln!(out, "serve_plan_cache_size {}", self.plan_cache_size);
-        let _ = writeln!(out, "serve_queue_depth {}", self.queue_depth);
-        let _ = writeln!(out, "serve_queue_depth_peak {}", self.queue_depth_peak);
-        let _ = writeln!(out, "serve_queue_depth_mean {}", self.queue_depth_mean);
-        let _ = writeln!(out, "serve_delivered_iv_total {}", self.total_delivered_iv);
-        let _ = writeln!(out, "serve_delivered_iv_mean {}", self.mean_delivered_iv);
-        let _ = writeln!(
-            out,
-            "serve_faults_syncs_slipped_total {}",
-            self.faults_syncs_slipped
-        );
-        let _ = writeln!(
-            out,
-            "serve_faults_syncs_dropped_total {}",
-            self.faults_syncs_dropped
-        );
-        let _ = writeln!(out, "serve_faults_outages_total {}", self.faults_outages);
-        let _ = writeln!(out, "serve_faults_replans_total {}", self.faults_replans);
-        let _ = writeln!(
-            out,
-            "serve_faults_iv_lost_total {}",
-            self.faults_iv_lost_total
-        );
-        self.cl.dump("serve_cl_minutes", &mut out);
-        self.sl.dump("serve_sl_minutes", &mut out);
-        self.iv.dump("serve_delivered_iv", &mut out);
-        self.faults_iv_lost.dump("serve_faults_iv_lost", &mut out);
+        self.write_text("", &mut out);
         out
+    }
+
+    /// Appends the text rendering with `labels` (such as `shard="0"`,
+    /// or empty for none) on every sample line, so several engines'
+    /// sections can share one exposition.
+    pub fn write_text(&self, labels: &str, out: &mut String) {
+        use std::fmt::Write as _;
+        let set = if labels.is_empty() {
+            String::new()
+        } else {
+            format!("{{{labels}}}")
+        };
+        let _ = writeln!(out, "# ivdss-serve metrics at t={}", self.at.value());
+        let samples: [(&str, &dyn std::fmt::Display); 19] = [
+            ("serve_queries_submitted_total", &self.queries_submitted),
+            ("serve_queries_admitted_total", &self.queries_admitted),
+            ("serve_queries_shed_total", &self.queries_shed),
+            ("serve_shed_iv_total", &self.shed_iv),
+            ("serve_queries_completed_total", &self.queries_completed),
+            ("serve_plan_cache_hits_total", &self.plan_cache_hits),
+            ("serve_plan_cache_misses_total", &self.plan_cache_misses),
+            (
+                "serve_plan_cache_invalidations_total",
+                &self.plan_cache_invalidations,
+            ),
+            ("serve_plan_cache_size", &self.plan_cache_size),
+            ("serve_queue_depth", &self.queue_depth),
+            ("serve_queue_depth_peak", &self.queue_depth_peak),
+            ("serve_queue_depth_mean", &self.queue_depth_mean),
+            ("serve_delivered_iv_total", &self.total_delivered_iv),
+            ("serve_delivered_iv_mean", &self.mean_delivered_iv),
+            (
+                "serve_faults_syncs_slipped_total",
+                &self.faults_syncs_slipped,
+            ),
+            (
+                "serve_faults_syncs_dropped_total",
+                &self.faults_syncs_dropped,
+            ),
+            ("serve_faults_outages_total", &self.faults_outages),
+            ("serve_faults_replans_total", &self.faults_replans),
+            ("serve_faults_iv_lost_total", &self.faults_iv_lost_total),
+        ];
+        for (name, value) in samples {
+            let _ = writeln!(out, "{name}{set} {value}");
+        }
+        for (name, histogram) in self.histograms() {
+            histogram.expose(&format!("serve_{name}"), labels, out);
+        }
+    }
+
+    /// The four histograms in rendering order, each with its exposition
+    /// name minus the `serve_` (or a cluster's `cluster_`) prefix.
+    #[must_use]
+    pub fn histograms(&self) -> [(&'static str, &FixedHistogram); 4] {
+        [
+            ("cl_minutes", &self.cl),
+            ("sl_minutes", &self.sl),
+            ("delivered_iv", &self.iv),
+            ("faults_iv_lost", &self.faults_iv_lost),
+        ]
     }
 }
 
@@ -393,8 +333,8 @@ mod tests {
         let snap = m.snapshot(SimTime::new(10.0), &PlanCache::new(1));
         assert_eq!(snap.queries_completed, 2);
         assert_eq!(snap.cl.count(), 2);
-        assert_eq!(snap.cl.overflow, 1, "500 min exceeds the fixed range");
-        assert_eq!(snap.iv.overflow, 1, "IV above unit BV overflows");
+        assert_eq!(snap.cl.overflow(), 1, "500 min exceeds the fixed range");
+        assert_eq!(snap.iv.overflow(), 1, "IV above unit BV overflows");
         assert!((snap.total_delivered_iv - 2.32).abs() < 1e-12);
         assert!((snap.mean_delivered_iv - 1.16).abs() < 1e-12);
     }
@@ -408,8 +348,8 @@ mod tests {
         }
         let snap = m.snapshot(SimTime::ZERO, &PlanCache::new(1));
         for (iv, bin) in on_edges.into_iter().zip([3, 6, 7, 12, 14, 19]) {
-            assert_eq!(snap.iv.bins[bin], 1, "IV {iv} must land in bin {bin}");
-            assert_eq!(snap.iv.upper_bound(bin - 1), iv, "bin {bin} opens at {iv}");
+            assert_eq!(snap.iv.bins()[bin], 1, "IV {iv} must land in bin {bin}");
+            assert_eq!(snap.iv.edges()[bin], iv, "bin {bin} opens at {iv}");
         }
         let text = snap.to_text();
         assert!(text.contains("serve_delivered_iv_bucket{le=\"0.15\"} 0"));
@@ -438,6 +378,7 @@ mod tests {
         assert!(text.contains("serve_cl_minutes_bucket{le=\"10\"} 1"));
         assert!(text.contains("serve_cl_minutes_bucket{le=\"20\"} 2"));
         assert!(text.contains("serve_cl_minutes_bucket{le=\"+Inf\"} 2"));
+        assert!(text.contains("serve_cl_minutes_sum 20\n"));
         assert!(text.contains("serve_cl_minutes_count 2"));
     }
 
@@ -468,6 +409,23 @@ mod tests {
         assert!(text.contains("serve_faults_iv_lost_total 0.75"));
         assert!(text.contains("serve_faults_iv_lost_count 2"));
         assert!(text.contains("serve_shed_iv_total 0.4"));
+    }
+
+    #[test]
+    fn labelled_text_puts_the_labels_on_every_sample() {
+        let mut m = ServeMetrics::new(SimTime::ZERO);
+        m.record_completion(SimDuration::new(5.0), SimDuration::new(5.0), 0.5);
+        let snap = m.snapshot(SimTime::new(1.0), &PlanCache::new(1));
+        let mut text = String::new();
+        snap.write_text("shard=\"3\"", &mut text);
+        assert!(text.contains("serve_queries_completed_total{shard=\"3\"} 1\n"));
+        assert!(text.contains("serve_cl_minutes_bucket{shard=\"3\",le=\"10\"} 1\n"));
+        assert!(text.contains("serve_delivered_iv_sum{shard=\"3\"} 0.5\n"));
+        let samples = text.lines().filter(|l| !l.starts_with('#'));
+        assert!(samples.clone().count() > 0);
+        for line in samples {
+            assert!(line.contains("{shard=\"3\""), "unlabelled sample: {line}");
+        }
     }
 
     #[test]

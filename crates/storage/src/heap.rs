@@ -83,18 +83,6 @@ impl TableStorage {
         self.table
     }
 
-    /// The record layout.
-    #[must_use]
-    pub fn layout(&self) -> &Layout {
-        &self.layout
-    }
-
-    /// Page size in bytes.
-    #[must_use]
-    pub fn page_size(&self) -> usize {
-        self.page_size
-    }
-
     /// Record slots per page.
     #[must_use]
     pub fn slots_per_page(&self) -> usize {
@@ -111,16 +99,6 @@ impl TableStorage {
     #[must_use]
     pub fn live_records(&self) -> u64 {
         self.live
-    }
-
-    /// Borrow of page `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    #[must_use]
-    pub fn page(&self, idx: usize) -> &Page {
-        &self.pages[idx]
     }
 
     fn rid_of(&self, global_slot: usize) -> RecordId {

@@ -28,12 +28,6 @@ impl Page {
         }
     }
 
-    /// Page size in bytes.
-    #[must_use]
-    pub fn size(&self) -> usize {
-        self.data.len()
-    }
-
     /// Number of whole slots of `layout` that fit in a page of
     /// `page_size` bytes.
     #[must_use]

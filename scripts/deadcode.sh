@@ -1,26 +1,38 @@
 #!/usr/bin/env bash
 # Zero-reference scan: lists every `pub` fn (including `pub const fn`),
 # struct, enum, trait, const, type or static defined under crates/*/src
-# or src/ whose name occurs exactly once in the code — its definition —
-# and exits non-zero if it lists anything. There is no allowlist.
+# or src/ that nothing references, and exits non-zero if it lists
+# anything. There is no allowlist.
 #
 # "The code" is every .rs line under crates, src, tests, examples and
 # servebench/src, minus comment lines, `pub use` statements (so a
 # re-export is not a caller) and, under crates/*/src and src/, every
 # `#[cfg(test)]` item: the attribute line plus the item after it, up to
-# its matching closing brace (or its `;` if it has no body). A name
-# counts once per occurrence as a whole identifier, including inside
-# string literals and trailing comments.
+# its matching closing brace (or its `;` if it has no body).
+#
+# A `pub fn` counts as referenced only where its name sits in call or
+# path position outside a definition: `f(` (so also `.f(`), `f::<`, or
+# `::f` not followed by `::` (a `use` path or a `Type::f` fn pointer).
+# Every `fn f` (a definition) is dropped first, so a method is not
+# kept alive by another type's method of the same name being defined.
+# Every other item kind counts once per occurrence of its name as a
+# whole identifier. Names inside string literals and trailing comments
+# count too.
 #
 # So an item that only its own unit tests call is listed too. Items
 # under `#[cfg(test)]` are test code and are not scanned as
 # definitions; a read-back that only tests use belongs there.
 #
-# Blind spot: callers in integration tests (crates/*/tests, tests/)
-# still count, since those test the public surface, so an item that
-# only an integration test calls is not listed. Finding those takes a
-# hand check of each item's callers. Doctests do not count as callers
-# (they are comment lines).
+# Blind spots:
+# - Same-named methods of different types: the scan knows names, not
+#   types, so `A::len` stays referenced while anything calls `b.len()`.
+#   Finding those takes a hand check of each name's callers.
+# - Callers in integration tests (crates/*/tests, tests/) still count,
+#   since those test the public surface, so an item that only an
+#   integration test calls is not listed. Doctests do not count as
+#   callers (they are comment lines).
+# - A free fn passed by bare name (`map(f)`) after a braced import
+#   (`use m::{f, g};`) is neither a call nor a path, so it is listed.
 #
 # Usage: scripts/deadcode.sh   (from anywhere; runs in ~0.1 s)
 set -euo pipefail
@@ -56,27 +68,53 @@ skip_tests='
   unit && /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { skip = 1; depth = 0; opened = 0; next }
 '
 
-# Identifier counts over the code, one "count name" line per identifier.
-counts=$(code_files | xargs awk "$skip_tests"'
+# The counted code, one line per source line.
+code=$(code_files | xargs awk "$skip_tests"'
   in_use { if ($0 ~ /;/) in_use = 0; next }
   /^[[:space:]]*\/\// { next }
   /^[[:space:]]*pub use / { if ($0 !~ /;/) in_use = 1; next }
   { print }
-' | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort | uniq -c)
+')
 
-# Public definitions outside test code, as "file:line name".
+# Identifier counts over the code, one "count name" line per identifier.
+counts=$(printf '%s\n' "$code" | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort | uniq -c)
+
+# Names in call or path position, one "count name" line per name, with
+# every `fn name` definition dropped first.
+calls=$(printf '%s\n' "$code" | awk '
+  {
+    line = $0
+    gsub(/(^|[^A-Za-z0-9_])fn[[:space:]]+[A-Za-z_][A-Za-z0-9_]*/, " fn ", line)
+    s = line
+    while (match(s, /[A-Za-z_][A-Za-z0-9_]*(\(|::<)/)) {
+      name = substr(s, RSTART, RLENGTH)
+      sub(/(\(|::<)$/, "", name)
+      print name
+      s = substr(s, RSTART + RLENGTH)
+    }
+    s = line
+    while (match(s, /::[A-Za-z_][A-Za-z0-9_]*/)) {
+      rest = substr(s, RSTART + RLENGTH)
+      if (substr(rest, 1, 2) != "::") print substr(s, RSTART + 2, RLENGTH - 2)
+      s = rest
+    }
+  }
+' | sort | uniq -c)
+
+# Public definitions outside test code, as "file:line kind name".
 defs=$(find crates/*/src src -name '*.rs' -type f | sort | xargs awk "$skip_tests"'
   /^[[:space:]]*\/\// { next }
   match($0, /^[[:space:]]*pub (const fn|fn|struct|enum|trait|const|type|static) [A-Za-z_][A-Za-z0-9_]*/) {
     n = split(substr($0, RSTART, RLENGTH), w, " ")
-    print FILENAME ":" FNR " " w[n]
+    print FILENAME ":" FNR " " w[n - 1] " " w[n]
   }
 ')
 
 unused=$(awk '
-  NR == FNR { count[$2] = $1; next }
-  count[$2] == 1 { print $1 ": " $2 }
-' <(printf '%s\n' "$counts") <(printf '%s\n' "$defs"))
+  FILENAME == ARGV[1] { count[$2] = $1; next }
+  FILENAME == ARGV[2] { called[$2] = $1; next }
+  $2 == "fn" ? !called[$3] : count[$3] == 1 { print $1 ": " $3 }
+' <(printf '%s\n' "$counts") <(printf '%s\n' "$calls") <(printf '%s\n' "$defs"))
 
 if [ -n "$unused" ]; then
   printf '%s\n' "$unused"

@@ -116,7 +116,7 @@ pub mod prelude {
     };
     pub use ivdss_obs::{
         AuditLog, EventKind, FixedHistogram, PlanAudit, PlanSource, SearchAudit, Trace, TraceEvent,
-        TraceHistograms, Tracer,
+        Tracer,
     };
     pub use ivdss_replication::{
         RevisionCursor, Schedule, SyncEvent, SyncEventCursor, SyncMode, SyncTimelines,
