@@ -145,47 +145,32 @@ impl ClusterSnapshot {
         self.shards.iter().map(|s| s.total_delivered_iv).sum()
     }
 
-    /// Sum of IV lost to injected degradation across shards.
-    #[must_use]
-    pub fn faults_iv_lost_total(&self) -> f64 {
-        self.shards.iter().map(|s| s.faults_iv_lost_total).sum()
-    }
-
     /// Renders the cluster counters, the cluster-wide histograms
     /// (each shard's merged), then each shard's full section with every
     /// sample labelled `shard="<i>"`, so no two lines share a name and
-    /// label set.
+    /// label set. Completed queries, delivered IV and IV lost to faults
+    /// appear once, as the merged histograms' `_count` and `_sum`.
     #[must_use]
     pub fn to_text(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "# ivdss-cluster metrics at t={}", self.at.value());
         let _ = writeln!(out, "cluster_shards {}", self.shards.len());
-        let _ = writeln!(out, "cluster_queries_submitted {}", self.queries_submitted);
-        let _ = writeln!(out, "cluster_routed_full {}", self.routed_full);
-        let _ = writeln!(out, "cluster_routed_partial {}", self.routed_partial);
-        let _ = writeln!(out, "cluster_unroutable_shed {}", self.unroutable_shed);
-        let _ = writeln!(out, "cluster_steals {}", self.steals);
-        let _ = writeln!(out, "cluster_steal_iv_gain {}", self.steal_iv_gain);
-        let _ = writeln!(out, "cluster_shard_outages {}", self.shard_outages);
-        let _ = writeln!(out, "cluster_failover_rerouted {}", self.failover_rerouted);
-        let _ = writeln!(out, "cluster_failover_shed {}", self.failover_shed);
-        let _ = writeln!(
-            out,
-            "cluster_queries_completed {}",
-            self.queries_completed()
-        );
-        let _ = writeln!(out, "cluster_queries_shed {}", self.queries_shed());
-        let _ = writeln!(
-            out,
-            "cluster_total_delivered_iv {}",
-            self.total_delivered_iv()
-        );
-        let _ = writeln!(
-            out,
-            "cluster_faults_iv_lost_total {}",
-            self.faults_iv_lost_total()
-        );
+        let counters: [(&str, &dyn std::fmt::Display); 10] = [
+            ("cluster_queries_submitted_total", &self.queries_submitted),
+            ("cluster_routed_full_total", &self.routed_full),
+            ("cluster_routed_partial_total", &self.routed_partial),
+            ("cluster_unroutable_shed_total", &self.unroutable_shed),
+            ("cluster_steals_total", &self.steals),
+            ("cluster_steal_iv_gain_total", &self.steal_iv_gain),
+            ("cluster_shard_outages_total", &self.shard_outages),
+            ("cluster_failover_rerouted_total", &self.failover_rerouted),
+            ("cluster_failover_shed_total", &self.failover_shed),
+            ("cluster_queries_shed_total", &self.queries_shed()),
+        ];
+        for (name, value) in counters {
+            let _ = writeln!(out, "{name} {value}");
+        }
         if let Some((first, rest)) = self.shards.split_first() {
             for (i, (name, histogram)) in first.histograms().into_iter().enumerate() {
                 let mut merged = histogram.clone();
@@ -250,7 +235,7 @@ mod tests {
         m.record_submitted();
         let snap = m.snapshot(SimTime::new(1.0), Vec::new());
         let text = snap.to_text();
-        assert!(text.contains("cluster_queries_submitted 1"));
+        assert!(text.contains("cluster_queries_submitted_total 1"));
         assert!(text.contains("cluster_shards 0"));
         assert!(text.starts_with("# ivdss-cluster metrics at t=1"));
     }

@@ -442,6 +442,14 @@ fn two_shard_cluster_exposition_labels_shards_and_merges_them_exactly() {
         ("cluster_delivered_iv", "serve_delivered_iv"),
         ("cluster_faults_iv_lost", "serve_faults_iv_lost"),
     ];
+    const DUPLICATES: [&str; 6] = [
+        "serve_queries_completed_total",
+        "serve_delivered_iv_total",
+        "serve_faults_iv_lost_total",
+        "cluster_queries_completed",
+        "cluster_total_delivered_iv",
+        "cluster_faults_iv_lost_total",
+    ];
     let mut lost_samples = 0;
     for seed in 0..4 {
         let (snapshot, untraced) = run_cluster(seed, 2, Tracer::disabled());
@@ -499,6 +507,31 @@ fn two_shard_cluster_exposition_labels_shards_and_merges_them_exactly() {
                 .unwrap(),
             snapshot.queries_completed()
         );
+        // Each number once: these equal a histogram's `_count` or `_sum`.
+        for s in &parsed {
+            assert!(
+                !DUPLICATES.contains(&s.name),
+                "seed {seed}: {} repeats a histogram line",
+                s.name
+            );
+        }
+        // Every cluster counter is named `_total`; the shard count is a
+        // gauge.
+        let histogram_series: HashSet<String> = histograms
+            .keys()
+            .flat_map(|(base, _)| ["_bucket", "_sum", "_count"].map(|end| format!("{base}{end}")))
+            .collect();
+        for s in parsed.iter().filter(|s| {
+            s.name.starts_with("cluster_")
+                && s.name != "cluster_shards"
+                && !histogram_series.contains(s.name)
+        }) {
+            assert!(
+                s.name.ends_with("_total"),
+                "seed {seed}: counter {} must end in _total",
+                s.name
+            );
+        }
         lost_samples += snapshot
             .shards
             .iter()

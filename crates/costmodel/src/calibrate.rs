@@ -5,21 +5,11 @@
 //! catalog and the deterministic measured latency the device profile
 //! charged for it. [`fit_local`] regresses those samples with closed-form
 //! ordinary least squares into a [`LocalFit`]
-//! (`seconds ≈ overhead + secs_per_byte × bytes`), and
-//! [`CalibratedCostModel`] substitutes the fitted coefficients into the
-//! local side of [`AnalyticCostModel`], leaving the remote and
-//! transmission sides on the base coefficients. Summation order in the
+//! (`seconds ≈ overhead + secs_per_byte × bytes`), whose predictions the
+//! calibration study compares with the analytic model's
+//! (`bytes ÷ local_scan_rate`) on held-out scans. Summation order in the
 //! fit is fixed (sample order), so identical samples produce bit-identical
 //! coefficients — the regression suite pins them.
-
-use std::collections::BTreeSet;
-
-use ivdss_catalog::catalog::Catalog;
-use ivdss_catalog::ids::TableId;
-use ivdss_simkernel::time::SimDuration;
-
-use crate::model::{AnalyticCostModel, CostModel, PlanCost};
-use crate::query::QuerySpec;
 
 /// One measured scan: catalog bytes spanned vs measured latency.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,83 +74,9 @@ pub fn fit_local(samples: &[CalibrationSample]) -> Option<LocalFit> {
     })
 }
 
-/// [`AnalyticCostModel`] with its local side replaced by measured-scan
-/// coefficients.
-///
-/// Local processing becomes
-/// `overhead × |local tables| + secs_per_byte × weight·join_scale × bytes`
-/// (the fitted per-scan intercept is charged once per locally scanned
-/// table); shipped-result assembly uses the fitted slope too. Remote
-/// processing and transmission keep the base model's estimates — the
-/// storage engine only measures local replica scans.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CalibratedCostModel {
-    base: AnalyticCostModel,
-    fit: LocalFit,
-}
-
-impl CalibratedCostModel {
-    /// Wraps `base` with fitted local coefficients.
-    #[must_use]
-    pub fn new(base: AnalyticCostModel, fit: LocalFit) -> Self {
-        CalibratedCostModel { base, fit }
-    }
-
-    /// The fitted coefficients.
-    #[must_use]
-    pub fn fit(&self) -> LocalFit {
-        self.fit
-    }
-}
-
-impl CostModel for CalibratedCostModel {
-    fn plan_cost(
-        &self,
-        catalog: &Catalog,
-        query: &QuerySpec,
-        remote: &BTreeSet<TableId>,
-    ) -> PlanCost {
-        let base_cost = self.base.plan_cost(catalog, query, remote);
-        let join_scale =
-            1.0 + self.base.join_factor * (query.table_count().saturating_sub(1)) as f64;
-        let weight = query.weight() * join_scale;
-
-        let local_tables: Vec<TableId> = query
-            .tables()
-            .iter()
-            .copied()
-            .filter(|t| !remote.contains(t))
-            .collect();
-        let local_bytes: f64 = local_tables
-            .iter()
-            .map(|&t| catalog.table(t).size_bytes() as f64)
-            .sum();
-        let mut local = self.fit.overhead * local_tables.len() as f64
-            + self.fit.secs_per_byte * weight * local_bytes;
-
-        if !remote.is_empty() {
-            let remote_bytes: f64 = remote
-                .iter()
-                .map(|&t| catalog.table(t).size_bytes() as f64)
-                .sum();
-            let shipped_bytes = query.selectivity() * remote_bytes;
-            local += self.fit.secs_per_byte * weight * shipped_bytes;
-        }
-
-        PlanCost {
-            local_processing: SimDuration::new(local),
-            remote_processing: base_cost.remote_processing,
-            transmission: base_cost.transmission,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::QueryId;
-    use ivdss_catalog::placement::PlacementStrategy;
-    use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
 
     fn samples() -> Vec<CalibrationSample> {
         // Exactly linear: seconds = 0.5 + 2e-6 * bytes.
@@ -210,37 +126,5 @@ mod tests {
             3
         ];
         assert!(fit_local(&flat).is_none());
-    }
-
-    #[test]
-    fn calibrated_model_uses_fitted_local_side() {
-        let cat = synthetic_catalog(&SyntheticConfig {
-            tables: 4,
-            sites: 2,
-            replicated_tables: 4,
-            placement: PlacementStrategy::Uniform,
-            seed: 2,
-            ..SyntheticConfig::default()
-        })
-        .unwrap();
-        let fit = fit_local(&samples()).unwrap();
-        let base = AnalyticCostModel::paper_scale();
-        let model = CalibratedCostModel::new(base, fit);
-        let q = QuerySpec::new(QueryId::new(0), vec![TableId::new(0), TableId::new(1)]);
-
-        let all_local = model.plan_cost(&cat, &q, &BTreeSet::new());
-        let bytes: f64 = (cat.table(TableId::new(0)).size_bytes()
-            + cat.table(TableId::new(1)).size_bytes()) as f64;
-        let join_scale = 1.0 + base.join_factor;
-        let expect = fit.overhead * 2.0 + fit.secs_per_byte * join_scale * bytes;
-        assert!((all_local.local_processing.value() - expect).abs() < 1e-9);
-        assert_eq!(all_local.remote_processing, SimDuration::ZERO);
-
-        // Remote/transmission sides are inherited from the base model.
-        let remote: BTreeSet<TableId> = [TableId::new(1)].into_iter().collect();
-        let calibrated = model.plan_cost(&cat, &q, &remote);
-        let analytic = base.plan_cost(&cat, &q, &remote);
-        assert_eq!(calibrated.remote_processing, analytic.remote_processing);
-        assert_eq!(calibrated.transmission, analytic.transmission);
     }
 }

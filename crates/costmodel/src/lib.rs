@@ -13,8 +13,8 @@
 //! * [`model::AnalyticCostModel`] — a size-based model with per-site
 //!   parallelism, bounded-bandwidth result shipping and per-site
 //!   coordination overhead;
-//! * [`calibrate::CalibratedCostModel`] — the analytic model with its
-//!   local side refitted from measured storage scans
+//! * [`calibrate::fit_local`] — a least-squares fit of local-scan
+//!   latency against bytes, from measured storage scans
 //!   (see `ivdss-storage`).
 //!
 //! # Example
@@ -47,6 +47,6 @@ pub mod calibrate;
 pub mod model;
 pub mod query;
 
-pub use calibrate::{fit_local, CalibratedCostModel, CalibrationSample, LocalFit};
+pub use calibrate::{fit_local, CalibrationSample, LocalFit};
 pub use model::{AnalyticCostModel, CostModel, PlanCost, StylizedCostModel};
 pub use query::{QueryId, QuerySpec};

@@ -49,4 +49,11 @@ fn headline_numbers_are_pinned() {
     assert_eq!(format!("{:.1}", r.improvement), "27.7");
     assert_eq!(format!("{:.6e}", r.fit.overhead), "6.115436e-4");
     assert_eq!(format!("{:.6e}", r.fit.secs_per_byte), "5.839452e-8");
+    // Each error is an in-order sum over the held-out scans, so scanning
+    // another table, or the same tables in another order, moves its bits
+    // even where six printed digits do not.
+    assert_eq!(r.analytic_err.to_bits(), 0x3fef_d272_5c83_2f3e);
+    assert_eq!(r.calibrated_err.to_bits(), 0x3fa2_64d0_2555_42c2);
+    assert_eq!(r.fit.overhead.to_bits(), 0x3f44_09ff_d7b4_f638);
+    assert_eq!(r.fit.secs_per_byte.to_bits(), 0x3e6f_59ae_63c7_5f94);
 }

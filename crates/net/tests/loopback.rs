@@ -580,7 +580,8 @@ fn invalid_spec_refuses_the_whole_batch() {
     );
     let text = text.expect("metrics over socket");
     assert!(
-        text.lines().any(|l| l == "cluster_queries_submitted 0"),
+        text.lines()
+            .any(|l| l == "cluster_queries_submitted_total 0"),
         "a refused batch admits nothing:\n{text}"
     );
     let mut completed = 0;

@@ -316,34 +316,6 @@ pub enum EventKind {
         /// Its replica's sync period from birth onward.
         sync_period: SimDuration,
     },
-    /// The storage-backed serving path is about to execute a real scan
-    /// for one local table of the chosen plan; the estimates are the
-    /// plan node's pre-execution predictions.
-    ScanStarted {
-        /// The query being served.
-        query: QueryId,
-        /// The locally scanned table.
-        table: TableId,
-        /// Estimated block (page) accesses.
-        blocks_est: u64,
-        /// Estimated records output.
-        records_est: u64,
-    },
-    /// A storage-backed scan finished: the counts the `StatManager`
-    /// collector actually observed and the deterministic measured
-    /// latency the device profile charged.
-    ScanDone {
-        /// The query being served.
-        query: QueryId,
-        /// The scanned table.
-        table: TableId,
-        /// Blocks actually accessed.
-        blocks: u64,
-        /// Records actually accessed.
-        records: u64,
-        /// Measured scan latency, model time units.
-        seconds: f64,
-    },
     /// Measured-scan samples were regressed into calibrated local-scan
     /// coefficients (`seconds = overhead + secs_per_byte × bytes`).
     CoefficientsFit {
@@ -402,8 +374,6 @@ impl EventKind {
             EventKind::SchedChosen { .. } => "sched_chosen",
             EventKind::ScenarioStarted { .. } => "scenario_started",
             EventKind::TableBorn { .. } => "table_born",
-            EventKind::ScanStarted { .. } => "scan_started",
-            EventKind::ScanDone { .. } => "scan_done",
             EventKind::CoefficientsFit { .. } => "coefficients_fit",
             EventKind::SlaChecked { .. } => "sla_checked",
         }
@@ -724,33 +694,6 @@ impl TraceEvent {
                     sync_period.value()
                 );
             }
-            EventKind::ScanStarted {
-                query,
-                table,
-                blocks_est,
-                records_est,
-            } => {
-                let _ = write!(
-                    out,
-                    " query={} table={} blocks_est={blocks_est} records_est={records_est}",
-                    query.raw(),
-                    table.index()
-                );
-            }
-            EventKind::ScanDone {
-                query,
-                table,
-                blocks,
-                records,
-                seconds,
-            } => {
-                let _ = write!(
-                    out,
-                    " query={} table={} blocks={blocks} records={records} seconds={seconds}",
-                    query.raw(),
-                    table.index()
-                );
-            }
             EventKind::CoefficientsFit {
                 samples,
                 overhead,
@@ -1025,33 +968,6 @@ mod tests {
 
     #[test]
     fn storage_events_render() {
-        let started = TraceEvent::new(
-            SimTime::new(1.5),
-            EventKind::ScanStarted {
-                query: QueryId::new(4),
-                table: TableId::new(2),
-                blocks_est: 17,
-                records_est: 100,
-            },
-        );
-        assert_eq!(
-            started.render(),
-            "t=1.5 scan_started query=4 table=2 blocks_est=17 records_est=100\n"
-        );
-        let done = TraceEvent::new(
-            SimTime::new(1.5),
-            EventKind::ScanDone {
-                query: QueryId::new(4),
-                table: TableId::new(2),
-                blocks: 17,
-                records: 100,
-                seconds: 0.0039,
-            },
-        );
-        assert_eq!(
-            done.render(),
-            "t=1.5 scan_done query=4 table=2 blocks=17 records=100 seconds=0.0039\n"
-        );
         let fitted = TraceEvent::new(
             SimTime::new(9.0),
             EventKind::CoefficientsFit {

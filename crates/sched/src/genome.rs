@@ -31,9 +31,9 @@ pub struct UpgradePool {
 
 impl UpgradePool {
     /// Builds the pool. Each table contributes as many items as its cost
-    /// fits into the budget (bounded by `cap`, when given); the first
-    /// items replay `seed_picks` (the greedy pick sequence), the rest
-    /// fill remaining capacity in table order.
+    /// fits into the budget; the first items replay `seed_picks` (the
+    /// greedy pick sequence), the rest fill remaining capacity in table
+    /// order.
     ///
     /// # Panics
     ///
@@ -47,7 +47,6 @@ impl UpgradePool {
         costs: &RefreshCosts,
         budget: f64,
         seed_picks: &[TableId],
-        cap: Option<usize>,
     ) -> Self {
         assert!(!tables.is_empty(), "pool needs at least one table");
         assert!(
@@ -58,10 +57,7 @@ impl UpgradePool {
         sorted.sort_unstable();
         sorted.dedup();
 
-        let capacity = |table: TableId| -> usize {
-            let by_budget = (budget / costs.cost(table)).floor() as usize;
-            cap.map_or(by_budget, |c| by_budget.min(c))
-        };
+        let capacity = |table: TableId| -> usize { (budget / costs.cost(table)).floor() as usize };
 
         let mut items: Vec<TableId> = Vec::new();
         let mut used: std::collections::BTreeMap<TableId, usize> =
@@ -192,7 +188,7 @@ mod tests {
     fn pool() -> UpgradePool {
         let tables = [t(0), t(1)];
         let costs = RefreshCosts::uniform(&tables);
-        UpgradePool::new(&tables, SimTime::new(20.0), &costs, 4.0, &[t(1)], None)
+        UpgradePool::new(&tables, SimTime::new(20.0), &costs, 4.0, &[t(1)])
     }
 
     #[test]

@@ -55,9 +55,9 @@ pub struct GreedyOutcome {
 }
 
 /// Runs the greedy marginal-IV pass. `tables` is the candidate set (the
-/// replicated tables); `cap` optionally bounds any one table's refresh
-/// count. Picks are emitted to `tracer` as `sched_pick` events stamped
-/// at [`SimTime::ZERO`] (schedule decisions precede the horizon).
+/// replicated tables). Picks are emitted to `tracer` as `sched_pick`
+/// events stamped at [`SimTime::ZERO`] (schedule decisions precede the
+/// horizon).
 ///
 /// # Panics
 ///
@@ -70,7 +70,6 @@ pub fn greedy_schedule(
     budget: f64,
     tables: &[TableId],
     horizon: SimTime,
-    cap: Option<usize>,
     tracer: &Tracer,
 ) -> GreedyOutcome {
     assert!(
@@ -87,7 +86,6 @@ pub fn greedy_schedule(
         let candidates: Vec<TableId> = allocation
             .tables()
             .filter(|&t| costs.cost(t) <= remaining)
-            .filter(|&t| cap.is_none_or(|c| allocation.count(t) < c))
             .collect();
         if candidates.is_empty() {
             break;
@@ -206,7 +204,6 @@ mod tests {
             6.0,
             &[t(0), t(1)],
             SimTime::new(30.0),
-            None,
             &Tracer::disabled(),
         );
         assert!(out.budget_used <= 6.0);
@@ -229,26 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn cap_bounds_any_single_table() {
-        let (catalog, requests) = fixture();
-        let model = StylizedCostModel::paper_fig4();
-        let eval =
-            ScheduleEvaluator::new(&catalog, &model, DiscountRates::new(0.02, 0.08), &requests);
-        let costs = RefreshCosts::uniform(&[t(0), t(1)]);
-        let out = greedy_schedule(
-            &eval,
-            &costs,
-            10.0,
-            &[t(0), t(1)],
-            SimTime::new(30.0),
-            Some(2),
-            &Tracer::disabled(),
-        );
-        assert!(out.allocation.count(t(0)) <= 2);
-        assert!(out.allocation.count(t(1)) <= 2);
-    }
-
-    #[test]
     fn zero_budget_buys_nothing() {
         let (catalog, requests) = fixture();
         let model = StylizedCostModel::paper_fig4();
@@ -261,7 +238,6 @@ mod tests {
             0.0,
             &[t(0), t(1)],
             SimTime::new(30.0),
-            None,
             &Tracer::disabled(),
         );
         assert!(out.picks.is_empty());

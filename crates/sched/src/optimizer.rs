@@ -33,9 +33,6 @@ pub struct AdaptiveConfig {
     pub horizon: SimTime,
     /// GA search configuration; `None` runs the greedy pass only.
     pub ga: Option<GaConfig>,
-    /// Optional bound on any single table's refresh count (also caps the
-    /// GA genome length).
-    pub max_refreshes_per_table: Option<usize>,
 }
 
 impl AdaptiveConfig {
@@ -50,7 +47,6 @@ impl AdaptiveConfig {
         AdaptiveConfig {
             horizon,
             ga: Some(GaConfig::paper()),
-            max_refreshes_per_table: None,
         }
     }
 }
@@ -204,20 +200,12 @@ impl<'a> AdaptiveScheduler<'a> {
             budget,
             &tables,
             config.horizon,
-            config.max_refreshes_per_table,
             &self.tracer,
         );
 
         let ga = config.ga.and_then(|ga_config| {
             let seed_picks: Vec<TableId> = greedy.picks.iter().map(|p| p.table).collect();
-            let pool = UpgradePool::new(
-                &tables,
-                config.horizon,
-                &self.costs,
-                budget,
-                &seed_picks,
-                config.max_refreshes_per_table,
-            );
+            let pool = UpgradePool::new(&tables, config.horizon, &self.costs, budget, &seed_picks);
             if pool.len() < 2 {
                 return None;
             }

@@ -115,7 +115,7 @@ proptest! {
     ) {
         let (tables, costs) = costs_from(&raw_costs);
         let horizon = SimTime::new(40.0);
-        let pool = UpgradePool::new(&tables, horizon, &costs, budget, &[], None);
+        let pool = UpgradePool::new(&tables, horizon, &costs, budget, &[]);
         // Budget exceeds the dearest cost, so every table affords ≥ 1 item.
         prop_assert!(!pool.is_empty());
 
@@ -147,7 +147,7 @@ proptest! {
         let tables: Vec<TableId> = fixed.iter().map(|(table, _)| table).collect();
 
         let out = greedy_schedule(
-            &evaluator, &costs, budget, &tables, util::horizon(), None, &Tracer::disabled(),
+            &evaluator, &costs, budget, &tables, util::horizon(), &Tracer::disabled(),
         );
         prop_assert!(
             out.budget_used <= budget + 1e-9,
@@ -158,7 +158,7 @@ proptest! {
         let order = shuffled(tables.len(), shuffle_seed);
         let reordered: Vec<TableId> = order.iter().map(|i| tables[i]).collect();
         let shuffled_out = greedy_schedule(
-            &evaluator, &costs, budget, &reordered, util::horizon(), None, &Tracer::disabled(),
+            &evaluator, &costs, budget, &reordered, util::horizon(), &Tracer::disabled(),
         );
         prop_assert_eq!(
             out, shuffled_out,

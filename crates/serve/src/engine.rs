@@ -68,7 +68,6 @@ use ivdss_obs::{
 use ivdss_replication::events::{RevisionCursor, SyncEvent, SyncEventCursor};
 use ivdss_replication::timelines::SyncTimelines;
 use ivdss_simkernel::time::{SimDuration, SimTime};
-use ivdss_storage::{MeasuredLocalCost, StorageEngine};
 
 use crate::admission::{AdmissionQueue, AdmitOutcome, QueuedQuery};
 use crate::cache::{CacheOutcome, PlanCache};
@@ -214,13 +213,6 @@ pub struct ServeEngine<'a, C: Clock> {
     /// The plan searches outside the cache: outage re-planning and the
     /// fault-free IV bound.
     search: ScatterGatherSearch,
-    /// Storage-backed evaluation mode: when armed via
-    /// [`ServeEngine::with_storage`], dispatch executes a real scan per
-    /// local replica of the chosen plan and the delivered evaluation
-    /// uses the measured local latency instead of the model's estimate.
-    /// `None` (the default) is the pure analytic mode — byte-identical
-    /// to the engine before storage existed.
-    storage: Option<&'a StorageEngine>,
     /// Structured-event emission handle (disabled unless a trace is
     /// attached via [`ServeEngine::with_tracer`]).
     tracer: Tracer,
@@ -255,7 +247,6 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
             clock,
             faults: None,
             search: ScatterGatherSearch::new(),
-            storage: None,
             tracer: Tracer::disabled(),
             audits: AuditLog::new(AUDIT_CAPACITY),
         }
@@ -271,22 +262,6 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
     #[must_use]
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = tracer;
-        self
-    }
-
-    /// Arms the storage-backed evaluation mode (builder-style): every
-    /// dispatched plan's local tables are *actually scanned* through the
-    /// record-page engine. Each scan emits `scan_started`/`scan_done`
-    /// events, records a `(bytes, seconds)` calibration sample into the
-    /// storage engine's recorder, and the summed measured latency
-    /// replaces the model's local-processing estimate in the delivered
-    /// evaluation (remote and transmission components stay modeled).
-    /// Planning is untouched — plans are still *chosen* analytically, so
-    /// the cache's soundness argument is unchanged; only delivery is
-    /// measured.
-    #[must_use]
-    pub fn with_storage(mut self, storage: &'a StorageEngine) -> Self {
-        self.storage = Some(storage);
         self
     }
 
@@ -701,40 +676,6 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
             }
         };
 
-        // Storage-backed mode: execute a real scan per local replica of
-        // the chosen plan. Measured latency is a deterministic function
-        // of the access counts (device profile), so traces stay
-        // reproducible; each scan also contributes a calibration sample
-        // to the storage engine's recorder.
-        let mut measured_local: Option<SimDuration> = None;
-        if let Some(storage) = self.storage {
-            let mut total = SimDuration::ZERO;
-            for &table in planned
-                .local_tables
-                .iter()
-                .filter(|t| storage.has_table(**t))
-            {
-                let (blocks_est, records_est) = storage.scan_estimates(table);
-                self.tracer.emit_with(now, || EventKind::ScanStarted {
-                    query,
-                    table,
-                    blocks_est,
-                    records_est,
-                });
-                let m = storage.execute_table_scan(table);
-                storage.record_sample(m.bytes as f64, m.seconds);
-                total += SimDuration::new(m.seconds);
-                self.tracer.emit_with(now, || EventKind::ScanDone {
-                    query,
-                    table,
-                    blocks: m.blocks,
-                    records: m.records,
-                    seconds: m.seconds,
-                });
-            }
-            measured_local = Some(total);
-        }
-
         // Re-evaluate the chosen candidate against live calendar state:
         // the delivered IV must pay for real queuing — and, under faults,
         // for outage floors and cost jitter.
@@ -751,14 +692,6 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
                 &jittered
             }
             None => self.model,
-        };
-        let measured_override;
-        let live_model: &dyn CostModel = match measured_local {
-            Some(measured) => {
-                measured_override = MeasuredLocalCost::new(live_model, measured);
-                &measured_override
-            }
-            None => live_model,
         };
         let live_queues = SiteFloors::new(&self.facilities, floors.clone());
         let live_ctx = PlanContext {

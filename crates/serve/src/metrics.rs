@@ -259,7 +259,9 @@ impl MetricsSnapshot {
 
     /// Appends the text rendering with `labels` (such as `shard="0"`,
     /// or empty for none) on every sample line, so several engines'
-    /// sections can share one exposition.
+    /// sections can share one exposition. The completed count, the
+    /// delivered-IV total and the IV lost to faults appear once, as the
+    /// `_count` and `_sum` lines of their histograms.
     pub fn write_text(&self, labels: &str, out: &mut String) {
         use std::fmt::Write as _;
         let set = if labels.is_empty() {
@@ -268,12 +270,11 @@ impl MetricsSnapshot {
             format!("{{{labels}}}")
         };
         let _ = writeln!(out, "# ivdss-serve metrics at t={}", self.at.value());
-        let samples: [(&str, &dyn std::fmt::Display); 19] = [
+        let samples: [(&str, &dyn std::fmt::Display); 16] = [
             ("serve_queries_submitted_total", &self.queries_submitted),
             ("serve_queries_admitted_total", &self.queries_admitted),
             ("serve_queries_shed_total", &self.queries_shed),
             ("serve_shed_iv_total", &self.shed_iv),
-            ("serve_queries_completed_total", &self.queries_completed),
             ("serve_plan_cache_hits_total", &self.plan_cache_hits),
             ("serve_plan_cache_misses_total", &self.plan_cache_misses),
             (
@@ -284,7 +285,6 @@ impl MetricsSnapshot {
             ("serve_queue_depth", &self.queue_depth),
             ("serve_queue_depth_peak", &self.queue_depth_peak),
             ("serve_queue_depth_mean", &self.queue_depth_mean),
-            ("serve_delivered_iv_total", &self.total_delivered_iv),
             ("serve_delivered_iv_mean", &self.mean_delivered_iv),
             (
                 "serve_faults_syncs_slipped_total",
@@ -296,7 +296,6 @@ impl MetricsSnapshot {
             ),
             ("serve_faults_outages_total", &self.faults_outages),
             ("serve_faults_replans_total", &self.faults_replans),
-            ("serve_faults_iv_lost_total", &self.faults_iv_lost_total),
         ];
         for (name, value) in samples {
             let _ = writeln!(out, "{name}{set} {value}");
@@ -374,7 +373,7 @@ mod tests {
         m.record_completion(SimDuration::new(5.0), SimDuration::new(5.0), 0.5);
         m.record_completion(SimDuration::new(15.0), SimDuration::new(15.0), 0.9);
         let text = m.snapshot(SimTime::new(1.0), &PlanCache::new(1)).to_text();
-        assert!(text.contains("serve_queries_completed_total 2"));
+        assert!(text.contains("serve_delivered_iv_count 2"));
         assert!(text.contains("serve_cl_minutes_bucket{le=\"10\"} 1"));
         assert!(text.contains("serve_cl_minutes_bucket{le=\"20\"} 2"));
         assert!(text.contains("serve_cl_minutes_bucket{le=\"+Inf\"} 2"));
@@ -406,7 +405,7 @@ mod tests {
         assert!(text.contains("serve_faults_syncs_dropped_total 1"));
         assert!(text.contains("serve_faults_outages_total 1"));
         assert!(text.contains("serve_faults_replans_total 1"));
-        assert!(text.contains("serve_faults_iv_lost_total 0.75"));
+        assert!(text.contains("serve_faults_iv_lost_sum 0.75"));
         assert!(text.contains("serve_faults_iv_lost_count 2"));
         assert!(text.contains("serve_shed_iv_total 0.4"));
     }
@@ -418,7 +417,7 @@ mod tests {
         let snap = m.snapshot(SimTime::new(1.0), &PlanCache::new(1));
         let mut text = String::new();
         snap.write_text("shard=\"3\"", &mut text);
-        assert!(text.contains("serve_queries_completed_total{shard=\"3\"} 1\n"));
+        assert!(text.contains("serve_delivered_iv_count{shard=\"3\"} 1\n"));
         assert!(text.contains("serve_cl_minutes_bucket{shard=\"3\",le=\"10\"} 1\n"));
         assert!(text.contains("serve_delivered_iv_sum{shard=\"3\"} 0.5\n"));
         let samples = text.lines().filter(|l| !l.starts_with('#'));

@@ -336,7 +336,7 @@ fn faulted_run_degrades_but_still_delivers() {
         report.completions.len()
     );
     assert!(text.contains("serve_faults_syncs_slipped_total"));
-    assert!(text.contains("serve_faults_iv_lost_total"));
+    assert!(text.contains("serve_faults_iv_lost_sum"));
 }
 
 #[test]

@@ -4,20 +4,13 @@
 //! catalog table (capped at [`StorageConfig::row_cap`] rows so synthetic
 //! catalogs with multi-million-row tables stay cheap) and executes scans
 //! under a [`DeviceProfile`] that converts the deterministic access
-//! counts into deterministic "measured" latencies. Every scan executed
-//! through the serving path records a `(bytes, seconds)` sample into the
-//! engine's recorder, feeding [`ivdss_costmodel::calibrate::fit_local`].
-
-use std::collections::BTreeSet;
-use std::sync::Mutex;
+//! counts into deterministic "measured" latencies. A scan's
+//! `(bytes, seconds)` pair is one sample for
+//! [`ivdss_costmodel::calibrate::fit_local`].
 
 use ivdss_catalog::catalog::Catalog;
 use ivdss_catalog::ids::TableId;
-use ivdss_costmodel::calibrate::{fit_local, CalibrationSample, LocalFit};
-use ivdss_costmodel::model::{CostModel, PlanCost};
-use ivdss_costmodel::query::QuerySpec;
 use ivdss_simkernel::rng::SeedFactory;
-use ivdss_simkernel::time::SimDuration;
 
 use crate::heap::TableStorage;
 use crate::plan::TablePlan;
@@ -105,7 +98,6 @@ pub struct StorageEngine {
     tables: Vec<TableStorage>,
     model_bytes: Vec<u64>,
     capped: bool,
-    recorder: Mutex<Vec<CalibrationSample>>,
 }
 
 impl StorageEngine {
@@ -133,7 +125,6 @@ impl StorageEngine {
             tables,
             model_bytes,
             capped,
-            recorder: Mutex::new(Vec::new()),
         }
     }
 
@@ -142,14 +133,6 @@ impl StorageEngine {
     #[must_use]
     pub fn is_full_fidelity(&self) -> bool {
         !self.capped
-    }
-
-    /// Whether a heap was materialized for this table (false for tables
-    /// added to the catalog after the storage build, e.g. by a
-    /// schema-growth scenario).
-    #[must_use]
-    pub fn has_table(&self, table: TableId) -> bool {
-        table.index() < self.tables.len()
     }
 
     /// The materialized heap for a table.
@@ -168,14 +151,6 @@ impl StorageEngine {
         self.model_bytes[table.index()]
     }
 
-    /// Pre-execution full-scan estimates: `(blocks, records)`.
-    #[must_use]
-    pub fn scan_estimates(&self, table: TableId) -> (u64, u64) {
-        let stats = AccessStats::new();
-        let plan = TablePlan::new(self.table(table), &stats);
-        (plan.blocks_accessed(), plan.records_output())
-    }
-
     /// Executes a full table scan and measures it.
     #[must_use]
     pub fn execute_table_scan(&self, table: TableId) -> ScanMeasurement {
@@ -189,82 +164,12 @@ impl StorageEngine {
             seconds: self.device.seconds(stats.blocks(), stats.records()),
         }
     }
-
-    /// Appends one calibration sample to the engine's recorder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the recorder mutex is poisoned.
-    pub fn record_sample(&self, bytes: f64, seconds: f64) {
-        self.recorder
-            .lock()
-            .expect("storage recorder poisoned")
-            .push(CalibrationSample { bytes, seconds });
-    }
-
-    /// Snapshot of all recorded samples, in recording order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the recorder mutex is poisoned.
-    #[must_use]
-    pub fn samples(&self) -> Vec<CalibrationSample> {
-        self.recorder
-            .lock()
-            .expect("storage recorder poisoned")
-            .clone()
-    }
-
-    /// Fits local-scan coefficients from the recorded samples.
-    #[must_use]
-    pub fn fit(&self) -> Option<LocalFit> {
-        fit_local(&self.samples())
-    }
-}
-
-/// A cost model whose local-processing component is an *executed*
-/// measurement rather than an estimate.
-///
-/// Used by `ServeEngine`'s storage-backed mode: after real scans run for
-/// the chosen plan's local tables, the delivery evaluation wraps the live
-/// model so the delivered IV reflects the measured local latency while
-/// remote and transmission components stay modeled.
-#[derive(Clone, Copy)]
-pub struct MeasuredLocalCost<'a> {
-    inner: &'a dyn CostModel,
-    measured_local: SimDuration,
-}
-
-impl<'a> MeasuredLocalCost<'a> {
-    /// Wraps `inner`, overriding local processing with `measured_local`.
-    #[must_use]
-    pub fn new(inner: &'a dyn CostModel, measured_local: SimDuration) -> Self {
-        MeasuredLocalCost {
-            inner,
-            measured_local,
-        }
-    }
-}
-
-impl CostModel for MeasuredLocalCost<'_> {
-    fn plan_cost(
-        &self,
-        catalog: &Catalog,
-        query: &QuerySpec,
-        remote: &BTreeSet<TableId>,
-    ) -> PlanCost {
-        let mut cost = self.inner.plan_cost(catalog, query, remote);
-        cost.local_processing = self.measured_local;
-        cost
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ivdss_catalog::tpch::{tpch_catalog, TpchConfig};
-    use ivdss_costmodel::model::AnalyticCostModel;
-    use ivdss_costmodel::query::{QueryId, QuerySpec};
 
     fn tiny_catalog() -> Catalog {
         tpch_catalog(&TpchConfig {
@@ -308,44 +213,12 @@ mod tests {
         let cat = tiny_catalog();
         let s = StorageEngine::build(&cat, &StorageConfig::default());
         for t in cat.table_ids() {
-            let (blocks, records) = s.scan_estimates(t);
+            let stats = AccessStats::new();
+            let plan = TablePlan::new(s.table(t), &stats);
+            let (blocks, records) = (plan.blocks_accessed(), plan.records_output());
             let m = s.execute_table_scan(t);
             assert_eq!((m.blocks, m.records), (blocks, records));
             assert!(m.seconds > 0.0);
         }
-    }
-
-    #[test]
-    fn recorder_feeds_a_reproducible_fit() {
-        let cat = tiny_catalog();
-        let s = StorageEngine::build(&cat, &StorageConfig::default());
-        for t in cat.table_ids() {
-            let m = s.execute_table_scan(t);
-            s.record_sample(m.bytes as f64, m.seconds);
-        }
-        let a = s.fit().unwrap();
-        let again = StorageEngine::build(&cat, &StorageConfig::default());
-        for t in cat.table_ids() {
-            let m = again.execute_table_scan(t);
-            again.record_sample(m.bytes as f64, m.seconds);
-        }
-        let b = again.fit().unwrap();
-        assert_eq!(a.overhead.to_bits(), b.overhead.to_bits());
-        assert_eq!(a.secs_per_byte.to_bits(), b.secs_per_byte.to_bits());
-    }
-
-    #[test]
-    fn measured_local_overrides_only_local_component() {
-        let cat = tiny_catalog();
-        let base = AnalyticCostModel::paper_scale();
-        let q = QuerySpec::new(QueryId::new(0), cat.table_ids()[..2].to_vec());
-        let remote: BTreeSet<TableId> = [cat.table_ids()[1]].into_iter().collect();
-        let measured = SimDuration::new(0.125);
-        let wrapped = MeasuredLocalCost::new(&base, measured);
-        let got = wrapped.plan_cost(&cat, &q, &remote);
-        let want = base.plan_cost(&cat, &q, &remote);
-        assert_eq!(got.local_processing, measured);
-        assert_eq!(got.remote_processing, want.remote_processing);
-        assert_eq!(got.transmission, want.transmission);
     }
 }

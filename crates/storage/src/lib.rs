@@ -2,8 +2,9 @@
 //!
 //! Everything upstream of this crate estimates: [`ivdss_costmodel`]'s
 //! analytic model turns catalog byte counts into latencies without ever
-//! touching a byte of data. This crate closes the loop with a minimal,
-//! fully deterministic storage engine in the classic SimpleDB shape:
+//! touching a byte of data. This crate measures what it estimates, with
+//! a minimal, fully deterministic storage engine in the classic SimpleDB
+//! shape:
 //!
 //! * [`schema`] — field schemas and slotted-record [`schema::Layout`]s,
 //!   including the canonical mapping from a catalog
@@ -19,9 +20,9 @@
 //!   (deterministic functions of the heap, so the differential suite can
 //!   assert estimate == measured bit-exactly);
 //! * [`engine`] — [`engine::StorageEngine`], which materializes every
-//!   catalog table, executes scans under a [`engine::DeviceProfile`] that
-//!   converts access counts into deterministic measured latencies, and
-//!   records `(bytes, seconds)` calibration samples for
+//!   catalog table and executes scans under a [`engine::DeviceProfile`]
+//!   that converts access counts into deterministic measured latencies;
+//!   each scan's `(bytes, seconds)` pair is a calibration sample for
 //!   [`ivdss_costmodel::calibrate::fit_local`].
 //!
 //! The measured side deliberately derives latency from *access counts*,
@@ -34,6 +35,7 @@
 //! ```
 //! use ivdss_catalog::tpch::{tpch_catalog, TpchConfig};
 //! use ivdss_storage::engine::{StorageConfig, StorageEngine};
+//! use ivdss_storage::{AccessStats, TablePlan};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let catalog = tpch_catalog(&TpchConfig {
@@ -42,9 +44,13 @@
 //! })?;
 //! let storage = StorageEngine::build(&catalog, &StorageConfig::default());
 //! let t = catalog.table_ids()[0];
-//! let (blocks_est, records_est) = storage.scan_estimates(t);
+//! let stats = AccessStats::new();
+//! let plan = TablePlan::new(storage.table(t), &stats);
 //! let m = storage.execute_table_scan(t);
-//! assert_eq!((m.blocks, m.records), (blocks_est, records_est));
+//! assert_eq!(
+//!     (m.blocks, m.records),
+//!     (plan.blocks_accessed(), plan.records_output())
+//! );
 //! # Ok(())
 //! # }
 //! ```
@@ -60,7 +66,7 @@ pub mod scan;
 pub mod schema;
 pub mod stats;
 
-pub use engine::{DeviceProfile, MeasuredLocalCost, ScanMeasurement, StorageConfig, StorageEngine};
+pub use engine::{DeviceProfile, ScanMeasurement, StorageConfig, StorageEngine};
 pub use heap::{RecordId, TableStorage};
 pub use page::Page;
 pub use plan::TablePlan;

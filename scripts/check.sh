@@ -33,10 +33,9 @@ echo "==> scenario engine property + golden + catalog-pin suites (release)"
 cargo test --offline --release -p ivdss-scenarios
 cargo test --offline --release -p ivdss-dsim --test golden_scenario --test scenario_catalog_pins
 
-echo "==> storage differential + property + calibration + golden suites (release)"
+echo "==> storage differential + property + calibration suites (release)"
 cargo test --offline --release -p ivdss-storage
 cargo test --offline --release -p ivdss-dsim --test calibration_regression
-cargo test --offline --release -p ivdss-serve --test golden_storage_trace
 
 echo "==> examples (release)"
 # Each example asserts its own acceptance criteria and panics when one
@@ -51,6 +50,11 @@ echo "==> serving benchmark correctness check (release)"
 # servebench is its own cargo workspace, so the steps above never build
 # it. Each workload's last line is its JSON report; a run is correct
 # when every socket pass matched the in-process run.
+# A path dependency dropped from a crate's manifest still passes
+# `--locked`, but the benchmark's own `cargo run --offline` rewrites
+# servebench/Cargo.lock to drop it, so the lock's checksum is compared
+# after the last run.
+lock_before=$(cksum servebench/Cargo.lock)
 cargo build --release --offline --quiet --manifest-path servebench/Cargo.toml
 for workload in tpch-paper dashboard-hot tenants-overload; do
   report=$(cargo run --quiet --release --offline --manifest-path servebench/Cargo.toml -- \
@@ -76,6 +80,10 @@ case "$report" in
     exit 1
     ;;
 esac
+if [ "$(cksum servebench/Cargo.lock)" != "$lock_before" ]; then
+  echo "building servebench rewrote servebench/Cargo.lock; restore it and keep every dependency edge it lists" >&2
+  exit 1
+fi
 
 echo "==> markdown link check"
 scripts/linkcheck.sh

@@ -27,6 +27,11 @@
 # - Same-named methods of different types: the scan knows names, not
 #   types, so `A::len` stays referenced while anything calls `b.len()`.
 #   Finding those takes a hand check of each name's callers.
+# - A struct, enum or trait named only by its own code: its name recurs
+#   in its own `impl` headers and in the `T { .. }` its `new` writes
+#   out, so it counts as referenced although nothing else names it (a
+#   cost model that only its own unit test built survived this way).
+#   Grep a suspect type's name outside its own `impl` blocks.
 # - Callers in integration tests (crates/*/tests, tests/) still count,
 #   since those test the public surface, so an item that only an
 #   integration test calls is not listed. Doctests do not count as

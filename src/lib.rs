@@ -18,7 +18,7 @@
 //! |---|---|
 //! | [`simkernel`] | Discrete-event simulation kernel (clock, events, random streams, statistics, server calendars) |
 //! | [`catalog`] | Tables, sites, placement, replication plans; TPC-H and synthetic schemas |
-//! | [`costmodel`] | Query footprints; stylized, analytic and storage-calibrated cost models for one local/remote combination |
+//! | [`costmodel`] | Query footprints; stylized and analytic cost models for one local/remote combination; a least-squares fit of local-scan latency from measured scans |
 //! | [`replication`] | Synchronization schedules and timelines, sync-event and revision cursors |
 //! | [`core`] | **The paper's contribution**: the IV model, plan evaluation, the bounded scatter-and-gather optimal plan search and its exhaustive oracle, a fork-join pool for planning many queries at once, IVQP/Federation/Warehouse planners, starvation aging |
 //! | [`ga`] | Genetic algorithm with permutation genomes and order crossover |
@@ -31,7 +31,7 @@
 //! | [`net`] | TCP front door: length-delimited binary protocol, hand-rolled `std::net` server over the serving engines, blocking client |
 //! | [`sched`] | Adaptive synchronization scheduling: refresh schedules as a decision variable — marginal-IV greedy + GA search at the fixed schedules' refresh budget, behind a never-worse guard |
 //! | [`scenarios`] | Seeded composable traffic scenarios: Zipf popularity, diurnal/flash-crowd arrivals, multi-tenant SLA mixes, schema growth with cold timelines |
-//! | [`storage`] | Record-page storage engine: slotted pages over catalog tables, full table scans with pre-execution estimates, measured scans feeding cost-model calibration |
+//! | [`storage`] | Record-page storage engine: slotted pages over catalog tables, full table scans with pre-execution estimates and deterministic measured latencies (the calibration study's samples) |
 //! | [`dsim`] | End-to-end DSS simulator and the per-figure experiment drivers |
 //!
 //! # Quickstart
@@ -100,8 +100,7 @@ pub mod prelude {
         ScatterGatherSearch, SearchOpts, WarehousePlanner,
     };
     pub use ivdss_costmodel::{
-        AnalyticCostModel, CalibratedCostModel, CostModel, LocalFit, PlanCost, QueryId, QuerySpec,
-        StylizedCostModel,
+        AnalyticCostModel, CostModel, LocalFit, PlanCost, QueryId, QuerySpec, StylizedCostModel,
     };
     pub use ivdss_dsim::{
         run_arrival_driven, run_prioritized, Environment, ReplicaLoading, RunMetrics,

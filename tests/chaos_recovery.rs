@@ -179,7 +179,7 @@ fn scripted_outage_degrades_then_recovers() {
         "serve_faults_syncs_dropped_total 1",
         "serve_faults_outages_total 1",
         "serve_faults_replans_total",
-        "serve_faults_iv_lost_total",
+        "serve_faults_iv_lost_sum",
     ] {
         assert!(
             text.contains(line),
