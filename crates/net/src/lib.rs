@@ -18,11 +18,11 @@
 //!   suites use. The sim-clock path stays bit-identical — the golden
 //!   traces pin it — because nothing here *touches* dispatch; only the
 //!   clock implementation and the transport differ.
-//! * [`server`] — a hand-rolled `std::net` server: nonblocking
-//!   listener polled from the engine loop, a bounded pool of reader
-//!   workers assembling frames under a short read timeout, every
-//!   request executed on the single engine thread in channel order,
-//!   and each connection's answers of one engine turn written at once.
+//! * [`server`] — a hand-rolled `std::net` server: a nonblocking
+//!   listener polled by the caller of `serve`, and one thread per
+//!   connection (bounded) that reads under a short timeout, decodes
+//!   every frame the read completed, executes them under the engine's
+//!   one lock and writes their answers at once after unlocking.
 //! * [`client`] — a blocking request/response client.
 //!
 //! The serving benchmark (`servebench/`, its own cargo workspace)

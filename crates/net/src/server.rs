@@ -1,28 +1,23 @@
-//! The TCP front door: a nonblocking listener plus a small worker pool.
+//! The TCP front door: a nonblocking listener and one thread per
+//! connection.
 //!
 //! # Architecture
 //!
-//! One thread — the caller of [`NetServer::serve`] — owns the engine
-//! and is the only thread that ever touches it, which is what preserves
-//! the deterministic, totally-ordered dispatch the sim-clock suites pin
-//! down. Around it:
-//!
-//! * the **listener** is nonblocking and polled from the engine loop;
-//! * each accepted connection gets a **reader worker** from a bounded
-//!   pool ([`NetConfig::max_connections`]; connections beyond the bound
-//!   are refused with [`ErrorCode::Busy`]). Workers assemble frames
-//!   incrementally ([`FrameReader`]) under a short read timeout so they
-//!   can observe the shutdown flag, decode them, and forward every
-//!   request one `read` completed as a single batch over an mpsc
-//!   channel;
-//! * the **engine loop** works in turns: it takes every batch queued
-//!   at the start of the turn, executes each request against the
-//!   [`QueryService`], and encodes the response into its connection's
-//!   outbound buffer, which lives as long as the connection. At the end
-//!   of the turn each buffer goes out in one write, or earlier once it
-//!   holds 64 KiB. Requests from one connection are processed in
-//!   arrival order; requests from different connections interleave in
-//!   channel order.
+//! The caller of [`NetServer::serve`] polls the nonblocking listener,
+//! refuses connections beyond [`NetConfig::max_connections`] with
+//! [`ErrorCode::Busy`] and gives each other connection a scoped thread
+//! of its own. That thread runs the whole request cycle: one read under
+//! a short timeout (so it observes the shutdown flag), assembled by
+//! [`FrameReader`]; decode every frame the read completed; lock the
+//! engine, execute the frames in order and encode each answer into the
+//! connection's outbound buffer; unlock; then write the buffer at once.
+//! It reads again only after writing, so one read collects every frame
+//! that arrived meanwhile, and TCP flow control bounds what a client can
+//! push. The lock is never held across a write — a buffer that reaches
+//! 64 KiB mid-batch is written between two holds — so a client that
+//! stops reading blocks only its own thread. Requests from one
+//! connection execute in arrival order; requests from different
+//! connections interleave in lock order.
 //!
 //! Malformed frames get an [`ErrorCode::Malformed`] reply, after the
 //! answers to the frames before them, and the connection is closed
@@ -30,19 +25,20 @@
 //! [`ErrorCode::Plan`] and the connection lives on. A response too large
 //! to frame closes its connection unsent. A write of a connection's
 //! buffer that has not finished within [`WRITE_TIMEOUT`], or fails,
-//! evicts the connection ([`ServerStats::evicted`]), so a client that
-//! stops reading, or reads too slowly, stalls the others for at most
-//! that long. Requests still queued from a closed or evicted connection
-//! are not run. A [`Request::Shutdown`] from any client — or an external
-//! trip of the [`ShutdownSwitch`] — stops the accept loop, answers
-//! [`Response::Bye`] and joins the workers before returning.
+//! evicts the connection ([`ServerStats::evicted`]). Requests of a
+//! closed or evicted connection that have not run never run. A
+//! [`Request::Shutdown`] from any client — or an external trip of the
+//! [`ShutdownSwitch`] — stops the accept loop once its
+//! [`Response::Bye`] is written; every socket is then closed and every
+//! connection thread joined. A panic in the engine trips the switch the
+//! same way and reaches the caller of [`NetServer::serve`] once every
+//! thread is joined.
 
 use std::collections::HashMap;
 use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::Sender;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ivdss_costmodel::query::QueryId;
@@ -50,26 +46,26 @@ use ivdss_simkernel::time::SimTime;
 
 use crate::proto::{
     write_frame, ErrorCode, FrameReader, ReadEvent, ReportMsg, Request, Response, SubmitSpec,
-    WireError, PROTOCOL_VERSION,
+    PROTOCOL_VERSION,
 };
 use crate::service::QueryService;
 
 /// Outbound bytes at which a connection's buffer is written before its
-/// turn ends, so one turn's answers never pile up without bound.
+/// batch is done, so one batch's answers never pile up without bound.
 const FLUSH_AT: usize = 64 * 1024;
 
-/// Longest one write of a connection's buffer may block the engine
-/// loop. A connection whose write has not finished by then (a client
-/// that stopped reading, or reads too slowly) is evicted.
+/// Longest one write of a connection's buffer may take. A connection
+/// whose write has not finished by then (a client that stopped reading,
+/// or reads too slowly) is evicted.
 pub const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Tuning knobs of a [`NetServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetConfig {
-    /// Reader-worker pool bound; further connections are refused busy.
+    /// Connection threads at most; further connections are refused busy.
     pub max_connections: usize,
-    /// Engine-loop wait for the next request before re-polling the
-    /// listener; also the workers' read timeout (shutdown latency).
+    /// The accept loop's wait between listener polls; also each
+    /// connection thread's read timeout (shutdown latency).
     pub poll_interval: Duration,
 }
 
@@ -82,8 +78,9 @@ impl Default for NetConfig {
     }
 }
 
-/// Cooperative stop flag shared by the engine loop, the workers and —
-/// via [`NetServer::shutdown_switch`] — any external controller.
+/// Cooperative stop flag shared by the accept loop, the connection
+/// threads and — via [`NetServer::shutdown_switch`] — any external
+/// controller.
 #[derive(Debug, Clone, Default)]
 pub struct ShutdownSwitch(Arc<AtomicBool>);
 
@@ -109,9 +106,9 @@ impl ShutdownSwitch {
 /// Counters of one [`NetServer::serve`] run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerStats {
-    /// Connections accepted into the pool.
+    /// Connections accepted, each on a thread of its own.
     pub accepted: u64,
-    /// Connections refused because the pool was full.
+    /// Connections refused because every connection thread was taken.
     pub refused: u64,
     /// Request frames executed.
     pub frames_in: u64,
@@ -121,23 +118,24 @@ pub struct ServerStats {
     pub decode_errors: u64,
     /// Requests answered with [`ErrorCode::Plan`].
     pub plan_errors: u64,
-    /// Connections shut down because a write failed or did not finish
-    /// within [`WRITE_TIMEOUT`].
+    /// Connections shut down because a write failed, shutdown aside, or
+    /// did not finish within [`WRITE_TIMEOUT`].
     pub evicted: u64,
 }
 
-/// What a reader worker sends the engine loop.
-enum ConnEvent {
-    /// The request frames one read completed, in arrival order.
-    Requests(u64, Vec<Request>),
-    /// The connection's stream broke protocol; close after replying.
-    Malformed(u64, WireError),
-    /// The connection ended (EOF or I/O error).
-    Closed(u64),
+impl ServerStats {
+    /// Adds the frame and error counters of one connection.
+    fn add(&mut self, other: ServerStats) {
+        self.frames_in += other.frames_in;
+        self.frames_out += other.frames_out;
+        self.decode_errors += other.decode_errors;
+        self.plan_errors += other.plan_errors;
+        self.evicted += other.evicted;
+    }
 }
 
-/// The engine loop's half of one connection: its socket and the
-/// response frames encoded for it since the last write.
+/// One connection's socket and the response frames encoded for it
+/// since its last write.
 struct Outbound {
     stream: TcpStream,
     /// Whole frames awaiting one write; reused for the connection's
@@ -149,24 +147,19 @@ struct Outbound {
 }
 
 impl Outbound {
-    /// Buffers `response`'s frame and writes the buffer once it holds
-    /// [`FLUSH_AT`] bytes. Returns `false` when the connection must go:
-    /// a write failed, or the frame was too large to send, in which
-    /// case the frames before it are written and the connection closed.
-    fn push(&mut self, response: &Response, stats: &mut ServerStats) -> bool {
-        if response.encode_frame(&mut self.buf).is_err() {
-            self.close(stats);
-            return false;
-        }
-        self.frames += 1;
-        self.buf.len() < FLUSH_AT || self.flush(stats)
+    /// Buffers `response`'s frame. Returns `false`, buffering nothing,
+    /// when the frame is too large to send.
+    fn push(&mut self, response: &Response) -> bool {
+        let framed = response.encode_frame(&mut self.buf).is_ok();
+        self.frames += u64::from(framed);
+        framed
     }
 
-    /// Writes the buffered frames, all within [`WRITE_TIMEOUT`]. On
-    /// failure — a peer gone, or the deadline passed — shuts the
-    /// connection down, counts it evicted and returns `false`: the
-    /// caller must drop the connection and write nothing more to it.
-    fn flush(&mut self, stats: &mut ServerStats) -> bool {
+    /// Writes the buffered frames, all within [`WRITE_TIMEOUT`]. Returns
+    /// `false` when the write failed or missed the deadline: the
+    /// connection must close. That counts as an eviction unless the
+    /// switch is tripped, since shutdown closes every socket.
+    fn flush(&mut self, stats: &mut ServerStats, shutdown: &ShutdownSwitch) -> bool {
         if self.buf.is_empty() {
             return true;
         }
@@ -175,40 +168,37 @@ impl Outbound {
         let frames = std::mem::take(&mut self.frames);
         if written {
             stats.frames_out += frames;
-        } else {
+        } else if !shutdown.is_tripped() {
             stats.evicted += 1;
-            let _ = self.stream.shutdown(std::net::Shutdown::Both);
         }
         written
-    }
-
-    /// Writes the buffered frames, then shuts the connection down.
-    fn close(&mut self, stats: &mut ServerStats) {
-        if self.flush(stats) {
-            let _ = self.stream.shutdown(std::net::Shutdown::Both);
-        }
     }
 }
 
 /// Writes all of `bytes`, or fails once [`WRITE_TIMEOUT`] has passed
-/// since the call. The socket's write timeout bounds only one `write`
-/// call, and a call that moved some bytes returns only once it runs
-/// out, so a peer draining a little at a time would otherwise hold the
-/// engine loop for a timeout per call; each call gets the time left.
+/// since the call. The socket's timeout, set at accept, bounds one
+/// `write` call, and a call that moved some bytes returns only once it
+/// runs out: after a short write, each further call gets the time left.
 fn write_in_time(stream: &mut TcpStream, mut bytes: &[u8]) -> std::io::Result<()> {
     let deadline = Instant::now() + WRITE_TIMEOUT;
-    while !bytes.is_empty() {
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return Err(std::io::ErrorKind::TimedOut.into());
-        }
-        stream.set_write_timeout(Some(left))?;
+    let mut shortened = false;
+    loop {
         match stream.write(bytes) {
+            Ok(n) if n == bytes.len() => break,
             Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
             Ok(n) => bytes = &bytes[n..],
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        stream.set_write_timeout(Some(left))?;
+        shortened = true;
+    }
+    if shortened {
+        stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     }
     Ok(())
 }
@@ -253,130 +243,166 @@ impl NetServer {
         self.shutdown.clone()
     }
 
-    /// Runs the serve loop until shutdown. The calling thread *is* the
-    /// engine thread: every request executes here, in channel order.
+    /// Runs the accept loop until shutdown. The calling thread accepts
+    /// connections; each connection's thread executes its own requests
+    /// against `service` under one lock, so requests run one at a time,
+    /// in lock order.
     ///
     /// # Errors
     ///
     /// Propagates listener I/O errors. Per-connection errors are
     /// handled by dropping the connection, never by failing the server.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `service` panicked, once every connection is closed.
     pub fn serve(&self, service: &mut dyn QueryService) -> std::io::Result<ServerStats> {
+        let engine = Mutex::new(service);
         let mut stats = ServerStats::default();
-        let (tx, rx) = std::sync::mpsc::channel::<ConnEvent>();
-        // Write halves and their outbound buffers, owned by the engine
-        // loop. A connection leaves the map when it closes or is
-        // evicted; its remaining requests are then not run.
-        let mut conns: HashMap<u64, Outbound> = HashMap::new();
-        let mut pending: Vec<ConnEvent> = Vec::new();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<(u64, ServerStats)>();
+        // A handle on each live connection's socket, to close it at
+        // shutdown, until its thread sends its id and counters.
+        let mut live: HashMap<u64, TcpStream> = HashMap::new();
         let mut next_conn: u64 = 0;
-        let mut live_readers: usize = 0;
-
-        std::thread::scope(|scope| -> std::io::Result<()> {
-            loop {
+        let served = std::thread::scope(|scope| {
+            let served = loop {
+                for (conn, conn_stats) in done_rx.try_iter() {
+                    live.remove(&conn);
+                    stats.add(conn_stats);
+                }
                 if self.shutdown.is_tripped() {
-                    break;
+                    break Ok(());
                 }
-
-                // Phase 1: poll the nonblocking listener.
-                loop {
-                    match self.listener.accept() {
-                        Ok((stream, _peer)) => {
-                            if live_readers >= self.config.max_connections {
-                                stats.refused += 1;
-                                let mut s = stream;
-                                let body = Response::Error {
-                                    code: ErrorCode::Busy,
-                                    message: "connection pool exhausted".to_owned(),
-                                }
-                                .encode();
-                                let _ = write_frame(&mut s, &body);
-                                let _ = s.flush();
-                                continue; // dropped: refused
-                            }
-                            stats.accepted += 1;
-                            let conn = next_conn;
-                            next_conn += 1;
-                            stream.set_nodelay(true).ok();
-                            stream.set_read_timeout(Some(self.config.poll_interval))?;
-                            let reader = stream.try_clone()?;
-                            let out = Outbound {
-                                stream,
-                                buf: Vec::new(),
-                                frames: 0,
-                            };
-                            conns.insert(conn, out);
-                            live_readers += 1;
-                            let tx = tx.clone();
-                            let shutdown = self.shutdown.clone();
-                            scope.spawn(move || read_loop(conn, reader, &tx, &shutdown));
+                match self.listener.accept() {
+                    Ok((mut stream, _peer)) if live.len() >= self.config.max_connections => {
+                        stats.refused += 1;
+                        let body = Response::Error {
+                            code: ErrorCode::Busy,
+                            message: "connection pool exhausted".to_owned(),
                         }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                        Err(e) => return Err(e),
+                        .encode();
+                        let _ = write_frame(&mut stream, &body);
                     }
-                }
-
-                // Phase 2: one engine turn. Block briefly on the first
-                // event, then take whatever queued behind it.
-                if let Ok(event) = rx.recv_timeout(self.config.poll_interval) {
-                    pending.push(event);
-                }
-                while let Ok(event) = rx.try_recv() {
-                    pending.push(event);
-                }
-                for event in pending.drain(..) {
-                    match event {
-                        ConnEvent::Closed(conn) => {
-                            // A half-closed client still reads its answers.
-                            if let Some(mut out) = conns.remove(&conn) {
-                                out.flush(&mut stats);
-                            }
-                            live_readers -= 1;
-                        }
-                        ConnEvent::Malformed(conn, err) => {
-                            stats.decode_errors += 1;
-                            if let Some(mut out) = conns.remove(&conn) {
-                                // Behind the answers to the valid frames
-                                // before it; not an answer, so not counted.
-                                let reply = Response::Error {
-                                    code: ErrorCode::Malformed,
-                                    message: err.to_string(),
-                                };
-                                let _ = reply.encode_frame(&mut out.buf);
-                                out.close(&mut stats);
-                            }
-                            // The reader worker exits on its own and
-                            // reports Closed.
-                        }
-                        ConnEvent::Requests(conn, requests) => {
-                            for request in requests {
-                                let Some(out) = conns.get_mut(&conn) else {
-                                    break;
-                                };
-                                stats.frames_in += 1;
-                                let response = self.execute(service, request, &mut stats);
-                                if matches!(response, Response::Bye) {
-                                    self.shutdown.trip();
-                                }
-                                if !out.push(&response, &mut stats) {
-                                    conns.remove(&conn);
-                                }
-                            }
-                        }
+                    Ok((stream, _peer)) => {
+                        stream.set_nodelay(true).ok();
+                        let handle = stream
+                            .set_read_timeout(Some(self.config.poll_interval))
+                            .and_then(|()| stream.set_write_timeout(Some(WRITE_TIMEOUT)))
+                            .and_then(|()| stream.try_clone());
+                        let Ok(handle) = handle else {
+                            continue; // dropped: a socket that cannot be set up
+                        };
+                        stats.accepted += 1;
+                        let conn = next_conn;
+                        next_conn += 1;
+                        live.insert(conn, handle);
+                        let (done_tx, engine) = (done_tx.clone(), &engine);
+                        scope.spawn(move || {
+                            let _ = done_tx.send((conn, self.serve_conn(stream, engine)));
+                        });
                     }
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                        std::thread::sleep(self.config.poll_interval);
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(e) => break Err(e),
                 }
-                // End of the turn: one write per connection with answers.
-                conns.retain(|_, out| out.flush(&mut stats));
-            }
-
-            // Shutdown: close every socket so blocked readers wake, then
+            };
+            // Close every socket so blocked connection threads wake, then
             // let the scope join them.
-            for out in conns.values() {
-                let _ = out.stream.shutdown(std::net::Shutdown::Both);
+            for stream in live.values() {
+                let _ = stream.shutdown(Shutdown::Both);
             }
-            Ok(())
-        })?;
-        Ok(stats)
+            served
+        });
+        for (_, conn_stats) in done_rx.try_iter() {
+            stats.add(conn_stats);
+        }
+        served.map(|()| stats)
+    }
+
+    /// One connection's thread. Each turn reads once, decodes every frame
+    /// the read completed, executes them in order under the engine lock and
+    /// writes their answers after releasing it. Exits on EOF, I/O error,
+    /// malformed frame, failed write or shutdown, and returns the
+    /// connection's counters.
+    fn serve_conn(&self, stream: TcpStream, engine: &Mutex<&mut dyn QueryService>) -> ServerStats {
+        let shutdown = &self.shutdown;
+        let _trip = TripOnPanic(shutdown);
+        let mut stats = ServerStats::default();
+        let mut out = Outbound {
+            stream,
+            buf: Vec::new(),
+            frames: 0,
+        };
+        let mut frames = FrameReader::new();
+        let mut requests = Vec::new();
+        while !shutdown.is_tripped() {
+            match frames.poll(&mut &out.stream) {
+                Ok(ReadEvent::NotReady) => continue,
+                Ok(ReadEvent::Data) => {}
+                // Every read's answers are written before the next read, so
+                // a half-closed client already has them all.
+                Ok(ReadEvent::Eof) | Err(_) => break,
+            }
+            // `Some` ends the connection after this batch: with a Malformed
+            // reply, or silently for an announced length over the bound, as
+            // on an I/O error.
+            let stop = loop {
+                match frames.next_frame() {
+                    Ok(None) => break None,
+                    Ok(Some(body)) => match Request::decode(body) {
+                        Ok(request) => requests.push(request),
+                        Err(err) => break Some(Some(err)),
+                    },
+                    Err(_) => break Some(None),
+                }
+            };
+            let mut batch = requests.drain(..);
+            let mut open = true;
+            let mut bye = false;
+            while open && batch.len() > 0 {
+                let Ok(mut service) = engine.lock() else {
+                    // A request panicked inside the engine: run nothing more.
+                    return stats;
+                };
+                let mut framed = true;
+                for request in batch.by_ref() {
+                    stats.frames_in += 1;
+                    let response = self.execute(&mut **service, request, &mut stats);
+                    bye |= matches!(response, Response::Bye);
+                    framed = out.push(&response);
+                    if !framed || out.buf.len() >= FLUSH_AT {
+                        break;
+                    }
+                }
+                drop(service);
+                // The answers before an unframeable one still go out.
+                open = out.flush(&mut stats, shutdown) && framed;
+            }
+            if bye {
+                // Only once `Bye` is written: the accept loop closes every
+                // socket as soon as it sees the switch.
+                shutdown.trip();
+            }
+            if let Some(Some(err)) = &stop {
+                stats.decode_errors += 1;
+                // Behind the answers to the valid frames before it; not an
+                // answer, so not counted.
+                let reply = Response::Error {
+                    code: ErrorCode::Malformed,
+                    message: err.to_string(),
+                };
+                if open && reply.encode_frame(&mut out.buf).is_ok() {
+                    out.flush(&mut stats, shutdown);
+                }
+            }
+            if stop.is_some() || !open {
+                break;
+            }
+        }
+        let _ = out.stream.shutdown(Shutdown::Both);
+        stats
     }
 
     /// Executes one decoded request against the engine.
@@ -493,40 +519,14 @@ impl NetServer {
     }
 }
 
-/// One reader worker: reads under the read timeout, decodes every frame
-/// a read completed and forwards them as one batch. Exits on EOF, I/O
-/// error, malformed frame or shutdown.
-fn read_loop(conn: u64, mut stream: TcpStream, tx: &Sender<ConnEvent>, shutdown: &ShutdownSwitch) {
-    let mut frames = FrameReader::new();
-    while !shutdown.is_tripped() {
-        match frames.poll(&mut stream) {
-            Ok(ReadEvent::NotReady) => continue,
-            Ok(ReadEvent::Data) => {}
-            Ok(ReadEvent::Eof) | Err(_) => break,
-        }
-        let mut requests = Vec::new();
-        // `Some` ends the connection after this batch: with a Malformed
-        // event, or silently for an announced length over the bound, as
-        // on an I/O error.
-        let stop = loop {
-            match frames.next_frame() {
-                Ok(None) => break None,
-                Ok(Some(body)) => match Request::decode(body) {
-                    Ok(request) => requests.push(request),
-                    Err(err) => break Some(Some(err)),
-                },
-                Err(_) => break Some(None),
-            }
-        };
-        if !requests.is_empty() && tx.send(ConnEvent::Requests(conn, requests)).is_err() {
-            break;
-        }
-        if let Some(malformed) = stop {
-            if let Some(err) = malformed {
-                let _ = tx.send(ConnEvent::Malformed(conn, err));
-            }
-            break;
+/// Trips the switch when its connection thread unwinds, so a panic in
+/// the engine closes every connection instead of leaving clients waiting.
+struct TripOnPanic<'a>(&'a ShutdownSwitch);
+
+impl Drop for TripOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.trip();
         }
     }
-    let _ = tx.send(ConnEvent::Closed(conn));
 }

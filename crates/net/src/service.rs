@@ -21,8 +21,10 @@ use crate::proto::{CompletionMsg, ReportMsg, RouteMsg, ShedMsg};
 
 /// Everything the network front door asks of an engine. Object-safe so
 /// the server can hold `&mut dyn QueryService` regardless of which
-/// engine (and which [`Clock`]) backs it.
-pub trait QueryService {
+/// engine (and which [`Clock`]) backs it. `Send` because each
+/// connection's thread executes its own requests, taking the engine
+/// under the server's lock.
+pub trait QueryService: Send {
     /// The engine's current time.
     fn now(&self) -> SimTime;
 
@@ -119,7 +121,7 @@ fn report_from_cluster(report: ClusterReport) -> ReportMsg {
     }
 }
 
-impl<C: Clock> QueryService for ServeEngine<'_, C> {
+impl<C: Clock + Send> QueryService for ServeEngine<'_, C> {
     fn now(&self) -> SimTime {
         ServeEngine::now(self)
     }
@@ -145,7 +147,7 @@ impl<C: Clock> QueryService for ServeEngine<'_, C> {
     }
 }
 
-impl<C: Clock + Clone> QueryService for Cluster<'_, C> {
+impl<C: Clock + Clone + Send> QueryService for Cluster<'_, C> {
     fn now(&self) -> SimTime {
         Cluster::now(self)
     }

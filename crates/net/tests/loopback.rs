@@ -9,11 +9,11 @@
 //! are identical. Floats travel the wire as IEEE-754 bit patterns, so
 //! this is exact equality, not tolerance comparison. A pipelined
 //! variant writes every frame before reading any answer, so reads carry
-//! many frames and each engine turn answers many of them with one write.
+//! many frames and each read's answers go out in one write.
 
-use std::io::Write as _;
+use std::io::{ErrorKind, Write as _};
 use std::net::{Shutdown, TcpStream};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use ivdss_catalog::catalog::Catalog;
 use ivdss_catalog::placement::PlacementStrategy;
@@ -320,9 +320,9 @@ fn half_closed_client_gets_every_answer() {
     assert_eq!(stats.frames_out, burst.len() as u64);
 }
 
-/// A service whose metrics exposition is `text`; every other call
-/// answers an empty report.
-struct FixedMetrics(String);
+/// A service whose metrics exposition is `text`, or a panic for `None`;
+/// every other call answers an empty report.
+struct FixedMetrics(Option<String>);
 
 impl QueryService for FixedMetrics {
     fn now(&self) -> SimTime {
@@ -338,7 +338,9 @@ impl QueryService for FixedMetrics {
         Ok(ReportMsg::default())
     }
     fn exposition(&self) -> String {
-        self.0.clone()
+        self.0
+            .clone()
+            .expect("this engine panics on a metrics request")
     }
     fn audit(&self, _: QueryId) -> Option<String> {
         None
@@ -346,10 +348,10 @@ impl QueryService for FixedMetrics {
 }
 
 /// An answer too large to frame closes its connection unsent; the
-/// answer before it in the same turn is still delivered.
+/// answer before it in the same batch is still delivered.
 #[test]
 fn unframeable_answer_closes_its_connection_after_earlier_answers() {
-    let mut service = FixedMetrics("m".repeat(MAX_FRAME_LEN));
+    let mut service = FixedMetrics(Some("m".repeat(MAX_FRAME_LEN)));
     let server = NetServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind loopback");
     let addr = server.local_addr().expect("bound address");
     let switch = server.shutdown_switch();
@@ -382,13 +384,14 @@ fn unframeable_answer_closes_its_connection_after_earlier_answers() {
     );
 }
 
-/// A client that stops reading stalls the engine for about one write
-/// deadline: its connection is evicted and another client is served.
+/// A client that stops reading holds up only its own connection:
+/// another client is answered at once, and the stalled connection is
+/// evicted once its write misses the deadline.
 #[test]
 fn client_that_stops_reading_is_evicted() {
     // 160 answers of 512 KiB: far more than loopback socket buffers hold.
     const METRICS_FRAMES: usize = 160;
-    let mut service = FixedMetrics("m".repeat(MAX_FRAME_LEN / 2));
+    let mut service = FixedMetrics(Some("m".repeat(MAX_FRAME_LEN / 2)));
     let server = NetServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind loopback");
     let addr = server.local_addr().expect("bound address");
     let (pinged, stats) = std::thread::scope(|scope| {
@@ -402,24 +405,110 @@ fn client_that_stops_reading_is_evicted() {
             Some(Response::Welcome { .. })
         ));
         write_all_frames(&mut stalled, &vec![Request::Metrics; METRICS_FRAMES]);
+        let stalled_at = Instant::now();
+        // Time for the stalled answers to fill the socket buffers, so the
+        // ping below runs while their write is blocked.
+        std::thread::sleep(Duration::from_millis(200));
 
         let started = Instant::now();
         let mut client = NetClient::connect(addr).expect("second client connects");
         client.ping(7).expect("second client is served");
         let pinged = started.elapsed();
+        // Shut down only past the stalled write's deadline: a write that
+        // shutdown cuts short is not an eviction.
+        let evicted_by = stalled_at + WRITE_TIMEOUT + Duration::from_secs(2);
+        std::thread::sleep(evicted_by.saturating_duration_since(Instant::now()));
         client.shutdown().expect("shutdown handshake");
         let stats = server_thread.join().expect("server thread joins");
         drop(stalled);
         (pinged, stats)
     });
+    assert!(pinged < Duration::from_secs(1), "ping took {pinged:?}");
     // One deadline for the whole stalled write: a timeout per `write`
     // call would let the partial writes into the filling socket buffers
-    // each take a full timeout.
-    assert!(pinged < 2 * WRITE_TIMEOUT, "ping took {pinged:?}");
-    assert_eq!(stats.evicted, 1);
+    // each take a full timeout, and shutdown would find it still blocked.
+    assert_eq!(stats.evicted, 1, "{stats:?}");
     // Only the answer whose write timed out is lost: the requests queued
     // behind it never run once the connection is gone.
     assert_eq!(stats.frames_in, stats.frames_out + 1, "{stats:?}");
+}
+
+/// A client that writes without ever reading is held back by TCP: its
+/// connection stops reading while its answers cannot be written, so the
+/// server takes in no more than the socket buffers hold.
+#[test]
+fn client_that_never_reads_is_held_back_by_tcp() {
+    const FLOOD: Duration = Duration::from_secs(3);
+    let mut wire = Vec::new();
+    for token in 0..1024 {
+        write_frame(&mut wire, &Request::Ping { token }.encode()).expect("in-memory write");
+    }
+    let mut service = FixedMetrics(Some(String::new()));
+    let server = NetServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind loopback");
+    let addr = server.local_addr().expect("bound address");
+    let switch = server.shutdown_switch();
+    let (flooded, stats) = std::thread::scope(|scope| {
+        let server_thread = scope.spawn(|| server.serve(&mut service).expect("server runs"));
+        let mut stream = TcpStream::connect(addr).expect("raw connect");
+        stream
+            .set_write_timeout(Some(Duration::from_millis(50)))
+            .expect("write timeout");
+        let (mut accepted, mut at) = (0usize, 0usize);
+        let started = Instant::now();
+        let flooded = loop {
+            if started.elapsed() >= FLOOD {
+                break Ok(accepted);
+            }
+            // From where the last write stopped, so frames stay whole.
+            match stream.write(&wire[at..]) {
+                Ok(n) => (accepted, at) = (accepted + n, (at + n) % wire.len()),
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                Err(e) => break Err(e.kind()),
+            }
+        };
+        switch.trip();
+        (flooded, server_thread.join().expect("server thread joins"))
+    });
+    let accepted = flooded.expect("the flood's writes only time out");
+    assert!(accepted < 64 << 20, "{accepted} bytes accepted");
+    // The blocked write of the answers ends at shutdown, not by deadline.
+    assert_eq!(stats.evicted, 0, "{stats:?}");
+}
+
+/// A panic inside the engine closes every connection within a poll
+/// interval and reaches the caller of `serve`, instead of leaving
+/// clients waiting on an engine that will never answer.
+#[test]
+fn engine_panic_closes_every_connection() {
+    let mut service = FixedMetrics(None);
+    let server = NetServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind loopback");
+    let addr = server.local_addr().expect("bound address");
+    // Asserted after the scope, so a failed check cannot leave the scope
+    // waiting on a server that still serves.
+    let (pong, answers, waited, served) = std::thread::scope(|scope| {
+        let server_thread = scope.spawn(|| server.serve(&mut service));
+        let mut bystander = TcpStream::connect(addr).expect("raw connect");
+        write_all_frames(&mut bystander, &[Request::Ping { token: 1 }]);
+        let pong = next_answer(&mut bystander);
+        let mut stream = TcpStream::connect(addr).expect("raw connect");
+        let started = Instant::now();
+        write_all_frames(&mut stream, &[Request::Metrics]);
+        // The read timeout only keeps a hung server from hanging the test.
+        let answers: Vec<_> = [stream, bystander]
+            .into_iter()
+            .map(|mut s| {
+                s.set_read_timeout(Some(Duration::from_secs(3)))
+                    .expect("read timeout");
+                read_frame_blocking(&mut s).map_err(|e| e.kind())
+            })
+            .collect();
+        // The clients are gone here, so a server waiting on them returns.
+        (pong, answers, started.elapsed(), server_thread.join())
+    });
+    assert_eq!(pong, Some(Response::Pong { token: 1 }));
+    assert_eq!(answers, [Ok(None), Ok(None)], "EOF on both connections");
+    assert!(waited < Duration::from_secs(2), "EOF took {waited:?}");
+    assert!(served.is_err(), "the panic reaches the caller of serve");
 }
 
 /// Protocol-level behavior over a real socket: version checks, ping,

@@ -163,7 +163,7 @@ impl std::io::Read for ChunkedReader {
 }
 
 /// Drives a [`FrameReader`] over `r` to EOF or the first error, taking
-/// every frame each read completed, as the server's reader workers do.
+/// every frame each read completed, as the server's connection threads do.
 fn assemble(r: &mut impl std::io::Read) -> (Vec<Vec<u8>>, std::io::Result<()>) {
     let mut assembler = FrameReader::new();
     let mut got = Vec::new();
