@@ -365,21 +365,6 @@ impl FaultPlan {
         self.revisions.is_empty() && self.outages.is_empty() && self.jitter == (1.0, 1.0)
     }
 
-    /// Returns `true` if `site` is down at `at`.
-    #[must_use]
-    pub fn is_down(&self, site: SiteId, at: SimTime) -> bool {
-        self.recovery_time(site, at).is_some()
-    }
-
-    /// If `site` is down at `at`, the time it recovers.
-    #[must_use]
-    pub fn recovery_time(&self, site: SiteId, at: SimTime) -> Option<SimTime> {
-        self.outages
-            .iter()
-            .find(|o| o.site == site && o.covers(at))
-            .map(|o| o.end)
-    }
-
     /// Release floors for every site down at `at`: work dispatched to a
     /// floored site cannot start before the floor (its recovery time).
     /// Sites that are up do not appear.
@@ -561,10 +546,8 @@ mod tests {
         }
         let o = plan.outages()[0];
         let mid = SimTime::new((o.start.value() + o.end.value()) / 2.0);
-        assert!(plan.is_down(o.site, mid));
-        assert_eq!(plan.recovery_time(o.site, mid), Some(o.end));
         assert_eq!(plan.site_floors(mid).get(&o.site), Some(&o.end));
-        assert!(!plan.is_down(o.site, o.end));
+        assert!(!plan.site_floors(o.end).contains_key(&o.site));
     }
 
     #[test]

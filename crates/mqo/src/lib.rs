@@ -65,4 +65,4 @@ pub use evaluate::{ScheduleOutcome, ScheduledQuery, WorkloadEvaluator};
 pub use scheduler::{
     ExhaustiveScheduler, FifoScheduler, GreedyScheduler, MqoScheduler, WorkloadScheduler,
 };
-pub use workload::{execution_ranges, form_workloads, live_batch_windows, ExecutionRange};
+pub use workload::{execution_ranges, form_workloads, ExecutionRange};

@@ -119,32 +119,6 @@ pub fn form_workloads(ranges: &[ExecutionRange]) -> Vec<Vec<QueryId>> {
     groups
 }
 
-/// Forms batch windows from a *live* admission queue (paper §3.2 applied
-/// online): the pending requests of a serving engine are grouped into
-/// workloads exactly as [`form_workloads`] groups an offline batch, except
-/// that each range is clamped to start no earlier than `now` — a query
-/// that has waited in the queue can no longer execute at its original
-/// submission time, so its window begins at the present.
-///
-/// # Errors
-///
-/// Propagates [`PlanError`] from the per-query plan search.
-pub fn live_batch_windows(
-    ctx: &PlanContext<'_>,
-    pending: &[QueryRequest],
-    now: SimTime,
-) -> Result<Vec<Vec<QueryId>>, PlanError> {
-    let ranges = execution_ranges(ctx, pending)?;
-    let clamped: Vec<ExecutionRange> = ranges
-        .into_iter()
-        .map(|r| {
-            let start = r.start.max(now);
-            ExecutionRange::new(r.query, start, r.end.max(start))
-        })
-        .collect();
-    Ok(form_workloads(&clamped))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,7 +11,7 @@ use ivdss_costmodel::query::{QueryId, QuerySpec};
 use ivdss_ga::engine::GaConfig;
 use ivdss_mqo::evaluate::WorkloadEvaluator;
 use ivdss_mqo::scheduler::{FifoScheduler, MqoScheduler, WorkloadScheduler};
-use ivdss_mqo::workload::{execution_ranges, form_workloads, live_batch_windows, ExecutionRange};
+use ivdss_mqo::workload::{execution_ranges, form_workloads, ExecutionRange};
 use ivdss_replication::timelines::{SyncMode, SyncTimelines};
 use ivdss_simkernel::time::SimTime;
 use proptest::prelude::*;
@@ -117,14 +117,13 @@ proptest! {
         }
     }
 
-    /// Live batch windows partition the pending queue, and with the
-    /// clock at zero (before every submission) they agree exactly with
-    /// offline workload formation over the unclamped execution ranges.
+    /// Workloads formed over the execution ranges the plan search
+    /// derives partition the requests: every query lands in exactly one
+    /// workload, and each range starts at its query's submission.
     #[test]
-    fn live_batch_windows_partition_pending_queue(
+    fn execution_range_workloads_partition_requests(
         n in 1usize..8,
-        spacing in 0.1..6.0f64,
-        now in 0.0..40.0f64
+        spacing in 0.1..6.0f64
     ) {
         let (catalog, timelines) = fixture();
         let model = StylizedCostModel::paper_fig4();
@@ -135,7 +134,7 @@ proptest! {
             rates: DiscountRates::new(0.1, 0.1),
             queues: &ivdss_core::plan::NoQueues,
         };
-        let pending: Vec<QueryRequest> = (0..n)
+        let requests: Vec<QueryRequest> = (0..n)
             .map(|i| {
                 QueryRequest::new(
                     QuerySpec::new(
@@ -147,18 +146,19 @@ proptest! {
             })
             .collect();
 
-        let windows = live_batch_windows(&ctx, &pending, SimTime::new(now)).unwrap();
-        let mut seen: Vec<u64> = windows
+        let ranges = execution_ranges(&ctx, &requests).unwrap();
+        prop_assert_eq!(ranges.len(), n);
+        for (range, request) in ranges.iter().zip(&requests) {
+            prop_assert_eq!(range.query, request.id());
+            prop_assert_eq!(range.start, request.submitted_at);
+        }
+        let mut seen: Vec<u64> = form_workloads(&ranges)
             .iter()
             .flatten()
             .map(|q| q.raw())
             .collect();
         seen.sort_unstable();
         prop_assert_eq!(seen, (0..n as u64).collect::<Vec<_>>());
-
-        let offline = live_batch_windows(&ctx, &pending, SimTime::ZERO).unwrap();
-        let ranges = execution_ranges(&ctx, &pending).unwrap();
-        prop_assert_eq!(offline, form_workloads(&ranges));
     }
 
 }

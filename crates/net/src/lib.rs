@@ -12,17 +12,19 @@
 //!   patterns, so results round-trip bit-exactly; decoding is total and
 //!   fuzzed (malformed frames error, never panic).
 //! * [`service`] — the [`QueryService`] seam:
-//!   the transport drives a [`ServeEngine`](ivdss_serve::engine::ServeEngine)
-//!   or a sharded [`Cluster`](ivdss_cluster::Cluster) through exactly
-//!   the same `submit`/`advance_to`/`drain` entry points the simulated
-//!   suites use. The sim-clock path stays bit-identical — the golden
-//!   traces pin it — because nothing here *touches* dispatch; only the
-//!   clock implementation and the transport differ.
-//! * [`server`] — a hand-rolled `std::net` server: a nonblocking
-//!   listener polled by the caller of `serve`, and one thread per
-//!   connection (bounded) that reads under a short timeout, decodes
-//!   every frame the read completed, executes them under the engine's
-//!   one lock and writes their answers at once after unlocking.
+//!   the transport drives a [`Cluster`](ivdss_cluster::Cluster) (one
+//!   shard or many) through exactly the same `submit`/`advance_to`/`drain`
+//!   entry points the simulated suites use. The sim-clock path stays
+//!   bit-identical — the golden traces pin it — because nothing here
+//!   *touches* dispatch; only the clock implementation and the
+//!   transport differ.
+//! * [`server`] — a hand-rolled `std::net` server with no settings: a
+//!   nonblocking listener polled by the caller of `serve`, and one
+//!   thread per connection (at most
+//!   [`MAX_CONNECTIONS`](server::MAX_CONNECTIONS)) that blocks in
+//!   `read`, decodes every frame the read completed, executes them
+//!   under the engine's one lock and writes their answers at once after
+//!   unlocking.
 //! * [`client`] — a blocking request/response client.
 //!
 //! The serving benchmark (`servebench/`, its own cargo workspace)

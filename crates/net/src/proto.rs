@@ -832,9 +832,6 @@ pub enum ReadEvent {
     /// The read appended bytes; every frame they completed is ready for
     /// [`FrameReader::next_frame`].
     Data,
-    /// Nothing arrived (the read would block or timed out); partial
-    /// bytes stay buffered.
-    NotReady,
     /// The peer closed the connection at a frame boundary.
     Eof,
 }
@@ -843,10 +840,9 @@ pub enum ReadEvent {
 /// partial frame fills it.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// Incremental frame assembly over a socket with a read timeout: bytes
-/// accumulate across [`FrameReader::poll`] calls, so a timeout mid-frame
-/// loses nothing. This is what lets server workers wake up periodically
-/// to check the shutdown flag without corrupting the stream.
+/// Incremental frame assembly over a socket: a read returns whatever has
+/// arrived, so bytes accumulate across [`FrameReader::poll`] calls until
+/// their frames are whole.
 ///
 /// Each [`FrameReader::poll`] is one `read`; [`FrameReader::next_frame`]
 /// then hands out the frames it completed, borrowed from the buffer and
@@ -873,7 +869,8 @@ impl FrameReader {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors; EOF with a partial frame buffered is
+    /// Propagates I/O errors, a read that would block or timed out
+    /// included; EOF with a partial frame buffered is
     /// [`std::io::ErrorKind::UnexpectedEof`].
     pub fn poll(&mut self, r: &mut impl std::io::Read) -> std::io::Result<ReadEvent> {
         if self.start > 0 {
@@ -899,12 +896,6 @@ impl FrameReader {
                 Ok(n) => {
                     self.end += n;
                     return Ok(ReadEvent::Data);
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return Ok(ReadEvent::NotReady)
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),

@@ -3,21 +3,20 @@
 //!
 //! # Architecture
 //!
-//! The caller of [`NetServer::serve`] polls the nonblocking listener,
-//! refuses connections beyond [`NetConfig::max_connections`] with
-//! [`ErrorCode::Busy`] and gives each other connection a scoped thread
-//! of its own. That thread runs the whole request cycle: one read under
-//! a short timeout (so it observes the shutdown flag), assembled by
-//! [`FrameReader`]; decode every frame the read completed; lock the
-//! engine, execute the frames in order and encode each answer into the
-//! connection's outbound buffer; unlock; then write the buffer at once.
-//! It reads again only after writing, so one read collects every frame
-//! that arrived meanwhile, and TCP flow control bounds what a client can
-//! push. The lock is never held across a write — a buffer that reaches
-//! 64 KiB mid-batch is written between two holds — so a client that
-//! stops reading blocks only its own thread. Requests from one
-//! connection execute in arrival order; requests from different
-//! connections interleave in lock order.
+//! The caller of [`NetServer::serve`] polls the nonblocking listener
+//! every [`ACCEPT_POLL`], refuses connections beyond [`MAX_CONNECTIONS`]
+//! with [`ErrorCode::Busy`] and gives each other connection a scoped
+//! thread of its own. That thread runs the whole request cycle: one
+//! blocking read, assembled by [`FrameReader`]; decode every frame the
+//! read completed; lock the engine, execute the frames in order and
+//! encode each answer into the connection's outbound buffer; unlock;
+//! then write the buffer at once. It reads again only after writing, so
+//! one read collects every frame that arrived meanwhile, and TCP flow
+//! control bounds what a client can push. The lock is never held across
+//! a write — a buffer that reaches 64 KiB mid-batch is written between
+//! two holds — so a client that stops reading blocks only its own
+//! thread. Requests from one connection execute in arrival order;
+//! requests from different connections interleave in lock order.
 //!
 //! Malformed frames get an [`ErrorCode::Malformed`] reply, after the
 //! answers to the frames before them, and the connection is closed
@@ -29,10 +28,10 @@
 //! closed or evicted connection that have not run never run. A
 //! [`Request::Shutdown`] from any client — or an external trip of the
 //! [`ShutdownSwitch`] — stops the accept loop once its
-//! [`Response::Bye`] is written; every socket is then closed and every
-//! connection thread joined. A panic in the engine trips the switch the
-//! same way and reaches the caller of [`NetServer::serve`] once every
-//! thread is joined.
+//! [`Response::Bye`] is written; every socket is then shut down, which
+//! ends each blocked read with EOF, and every connection thread joined.
+//! A panic in the engine trips the switch the same way and reaches the
+//! caller of [`NetServer::serve`] once every thread is joined.
 
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -59,24 +58,21 @@ const FLUSH_AT: usize = 64 * 1024;
 /// or reads too slowly) is evicted.
 pub const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Tuning knobs of a [`NetServer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NetConfig {
-    /// Connection threads at most; further connections are refused busy.
-    pub max_connections: usize,
-    /// The accept loop's wait between listener polls; also each
-    /// connection thread's read timeout (shutdown latency).
-    pub poll_interval: Duration,
-}
+/// Connection threads at most; further connections are refused with
+/// [`ErrorCode::Busy`].
+pub const MAX_CONNECTIONS: usize = 8;
 
-impl Default for NetConfig {
-    fn default() -> Self {
-        NetConfig {
-            max_connections: 8,
-            poll_interval: Duration::from_millis(2),
-        }
-    }
-}
+/// The accept loop's wait between listener polls, and so the latency
+/// with which it notices the [`ShutdownSwitch`].
+pub const ACCEPT_POLL: Duration = Duration::from_millis(2);
+
+/// The argument of [`NetServer::bind`]. It has no setting: the front
+/// door's limits are the constants [`MAX_CONNECTIONS`], [`ACCEPT_POLL`]
+/// and [`WRITE_TIMEOUT`]. It stays for source compatibility, since the
+/// serving benchmark (`servebench/`) calls
+/// `NetServer::bind(addr, NetConfig::default())`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct NetConfig;
 
 /// Cooperative stop flag shared by the accept loop, the connection
 /// threads and — via [`NetServer::shutdown_switch`] — any external
@@ -91,7 +87,7 @@ impl ShutdownSwitch {
         ShutdownSwitch::default()
     }
 
-    /// Trips the switch; the server notices within a poll interval.
+    /// Trips the switch; the accept loop notices within [`ACCEPT_POLL`].
     pub fn trip(&self) {
         self.0.store(true, Ordering::Release);
     }
@@ -207,7 +203,6 @@ fn write_in_time(stream: &mut TcpStream, mut bytes: &[u8]) -> std::io::Result<()
 /// engine on it; the call blocks until shutdown.
 pub struct NetServer {
     listener: TcpListener,
-    config: NetConfig,
     shutdown: ShutdownSwitch,
 }
 
@@ -218,12 +213,11 @@ impl NetServer {
     /// # Errors
     ///
     /// Propagates binding and socket-option errors.
-    pub fn bind(addr: impl ToSocketAddrs, config: NetConfig) -> std::io::Result<Self> {
+    pub fn bind(addr: impl ToSocketAddrs, _config: NetConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         Ok(NetServer {
             listener,
-            config,
             shutdown: ShutdownSwitch::new(),
         })
     }
@@ -274,7 +268,7 @@ impl NetServer {
                     break Ok(());
                 }
                 match self.listener.accept() {
-                    Ok((mut stream, _peer)) if live.len() >= self.config.max_connections => {
+                    Ok((mut stream, _peer)) if live.len() >= MAX_CONNECTIONS => {
                         stats.refused += 1;
                         let body = Response::Error {
                             code: ErrorCode::Busy,
@@ -285,8 +279,11 @@ impl NetServer {
                     }
                     Ok((stream, _peer)) => {
                         stream.set_nodelay(true).ok();
+                        // Reads block until data, EOF or shutdown. Some
+                        // kernels pass the listener's nonblocking flag on
+                        // to accepted sockets, so it is cleared here.
                         let handle = stream
-                            .set_read_timeout(Some(self.config.poll_interval))
+                            .set_nonblocking(false)
                             .and_then(|()| stream.set_write_timeout(Some(WRITE_TIMEOUT)))
                             .and_then(|()| stream.try_clone());
                         let Ok(handle) = handle else {
@@ -302,14 +299,14 @@ impl NetServer {
                         });
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(self.config.poll_interval);
+                        std::thread::sleep(ACCEPT_POLL);
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                     Err(e) => break Err(e),
                 }
             };
-            // Close every socket so blocked connection threads wake, then
-            // let the scope join them.
+            // Shut down every socket, which ends each blocked read with
+            // EOF, then let the scope join the connection threads.
             for stream in live.values() {
                 let _ = stream.shutdown(Shutdown::Both);
             }
@@ -339,7 +336,6 @@ impl NetServer {
         let mut requests = Vec::new();
         while !shutdown.is_tripped() {
             match frames.poll(&mut &out.stream) {
-                Ok(ReadEvent::NotReady) => continue,
                 Ok(ReadEvent::Data) => {}
                 // Every read's answers are written before the next read, so
                 // a half-closed client already has them all.

@@ -1,27 +1,28 @@
 //! The seam between the transport and the engines.
 //!
-//! [`QueryService`] is the complete surface the TCP server needs: it is
-//! implemented for both a bare [`ServeEngine`] and a sharded
-//! [`Cluster`], and it is deliberately *thin* — every method forwards
-//! straight into the existing dispatch code, so the network path and
-//! the in-process path run the identical pipeline. That is the whole
-//! determinism argument of the loopback suite: a query stream fed
-//! through real sockets and the same stream fed through direct method
-//! calls hit the same `submit`/`advance_to`/`drain` entry points in the
-//! same order, and must therefore produce bit-identical reports.
+//! [`QueryService`] is the complete surface the TCP server needs. The
+//! served engine is a [`Cluster`] (one shard serves what a bare engine
+//! would, bit for bit), and the seam is deliberately *thin*: every
+//! method forwards straight into the existing dispatch code, so the
+//! network path and the in-process path run the identical pipeline.
+//! That is the whole determinism argument of the loopback suite: a
+//! query stream fed through real sockets and the same stream fed
+//! through direct method calls hit the same `submit`/`advance_to`/`drain`
+//! entry points in the same order, and must therefore produce
+//! bit-identical reports.
 
 use ivdss_cluster::{Cluster, ClusterReport};
 use ivdss_core::plan::{PlanError, QueryRequest};
 use ivdss_costmodel::query::QueryId;
 use ivdss_serve::clock::Clock;
-use ivdss_serve::engine::{Completion, ServeEngine, SubmitReport};
+use ivdss_serve::engine::Completion;
 use ivdss_simkernel::time::SimTime;
 
 use crate::proto::{CompletionMsg, ReportMsg, RouteMsg, ShedMsg};
 
 /// Everything the network front door asks of an engine. Object-safe so
-/// the server can hold `&mut dyn QueryService` regardless of which
-/// engine (and which [`Clock`]) backs it. `Send` because each
+/// the server can hold `&mut dyn QueryService` whichever [`Clock`]
+/// drives the engine, or a stand-in in tests. `Send` because each
 /// connection's thread executes its own requests, taking the engine
 /// under the server's lock.
 pub trait QueryService: Send {
@@ -71,33 +72,6 @@ fn completion_msg(shard: u32, c: &Completion) -> CompletionMsg {
     }
 }
 
-fn report_from_engine(report: SubmitReport) -> ReportMsg {
-    ReportMsg {
-        routed: None,
-        shed: report
-            .shed
-            .into_iter()
-            .map(|q| ShedMsg {
-                shard: Some(0),
-                query: q.raw(),
-            })
-            .collect(),
-        completions: report
-            .completed
-            .iter()
-            .map(|c| completion_msg(0, c))
-            .collect(),
-    }
-}
-
-fn report_from_completions(completed: Vec<Completion>) -> ReportMsg {
-    ReportMsg {
-        routed: None,
-        shed: Vec::new(),
-        completions: completed.iter().map(|c| completion_msg(0, c)).collect(),
-    }
-}
-
 fn report_from_cluster(report: ClusterReport) -> ReportMsg {
     ReportMsg {
         routed: report.routed.map(|d| RouteMsg {
@@ -118,32 +92,6 @@ fn report_from_cluster(report: ClusterReport) -> ReportMsg {
             .iter()
             .map(|(shard, c)| completion_msg(shard.raw(), c))
             .collect(),
-    }
-}
-
-impl<C: Clock + Send> QueryService for ServeEngine<'_, C> {
-    fn now(&self) -> SimTime {
-        ServeEngine::now(self)
-    }
-
-    fn submit(&mut self, request: QueryRequest) -> Result<ReportMsg, PlanError> {
-        ServeEngine::submit(self, request).map(report_from_engine)
-    }
-
-    fn advance_to(&mut self, to: SimTime) -> Result<ReportMsg, PlanError> {
-        ServeEngine::advance_to(self, to).map(report_from_completions)
-    }
-
-    fn drain(&mut self) -> Result<ReportMsg, PlanError> {
-        ServeEngine::drain(self).map(report_from_completions)
-    }
-
-    fn exposition(&self) -> String {
-        ServeEngine::exposition(self)
-    }
-
-    fn audit(&self, query: QueryId) -> Option<String> {
-        self.plan_audit(query).map(|a| a.render())
     }
 }
 

@@ -28,7 +28,7 @@ use ivdss_net::proto::{
     read_frame_blocking, write_frame, ErrorCode, ReportMsg, Request, Response, SubmitSpec,
     MAX_FRAME_LEN,
 };
-use ivdss_net::server::{NetConfig, NetServer, WRITE_TIMEOUT};
+use ivdss_net::server::{NetConfig, NetServer, MAX_CONNECTIONS, WRITE_TIMEOUT};
 use ivdss_net::service::QueryService;
 use ivdss_net::{NetClient, NetError};
 use ivdss_replication::timelines::{SyncMode, SyncTimelines};
@@ -107,7 +107,7 @@ fn run_in_process(requests: &[QueryRequest]) -> (Vec<ReportMsg>, String, Vec<Opt
 /// The same workload through real sockets.
 fn run_over_loopback(requests: &[QueryRequest]) -> (Vec<ReportMsg>, String, Vec<Option<String>>) {
     with_cluster(DesClock::new(), |cluster| {
-        let server = NetServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind loopback");
+        let server = NetServer::bind("127.0.0.1:0", NetConfig).expect("bind loopback");
         let addr = server.local_addr().expect("bound address");
         std::thread::scope(|scope| {
             let server_thread = scope.spawn(|| server.serve(cluster).expect("server runs"));
@@ -194,7 +194,7 @@ fn pipelined_run_is_bit_identical_to_in_process_run() {
     burst.extend((0..QUERIES as u64).map(|query| Request::Audit { query }));
     burst.push(Request::Shutdown);
     let (answers, stats) = with_cluster(DesClock::new(), |cluster| {
-        let server = NetServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind loopback");
+        let server = NetServer::bind("127.0.0.1:0", NetConfig).expect("bind loopback");
         let addr = server.local_addr().expect("bound address");
         std::thread::scope(|scope| {
             let server_thread = scope.spawn(|| server.serve(cluster).expect("server runs"));
@@ -242,7 +242,7 @@ fn malformed_frame_is_answered_after_the_valid_frames_before_it() {
         .map(SubmitSpec::from_request)
         .collect();
     let (answers, stats) = with_cluster(DesClock::new(), |cluster| {
-        let server = NetServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind loopback");
+        let server = NetServer::bind("127.0.0.1:0", NetConfig).expect("bind loopback");
         let addr = server.local_addr().expect("bound address");
         let switch = server.shutdown_switch();
         std::thread::scope(|scope| {
@@ -293,7 +293,7 @@ fn half_closed_client_gets_every_answer() {
         .collect();
     burst.push(Request::Drain);
     let (answers, stats) = with_cluster(DesClock::new(), |cluster| {
-        let server = NetServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind loopback");
+        let server = NetServer::bind("127.0.0.1:0", NetConfig).expect("bind loopback");
         let addr = server.local_addr().expect("bound address");
         let switch = server.shutdown_switch();
         std::thread::scope(|scope| {
@@ -352,7 +352,7 @@ impl QueryService for FixedMetrics {
 #[test]
 fn unframeable_answer_closes_its_connection_after_earlier_answers() {
     let mut service = FixedMetrics(Some("m".repeat(MAX_FRAME_LEN)));
-    let server = NetServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind loopback");
+    let server = NetServer::bind("127.0.0.1:0", NetConfig).expect("bind loopback");
     let addr = server.local_addr().expect("bound address");
     let switch = server.shutdown_switch();
     let (first, rest, stats) = std::thread::scope(|scope| {
@@ -392,7 +392,7 @@ fn client_that_stops_reading_is_evicted() {
     // 160 answers of 512 KiB: far more than loopback socket buffers hold.
     const METRICS_FRAMES: usize = 160;
     let mut service = FixedMetrics(Some("m".repeat(MAX_FRAME_LEN / 2)));
-    let server = NetServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind loopback");
+    let server = NetServer::bind("127.0.0.1:0", NetConfig).expect("bind loopback");
     let addr = server.local_addr().expect("bound address");
     let (pinged, stats) = std::thread::scope(|scope| {
         let server_thread = scope.spawn(|| server.serve(&mut service).expect("server runs"));
@@ -444,7 +444,7 @@ fn client_that_never_reads_is_held_back_by_tcp() {
         write_frame(&mut wire, &Request::Ping { token }.encode()).expect("in-memory write");
     }
     let mut service = FixedMetrics(Some(String::new()));
-    let server = NetServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind loopback");
+    let server = NetServer::bind("127.0.0.1:0", NetConfig).expect("bind loopback");
     let addr = server.local_addr().expect("bound address");
     let switch = server.shutdown_switch();
     let (flooded, stats) = std::thread::scope(|scope| {
@@ -481,7 +481,7 @@ fn client_that_never_reads_is_held_back_by_tcp() {
 #[test]
 fn engine_panic_closes_every_connection() {
     let mut service = FixedMetrics(None);
-    let server = NetServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind loopback");
+    let server = NetServer::bind("127.0.0.1:0", NetConfig).expect("bind loopback");
     let addr = server.local_addr().expect("bound address");
     // Asserted after the scope, so a failed check cannot leave the scope
     // waiting on a server that still serves.
@@ -517,7 +517,7 @@ fn engine_panic_closes_every_connection() {
 #[test]
 fn malformed_frames_get_an_error_then_disconnect() {
     with_cluster(DesClock::new(), |cluster| {
-        let server = NetServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind loopback");
+        let server = NetServer::bind("127.0.0.1:0", NetConfig).expect("bind loopback");
         let addr = server.local_addr().expect("bound address");
         let switch = server.shutdown_switch();
         std::thread::scope(|scope| {
@@ -568,7 +568,7 @@ fn malformed_frames_get_an_error_then_disconnect() {
 #[test]
 fn non_finite_times_are_refused() {
     with_cluster(DesClock::new(), |cluster| {
-        let server = NetServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind loopback");
+        let server = NetServer::bind("127.0.0.1:0", NetConfig).expect("bind loopback");
         let addr = server.local_addr().expect("bound address");
         std::thread::scope(|scope| {
             let server_thread = scope.spawn(|| server.serve(cluster).expect("server runs"));
@@ -606,7 +606,7 @@ fn non_finite_times_are_refused() {
 #[test]
 fn version_mismatch_is_refused() {
     with_cluster(DesClock::new(), |cluster| {
-        let server = NetServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind loopback");
+        let server = NetServer::bind("127.0.0.1:0", NetConfig).expect("bind loopback");
         let addr = server.local_addr().expect("bound address");
         let switch = server.shutdown_switch();
         std::thread::scope(|scope| {
@@ -642,7 +642,7 @@ fn invalid_spec_refuses_the_whole_batch() {
     // Everything is asserted after the server has stopped, so a failed
     // check cannot leave the scope waiting on the server thread.
     let (refused, text, resent) = with_cluster(DesClock::new(), |cluster| {
-        let server = NetServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind loopback");
+        let server = NetServer::bind("127.0.0.1:0", NetConfig).expect("bind loopback");
         let addr = server.local_addr().expect("bound address");
         std::thread::scope(|scope| {
             let server_thread = scope.spawn(|| server.serve(cluster).expect("server runs"));
@@ -699,7 +699,7 @@ fn wall_clock_server_answers_concurrent_unstamped_batches() {
         })
         .collect();
     let (clients, stats) = with_cluster(WallClock::new(), |cluster| {
-        let server = NetServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind loopback");
+        let server = NetServer::bind("127.0.0.1:0", NetConfig).expect("bind loopback");
         let addr = server.local_addr().expect("bound address");
         let switch = server.shutdown_switch();
         std::thread::scope(|scope| {
@@ -747,4 +747,60 @@ fn wall_clock_server_answers_concurrent_unstamped_batches() {
     assert_eq!(stats.frames_in, stats.frames_out);
     assert_eq!(stats.decode_errors, 0);
     assert_eq!(stats.plan_errors, 0);
+}
+
+/// A connection beyond [`MAX_CONNECTIONS`] reads one `Error { Busy }`
+/// frame, then EOF; once a held client closes, a new one is served.
+#[test]
+fn connections_beyond_the_limit_are_refused_busy() {
+    let mut service = FixedMetrics(Some(String::new()));
+    let server = NetServer::bind("127.0.0.1:0", NetConfig).expect("bind loopback");
+    let addr = server.local_addr().expect("bound address");
+    let switch = server.shutdown_switch();
+    // Asserted after the scope, so a failed check cannot leave the scope
+    // waiting on a server that still serves.
+    let (refusal, after, reconnected, stats) = std::thread::scope(|scope| {
+        let server_thread = scope.spawn(|| server.serve(&mut service).expect("server runs"));
+        let mut held: Vec<NetClient> = (0..MAX_CONNECTIONS)
+            .map(|_| NetClient::connect(addr).expect("a client within the limit connects"))
+            .collect();
+        let mut extra = TcpStream::connect(addr).expect("raw connect");
+        // The read timeout only keeps a hung server from hanging the test.
+        extra
+            .set_read_timeout(Some(Duration::from_secs(3)))
+            .expect("read timeout");
+        let mut read = || {
+            read_frame_blocking(&mut extra)
+                .map(|frame| frame.map(|body| Response::decode(&body)))
+                .map_err(|e| e.kind())
+        };
+        let (refusal, after) = (read(), read());
+        // The freed slot is taken once the server has seen the close.
+        drop(held.pop());
+        let started = Instant::now();
+        let reconnected = loop {
+            let served = NetClient::connect(addr).and_then(|mut client| client.ping(1));
+            if served.is_ok() || started.elapsed() >= Duration::from_secs(2) {
+                break served;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        switch.trip();
+        let stats = server_thread.join().expect("server thread joins");
+        (refusal, after, reconnected, stats)
+    });
+    assert!(
+        matches!(
+            refusal,
+            Ok(Some(Ok(Response::Error {
+                code: ErrorCode::Busy,
+                ..
+            })))
+        ),
+        "{refusal:?}"
+    );
+    assert_eq!(after, Ok(None), "EOF after the refusal");
+    assert!(reconnected.is_ok(), "{reconnected:?}");
+    assert_eq!(stats.accepted, MAX_CONNECTIONS as u64 + 1, "{stats:?}");
+    assert!(stats.refused >= 1, "{stats:?}");
 }

@@ -8,8 +8,8 @@
 //!   different message;
 //! * arbitrary byte soup never panics the decoders;
 //! * hostile element counts are rejected before allocation;
-//! * [`FrameReader`] reassembles frames fed in arbitrary chunk sizes
-//!   with `WouldBlock` interruptions, losing nothing, agrees with
+//! * [`FrameReader`] reassembles frames fed in arbitrary chunk sizes,
+//!   losing nothing, agrees with
 //!   [`read_frame_blocking`], and hands out every valid frame before an
 //!   oversized length prefix behind them;
 //! * [`Response::encode_frame`] appends exactly the bytes of
@@ -135,24 +135,17 @@ fn response_from_seeds(pick: u8, seed: u64, shed_seeds: &[u64], done_seeds: &[u6
 }
 
 /// A reader that serves a byte vector in chunks of the given sizes,
-/// cycled, returning `WouldBlock` between chunks — the shape of a
-/// nonblocking socket whose reads return whatever has arrived.
+/// cycled — the shape of a socket whose reads return whatever has
+/// arrived.
 struct ChunkedReader {
     data: Vec<u8>,
     at: usize,
     sizes: Vec<usize>,
     next: usize,
-    /// Alternates: every other call "would block".
-    block_next: bool,
 }
 
 impl std::io::Read for ChunkedReader {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if self.block_next {
-            self.block_next = false;
-            return Err(std::io::ErrorKind::WouldBlock.into());
-        }
-        self.block_next = true;
         let size = self.sizes[self.next % self.sizes.len()];
         self.next += 1;
         let n = size.min(buf.len()).min(self.data.len() - self.at);
@@ -176,7 +169,6 @@ fn assemble(r: &mut impl std::io::Read) -> (Vec<Vec<u8>>, std::io::Result<()>) {
                     Err(e) => return (got, Err(e)),
                 }
             },
-            Ok(ReadEvent::NotReady) => {}
             Ok(ReadEvent::Eof) => return (got, Ok(())),
             Err(e) => return (got, Err(e)),
         }
@@ -306,9 +298,9 @@ proptest! {
         prop_assert!(Response::decode(&body).is_err());
     }
 
-    /// Frames fed through a chunked, would-block-happy reader come out
-    /// whole, in order, with a clean EOF at the end — regardless of how
-    /// the chunk boundaries fall relative to frame boundaries — and as
+    /// Frames fed through a chunked reader come out whole, in order,
+    /// with a clean EOF at the end — regardless of how the chunk
+    /// boundaries fall relative to frame boundaries — and as
     /// `read_frame_blocking` reads them. Chunks run from single bytes
     /// to many frames at once; every other body is filler up to ~40 KB,
     /// past the reader's initial buffer, so the buffer has to grow. An
@@ -344,8 +336,7 @@ proptest! {
             .map(|&(small, n)| if small { n % 64 + 1 } else { n })
             .collect();
 
-        let mut reader =
-            ChunkedReader { data: stream.clone(), at: 0, sizes, next: 0, block_next: false };
+        let mut reader = ChunkedReader { data: stream.clone(), at: 0, sizes, next: 0 };
         let (got, end) = assemble(&mut reader);
         let (blocking, blocking_end) = read_all_blocking(stream);
         prop_assert_eq!(&got, &frames);

@@ -1,17 +1,12 @@
 //! Sim-path regression guard: compiling the network front door into the
 //! workspace must not move a single byte of the simulated-clock path.
 //!
-//! Two guards:
-//!
-//! 1. The serve crate's golden scenario (seed `0x601D`, faulted, cache
-//!    off) re-runs *from this crate* and is compared byte-for-byte
-//!    against the serve crate's checked-in fixture. If anything in the
-//!    net crate's dependency surface perturbed planning, dispatch or
-//!    trace rendering, this fails without touching the original suite.
-//! 2. Driving the same engine through the `&mut dyn QueryService`
-//!    object the TCP server uses — instead of direct method calls —
-//!    renders the identical trace. The trait indirection adds exactly
-//!    nothing.
+//! The serve crate's golden scenario (seed `0x601D`, faulted, every
+//! dispatch planned through the plan cache) re-runs *from this crate*
+//! and is compared byte-for-byte against the serve crate's checked-in
+//! fixture. If anything in the net crate's dependency surface perturbed
+//! planning, dispatch or trace rendering, this fails without touching
+//! the original suite.
 
 use std::sync::Arc;
 
@@ -22,7 +17,6 @@ use ivdss_core::value::DiscountRates;
 use ivdss_costmodel::model::StylizedCostModel;
 use ivdss_faults::observe::emit_fault_plan;
 use ivdss_faults::{FaultConfig, FaultPlan};
-use ivdss_net::service::QueryService;
 use ivdss_obs::{Trace, Tracer};
 use ivdss_replication::timelines::{SyncMode, SyncTimelines};
 use ivdss_serve::clock::DesClock;
@@ -48,11 +42,9 @@ fn golden_catalog(seeds: &SeedFactory) -> Catalog {
     .expect("golden catalog configuration is valid")
 }
 
-/// Re-runs the serve crate's golden scenario. With `through_dyn`, every
-/// engine interaction goes through the [`QueryService`] trait object the
-/// TCP server holds; otherwise through direct method calls as the
-/// original suite does.
-fn run_golden(through_dyn: bool) -> String {
+/// Re-runs the serve crate's golden scenario through direct method
+/// calls, as the original suite does.
+fn run_golden() -> String {
     let seeds = SeedFactory::new(SEED);
     let catalog = golden_catalog(&seeds);
     let timelines = SyncTimelines::from_plan(catalog.replication(), SyncMode::Deterministic);
@@ -94,30 +86,20 @@ fn run_golden(through_dyn: bool) -> String {
         faults,
     )
     .with_tracer(tracer);
-    if through_dyn {
-        let service: &mut dyn QueryService = &mut engine;
-        for _ in 0..QUERIES {
-            service
-                .submit(stream.next_request())
-                .expect("golden submission plans");
-        }
-        service.drain().expect("golden drain plans");
-    } else {
-        for _ in 0..QUERIES {
-            engine
-                .submit(stream.next_request())
-                .expect("golden submission plans");
-        }
-        engine.drain().expect("golden drain plans");
+    for _ in 0..QUERIES {
+        engine
+            .submit(stream.next_request())
+            .expect("golden submission plans");
     }
+    engine.drain().expect("golden drain plans");
     trace.render()
 }
 
-/// Guard 1: the checked-in golden fixture still holds, byte for byte,
-/// when the scenario runs from inside the net crate.
+/// The checked-in golden fixture still holds, byte for byte, when the
+/// scenario runs from inside the net crate.
 #[test]
 fn golden_trace_unchanged_with_net_compiled_in() {
-    let rendered = run_golden(false);
+    let rendered = run_golden();
     let fixture = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../serve/tests/fixtures/golden_trace.txt"
@@ -131,18 +113,5 @@ fn golden_trace_unchanged_with_net_compiled_in() {
          something to re-bless from here",
         rendered.len(),
         expected.len()
-    );
-}
-
-/// Guard 2: the `dyn QueryService` indirection the TCP server uses is
-/// invisible to the engine — identical trace bytes either way.
-#[test]
-fn dyn_service_dispatch_is_byte_identical() {
-    let direct = run_golden(false);
-    let through_dyn = run_golden(true);
-    assert_eq!(
-        direct.as_bytes(),
-        through_dyn.as_bytes(),
-        "driving the engine through &mut dyn QueryService changed the trace"
     );
 }

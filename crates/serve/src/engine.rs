@@ -61,7 +61,6 @@ use ivdss_core::value::DiscountRates;
 use ivdss_costmodel::model::CostModel;
 use ivdss_costmodel::query::QueryId;
 use ivdss_faults::{FaultPlan, JitteredCostModel};
-use ivdss_mqo::workload::live_batch_windows;
 use ivdss_obs::{
     AdmissionVerdict, AuditLog, EventKind, PlanAudit, PlanSource, SearchAudit, Tracer,
 };
@@ -791,17 +790,5 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
         let now = self.clock.now();
         self.sync_tick(now);
         self.pump(now, true)
-    }
-
-    /// Groups the currently queued queries into §3.2 batch windows
-    /// (connected components of overlapping execution ranges), the seam
-    /// to multi-query optimization.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlanError`] from the per-query range search.
-    pub fn batch_windows(&self) -> Result<Vec<Vec<QueryId>>, PlanError> {
-        let pending: Vec<QueryRequest> = self.queue.iter().map(|q| q.request.clone()).collect();
-        live_batch_windows(&planning_ctx!(self), &pending, self.clock.now())
     }
 }

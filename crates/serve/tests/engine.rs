@@ -17,7 +17,7 @@ use ivdss_replication::timelines::{SyncMode, SyncTimelines};
 use ivdss_serve::clock::DesClock;
 use ivdss_serve::engine::{ServeConfig, ServeEngine};
 use ivdss_serve::loadgen::{run_open_loop, OpenLoopConfig};
-use ivdss_simkernel::time::{SimDuration, SimTime};
+use ivdss_simkernel::time::SimDuration;
 use ivdss_workloads::stream::ArrivalStream;
 
 fn t(i: u32) -> TableId {
@@ -235,31 +235,4 @@ fn dispatched_plans_equal_the_search_at_submission() {
         );
         assert_eq!(audit.planned_iv, best.information_value.value(), "{query}");
     }
-}
-
-#[test]
-fn queued_queries_form_batch_windows() {
-    let (catalog, timelines, model) = fixture();
-    let mut engine = ServeEngine::new(
-        &catalog,
-        &timelines,
-        &model,
-        overload_config(),
-        DesClock::new(),
-    );
-    // Fill the queue with near-simultaneous arrivals; nothing dispatches
-    // while the first booking occupies the local server.
-    let specs = templates();
-    for (i, spec) in specs.iter().enumerate() {
-        let req = ivdss_core::plan::QueryRequest::new(
-            spec.with_id(QueryId::new(i as u64)),
-            SimTime::new(0.1 * i as f64),
-        );
-        engine.submit(req).unwrap();
-    }
-    assert!(engine.queue_depth() > 0, "backlog gate must leave a queue");
-    let windows = engine.batch_windows().unwrap();
-    let grouped: usize = windows.iter().map(Vec::len).sum();
-    assert_eq!(grouped, engine.queue_depth(), "windows partition the queue");
-    assert!(!windows.is_empty());
 }

@@ -14,7 +14,7 @@ scripts/deadcode.sh
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "==> cargo doc (deny rustdoc warnings, as CI's docs job does)"
+echo "==> cargo doc (deny rustdoc warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo test"

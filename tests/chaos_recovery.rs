@@ -260,7 +260,12 @@ fn scripted_outage_degrades_then_recovers() {
 
     // Site floors were real: the dead site is never booked inside the
     // outage window.
-    assert!(env.faults.is_down(env.down, SimTime::new(OUTAGE_START)));
+    assert_eq!(
+        env.faults
+            .site_floors(SimTime::new(OUTAGE_START))
+            .get(&env.down),
+        Some(&SimTime::new(OUTAGE_END))
+    );
     for c in &faulted {
         let remote: Vec<TableId> = env.requests[c.query.raw() as usize]
             .query
