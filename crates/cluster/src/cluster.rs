@@ -26,10 +26,12 @@
 //! After every step, an idle shard may take the *youngest* queued query
 //! of the most backlogged shard — but only when executing it now on the
 //! thief strictly beats the plan it would get by waiting out the
-//! victim's backlog, both sides evaluated with the same
-//! scatter-and-gather search that dispatch uses. Stealing therefore
-//! never trades IV away, which is exactly the differential suite's
-//! cluster-level assertion (total realized IV with stealing ≥ without).
+//! victim's backlog, each side asked of its own engine
+//! ([`ServeEngine::best_iv`]: the same scatter-and-gather search that
+//! dispatch uses, under that engine's planning context). Stealing
+//! therefore never trades IV away, which is exactly the differential
+//! suite's cluster-level assertion (total realized IV with stealing ≥
+//! without).
 //!
 //! # Shard outages
 //!
@@ -44,8 +46,7 @@ use std::collections::BTreeSet;
 
 use ivdss_catalog::catalog::Catalog;
 use ivdss_catalog::ids::ShardId;
-use ivdss_core::plan::{NoQueues, PlanContext, PlanError, QueryRequest};
-use ivdss_core::search::ScatterGatherSearch;
+use ivdss_core::plan::{PlanError, QueryRequest};
 use ivdss_core::value::DiscountRates;
 use ivdss_costmodel::model::CostModel;
 use ivdss_costmodel::query::QueryId;
@@ -201,7 +202,6 @@ pub struct Cluster<'a, C: Clock + Clone> {
     outages: Vec<ShardOutage>,
     /// Parallel to `outages`: whether the window's failover already ran.
     handled: Vec<bool>,
-    search: ScatterGatherSearch,
 }
 
 impl<'a, C: Clock + Clone> Cluster<'a, C> {
@@ -239,7 +239,6 @@ impl<'a, C: Clock + Clone> Cluster<'a, C> {
             metrics: ClusterMetrics::new(),
             outages: Vec::new(),
             handled: Vec::new(),
-            search: ScatterGatherSearch::new(),
         };
         cluster.rebuild_engines();
         cluster
@@ -527,19 +526,6 @@ impl<'a, C: Clock + Clone> Cluster<'a, C> {
         Ok(())
     }
 
-    /// The stateless planning context of one shard (its restricted
-    /// timeline belief, no queue model) — what the steal guard
-    /// evaluates both sides of a transfer under.
-    fn plan_ctx(&self, idx: usize) -> PlanContext<'_> {
-        PlanContext {
-            catalog: self.catalog,
-            timelines: self.engines[idx].timelines(),
-            model: self.model,
-            rates: self.config.serve.rates,
-            queues: &NoQueues,
-        }
-    }
-
     /// One stealing sweep: each idle live shard may take the youngest
     /// queued query of the most backlogged live shard, but only when
     /// executing it on the thief *now* strictly beats the plan the
@@ -572,18 +558,8 @@ impl<'a, C: Clock + Clone> Cluster<'a, C> {
                 None => continue,
             };
             let stay_at = now + self.engines[victim_idx].backlog();
-            let stay_iv = self
-                .search
-                .search_from(&self.plan_ctx(victim_idx), &candidate, stay_at)?
-                .best
-                .information_value
-                .value();
-            let move_iv = self
-                .search
-                .search_from(&self.plan_ctx(thief_idx), &candidate, now)?
-                .best
-                .information_value
-                .value();
+            let stay_iv = self.engines[victim_idx].best_iv(&candidate, stay_at)?;
+            let move_iv = self.engines[thief_idx].best_iv(&candidate, now)?;
             if move_iv <= stay_iv {
                 continue;
             }

@@ -207,7 +207,7 @@ impl QueueEstimator for FacilityQueues {
 ///
 /// let floors: BTreeMap<SiteId, SimTime> =
 ///     [(SiteId::new(0), SimTime::new(30.0))].into_iter().collect();
-/// let q = SiteFloors::new(&NoQueues, floors);
+/// let q = SiteFloors::new(&NoQueues, &floors);
 /// // Work released at t=10 against a site down until t=30 waits 20.
 /// assert_eq!(
 ///     q.remote_delay(SiteId::new(0), SimTime::new(10.0), SimDuration::new(1.0)),
@@ -222,7 +222,7 @@ impl QueueEstimator for FacilityQueues {
 #[derive(Clone)]
 pub struct SiteFloors<'a> {
     inner: &'a dyn QueueEstimator,
-    floors: std::collections::BTreeMap<SiteId, SimTime>,
+    floors: &'a std::collections::BTreeMap<SiteId, SimTime>,
 }
 
 impl fmt::Debug for SiteFloors<'_> {
@@ -238,7 +238,7 @@ impl<'a> SiteFloors<'a> {
     #[must_use]
     pub fn new(
         inner: &'a dyn QueueEstimator,
-        floors: std::collections::BTreeMap<SiteId, SimTime>,
+        floors: &'a std::collections::BTreeMap<SiteId, SimTime>,
     ) -> Self {
         SiteFloors { inner, floors }
     }
@@ -1122,7 +1122,7 @@ mod tests {
             .book(SimTime::new(30.0), SimDuration::new(5.0));
         let floors: std::collections::BTreeMap<SiteId, SimTime> =
             [(site, SimTime::new(30.0))].into_iter().collect();
-        let floored = SiteFloors::new(&queues, floors);
+        let floored = SiteFloors::new(&queues, &floors);
         assert!(!floored.is_empty());
         // Wait out the floor (10→30), then the booked job (30→35).
         assert_eq!(
@@ -1164,7 +1164,7 @@ mod tests {
             .into_iter()
             .map(|s| (s, SimTime::new(500.0)))
             .collect();
-        let floored = SiteFloors::new(&NoQueues, floors);
+        let floored = SiteFloors::new(&NoQueues, &floors);
         let degraded_ctx = ctx(&catalog, &timelines, &model, &floored);
         let degraded = search
             .search_from(&degraded_ctx, &req, req.submitted_at)

@@ -27,9 +27,11 @@
 //! # Hot-path representation
 //!
 //! Candidates never touch the heap: the per-mask tables, sites and costs
-//! live in a [`SubsetArena`] built once per search (the cost model runs
-//! once per mask), each release time looks its replica versions up once
-//! into a [`Wave`](crate::plan::Wave), each candidate scores into a `Copy`
+//! live in a [`SubsetArena`] built once per search, or passed in through
+//! [`SearchOpts::arena`] by a caller that keeps one per query template
+//! (the cost model runs once per mask), each release time looks its
+//! replica versions up once into a [`Wave`](crate::plan::Wave), each
+//! candidate scores into a `Copy`
 //! [`CandidateScore`] through the same kernel [`evaluate_plan`] uses (so
 //! the numbers are bit-identical by construction), the incumbent race
 //! runs branchless ([`is_better_score`]), and only the final winner
@@ -40,12 +42,12 @@
 //! # Entry points
 //!
 //! [`ScatterGatherSearch::search_from`] is the plain search.
-//! [`ScatterGatherSearch::search_with`] takes the optional
-//! instrumentation of a [`SearchOpts`]: a [`Tracer`] and a
-//! [`SearchAudit`]. Neither changes the chosen plan, the boundary or the
-//! candidates explored. The walk runs on the calling thread; callers
-//! that plan many queries parallelize per query (see
-//! [`crate::parallel::PlannerPool`]).
+//! [`ScatterGatherSearch::search_with`] takes the options of a
+//! [`SearchOpts`]: a [`Tracer`], a [`SearchAudit`], and a prebuilt
+//! [`SubsetArena`] for a caller that keeps one per query template.
+//! None of them changes the chosen plan, the boundary or the candidates
+//! explored. The walk runs on the calling thread; callers that plan many
+//! queries parallelize per query (see [`crate::parallel::PlannerPool`]).
 
 use std::collections::BTreeSet;
 
@@ -91,9 +93,8 @@ impl Default for ScatterGatherSearch {
     }
 }
 
-/// The optional instrumentation of one
-/// [`ScatterGatherSearch::search_with`] call. `SearchOpts::default()`
-/// is the plain search.
+/// The options of one [`ScatterGatherSearch::search_with`] call.
+/// `SearchOpts::default()` is the plain search.
 #[derive(Debug, Default)]
 pub struct SearchOpts<'a> {
     /// Receives the search events (start, per-wave effort, bound
@@ -101,6 +102,13 @@ pub struct SearchOpts<'a> {
     pub tracer: Option<&'a Tracer>,
     /// Accumulates the full candidate and bound record.
     pub audit: Option<&'a mut SearchAudit>,
+    /// The request's [`SubsetArena`] under the search's context, built by
+    /// the caller (the serving engine keeps one per query template).
+    /// `None` builds it. It must be the arena [`SubsetArena::build`]
+    /// makes for the request's replicated footprint: the catalog, the
+    /// cost model and the set of replicated tables it was built under
+    /// must be the search's.
+    pub arena: Option<&'a SubsetArena>,
 }
 
 impl ScatterGatherSearch {
@@ -143,11 +151,10 @@ impl ScatterGatherSearch {
         self.search_with(ctx, request, not_before, SearchOpts::default())
     }
 
-    /// [`ScatterGatherSearch::search_from`] with the optional
-    /// instrumentation in `opts`, which never changes the outcome. The
-    /// search scatters, then gathers wave by wave. All events are
-    /// stamped at the release floor; wave and bound payloads carry the
-    /// release times they describe.
+    /// [`ScatterGatherSearch::search_from`] with the options in `opts`,
+    /// which never change the outcome. The search scatters, then gathers
+    /// wave by wave. All events are stamped at the release floor; wave
+    /// and bound payloads carry the release times they describe.
     ///
     /// # Errors
     ///
@@ -204,6 +211,7 @@ impl ScatterGatherSearch {
     ///     SearchOpts {
     ///         tracer: Some(&tracer),
     ///         audit: Some(&mut audit),
+    ///         arena: None,
     ///     },
     /// )?;
     /// // Same outcome as the plain search, now with a record of it.
@@ -220,13 +228,31 @@ impl ScatterGatherSearch {
         not_before: SimTime,
         opts: SearchOpts<'_>,
     ) -> Result<SearchOutcome, PlanError> {
-        let SearchOpts { tracer, mut audit } = opts;
+        let SearchOpts {
+            tracer,
+            mut audit,
+            arena,
+        } = opts;
         let disabled = Tracer::disabled();
         let tracer = tracer.unwrap_or(&disabled);
         let query = request.id();
         let submit = request.submitted_at.max(not_before);
-        let replicated = replicated_footprint(ctx, request);
-        let arena = SubsetArena::build(ctx, request, &replicated);
+        let built;
+        let arena = match arena {
+            Some(arena) => {
+                debug_assert_eq!(
+                    arena.replicated(),
+                    replicated_footprint(ctx, request),
+                    "a prebuilt arena must be the request's arena under the search's context"
+                );
+                arena
+            }
+            None => {
+                built = SubsetArena::build(ctx, request, &replicated_footprint(ctx, request));
+                &built
+            }
+        };
+        let replicated = arena.replicated();
         let n_masks = arena.len();
 
         tracer.emit_with(submit, || EventKind::SearchStarted {
@@ -248,7 +274,7 @@ impl ScatterGatherSearch {
         for mask in 0..n_masks {
             let score = arena.score(ctx, request, &wave, mask);
             explored += 1;
-            note_candidate_score(&mut audit, &arena, mask, score);
+            note_candidate_score(&mut audit, arena, mask, score);
             if is_better_score(&score, best.as_ref().map(|(s, _)| s)) {
                 best = Some((score, mask));
             }
@@ -269,7 +295,7 @@ impl ScatterGatherSearch {
         let mut now = submit;
         let mut visited = 0usize;
         while visited < self.max_sync_points {
-            let Some((_, next_sync)) = ctx.timelines.next_sync_among(&replicated, now) else {
+            let Some((_, next_sync)) = ctx.timelines.next_sync_among(replicated, now) else {
                 break; // trace schedules exhaust
             };
             if next_sync > boundary {
@@ -289,7 +315,7 @@ impl ScatterGatherSearch {
             for mask in 1..n_masks {
                 let score = arena.score(ctx, request, &wave, mask);
                 explored += 1;
-                note_candidate_score(&mut audit, &arena, mask, score);
+                note_candidate_score(&mut audit, arena, mask, score);
                 if is_better_score(&score, Some(&best)) {
                     best = score;
                     best_mask = mask;
@@ -805,6 +831,7 @@ mod tests {
             let opts = SearchOpts {
                 tracer: Some(&tracer),
                 audit: Some(&mut audit),
+                ..SearchOpts::default()
             };
             let outcome = search
                 .search_with(&ctx, &req, req.submitted_at, opts)

@@ -368,20 +368,35 @@ impl FaultPlan {
     /// Release floors for every site down at `at`: work dispatched to a
     /// floored site cannot start before the floor (its recovery time).
     /// Sites that are up do not appear.
+    #[must_use]
+    pub fn site_floors(&self, at: SimTime) -> BTreeMap<SiteId, SimTime> {
+        self.site_floors_until(at).0
+    }
+
+    /// [`FaultPlan::site_floors`] at `at`, plus the first instant after
+    /// `at` at which an outage starts or a covering outage ends
+    /// ([`SimTime::MAX`] if none does). The set of covering outages, and
+    /// so the floors, is the same at every instant in `[at, until)`, so a
+    /// consumer stepping forward in time can hold the map until then.
     ///
     /// An outage covering `at` starts by `at` and lies past the longest
     /// prefix of outages that all ended by `at`. Binary searches over the
     /// starts and the running maximum of the ends bound that slice, so
     /// the cost does not grow with the plan's past.
     #[must_use]
-    pub fn site_floors(&self, at: SimTime) -> BTreeMap<SiteId, SimTime> {
+    pub fn site_floors_until(&self, at: SimTime) -> (BTreeMap<SiteId, SimTime>, SimTime) {
         let lo = self.max_end.partition_point(|&end| end <= at);
         let hi = self.outages.partition_point(|o| o.start <= at);
-        self.outages[lo..hi.max(lo)]
+        let mut until = self.outages.get(hi).map_or(SimTime::MAX, |o| o.start);
+        let floors = self.outages[lo..hi.max(lo)]
             .iter()
             .filter(|o| o.covers(at))
-            .map(|o| (o.site, o.end))
-            .collect()
+            .map(|o| {
+                until = until.min(o.end);
+                (o.site, o.end)
+            })
+            .collect();
+        (floors, until)
     }
 
     /// Applies every revision to a copy of the nominal timelines — the

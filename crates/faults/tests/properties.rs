@@ -1,6 +1,7 @@
 //! Property tests for fault plans: `FaultPlan::site_floors` binary-searches
 //! the outages that can cover an instant, and must return exactly what a
-//! linear filter over every outage returns.
+//! linear filter over every outage returns; `FaultPlan::site_floors_until`
+//! must also name an instant before which those floors hold.
 
 use std::collections::BTreeMap;
 
@@ -60,6 +61,51 @@ proptest! {
         }
     }
 
+    /// `site_floors_until(at)` returns the linear filter's floors at
+    /// `at`, and the floors stay those at sampled instants of
+    /// `[at, until)`: its start, one ulp below its end, its midpoint and
+    /// grid instants inside it. Its end is an outage boundary, so the
+    /// floors there differ, unless two outages of one site swap there.
+    #[test]
+    fn site_floors_hold_until_the_next_boundary(
+        raw in prop::collection::vec((0u32..3, 0u32..200, 0u32..60), 0..40),
+        extra in prop::collection::vec(0u32..260, 0..20)
+    ) {
+        let outages: Vec<Outage> = raw
+            .iter()
+            .map(|&(site, start, len)| Outage {
+                site: SiteId::new(site),
+                start: SimTime::new(f64::from(start) * 0.5),
+                end: SimTime::new(f64::from(start + len) * 0.5),
+            })
+            .collect();
+        let plan = FaultPlan::from_parts(Vec::new(), outages, (1.0, 1.0), 0, SimTime::new(150.0));
+        let mut instants = probes(&plan);
+        instants.extend(extra.iter().map(|&x| SimTime::new(f64::from(x) * 0.5)));
+        for at in instants {
+            let (floors, until) = plan.site_floors_until(at);
+            prop_assert_eq!(&floors, &linear_floors(&plan, at));
+            prop_assert!(until > at);
+            let mut inside = vec![at];
+            if until < SimTime::MAX {
+                inside.push(SimTime::new(until.value().next_down()));
+                inside.push(SimTime::new((at.value() + until.value()) / 2.0));
+                prop_assert!(
+                    plan.outages().iter().any(|o| o.start == until || o.end == until),
+                    "{} is no outage boundary", until.value()
+                );
+            }
+            inside.extend(
+                (1..8)
+                    .map(|i| SimTime::new(at.value() + f64::from(i) * 0.25))
+                    .filter(|&t| t < until),
+            );
+            for t in inside {
+                prop_assert_eq!(plan.site_floors(t), floors.clone(), "at {} until {}", at.value(), until.value());
+            }
+        }
+    }
+
     /// Sampled plans: the same equality over `FaultPlan::generate`'s
     /// alternating up/down phases across sites.
     #[test]
@@ -79,7 +125,14 @@ proptest! {
         };
         let plan = FaultPlan::generate(&config, &timelines, sites, seed);
         for at in probes(&plan) {
-            prop_assert_eq!(plan.site_floors(at), linear_floors(&plan, at));
+            let expected = linear_floors(&plan, at);
+            prop_assert_eq!(plan.site_floors(at), expected.clone());
+            let (floors, until) = plan.site_floors_until(at);
+            prop_assert_eq!(&floors, &expected);
+            if until < SimTime::MAX {
+                let last = SimTime::new(until.value().next_down());
+                prop_assert_eq!(plan.site_floors(last), expected);
+            }
         }
     }
 }

@@ -13,8 +13,26 @@
 //! distinct events, and a strictly-after "next sync" walk would skip one
 //! of them.
 //!
+//! # The sync-due watermark
+//!
+//! A consumer that polls on every step mostly finds nothing new: most
+//! steps fall between two completions. Besides its position, the cursor
+//! keeps `due`, a watermark with no completion of any table in
+//! `(position, due)`. [`SyncEventCursor::advance_latest`] returns at once
+//! while the poll instant is before `due`; otherwise it makes one pass of
+//! [`Schedule::completions_around`] over the tables, which yields each
+//! table's latest completion and sets `due` to the earliest next one.
+//! Two things reset `due` to the position, so that the next poll scans:
+//!
+//! * [`SyncEventCursor::advance_to`] (and so the traced
+//!   [`SyncEventCursor::advance_observed`]), which does not look ahead;
+//! * [`SyncEventCursor::timelines_changed`], which a consumer must call
+//!   after revising the timelines it polls: a revision may move a
+//!   completion before a stale `due`.
+//!
 //! [`Schedule`]: crate::schedule::Schedule
 //! [`Schedule::completions_in`]: crate::schedule::Schedule::completions_in
+//! [`Schedule::completions_around`]: crate::schedule::Schedule::completions_around
 
 use ivdss_catalog::ids::TableId;
 use ivdss_obs::{EventKind, Tracer};
@@ -56,16 +74,22 @@ pub struct SyncEvent {
 /// // The cursor is monotone: the same interval is never re-delivered.
 /// assert!(cursor.advance_to(&tl, SimTime::new(12.0)).is_empty());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SyncEventCursor {
     position: SimTime,
+    /// No table completes a sync in `(position, due)` (see the module
+    /// docs); `due == position` promises nothing.
+    due: SimTime,
 }
 
 impl SyncEventCursor {
     /// Creates a cursor that has consumed everything at or before `start`.
     #[must_use]
     pub fn new(start: SimTime) -> Self {
-        SyncEventCursor { position: start }
+        SyncEventCursor {
+            position: start,
+            due: start,
+        }
     }
 
     /// The time up to which events have been delivered (inclusive).
@@ -94,15 +118,16 @@ impl SyncEventCursor {
         }
         events.sort();
         self.position = now;
+        self.due = now;
         events
     }
 
     /// Each table's latest completion in `(position, now]` — the last of
     /// its events [`SyncEventCursor::advance_to`] would return — written
     /// to `latest` in table order, and moves the cursor to `now`. This is
-    /// one lookup per table: no event list is built or sorted, which is
-    /// all a consumer that only asks "has this table synced since?"
-    /// needs.
+    /// one lookup per table, and none before the sync-due watermark (see
+    /// the module docs): no event list is built or sorted, which is all
+    /// a consumer that only asks "has this table synced since?" needs.
     pub fn advance_latest(
         &mut self,
         timelines: &SyncTimelines,
@@ -114,13 +139,28 @@ impl SyncEventCursor {
             return;
         }
         let position = self.position;
+        self.position = now;
+        if now < self.due {
+            return;
+        }
+        let mut due = SimTime::MAX;
         latest.extend(timelines.iter().filter_map(|(table, schedule)| {
-            schedule
-                .last_completion_at(now)
-                .filter(|&at| at > position)
+            let (last, next) = schedule.completions_around(now);
+            if let Some(next) = next {
+                due = due.min(next);
+            }
+            last.filter(|&at| at > position)
                 .map(|at| SyncEvent { at, table })
         }));
-        self.position = now;
+        self.due = due;
+    }
+
+    /// Tells the cursor that the timelines it polls were revised: the
+    /// next [`SyncEventCursor::advance_latest`] scans every table again
+    /// instead of trusting the sync-due watermark, which a revision may
+    /// have moved a completion in front of.
+    pub fn timelines_changed(&mut self) {
+        self.due = self.position;
     }
 
     /// [`SyncEventCursor::advance_to`] with observability: every

@@ -96,33 +96,7 @@ impl Schedule {
     /// The latest completion at or before `t`, if any.
     #[must_use]
     pub fn last_completion_at(&self, t: SimTime) -> Option<SimTime> {
-        match self {
-            Schedule::Periodic { period, phase } => {
-                if t.value() < *phase {
-                    return None;
-                }
-                // Floating-point guards (mirror of `next_completion_after`):
-                // `(t - phase) / period` can round either side of the
-                // integer it mathematically equals, so at an exact
-                // completion instant the unguarded floor reports the
-                // completion a full period early — or one period late for
-                // a `t` one ulp below it. The result must be the largest
-                // `phase + k·period ≤ t`.
-                let mut k = ((t.value() - phase) / period).floor();
-                while phase + (k + 1.0) * period <= t.value() {
-                    k += 1.0;
-                }
-                while k > 0.0 && phase + k * period > t.value() {
-                    k -= 1.0;
-                }
-                Some(SimTime::new(phase + k * period))
-            }
-            Schedule::Trace(times) => match times.binary_search(&t) {
-                Ok(idx) => Some(times[idx]),
-                Err(0) => None,
-                Err(idx) => Some(times[idx - 1]),
-            },
-        }
+        self.completions_around(t).0
     }
 
     /// The earliest completion strictly after `t`, if any.
@@ -131,26 +105,29 @@ impl Schedule {
     /// past their horizon.
     #[must_use]
     pub fn next_completion_after(&self, t: SimTime) -> Option<SimTime> {
+        self.completions_around(t).1
+    }
+
+    /// [`Schedule::last_completion_at`] and
+    /// [`Schedule::next_completion_after`] of `t` in one lookup: one
+    /// binary search on a trace, one guarded division on a periodic
+    /// schedule.
+    #[must_use]
+    pub fn completions_around(&self, t: SimTime) -> (Option<SimTime>, Option<SimTime>) {
         match self {
-            Schedule::Periodic { period, phase } => {
-                if t.value() < *phase {
-                    return Some(SimTime::new(*phase));
-                }
-                let mut k = ((t.value() - phase) / period).floor() + 1.0;
-                // Floating-point guard: `(t - phase) / period` can round
-                // below the integer it mathematically equals, making
-                // `phase + k·period` collapse onto `t` itself. The result
-                // must be *strictly* after `t` or iteration never advances.
-                let mut next = phase + k * period;
-                while next <= t.value() {
-                    k += 1.0;
-                    next = phase + k * period;
-                }
-                Some(SimTime::new(next))
-            }
+            &Schedule::Periodic { period, phase } => match periodic_index(period, phase, t) {
+                None => (None, Some(SimTime::new(phase))),
+                Some(k) => (
+                    Some(SimTime::new(phase + k * period)),
+                    Some(SimTime::new(phase + (k + 1.0) * period)),
+                ),
+            },
             Schedule::Trace(times) => {
                 let idx = times.partition_point(|&x| x <= t);
-                times.get(idx).copied()
+                (
+                    idx.checked_sub(1).map(|i| times[i]),
+                    times.get(idx).copied(),
+                )
             }
         }
     }
@@ -167,17 +144,8 @@ impl Schedule {
                 out.dedup();
                 out
             }
-            Schedule::Periodic { .. } => {
-                let mut out = Vec::new();
-                let mut t = from;
-                while let Some(next) = self.next_completion_after(t) {
-                    if next > to {
-                        break;
-                    }
-                    out.push(next);
-                    t = next;
-                }
-                out
+            &Schedule::Periodic { period, phase } => {
+                periodic_window(period, phase, from, to).collect()
             }
         }
     }
@@ -186,9 +154,8 @@ impl Schedule {
     /// without materializing them — the refresh-budget accounting path
     /// (`ivdss-sched`) calls this per table per candidate schedule, so it
     /// must not allocate. Trace schedules count by binary search; periodic
-    /// schedules walk the same ULP-guarded iteration as
-    /// [`Schedule::completions_in`] so the two never disagree at window
-    /// boundaries.
+    /// schedules walk the same iteration as [`Schedule::completions_in`]
+    /// so the two never disagree at window boundaries.
     #[must_use]
     pub fn count_in(&self, from: SimTime, to: SimTime) -> usize {
         match self {
@@ -202,17 +169,8 @@ impl Schedule {
                     .filter(|&(i, &t)| i == 0 || window[i - 1] != t)
                     .count()
             }
-            Schedule::Periodic { .. } => {
-                let mut count = 0;
-                let mut t = from;
-                while let Some(next) = self.next_completion_after(t) {
-                    if next > to {
-                        break;
-                    }
-                    count += 1;
-                    t = next;
-                }
-                count
+            &Schedule::Periodic { period, phase } => {
+                periodic_window(period, phase, from, to).count()
             }
         }
     }
@@ -251,6 +209,56 @@ impl Schedule {
             Schedule::Trace(_) => None,
         }
     }
+}
+
+/// The index `k` of a periodic schedule's last completion at or before
+/// `t`, the largest with `phase + k·period ≤ t`; `None` before the phase.
+///
+/// Floating-point guards: `(t − phase) / period` can round either side of
+/// the integer it mathematically equals, so at an exact completion
+/// instant the unguarded floor names the completion one period early, and
+/// one ulp below it one period late. As `phase + k·period` never
+/// decreases in `k`, the next completion after `t` is then index `k + 1`,
+/// strictly after `t`, so iteration always advances.
+fn periodic_index(period: f64, phase: f64, t: SimTime) -> Option<f64> {
+    let t = t.value();
+    if t < phase {
+        return None;
+    }
+    let at = |k: f64| phase + k * period;
+    let mut k = ((t - phase) / period).floor();
+    while at(k + 1.0) <= t {
+        k += 1.0;
+    }
+    while k > 0.0 && at(k) > t {
+        k -= 1.0;
+    }
+    Some(k)
+}
+
+/// The distinct completions of a periodic schedule in `(from, to]`, in
+/// order — what stepping [`Schedule::next_completion_after`] from `from`
+/// yields: one guarded lookup finds the first, then the index steps, and
+/// a completion that rounds onto its predecessor is skipped.
+fn periodic_window(
+    period: f64,
+    phase: f64,
+    from: SimTime,
+    to: SimTime,
+) -> impl Iterator<Item = SimTime> {
+    let mut k = periodic_index(period, phase, from).map_or(0.0, |k| k + 1.0);
+    let mut previous = None;
+    std::iter::from_fn(move || loop {
+        let at = SimTime::new(phase + k * period);
+        if at > to {
+            return None;
+        }
+        k += 1.0;
+        if previous != Some(at) {
+            previous = Some(at);
+            return Some(at);
+        }
+    })
 }
 
 /// The times of a sorted trace in `(from, to]`, found by binary search;

@@ -2,7 +2,7 @@
 
 use ivdss_catalog::ids::TableId;
 use ivdss_catalog::replica::{ReplicaSpec, ReplicationPlan};
-use ivdss_replication::events::TimelineRevision;
+use ivdss_replication::events::{SyncEvent, SyncEventCursor, TimelineRevision};
 use ivdss_replication::schedule::Schedule;
 use ivdss_replication::timelines::{SyncMode, SyncTimelines};
 use ivdss_simkernel::time::SimTime;
@@ -236,5 +236,154 @@ proptest! {
             schedule.count_in(from, to),
             schedule.completions_in(from, to).len()
         );
+    }
+}
+
+/// The instants one ulp below, at and one ulp above `t`.
+fn ulp_neighbourhood(t: f64) -> [SimTime; 3] {
+    [t.next_down(), t, t.next_up()].map(SimTime::new)
+}
+
+/// Tables `0..kinds.len()`: `(true, step, _)` is a trace on the
+/// half-unit grid with a completion every `step` half-units, each listed
+/// twice, so poll instants on that grid land on completions; `(false,
+/// period, phase)` is periodic.
+fn polled_timelines(kinds: &[(bool, f64, f64)]) -> SyncTimelines {
+    let mut timelines = SyncTimelines::new();
+    for (i, &(trace, period, phase)) in kinds.iter().enumerate() {
+        let schedule = if trace {
+            let step = 1 + (period as u32) % 4;
+            let steps: Vec<u32> = (0..40).flat_map(|k| [k * step, k * step]).collect();
+            Schedule::trace(grid(&steps))
+        } else {
+            Schedule::periodic(period, phase * period)
+        };
+        timelines.insert(TableId::new(i as u32), schedule);
+    }
+    timelines
+}
+
+proptest! {
+    /// `completions_around` is `last_completion_at` and
+    /// `next_completion_after` in one lookup, and on a periodic schedule
+    /// it brackets each completion instant exactly: at the instant the
+    /// last completion is that instant, one ulp below it the next one
+    /// is, one ulp above it the last one still is. (One ulp below a
+    /// completion, `(t − phase) / period` can round up to the
+    /// completion's index; the next completion must not skip it.)
+    #[test]
+    fn periodic_completions_around_bracket_each_instant(
+        period in 0.1..20.0f64,
+        phase in 0.0..1.0f64,
+        k in 1u32..2000
+    ) {
+        let phase = phase * period;
+        let s = Schedule::periodic(period, phase);
+        let at = phase + f64::from(k) * period;
+        let [below, exact, above] = ulp_neighbourhood(at);
+        for t in [below, exact, above] {
+            prop_assert_eq!(
+                s.completions_around(t),
+                (s.last_completion_at(t), s.next_completion_after(t))
+            );
+        }
+        let completion = SimTime::new(at);
+        prop_assert_eq!(s.next_completion_after(below), Some(completion));
+        prop_assert!(s.last_completion_at(below).is_some_and(|last| last < completion));
+        prop_assert_eq!(s.last_completion_at(exact), Some(completion));
+        prop_assert!(s.next_completion_after(exact).is_some_and(|next| next > completion));
+        prop_assert_eq!(s.last_completion_at(above), Some(completion));
+        prop_assert_eq!(s.next_completion_after(above), s.next_completion_after(exact));
+    }
+
+    /// Stepping a periodic window by index gives what stepping
+    /// `next_completion_after` through it gives, for windows that start
+    /// and end on completion instants, one ulp either side of them, and
+    /// before the phase; `count_in` agrees.
+    #[test]
+    fn periodic_completions_match_stepping(
+        period in 0.1..20.0f64,
+        phase in 0.0..1.0f64,
+        (first, span, from_ulp, to_ulp) in (0u32..500, 0u32..40, 0usize..3, 0usize..3)
+    ) {
+        let phase = phase * period;
+        let s = Schedule::periodic(period, phase);
+        let at = |k: u32| phase + f64::from(k) * period;
+        let from = if first == 0 {
+            SimTime::new(phase / 2.0)
+        } else {
+            ulp_neighbourhood(at(first))[from_ulp]
+        };
+        let to = ulp_neighbourhood(at(first + span))[to_ulp];
+        prop_assert_eq!(s.completions_in(from, to), completions_by_stepping(&s, from, to));
+        prop_assert_eq!(s.count_in(from, to), s.completions_in(from, to).len());
+    }
+
+    /// On traces with duplicate instants, `completions_around` is the
+    /// pair of single lookups, at every grid instant and one ulp either
+    /// side of it.
+    #[test]
+    fn trace_completions_around_match_single_lookups(
+        steps in prop::collection::vec(0u32..12, 0..24),
+        probe in 0u32..30
+    ) {
+        let s = Schedule::trace(grid(&steps));
+        for t in ulp_neighbourhood(f64::from(probe) * 0.25) {
+            prop_assert_eq!(
+                s.completions_around(t),
+                (s.last_completion_at(t), s.next_completion_after(t))
+            );
+        }
+    }
+
+    /// One long-lived cursor, polled through `advance_latest` at a
+    /// non-decreasing sequence of instants (repeats included), returns
+    /// at every poll exactly what a fresh cursor at the previous poll
+    /// instant returns, while the timelines are revised between polls —
+    /// by drops, later slips and the earlier slips `FaultPlan::generate`
+    /// never makes, which can move a completion before the cursor's
+    /// sync-due watermark — each revision followed by
+    /// `timelines_changed`.
+    #[test]
+    fn watermark_cursor_matches_a_fresh_cursor(
+        kinds in prop::collection::vec((any::<bool>(), 0.5..6.0f64, 0.0..1.0f64), 1..4),
+        polls in prop::collection::vec(
+            (0u32..4, prop::collection::vec((0usize..4, 0usize..64, any::<bool>(), 0u32..13), 0..3)),
+            1..48
+        )
+    ) {
+        let horizon = SimTime::new(40.0);
+        let mut timelines = polled_timelines(&kinds);
+        let mut cursor = SyncEventCursor::new(SimTime::ZERO);
+        let (mut latest, mut expected): (Vec<SyncEvent>, Vec<SyncEvent>) = (Vec::new(), Vec::new());
+        let mut now = SimTime::ZERO;
+        for (step, revisions) in &polls {
+            for &(table, pick, slip, shift) in revisions {
+                let table = TableId::new((table % kinds.len()) as u32);
+                let times = timelines.schedule(table).expect("scheduled").materialize(horizon);
+                let Some(&scheduled) = times.get(pick % times.len().max(1)) else {
+                    continue;
+                };
+                // Slips move up to three units either way, on the grid.
+                let new_time = slip.then(|| {
+                    SimTime::new((scheduled.value() + (f64::from(shift) - 6.0) * 0.5).max(0.0))
+                });
+                let revision = TimelineRevision {
+                    revealed_at: now,
+                    table,
+                    scheduled,
+                    new_time,
+                };
+                if timelines.revise(&revision, horizon) {
+                    cursor.timelines_changed();
+                }
+            }
+            let previous = now;
+            now = SimTime::new(now.value() + f64::from(*step) * 0.5);
+            cursor.advance_latest(&timelines, now, &mut latest);
+            SyncEventCursor::new(previous).advance_latest(&timelines, now, &mut expected);
+            prop_assert_eq!(&latest, &expected, "poll ({}, {}]", previous.value(), now.value());
+            prop_assert_eq!(cursor.position(), now);
+        }
     }
 }

@@ -12,15 +12,31 @@
 //! IV query among *queue ∪ {arrival}* is shed — which may well be the
 //! arrival itself, but never blindly the newest.
 //!
-//! The all-remote-immediate estimator is deliberately cheap (one plan
-//! evaluation, no search) and conservative: it is a lower bound on what
+//! The all-remote-immediate estimator is deliberately cheap (one
+//! candidate, no search) and conservative: it is a lower bound on what
 //! the planner can deliver, and it is the one candidate class whose IV
 //! does not depend on sync phase, so ranking by it is stable while
 //! queries wait.
+//!
+//! # Cached kernel rows
+//!
+//! Only a full queue ranks anything, and then it ranks every queued
+//! query on every arrival. The cost-model estimate and the spanned
+//! sites of the all-remote candidate depend only on the catalog, the
+//! cost model and the query, never on the time, the timelines or the
+//! queue estimator, so each entry keeps them as a one-row
+//! [`SubsetArena`] (the all-remote row, `SubsetArena::build(ctx,
+//! request, &[])`), built the first time the entry is ranked. A rank is
+//! then one [`SubsetArena::score`] at the live instant: the same kernel
+//! [`evaluate_plan`](ivdss_core::plan::evaluate_plan) runs on the same
+//! cost and sites, so the marginal IV is bit-identical to evaluating the
+//! all-remote plan. A queue that never fills builds no row. The queue
+//! assumes one catalog and cost model across calls, as the engine's plan
+//! cache does.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
-use ivdss_core::plan::{evaluate_plan, PlanContext, QueryRequest};
+use ivdss_core::plan::{PlanContext, QueryRequest, SubsetArena};
 use ivdss_core::starvation::AgingPolicy;
 use ivdss_costmodel::query::QueryId;
 use ivdss_simkernel::time::SimTime;
@@ -58,11 +74,6 @@ pub enum AdmitOutcome {
 /// Estimates the marginal information value of `request` at `now`: the
 /// IV of the immediate all-remote fallback plan, aged by how long the
 /// query has already waited.
-///
-/// # Panics
-///
-/// Panics if `ctx` cannot evaluate the all-remote immediate plan, which
-/// is feasible for every well-formed request.
 #[must_use]
 pub fn marginal_iv(
     ctx: &PlanContext<'_>,
@@ -70,22 +81,35 @@ pub fn marginal_iv(
     now: SimTime,
     aging: AgingPolicy,
 ) -> f64 {
-    let eval = evaluate_plan(
-        ctx,
-        request,
-        now.max(request.submitted_at),
-        &BTreeSet::new(),
-    )
-    .expect("the all-remote immediate plan is always feasible");
+    ranked(ctx, &all_remote_row(ctx, request), request, now, aging)
+}
+
+/// The kernel row of `request`'s all-remote plan.
+fn all_remote_row(ctx: &PlanContext<'_>, request: &QueryRequest) -> SubsetArena {
+    SubsetArena::build(ctx, request, &[])
+}
+
+/// [`marginal_iv`] scored over `request`'s all-remote `row`.
+fn ranked(
+    ctx: &PlanContext<'_>,
+    row: &SubsetArena,
+    request: &QueryRequest,
+    now: SimTime,
+    aging: AgingPolicy,
+) -> f64 {
+    let wave = row.wave(ctx, now.max(request.submitted_at));
+    let iv = row.score(ctx, request, &wave, 0).information_value;
     let waiting = (now - request.submitted_at).clamp_non_negative();
-    aging.effective_value(eval.information_value, waiting)
+    aging.effective_value(iv, waiting)
 }
 
 /// A bounded FIFO queue whose overflow policy sheds by minimum marginal
 /// IV.
 #[derive(Debug, Clone)]
 pub struct AdmissionQueue {
-    entries: VecDeque<QueuedQuery>,
+    /// Each queued query with its all-remote kernel row, built the first
+    /// time the entry is ranked (see the module docs).
+    entries: VecDeque<(QueuedQuery, Option<SubsetArena>)>,
     capacity: usize,
     aging: AgingPolicy,
 }
@@ -127,24 +151,24 @@ impl AdmissionQueue {
     /// The oldest queued query, if any.
     #[must_use]
     pub fn peek(&self) -> Option<&QueuedQuery> {
-        self.entries.front()
+        self.entries.front().map(|(queued, _)| queued)
     }
 
     /// Removes and returns the oldest queued query.
     pub fn pop_front(&mut self) -> Option<QueuedQuery> {
-        self.entries.pop_front()
+        self.entries.pop_front().map(|(queued, _)| queued)
     }
 
     /// Removes and returns the *youngest* queued query — the
     /// work-stealing victim: it is last in FIFO order, so taking it
     /// never reorders or delays the queries ahead of it.
     pub fn pop_back(&mut self) -> Option<QueuedQuery> {
-        self.entries.pop_back()
+        self.entries.pop_back().map(|(queued, _)| queued)
     }
 
     /// Iterates the queued queries in FIFO order.
     pub fn iter(&self) -> impl Iterator<Item = &QueuedQuery> {
-        self.entries.iter()
+        self.entries.iter().map(|(queued, _)| queued)
     }
 
     /// Offers `request` to the queue at `now`. With room it is simply
@@ -233,21 +257,26 @@ impl AdmissionQueue {
         now: SimTime,
     ) -> AdmitOutcome {
         if self.entries.len() < self.capacity {
-            self.entries.push_back(queued);
+            self.entries.push_back((queued, None));
             return AdmitOutcome::Admitted;
         }
 
-        let incoming_iv = marginal_iv(ctx, &queued.request, now, self.aging);
+        let aging = self.aging;
+        let row = all_remote_row(ctx, &queued.request);
+        let incoming_iv = ranked(ctx, &row, &queued.request, now, aging);
         let victim = self
             .entries
-            .iter()
+            .iter_mut()
             .enumerate()
-            .map(|(idx, q)| (idx, marginal_iv(ctx, &q.request, now, self.aging)))
+            .map(|(idx, (q, row))| {
+                let row = row.get_or_insert_with(|| all_remote_row(ctx, &q.request));
+                (idx, ranked(ctx, row, &q.request, now, aging))
+            })
             .min_by(|a, b| a.1.total_cmp(&b.1));
         match victim {
             Some((idx, queued_iv)) if queued_iv < incoming_iv => {
-                let shed = self.entries.remove(idx).expect("victim index is in bounds");
-                self.entries.push_back(queued);
+                let (shed, _) = self.entries.remove(idx).expect("victim index is in bounds");
+                self.entries.push_back((queued, Some(row)));
                 AdmitOutcome::AdmittedAfterShedding {
                     shed: shed.request.id(),
                     shed_marginal_iv: queued_iv,

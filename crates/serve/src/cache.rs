@@ -74,8 +74,20 @@
 //!   does not re-run the cost model. Entries keep their own selected
 //!   champions, so evicting a template's arena never changes a hit.
 //!
+//! The template arenas also serve the engine's searches outside the
+//! cache — outage re-planning, the IV-lost bound and the cluster's
+//! steal guard — through [`PlanCache::arena`] and
+//! [`SearchOpts::arena`]: an arena depends on the catalog, the cost
+//! model and which tables are replicated, never on when they sync or on
+//! queue state, so one arena is exact under every timeline belief and
+//! queue estimator of the engine.
+//!
+//! Garbage collection that evicts nothing costs one pass over the
+//! entries and no rebuild of the FIFO order.
+//!
 //! [`NoQueues`]: ivdss_core::plan::NoQueues
 //! [`ScatterGatherSearch`]: ivdss_core::search::ScatterGatherSearch
+//! [`SearchOpts::arena`]: ivdss_core::search::SearchOpts::arena
 //! [`evaluate_plan`]: ivdss_core::plan::evaluate_plan
 //! [`Wave`]: ivdss_core::plan::Wave
 
@@ -108,6 +120,19 @@ struct TemplateKey {
     rates: (u64, u64),
 }
 
+impl TemplateKey {
+    fn for_request(ctx: &PlanContext<'_>, request: &QueryRequest) -> Self {
+        TemplateKey {
+            footprint: request.query.tables().to_vec(),
+            profile: (
+                request.query.weight().to_bits(),
+                request.query.selectivity().to_bits(),
+            ),
+            rates: (ctx.rates.cl.rate().to_bits(), ctx.rates.sl.rate().to_bits()),
+        }
+    }
+}
+
 /// Everything a cached planning verdict depends on (except business
 /// value, which cannot change the argmax).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -123,8 +148,9 @@ impl PlanCacheKey {
     /// Builds the key for `request` under `ctx` at its submission time.
     #[must_use]
     pub fn for_request(ctx: &PlanContext<'_>, request: &QueryRequest) -> Self {
-        let footprint = request.query.tables().to_vec();
-        let sync_phase = footprint
+        let template = TemplateKey::for_request(ctx, request);
+        let sync_phase = template
+            .footprint
             .iter()
             .filter(|&&t| ctx.timelines.has_replica(t))
             .map(|&t| {
@@ -134,14 +160,7 @@ impl PlanCacheKey {
             })
             .collect();
         PlanCacheKey {
-            template: TemplateKey {
-                footprint,
-                profile: (
-                    request.query.weight().to_bits(),
-                    request.query.selectivity().to_bits(),
-                ),
-                rates: (ctx.rates.cl.rate().to_bits(), ctx.rates.sl.rate().to_bits()),
-            },
+            template,
             sync_phase,
         }
     }
@@ -237,12 +256,16 @@ impl<K: Clone + Eq + Hash, V> Fifo<K, V> {
     }
 
     /// Drops every value `keep` rejects and returns how many were dropped.
+    /// The FIFO order is rebuilt only when something was dropped.
     fn retain(&mut self, mut keep: impl FnMut(&V) -> bool) -> usize {
         let before = self.map.len();
         self.map.retain(|_, value| keep(value));
-        let map = &self.map;
-        self.order.retain(|key| map.contains_key(key));
-        before - self.map.len()
+        let dropped = before - self.map.len();
+        if dropped > 0 {
+            let map = &self.map;
+            self.order.retain(|key| map.contains_key(key));
+        }
+        dropped
     }
 }
 
@@ -389,17 +412,42 @@ impl PlanCache {
             return Ok((entry.best(ctx, request), CacheOutcome::Hit));
         }
 
-        if !self.templates.map.contains_key(&key.template) {
-            let arena = SubsetArena::build(ctx, request, &replicated_footprint(ctx, request));
-            let ceilings = arena.ceilings(ctx.rates);
-            self.templates
-                .insert(key.template.clone(), Template { arena, ceilings });
-        }
-        let template = &self.templates.map[&key.template];
+        let template = Self::template(&mut self.templates, ctx, request, &key.template);
         let (best, entry) = Self::populate(ctx, request, template, self.max_sync_points);
         self.misses += 1;
         self.entries.insert(key, entry);
         Ok((best, CacheOutcome::Miss))
+    }
+
+    /// The full [`SubsetArena`] of `request`'s query template under `ctx`
+    /// — the arena a [`ScatterGatherSearch`] of `request` builds — from
+    /// the store [`PlanCache::plan`]'s misses keep, built and stored on
+    /// first use. Pass it as [`SearchOpts::arena`] so a search outside
+    /// the cache does not re-run the cost model. Like the cache, the
+    /// store assumes a fixed catalog, cost model and replica set; the
+    /// timelines' completions and the queue estimator do not matter.
+    ///
+    /// [`ScatterGatherSearch`]: ivdss_core::search::ScatterGatherSearch
+    /// [`SearchOpts::arena`]: ivdss_core::search::SearchOpts::arena
+    pub fn arena(&mut self, ctx: &PlanContext<'_>, request: &QueryRequest) -> &SubsetArena {
+        let key = TemplateKey::for_request(ctx, request);
+        &Self::template(&mut self.templates, ctx, request, &key).arena
+    }
+
+    /// The stored template under `key` (`request`'s under `ctx`), built
+    /// and inserted if absent.
+    fn template<'c>(
+        templates: &'c mut Fifo<TemplateKey, Template>,
+        ctx: &PlanContext<'_>,
+        request: &QueryRequest,
+        key: &TemplateKey,
+    ) -> &'c Template {
+        if !templates.map.contains_key(key) {
+            let arena = SubsetArena::build(ctx, request, &replicated_footprint(ctx, request));
+            let ceilings = arena.ceilings(ctx.rates);
+            templates.insert(key.clone(), Template { arena, ceilings });
+        }
+        &templates.map[key]
     }
 
     /// Enumerates the per-class champions for `request` over its

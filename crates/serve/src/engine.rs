@@ -45,6 +45,23 @@
 //! runs hotter — so the cache's exactness argument is untouched. Every
 //! completion under faults additionally reports the IV it lost versus
 //! the fault-free planning bound.
+//!
+//! # Work per step
+//!
+//! A step pays for what changed since the last one, not for what the
+//! engine holds:
+//!
+//! * the sync cursor looks the tables up only once a completion is due
+//!   ([`SyncEventCursor::advance_latest`]); an applied revision tells it
+//!   to look again;
+//! * the outage floors are held per outage boundary: a tick recomputes
+//!   them only once an outage has started or a covering one has ended
+//!   since ([`FaultPlan::site_floors_until`]), and every reader borrows
+//!   the one map;
+//! * the searches outside the cache (outage re-planning, the IV-lost
+//!   bound and [`ServeEngine::best_iv`]) score over the query template's
+//!   arena from the plan cache ([`PlanCache::arena`]) instead of
+//!   re-running the cost model.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -209,8 +226,14 @@ pub struct ServeEngine<'a, C: Clock> {
     synced: Vec<SyncEvent>,
     metrics: ServeMetrics,
     faults: Option<FaultState>,
-    /// The plan searches outside the cache: outage re-planning and the
-    /// fault-free IV bound.
+    /// Release floors of the sites inside an injected outage (empty
+    /// without faults), as of the last tick that recomputed them.
+    floors: BTreeMap<SiteId, SimTime>,
+    /// The next outage boundary: the floors hold until this instant, and
+    /// the first tick at or after it recomputes them.
+    floors_until: SimTime,
+    /// The plan searches outside the cache: outage re-planning, the
+    /// fault-free IV bound and [`ServeEngine::best_iv`].
     search: ScatterGatherSearch,
     /// Structured-event emission handle (disabled unless a trace is
     /// attached via [`ServeEngine::with_tracer`]).
@@ -245,6 +268,8 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
             config,
             clock,
             faults: None,
+            floors: BTreeMap::new(),
+            floors_until: SimTime::MAX,
             search: ScatterGatherSearch::new(),
             tracer: Tracer::disabled(),
             audits: AuditLog::new(AUDIT_CAPACITY),
@@ -285,6 +310,8 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
             revisions: RevisionCursor::new(start),
             next_outage: 0,
         });
+        // The first tick computes the floors.
+        engine.floors_until = start;
         engine
     }
 
@@ -404,17 +431,37 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
         out
     }
 
-    /// Release floors of the sites currently inside an injected outage
-    /// (empty without faults).
-    fn current_floors(&self, now: SimTime) -> BTreeMap<SiteId, SimTime> {
-        self.faults
-            .as_ref()
-            .map_or_else(BTreeMap::new, |f| f.plan.site_floors(now))
+    /// The IV of the best plan for `request` released no earlier than
+    /// `not_before`, under the engine's planning context (its timeline
+    /// belief, no queues, no outage floors): the answer of a
+    /// [`ScatterGatherSearch`], which scores over the request's template
+    /// arena from the plan cache. A cluster's steal guard compares a
+    /// transfer's two sides by it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`PlanError`] from the search.
+    pub fn best_iv(
+        &mut self,
+        request: &QueryRequest,
+        not_before: SimTime,
+    ) -> Result<f64, PlanError> {
+        let arena = self.cache.arena(&planning_ctx!(self), request);
+        let opts = SearchOpts {
+            arena: Some(arena),
+            ..SearchOpts::default()
+        };
+        let outcome = self
+            .search
+            .search_with(&planning_ctx!(self), request, not_before, opts)?;
+        Ok(outcome.best.information_value.value())
     }
 
     /// Applies due fault revisions to the timeline belief, counts outage
-    /// windows that have opened, then delivers the syncs completed since
-    /// the last tick to the cache's invalidator.
+    /// windows that have opened, refreshes the outage floors once an
+    /// outage boundary has passed, then delivers the syncs completed
+    /// since the last tick to the cache's invalidator. Every entry point
+    /// ticks before it reads the floors.
     ///
     /// Revisions are applied *before* the sync cursor advances, so a
     /// slipped or dropped completion is never delivered at its nominal
@@ -428,6 +475,7 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
                     .to_mut()
                     .revise(revision, faults.plan.horizon())
                 {
+                    self.cursor.timelines_changed();
                     let evicted = self.cache.invalidate_table(revision.table);
                     if revision.new_time.is_some() {
                         self.metrics.record_fault_slip();
@@ -451,6 +499,9 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
                     site: outage.site,
                     until: outage.end,
                 });
+            }
+            if now >= self.floors_until {
+                (self.floors, self.floors_until) = faults.plan.site_floors_until(now);
             }
         }
         // Eviction reads only each table's latest sync in the window,
@@ -504,8 +555,7 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
         self.sync_tick(now);
         self.metrics.record_submitted();
 
-        let floors = self.current_floors(now);
-        let floored = SiteFloors::new(&NoQueues, floors);
+        let floored = SiteFloors::new(&NoQueues, &self.floors);
         let submitted_id = request.id();
         let business_value = request.business_value.value();
         self.tracer.emit_with(now, || EventKind::Submitted {
@@ -534,8 +584,7 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
     pub fn accept(&mut self, queued: QueuedQuery) -> Result<SubmitReport, PlanError> {
         let now = self.clock.now();
         self.sync_tick(now);
-        let floors = self.current_floors(now);
-        let floored = SiteFloors::new(&NoQueues, floors);
+        let floored = SiteFloors::new(&NoQueues, &self.floors);
         let arrival = queued.request.id();
         let outcome = self.queue.push(&planning_ctx!(self, &floored), queued, now);
         let shed = self.note_admission(outcome, arrival, now);
@@ -636,9 +685,8 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
         // that is down at its release, re-plan with the floors visible so
         // replica-only and delayed options can win on merit. The cache is
         // bypassed — floors are queue state, which its key cannot carry.
-        let floors = self.current_floors(now);
         let mut replanned = false;
-        let planned = if floors.is_empty() {
+        let planned = if self.floors.is_empty() {
             planned
         } else {
             let release = planned.execute_at.max(now);
@@ -648,21 +696,22 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
                     .catalog
                     .sites_spanned(&remote)
                     .into_iter()
-                    .any(|site| floors.get(&site).is_some_and(|&floor| floor > release));
+                    .any(|site| self.floors.get(&site).is_some_and(|&floor| floor > release));
             if hits_outage {
                 replanned = true;
                 self.metrics.record_fault_replan();
-                let floored_sites = floors.len();
+                let floored_sites = self.floors.len();
                 self.tracer.emit_with(now, || EventKind::Replanned {
                     query,
                     floored_sites,
                 });
                 source = PlanSource::OutageReplan;
-                let floored = SiteFloors::new(&NoQueues, floors.clone());
+                let floored = SiteFloors::new(&NoQueues, &self.floors);
                 let mut audit = SearchAudit::default();
                 let opts = SearchOpts {
                     tracer: Some(&self.tracer),
                     audit: Some(&mut audit),
+                    arena: Some(self.cache.arena(&planning_ctx!(self), &request)),
                 };
                 let best = self
                     .search
@@ -692,7 +741,7 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
             }
             None => self.model,
         };
-        let live_queues = SiteFloors::new(&self.facilities, floors.clone());
+        let live_queues = SiteFloors::new(&self.facilities, &self.floors);
         let live_ctx = PlanContext {
             catalog: self.catalog,
             timelines: &self.timelines,
@@ -714,7 +763,8 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
         let remote = Self::remote_tables(&request, &planned);
         if !remote.is_empty() {
             for site in self.catalog.sites_spanned(&remote) {
-                let site_release = floors
+                let site_release = self
+                    .floors
                     .get(&site)
                     .map_or(release, |&floor| release.max(floor));
                 self.facilities
@@ -737,7 +787,17 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
                 queues: &NoQueues,
             };
             // Untraced: this bound feeds a metric and decides nothing.
-            let ideal = self.search.search_from(&nominal_ctx, &request, now)?.best;
+            // The belief's template arena serves the nominal timelines
+            // too: a revision never adds or removes a replica, so both
+            // replicate the same tables.
+            let opts = SearchOpts {
+                arena: Some(self.cache.arena(&planning_ctx!(self), &request)),
+                ..SearchOpts::default()
+            };
+            let ideal = self
+                .search
+                .search_with(&nominal_ctx, &request, now, opts)?
+                .best;
             iv_lost =
                 (ideal.information_value.value() - delivered.information_value.value()).max(0.0);
             self.metrics.record_fault_iv_lost(iv_lost);

@@ -34,6 +34,7 @@ use ivdss_catalog::placement::PlacementStrategy;
 use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
 use ivdss_core::plan::{NoQueues, PlanContext, QueryRequest};
 use ivdss_core::planner::{IvqpPlanner, Planner};
+use ivdss_core::search::ScatterGatherSearch;
 use ivdss_core::value::DiscountRates;
 use ivdss_costmodel::model::StylizedCostModel;
 use ivdss_faults::{FaultConfig, FaultPlan};
@@ -304,6 +305,47 @@ fn chaos_invariants_hold_across_the_seed_band() {
         replans > 0,
         "some dispatches across the band must hit an outage and re-plan"
     );
+}
+
+/// `ServeEngine::best_iv`, which searches over the plan cache's
+/// template arena, answers what a search that builds its own answers
+/// under the engine's planning context (its revised timeline belief, no
+/// queues), bit for bit, at the submit instant and after the backlog,
+/// all along a faulted stream.
+#[test]
+fn best_iv_equals_a_fresh_search_under_the_belief() {
+    let search = ScatterGatherSearch::new();
+    for seed in SPOT_SEEDS {
+        let s = scenario(seed);
+        let mut engine = ServeEngine::with_faults(
+            &s.catalog,
+            &s.timelines,
+            &s.model,
+            config(&s),
+            DesClock::new(),
+            s.faults.clone(),
+        );
+        for request in &s.requests {
+            engine.submit(request.clone()).expect("submission plans");
+            for not_before in [engine.now(), engine.now() + engine.backlog()] {
+                let best = engine.best_iv(request, not_before).expect("searches plan");
+                let ctx = PlanContext {
+                    catalog: &s.catalog,
+                    timelines: engine.timelines(),
+                    model: &s.model,
+                    rates: s.rates,
+                    queues: &NoQueues,
+                };
+                let fresh = search.search_from(&ctx, request, not_before).unwrap();
+                assert_eq!(
+                    best.to_bits(),
+                    fresh.best.information_value.value().to_bits(),
+                    "seed {seed}, query {}",
+                    request.id()
+                );
+            }
+        }
+    }
 }
 
 #[test]

@@ -7,17 +7,20 @@ use ivdss_catalog::catalog::Catalog;
 use ivdss_catalog::ids::TableId;
 use ivdss_catalog::replica::{ReplicaSpec, ReplicationPlan};
 use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
+use ivdss_core::plan::QueryRequest;
 use ivdss_core::plan::{NoQueues, PlanContext};
 use ivdss_core::search::ScatterGatherSearch;
 use ivdss_core::value::{BusinessValue, DiscountRates};
 use ivdss_costmodel::model::StylizedCostModel;
 use ivdss_costmodel::query::{QueryId, QuerySpec};
+use ivdss_faults::FaultPlan;
 use ivdss_obs::{Trace, Tracer};
+use ivdss_replication::events::TimelineRevision;
 use ivdss_replication::timelines::{SyncMode, SyncTimelines};
 use ivdss_serve::clock::DesClock;
 use ivdss_serve::engine::{ServeConfig, ServeEngine};
 use ivdss_serve::loadgen::{run_open_loop, OpenLoopConfig};
-use ivdss_simkernel::time::SimDuration;
+use ivdss_simkernel::time::{SimDuration, SimTime};
 use ivdss_workloads::stream::ArrivalStream;
 
 fn t(i: u32) -> TableId {
@@ -235,4 +238,55 @@ fn dispatched_plans_equal_the_search_at_submission() {
         );
         assert_eq!(audit.planned_iv, best.information_value.value(), "{query}");
     }
+}
+
+/// A scripted revision may move a completion earlier than any sync the
+/// engine's cursor expected next (`FaultPlan::generate` only slips later;
+/// `FaultPlan::from_parts` takes anything). Table 0 syncs every 5; at
+/// t=1 the engine learns that its t=10 sync lands at t=2 instead. By
+/// t=3 that sync has completed, so the entry planned at t=1 (phase 0)
+/// must be gone: an engine whose cursor still waited for t=5 would keep
+/// it.
+#[test]
+fn an_earlier_slip_is_delivered_before_the_sync_the_cursor_expected() {
+    let (catalog, timelines, model) = fixture();
+    let faults = FaultPlan::from_parts(
+        vec![TimelineRevision {
+            revealed_at: SimTime::new(1.0),
+            table: t(0),
+            scheduled: SimTime::new(10.0),
+            new_time: Some(SimTime::new(2.0)),
+        }],
+        Vec::new(),
+        (1.0, 1.0),
+        0,
+        SimTime::new(100.0),
+    );
+    let config = ServeConfig::new(DiscountRates::new(0.01, 0.05));
+    let mut engine = ServeEngine::with_faults(
+        &catalog,
+        &timelines,
+        &model,
+        config,
+        DesClock::new(),
+        faults,
+    );
+    let spec = QuerySpec::new(QueryId::new(0), vec![t(0), t(1)]);
+    for (i, at) in [0.5, 1.0, 3.0].into_iter().enumerate() {
+        let query = spec.with_id(QueryId::new(i as u64));
+        engine
+            .submit(QueryRequest::new(query, SimTime::new(at)))
+            .unwrap();
+        assert_eq!(
+            engine
+                .cache()
+                .stale_entries(engine.timelines(), engine.now()),
+            0,
+            "t={at}: the cache keeps an entry from before a delivered sync"
+        );
+    }
+    assert_eq!(
+        engine.timelines().last_sync(t(0), SimTime::new(3.0)),
+        Some(SimTime::new(2.0))
+    );
 }

@@ -1,24 +1,34 @@
 //! Property tests for the serving subsystem: cache exactness against the
 //! full scatter-and-gather search and, bit for bit, against the boxed
-//! champion enumeration the cache's arena kernel replaced.
+//! champion enumeration the cache's arena kernel replaced; searches over
+//! the cache's template arenas against searches that build their own;
+//! and admission ranking over cached kernel rows against ranking by plan
+//! evaluation.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::sync::Arc;
 
 use ivdss_catalog::catalog::Catalog;
-use ivdss_catalog::ids::TableId;
+use ivdss_catalog::ids::{SiteId, TableId};
 use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
 use ivdss_catalog::tpch::{tpch_catalog, TpchConfig};
 use ivdss_core::plan::{
-    evaluate_plan, NoQueues, PlanContext, PlanError, PlanEvaluation, QueryRequest,
+    evaluate_plan, NoQueues, PlanContext, PlanError, PlanEvaluation, QueryRequest, SiteFloors,
+    SubsetArena,
 };
 use ivdss_core::search::{
-    is_better, local_subsets, replicated_footprint, ScatterGatherSearch, DEFAULT_MAX_SYNC_POINTS,
+    is_better, local_subsets, replicated_footprint, ScatterGatherSearch, SearchOpts, SearchOutcome,
+    DEFAULT_MAX_SYNC_POINTS,
 };
+use ivdss_core::starvation::AgingPolicy;
 use ivdss_core::value::{BusinessValue, DiscountRates};
 use ivdss_costmodel::model::{AnalyticCostModel, StylizedCostModel};
 use ivdss_costmodel::query::{QueryId, QuerySpec};
+use ivdss_obs::{SearchAudit, Trace, Tracer};
+use ivdss_replication::events::TimelineRevision;
 use ivdss_replication::schedule::Schedule;
 use ivdss_replication::timelines::{SyncMode, SyncTimelines};
+use ivdss_serve::admission::{AdmissionQueue, AdmitOutcome, QueuedQuery};
 use ivdss_serve::cache::{CacheOutcome, PlanCache, PlanCacheKey};
 use ivdss_simkernel::time::SimTime;
 use ivdss_workloads::stream::{ArrivalStream, FrequencyRatio};
@@ -585,4 +595,249 @@ fn delayed_champion_within_a_ceiling_margin_is_not_dropped() {
     let at_tau = evaluate_plan(&ctx, &request, SimTime::new(tau), &best.local_tables).unwrap();
     let gain = best.information_value.value() / at_tau.information_value.value() - 1.0;
     assert!((0.5e-7..2e-7).contains(&gain), "gain {gain}");
+}
+
+/// `timelines` with completion `k` of each table in `(0, 60]`, for every
+/// third `k`, dropped when `k % 4 == 3` and otherwise slipped by half a
+/// period (earlier for odd `k`): a belief a fault plan can leave, which
+/// replicates the same tables.
+fn revised(timelines: &SyncTimelines) -> SyncTimelines {
+    let horizon = SimTime::new(60.0);
+    let mut revised = timelines.clone();
+    for (table, schedule) in timelines.iter() {
+        let period = schedule.mean_period().unwrap_or(1.0);
+        let times = schedule.completions_in(SimTime::ZERO, horizon);
+        for (k, &at) in times.iter().enumerate().step_by(3) {
+            let shift = if k % 2 == 0 { 0.5 } else { -0.5 } * period;
+            let revision = TimelineRevision {
+                revealed_at: at,
+                table,
+                scheduled: at,
+                new_time: (k % 4 != 3).then(|| SimTime::new(at.value() + shift)),
+            };
+            revised.revise(&revision, horizon);
+        }
+    }
+    revised
+}
+
+/// A search traced and audited, with or without a prebuilt arena: its
+/// outcome, its audit and the rendered trace bytes.
+fn observed_search(
+    ctx: &PlanContext<'_>,
+    request: &QueryRequest,
+    not_before: SimTime,
+    arena: Option<&SubsetArena>,
+) -> (SearchOutcome, SearchAudit, String) {
+    let trace = Arc::new(Trace::new());
+    let tracer = Tracer::recording(Arc::clone(&trace));
+    let mut audit = SearchAudit::default();
+    let opts = SearchOpts {
+        tracer: Some(&tracer),
+        audit: Some(&mut audit),
+        arena,
+    };
+    let outcome = ScatterGatherSearch::new()
+        .search_with(ctx, request, not_before, opts)
+        .unwrap();
+    (outcome, audit, trace.render())
+}
+
+/// The admission queue as it ranked before entries kept kernel rows:
+/// every rank evaluates the all-remote plan through [`evaluate_plan`].
+struct ReferenceQueue {
+    entries: VecDeque<QueuedQuery>,
+    capacity: usize,
+    aging: AgingPolicy,
+}
+
+impl ReferenceQueue {
+    fn marginal_iv(&self, ctx: &PlanContext<'_>, request: &QueryRequest, now: SimTime) -> f64 {
+        let at = now.max(request.submitted_at);
+        let eval = evaluate_plan(ctx, request, at, &BTreeSet::new()).unwrap();
+        let waiting = (now - request.submitted_at).clamp_non_negative();
+        self.aging.effective_value(eval.information_value, waiting)
+    }
+
+    fn push(&mut self, ctx: &PlanContext<'_>, queued: QueuedQuery, now: SimTime) -> AdmitOutcome {
+        if self.entries.len() < self.capacity {
+            self.entries.push_back(queued);
+            return AdmitOutcome::Admitted;
+        }
+        let incoming_iv = self.marginal_iv(ctx, &queued.request, now);
+        let victim = self
+            .entries
+            .iter()
+            .enumerate()
+            .map(|(idx, q)| (idx, self.marginal_iv(ctx, &q.request, now)))
+            .min_by(|a, b| a.1.total_cmp(&b.1));
+        match victim {
+            Some((idx, queued_iv)) if queued_iv < incoming_iv => {
+                let shed = self.entries.remove(idx).unwrap();
+                self.entries.push_back(queued);
+                AdmitOutcome::AdmittedAfterShedding {
+                    shed: shed.request.id(),
+                    shed_marginal_iv: queued_iv,
+                }
+            }
+            _ => AdmitOutcome::Rejected {
+                marginal_iv: incoming_iv,
+            },
+        }
+    }
+}
+
+/// An admission outcome with its marginal IV as bits.
+fn outcome_bits(outcome: AdmitOutcome) -> (Option<QueryId>, Option<u64>) {
+    match outcome {
+        AdmitOutcome::Admitted => (None, None),
+        AdmitOutcome::AdmittedAfterShedding {
+            shed,
+            shed_marginal_iv,
+        } => (Some(shed), Some(shed_marginal_iv.to_bits())),
+        AdmitOutcome::Rejected { marginal_iv } => (None, Some(marginal_iv.to_bits())),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A search over the template arena the plan cache keeps equals
+    /// (`==`) a search that builds its own, under nominal and revised
+    /// timelines, with and without outage floors, whichever of the two
+    /// timeline sets the arena was built under (they replicate the same
+    /// tables); traced and audited, the audits and the trace bytes are
+    /// equal too.
+    #[test]
+    fn search_over_a_template_arena_equals_a_fresh_search(
+        periods in (1.0..15.0f64, 1.0..15.0f64, 1.0..15.0f64),
+        rates in (0.005..0.2f64, 0.005..0.2f64),
+        (at, not_before, floor_len) in (0.0..50.0f64, 0.0..5.0f64, 0.0..30.0f64),
+        (footprint_mask, floored_sites, arena_under_revised, search_under_revised)
+            in (1u8..32, 0u8..4, any::<bool>(), any::<bool>())
+    ) {
+        let (catalog, nominal) =
+            fixture(&[(periods.0, 0.0), (periods.1, 0.3), (periods.2, 0.7)]);
+        let belief = revised(&nominal);
+        let model = StylizedCostModel::paper_fig4();
+        let rates = DiscountRates::new(rates.0, rates.1);
+        let request = QueryRequest::new(
+            QuerySpec::new(
+                QueryId::new(9),
+                (0..5u32).filter(|t| footprint_mask & (1 << t) != 0).map(TableId::new).collect(),
+            ),
+            SimTime::new(at),
+        );
+        let not_before = SimTime::new(at + not_before);
+        let floors: BTreeMap<SiteId, SimTime> = (0..2u32)
+            .filter(|s| floored_sites & (1 << s) != 0)
+            .map(|s| (SiteId::new(s), SimTime::new(at + floor_len)))
+            .collect();
+        let floored = SiteFloors::new(&NoQueues, &floors);
+        let ctx_over = |timelines| PlanContext {
+            catalog: &catalog,
+            timelines,
+            model: &model,
+            rates,
+            queues: &floored,
+        };
+        let arena_ctx = ctx_over(if arena_under_revised { &belief } else { &nominal });
+        let search_ctx = ctx_over(if search_under_revised { &belief } else { &nominal });
+
+        let mut cache = PlanCache::new(4);
+        let arena = cache.arena(&arena_ctx, &request);
+        let search = ScatterGatherSearch::new();
+        let plain = search.search_from(&search_ctx, &request, not_before).unwrap();
+        let opts = SearchOpts {
+            arena: Some(arena),
+            ..SearchOpts::default()
+        };
+        prop_assert_eq!(
+            search.search_with(&search_ctx, &request, not_before, opts).unwrap(),
+            plain.clone()
+        );
+
+        let over_arena = observed_search(&search_ctx, &request, not_before, Some(arena));
+        let built = observed_search(&search_ctx, &request, not_before, None);
+        prop_assert_eq!(&over_arena.0, &plain);
+        prop_assert_eq!(over_arena, built);
+    }
+
+    /// Admission over cached kernel rows takes the decisions a queue that
+    /// ranks by [`evaluate_plan`] takes, to the bit: the same victims and
+    /// marginal IVs, the same entries in the same order, through offers
+    /// and transfers at capacity, `pop_front`, `pop_back` and whole-queue
+    /// evacuation, under outage floors that change every step and with
+    /// §3.3 aging on.
+    #[test]
+    fn admission_over_cached_rows_matches_ranking_by_evaluation(
+        (capacity, aging_rate, lcl, lsl) in (1usize..5, 0.0..0.1f64, 0.005..0.2f64, 0.005..0.2f64),
+        ops in prop::collection::vec(
+            (0u8..10, 1u8..32, 0.0..3.0f64, (0.05..5.0f64, 0u8..4, 0.0..20.0f64, 0.0..4.0f64)),
+            1..80
+        )
+    ) {
+        let (catalog, timelines) = fixture(&[(4.0, 0.0), (7.0, 0.5)]);
+        let model = StylizedCostModel::paper_fig4();
+        let rates = DiscountRates::new(lcl, lsl);
+        let aging = AgingPolicy::new(aging_rate);
+        let mut queue = AdmissionQueue::new(capacity, aging);
+        let mut reference = ReferenceQueue {
+            entries: VecDeque::new(),
+            capacity,
+            aging,
+        };
+        let mut now = SimTime::ZERO;
+        for (i, &(op, footprint_mask, dt, (bv, floored_sites, floor_len, age))) in ops.iter().enumerate() {
+            now = SimTime::new(now.value() + dt);
+            let floors: BTreeMap<SiteId, SimTime> = (0..2u32)
+                .filter(|s| floored_sites & (1 << s) != 0)
+                .map(|s| (SiteId::new(s), SimTime::new(now.value() + floor_len)))
+                .collect();
+            let floored = SiteFloors::new(&NoQueues, &floors);
+            let ctx = PlanContext {
+                catalog: &catalog,
+                timelines: &timelines,
+                model: &model,
+                rates,
+                queues: &floored,
+            };
+            let submitted = SimTime::new((now.value() - age).max(0.0));
+            let request = QueryRequest::new(
+                QuerySpec::new(
+                    QueryId::new(i as u64),
+                    (0..5u32).filter(|t| footprint_mask & (1 << t) != 0).map(TableId::new).collect(),
+                ),
+                submitted,
+            )
+            .with_business_value(BusinessValue::new(bv));
+            match op {
+                0..=4 => {
+                    let got = queue.offer(&ctx, request.clone(), now);
+                    let want = reference.push(
+                        &ctx,
+                        QueuedQuery { request, enqueued_at: now },
+                        now,
+                    );
+                    prop_assert_eq!(outcome_bits(got), outcome_bits(want));
+                }
+                5 | 6 => {
+                    let queued = QueuedQuery { request, enqueued_at: submitted };
+                    let got = queue.push(&ctx, queued.clone(), now);
+                    let want = reference.push(&ctx, queued, now);
+                    prop_assert_eq!(outcome_bits(got), outcome_bits(want));
+                }
+                7 => prop_assert_eq!(queue.pop_front(), reference.entries.pop_front()),
+                8 => prop_assert_eq!(queue.pop_back(), reference.entries.pop_back()),
+                _ => {
+                    let evacuated: Vec<QueuedQuery> =
+                        std::iter::from_fn(|| queue.pop_front()).collect();
+                    let expected: Vec<QueuedQuery> = reference.entries.drain(..).collect();
+                    prop_assert_eq!(evacuated, expected);
+                }
+            }
+            prop_assert!(queue.iter().eq(reference.entries.iter()));
+            prop_assert_eq!(queue.peek(), reference.entries.front());
+        }
+    }
 }

@@ -140,7 +140,7 @@ fn outage_replan_is_audited_and_matches_search_from_over_the_floors() {
     // the same floored context at the dispatch time.
     let floors = faults.site_floors(SimTime::new(SUBMIT));
     assert_eq!(floors.get(&down_site), Some(&SimTime::new(OUTAGE_END)));
-    let floored = SiteFloors::new(&NoQueues, floors);
+    let floored = SiteFloors::new(&NoQueues, &floors);
     let floored_ctx = PlanContext {
         catalog: &catalog,
         timelines: &timelines,

@@ -46,26 +46,40 @@ for example in examples/*.rs; do
   cargo run --quiet --release --offline --example "$name" > /dev/null
 done
 
-echo "==> serving benchmark correctness check (release)"
+echo "==> serving benchmark correctness and digest check (release)"
 # servebench is its own cargo workspace, so the steps above never build
 # it. Each workload's last line is its JSON report; a run is correct
-# when every socket pass matched the in-process run.
+# when every socket pass matched the in-process run. The in-process
+# run's per-query IV digest is also pinned per workload: a change that
+# moves plans or delivered values on the benchmark's worlds fails here
+# even when its socket passes agree with it.
 # A path dependency dropped from a crate's manifest still passes
 # `--locked`, but the benchmark's own `cargo run --offline` rewrites
 # servebench/Cargo.lock to drop it, so the lock's checksum is compared
 # after the last run.
 lock_before=$(cksum servebench/Cargo.lock)
 cargo build --release --offline --quiet --manifest-path servebench/Cargo.toml
-for workload in tpch-paper dashboard-hot tenants-overload; do
-  report=$(cargo run --quiet --release --offline --manifest-path servebench/Cargo.toml -- \
-    --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+for pin in tpch-paper:6977be4fd6fd3144 dashboard-hot:1335430ddba4e3dd tenants-overload:a99e10cca82aeb63; do
+  workload=${pin%%:*}
+  pinned=${pin#*:}
+  output=$(cargo run --quiet --release --offline --manifest-path servebench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 1 --trace 0)
+  report=$(printf '%s\n' "$output" | tail -n 1)
   case "$report" in
-    *'"correct": true'*) echo "    $workload: correct" ;;
+    *'"correct": true'*) ;;
     *)
       echo "servebench $workload failed its correctness check: $report" >&2
       exit 1
       ;;
   esac
+  digest=$(printf '%s\n' "$output" | sed -n 's/^digest in-process \([0-9a-f]*\),.*/\1/p')
+  if [ "$digest" != "$pinned" ]; then
+    echo "servebench $workload --seed 1 --seconds 1: in-process digest '$digest', pinned $pinned." >&2
+    echo "Plans or delivered values moved on the benchmark's world. A change meant to move them" >&2
+    echo "updates the pin in scripts/check.sh and argues the new values in CHANGES.md." >&2
+    exit 1
+  fi
+  echo "    $workload: correct, digest $digest"
 done
 # The traced replay (--trace 1) is the only servebench path that calls
 # the plain search directly and reads the cluster's `shared_memo()` and
