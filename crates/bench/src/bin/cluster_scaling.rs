@@ -15,6 +15,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use ivdss_bench::median_ms;
 use ivdss_dsim::experiments::cluster::{
     run_cluster_point, ClusterScalingConfig, ClusterScalingPoint, SHARD_COUNTS,
 };
@@ -22,11 +23,6 @@ use ivdss_dsim::experiments::cluster::{
 struct Cell {
     point: ClusterScalingPoint,
     wall_ms: f64,
-}
-
-fn median_ms(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    samples[samples.len() / 2]
 }
 
 fn main() {

@@ -22,6 +22,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use ivdss_bench::median_ms;
 use ivdss_catalog::ids::TableId;
 use ivdss_catalog::replica::{ReplicaSpec, ReplicationPlan};
 use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
@@ -87,11 +88,6 @@ fn batch(fanout: usize, tables: usize, replicated: usize) -> Vec<QueryRequest> {
             )
         })
         .collect()
-}
-
-fn median_ms(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    samples[samples.len() / 2]
 }
 
 fn main() {

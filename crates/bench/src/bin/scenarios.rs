@@ -17,6 +17,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use ivdss_bench::median_ms;
 use ivdss_dsim::experiments::scenarios::{run_scenario, ScenarioPoint};
 use ivdss_scenarios::named::all_scenarios;
 
@@ -24,11 +25,6 @@ struct Cell {
     point: ScenarioPoint,
     horizon: f64,
     wall_ms: f64,
-}
-
-fn median_ms(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    samples[samples.len() / 2]
 }
 
 fn main() {

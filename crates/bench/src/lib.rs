@@ -23,3 +23,15 @@
 pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
 }
+
+/// The median of `samples` (the upper one of an even count), sorting
+/// them in place.
+///
+/// # Panics
+///
+/// Panics if `samples` is empty or holds a NaN.
+#[must_use]
+pub fn median_ms(samples: &mut [f64]) -> f64 {
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    samples[samples.len() / 2]
+}

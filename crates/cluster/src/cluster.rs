@@ -199,9 +199,11 @@ pub struct Cluster<'a, C: Clock + Clone> {
     faults: Option<FaultPlan>,
     tracer: Tracer,
     metrics: ClusterMetrics,
+    /// Sorted by `(start, shard)`.
     outages: Vec<ShardOutage>,
-    /// Parallel to `outages`: whether the window's failover already ran.
-    handled: Vec<bool>,
+    /// Index of the first window of `outages` that no step has opened
+    /// yet. Steps only move forward, so the opened windows are a prefix.
+    next_outage: usize,
 }
 
 impl<'a, C: Clock + Clone> Cluster<'a, C> {
@@ -238,7 +240,7 @@ impl<'a, C: Clock + Clone> Cluster<'a, C> {
             tracer: Tracer::disabled(),
             metrics: ClusterMetrics::new(),
             outages: Vec::new(),
-            handled: Vec::new(),
+            next_outage: 0,
         };
         cluster.rebuild_engines();
         cluster
@@ -278,8 +280,8 @@ impl<'a, C: Clock + Clone> Cluster<'a, C> {
                 .expect("outage times are finite")
                 .then(a.shard.cmp(&b.shard))
         });
-        self.handled = vec![false; outages.len()];
         self.outages = outages;
+        self.next_outage = 0;
         self
     }
 
@@ -453,12 +455,9 @@ impl<'a, C: Clock + Clone> Cluster<'a, C> {
     fn step_to(&mut self, to: SimTime, report: &mut ClusterReport) -> Result<(), PlanError> {
         // Phase 1: open due outage windows and evacuate their queues.
         let mut displaced: Vec<(ShardId, Vec<QueuedQuery>)> = Vec::new();
-        for idx in 0..self.outages.len() {
-            let outage = self.outages[idx];
-            if self.handled[idx] || outage.start > to {
-                continue;
-            }
-            self.handled[idx] = true;
+        while self.next_outage < self.outages.len() && self.outages[self.next_outage].start <= to {
+            let outage = self.outages[self.next_outage];
+            self.next_outage += 1;
             self.metrics.record_shard_outage();
             self.tracer.emit_with(to, || EventKind::ShardOutageStarted {
                 shard: outage.shard,

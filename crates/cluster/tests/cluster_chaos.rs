@@ -14,6 +14,10 @@
 //!    the cluster counters (routing, steals, failover) against their
 //!    event counts.
 //!
+//! A run with several outage windows, on one shard and on two, one of
+//! them between two driving points, checks that each window is counted
+//! once and failed over only where the cluster saw it open.
+//!
 //! The same scenario, served by a bare engine and by a 2-shard cluster,
 //! also checks the text exposition: well-formed histograms, one line
 //! per name and label set, cluster histograms that are the bucket-wise
@@ -214,6 +218,76 @@ fn single_shard_outage_loses_no_queries_cluster_wide() {
         total_failover_rerouted > 0,
         "the outage band must evacuate non-empty queues somewhere"
     );
+}
+
+/// Four windows on three shards, handed over out of order: two on shard
+/// 0, one on shard 1 that overlaps shard 0's second, and one on shard 2
+/// that opens and closes between the driving points t=20.5 and t=21.5.
+/// Queries arrive once a time unit, so each submission is a driving
+/// point.
+#[test]
+fn several_outage_windows_each_open_once_and_fail_over_where_seen() {
+    let mut s = scenario(3);
+    let assignment =
+        ShardAssignment::partition(&s.catalog, SHARDS, ShardStrategy::BySite, s.shard_seed);
+    let router = ShardRouter::new(assignment);
+    let shard_timelines = ShardTimelines::build(&s.timelines, &router);
+    let model = StylizedCostModel::paper_fig4();
+    let trace = Arc::new(Trace::new());
+    let window = |shard: u32, start: f64, end: f64| {
+        ShardOutage::new(ShardId::new(shard), SimTime::new(start), SimTime::new(end))
+    };
+    let mut cluster = Cluster::new(
+        &s.catalog,
+        &shard_timelines,
+        &model,
+        router,
+        ClusterConfig {
+            serve: s.serve,
+            steal: true,
+        },
+        DesClock::new(),
+    )
+    .with_tracer(Tracer::recording(Arc::clone(&trace)))
+    .with_shard_outages(vec![
+        window(2, 20.6, 21.2),
+        window(0, 14.0, 18.0),
+        window(1, 10.0, 16.0),
+        window(0, 3.0, 8.0),
+    ]);
+    for i in 0..QUERIES {
+        let mut request = s.stream.next_request();
+        request.submitted_at = SimTime::new(0.5 + i as f64);
+        cluster.submit(request).expect("submission plans");
+    }
+    cluster.drain().expect("drain plans");
+
+    let snapshot = cluster.snapshot();
+    assert_eq!(snapshot.shard_outages, 4, "every window opens once");
+    assert_eq!(snapshot.unroutable_shed, 0, "some shard is always live");
+    assert_eq!(snapshot.failover_shed, 0);
+    assert_eq!(
+        snapshot.queries_completed() + snapshot.queries_shed(),
+        QUERIES as u64,
+        "completions + shed must cover every submission"
+    );
+    let events = trace.events();
+    let seen = |pick: fn(&EventKind) -> Option<ShardId>| -> Vec<(f64, u32)> {
+        events
+            .iter()
+            .filter_map(|e| pick(&e.kind).map(|shard| (e.at.value(), shard.index() as u32)))
+            .collect()
+    };
+    let opened = seen(|kind| match kind {
+        EventKind::ShardOutageStarted { shard, .. } => Some(*shard),
+        _ => None,
+    });
+    assert_eq!(opened, vec![(3.5, 0), (10.5, 1), (14.5, 0), (21.5, 2)]);
+    let failed_over = seen(|kind| match kind {
+        EventKind::ShardFailover { shard, .. } => Some(*shard),
+        _ => None,
+    });
+    assert_eq!(failed_over, vec![(3.5, 0), (10.5, 1), (14.5, 0)]);
 }
 
 #[test]

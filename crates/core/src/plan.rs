@@ -151,13 +151,19 @@ impl FacilityQueues {
         &self.remotes[site.index()]
     }
 
-    /// Books `plan`'s service window on the servers it occupies: the
-    /// local federation server for the full service time, and each
-    /// remote site `request` reads a base table from for the processing
-    /// component, all at the plan's service start.
-    pub fn commit(&mut self, catalog: &Catalog, request: &QueryRequest, plan: &PlanEvaluation) {
-        self.local
-            .book(plan.service_start, plan.cost.local_service());
+    /// Books `plan` on the servers [`evaluate_plan`] prices it on: the
+    /// local federation server for the full local service time from
+    /// `local_at`, and each remote site `request` reads a base table
+    /// from for the remote processing from `remote_at(site)`.
+    pub fn book_plan(
+        &mut self,
+        catalog: &Catalog,
+        request: &QueryRequest,
+        plan: &PlanEvaluation,
+        local_at: SimTime,
+        remote_at: impl Fn(SiteId) -> SimTime,
+    ) {
+        self.local.book(local_at, plan.cost.local_service());
         let remote: Vec<TableId> = request
             .query
             .tables()
@@ -168,9 +174,16 @@ impl FacilityQueues {
         if !remote.is_empty() {
             for site in catalog.sites_spanned(&remote) {
                 self.remote_mut(site)
-                    .book(plan.service_start, plan.cost.remote_processing);
+                    .book(remote_at(site), plan.cost.remote_processing);
             }
         }
+    }
+
+    /// Books `plan` on every server it occupies at its service start.
+    pub fn commit(&mut self, catalog: &Catalog, request: &QueryRequest, plan: &PlanEvaluation) {
+        self.book_plan(catalog, request, plan, plan.service_start, |_| {
+            plan.service_start
+        });
     }
 }
 

@@ -5,10 +5,16 @@ use ivdss_catalog::placement::PlacementStrategy;
 use ivdss_catalog::replica::ReplicationPlan;
 use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
 use ivdss_catalog::tpch::{tpch_catalog, TpchConfig};
+use ivdss_core::plan::QueryRequest;
 use ivdss_core::planner::{FederationPlanner, IvqpPlanner, Planner, WarehousePlanner};
+use ivdss_core::value::DiscountRates;
+use ivdss_costmodel::model::CostModel;
 use ivdss_replication::timelines::{SyncMode, SyncTimelines};
 use ivdss_simkernel::time::SimTime;
 use ivdss_workloads::stream::FrequencyRatio;
+
+use crate::metrics::RunMetrics;
+use crate::simulator::{run_arrival_driven, Environment, ReplicaLoading};
 
 /// The three methods the paper compares (§4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -117,6 +123,38 @@ pub fn method_setups(
             }
         })
         .collect()
+}
+
+/// Runs `requests` through [`run_arrival_driven`] once per setup of
+/// [`method_setups`], with paper-scale replica loading, and returns the
+/// metrics in [`Method::ALL`] order.
+///
+/// # Panics
+///
+/// Panics if a method cannot plan a request on its own catalog (cannot
+/// happen for the setups [`method_setups`] builds).
+#[must_use]
+pub fn run_methods(
+    setups: &[MethodSetup],
+    model: &dyn CostModel,
+    rates: DiscountRates,
+    requests: &[QueryRequest],
+) -> [RunMetrics; 3] {
+    let metrics: Vec<RunMetrics> = setups
+        .iter()
+        .map(|setup| {
+            let env = Environment {
+                catalog: &setup.catalog,
+                timelines: &setup.timelines,
+                model,
+                rates,
+                loading: Some(ReplicaLoading::paper_scale()),
+            };
+            run_arrival_driven(&env, setup.method.planner().as_ref(), requests)
+                .expect("all methods are feasible on their own catalogs")
+        })
+        .collect();
+    metrics.try_into().expect("one setup per method")
 }
 
 /// Builds the paper's TPC-H hybrid catalog for a given Fq:Fs ratio and

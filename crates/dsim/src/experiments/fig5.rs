@@ -13,8 +13,7 @@ use ivdss_simkernel::time::SimTime;
 use ivdss_workloads::stream::{ArrivalStream, FrequencyRatio};
 use ivdss_workloads::tpch::tpch_query_specs;
 
-use crate::experiments::common::{format_method_table, method_setups, tpch_hybrid};
-use crate::simulator::{run_arrival_driven, Environment, ReplicaLoading};
+use crate::experiments::common::{format_method_table, method_setups, run_methods, tpch_hybrid};
 
 /// The four discount configurations of Fig. 5, in the paper's x-axis
 /// order, as `(label, rates)`.
@@ -125,19 +124,8 @@ pub fn run_fig5(config: &Fig5Config) -> Fig5Results {
         .take_requests(config.arrivals);
 
         for (rates_label, rates) in fig5_rate_configs() {
-            let mut mean_iv = [0.0; 3];
-            for (i, setup) in setups.iter().enumerate() {
-                let env = Environment {
-                    catalog: &setup.catalog,
-                    timelines: &setup.timelines,
-                    model: &model,
-                    rates,
-                    loading: Some(ReplicaLoading::paper_scale()),
-                };
-                let metrics = run_arrival_driven(&env, setup.method.planner().as_ref(), &requests)
-                    .expect("all methods are feasible on their own catalogs");
-                mean_iv[i] = metrics.mean_information_value();
-            }
+            let mean_iv = run_methods(&setups, &model, rates, &requests)
+                .map(|metrics| metrics.mean_information_value());
             cells.push(Fig5Cell {
                 ratio_label: ratio.label(),
                 rates_label,

@@ -14,9 +14,8 @@ use ivdss_simkernel::time::SimTime;
 use ivdss_workloads::stream::{ArrivalStream, FrequencyRatio};
 use ivdss_workloads::tpch::mid_cost_query_specs;
 
-use crate::experiments::common::{method_setups, tpch_hybrid};
+use crate::experiments::common::{method_setups, run_methods, tpch_hybrid};
 use crate::metrics::RunMetrics;
-use crate::simulator::{run_arrival_driven, Environment, ReplicaLoading};
 
 /// Configuration shared by the Fig. 6 and Fig. 7 runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -121,22 +120,7 @@ fn run_point(config: &Fig67Config, ratio: FrequencyRatio, rates: DiscountRates) 
         seeds.seed_for("arrivals"),
     )
     .take_requests(config.arrivals);
-
-    let mut out: Vec<RunMetrics> = Vec::with_capacity(3);
-    for setup in &setups {
-        let env = Environment {
-            catalog: &setup.catalog,
-            timelines: &setup.timelines,
-            model: &model,
-            rates,
-            loading: Some(ReplicaLoading::paper_scale()),
-        };
-        out.push(
-            run_arrival_driven(&env, setup.method.planner().as_ref(), &requests)
-                .expect("all methods feasible"),
-        );
-    }
-    out.try_into().expect("exactly three methods")
+    run_methods(&setups, &model, rates, &requests)
 }
 
 /// Runs the Fig. 6 experiment (λ = .01/.01, Fq:Fs = 1:10).

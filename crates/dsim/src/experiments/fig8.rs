@@ -13,8 +13,9 @@ use ivdss_simkernel::time::SimTime;
 use ivdss_workloads::stream::ArrivalStream;
 use ivdss_workloads::synthetic::{random_queries, RandomQueryConfig};
 
-use crate::experiments::common::{format_method_table, method_setups, synthetic_hybrid};
-use crate::simulator::{run_arrival_driven, Environment, ReplicaLoading};
+use crate::experiments::common::{
+    format_method_table, method_setups, run_methods, synthetic_hybrid,
+};
 
 /// Configuration of the Fig. 8 run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,19 +120,8 @@ fn run_series(config: &Fig8Config, placement: PlacementStrategy) -> Vec<Fig8Poin
                 seeds.seed_for("arrivals"),
             )
             .take_requests(config.arrivals);
-            let mut mean_iv = [0.0; 3];
-            for (i, setup) in setups.iter().enumerate() {
-                let env = Environment {
-                    catalog: &setup.catalog,
-                    timelines: &setup.timelines,
-                    model: &model,
-                    rates: config.rates,
-                    loading: Some(ReplicaLoading::paper_scale()),
-                };
-                mean_iv[i] = run_arrival_driven(&env, setup.method.planner().as_ref(), &requests)
-                    .expect("all methods feasible")
-                    .mean_information_value();
-            }
+            let mean_iv = run_methods(&setups, &model, config.rates, &requests)
+                .map(|metrics| metrics.mean_information_value());
             Fig8Point { sites, mean_iv }
         })
         .collect()

@@ -322,8 +322,8 @@ impl FaultPlan {
         }
     }
 
-    /// The timeline revisions, sorted by `(revealed_at, table)` — feed
-    /// them to an [`ivdss_replication::events::RevisionCursor`].
+    /// The timeline revisions, sorted by `(revealed_at, table)`: replay
+    /// them in order, applying each once its `revealed_at` has passed.
     #[must_use]
     pub fn revisions(&self) -> &[TimelineRevision] {
         &self.revisions

@@ -73,7 +73,7 @@ pub enum EventKind {
     },
     /// A replica synchronization completed and was delivered to online
     /// consumers; `completed_at` is the completion instant on the
-    /// timeline, the event stamp is when the cursor observed it.
+    /// timeline, the event stamp is the engine tick that delivered it.
     SyncDelivered {
         /// The refreshed table.
         table: TableId,

@@ -24,18 +24,22 @@
 //! table's latest completion and sets `due` to the earliest next one.
 //! Two things reset `due` to the position, so that the next poll scans:
 //!
-//! * [`SyncEventCursor::advance_to`] (and so the traced
-//!   [`SyncEventCursor::advance_observed`]), which does not look ahead;
+//! * [`SyncEventCursor::advance_to`], which does not look ahead;
 //! * [`SyncEventCursor::timelines_changed`], which a consumer must call
 //!   after revising the timelines it polls: a revision may move a
 //!   completion before a stale `due`.
+//!
+//! [`SyncEventCursor::advance_latest`] comes back empty only when no
+//! table completed a sync in the window, since the watermark skips only
+//! windows without one. A consumer that also wants every completion of a
+//! non-empty window (a trace, say) lists them with a fresh cursor at the
+//! window's start: `SyncEventCursor::new(from).advance_to(timelines, now)`.
 //!
 //! [`Schedule`]: crate::schedule::Schedule
 //! [`Schedule::completions_in`]: crate::schedule::Schedule::completions_in
 //! [`Schedule::completions_around`]: crate::schedule::Schedule::completions_around
 
 use ivdss_catalog::ids::TableId;
-use ivdss_obs::{EventKind, Tracer};
 use ivdss_simkernel::time::SimTime;
 
 use crate::timelines::SyncTimelines;
@@ -162,27 +166,6 @@ impl SyncEventCursor {
     pub fn timelines_changed(&mut self) {
         self.due = self.position;
     }
-
-    /// [`SyncEventCursor::advance_to`] with observability: every
-    /// delivered completion is also emitted as a `sync_delivered` trace
-    /// event, stamped at the observation instant `now` (the payload
-    /// carries the completion time on the timeline). With a disabled
-    /// tracer this is exactly `advance_to`.
-    pub fn advance_observed(
-        &mut self,
-        timelines: &SyncTimelines,
-        now: SimTime,
-        tracer: &Tracer,
-    ) -> Vec<SyncEvent> {
-        let events = self.advance_to(timelines, now);
-        for event in &events {
-            tracer.emit_with(now, || EventKind::SyncDelivered {
-                table: event.table,
-                completed_at: event.at,
-            });
-        }
-        events
-    }
 }
 
 /// A published correction to a synchronization timeline: the sync of
@@ -209,74 +192,6 @@ pub struct TimelineRevision {
     pub scheduled: SimTime,
     /// The corrected completion time (`None` = the sync is dropped).
     pub new_time: Option<SimTime>,
-}
-
-/// A monotone cursor over a sorted sequence of [`TimelineRevision`]s,
-/// mirroring [`SyncEventCursor`]: each advance yields the revisions
-/// revealed in `(position, now]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct RevisionCursor {
-    position: SimTime,
-    next: usize,
-}
-
-impl RevisionCursor {
-    /// Creates a cursor that has consumed every revision revealed at or
-    /// before `start`.
-    #[must_use]
-    pub fn new(start: SimTime) -> Self {
-        RevisionCursor {
-            position: start,
-            next: 0,
-        }
-    }
-
-    /// The time up to which revisions have been delivered (inclusive).
-    #[must_use]
-    pub fn position(&self) -> SimTime {
-        self.position
-    }
-
-    /// Returns the revisions revealed in `(position, now]` and moves the
-    /// cursor to `now`. `revisions` must be sorted by `revealed_at` and
-    /// must be the same sequence on every call (the cursor indexes into
-    /// it monotonically).
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `revisions` is not sorted by
-    /// `revealed_at`.
-    pub fn advance_to<'a>(
-        &mut self,
-        revisions: &'a [TimelineRevision],
-        now: SimTime,
-    ) -> &'a [TimelineRevision] {
-        debug_assert!(
-            revisions
-                .windows(2)
-                .all(|w| w[0].revealed_at <= w[1].revealed_at),
-            "revisions must be sorted by revealed_at"
-        );
-        if now <= self.position {
-            return &[];
-        }
-        let start = self.next;
-        // Skip anything at or before the position (tolerates a cursor
-        // created mid-sequence).
-        let start = start
-            + revisions[start..]
-                .iter()
-                .take_while(|r| r.revealed_at <= self.position)
-                .count();
-        let end = start
-            + revisions[start..]
-                .iter()
-                .take_while(|r| r.revealed_at <= now)
-                .count();
-        self.position = now;
-        self.next = end;
-        &revisions[start..end]
-    }
 }
 
 #[cfg(test)]
@@ -361,82 +276,6 @@ mod tests {
         assert!(cursor.advance_to(&tl, SimTime::new(7.0)).is_empty());
         assert!(cursor.advance_to(&tl, SimTime::new(3.0)).is_empty());
         assert_eq!(cursor.position(), SimTime::new(7.0));
-    }
-
-    fn rev(
-        revealed_at: f64,
-        table: TableId,
-        scheduled: f64,
-        new_time: Option<f64>,
-    ) -> TimelineRevision {
-        TimelineRevision {
-            revealed_at: SimTime::new(revealed_at),
-            table,
-            scheduled: SimTime::new(scheduled),
-            new_time: new_time.map(SimTime::new),
-        }
-    }
-
-    #[test]
-    fn revision_cursor_delivers_half_open_interval() {
-        let revisions = vec![
-            rev(5.0, t(0), 5.0, Some(7.0)),
-            rev(10.0, t(1), 10.0, None),
-            rev(15.0, t(0), 15.0, Some(16.0)),
-        ];
-        let mut cursor = RevisionCursor::new(SimTime::ZERO);
-        assert_eq!(
-            cursor.advance_to(&revisions, SimTime::new(5.0)),
-            &revisions[..1]
-        );
-        // Re-polling the same instant re-delivers nothing.
-        assert!(cursor.advance_to(&revisions, SimTime::new(5.0)).is_empty());
-        assert_eq!(
-            cursor.advance_to(&revisions, SimTime::new(20.0)),
-            &revisions[1..]
-        );
-        assert!(cursor.advance_to(&revisions, SimTime::new(30.0)).is_empty());
-        assert_eq!(cursor.position(), SimTime::new(30.0));
-    }
-
-    #[test]
-    fn revision_cursor_created_mid_sequence_skips_past() {
-        let revisions = vec![
-            rev(2.0, t(0), 2.0, None),
-            rev(6.0, t(0), 6.0, None),
-            rev(9.0, t(0), 9.0, None),
-        ];
-        let mut cursor = RevisionCursor::new(SimTime::new(6.0));
-        assert_eq!(
-            cursor.advance_to(&revisions, SimTime::new(9.0)),
-            &revisions[2..]
-        );
-    }
-
-    #[test]
-    fn revision_cursor_backwards_advance_is_noop() {
-        let revisions = vec![rev(4.0, t(0), 4.0, None)];
-        let mut cursor = RevisionCursor::new(SimTime::new(5.0));
-        assert!(cursor.advance_to(&revisions, SimTime::new(3.0)).is_empty());
-        assert_eq!(cursor.position(), SimTime::new(5.0));
-    }
-
-    #[test]
-    fn observed_advance_mirrors_events_into_the_trace() {
-        use ivdss_obs::Trace;
-        use std::sync::Arc;
-
-        let tl = timelines();
-        let trace = Arc::new(Trace::new());
-        let tracer = Tracer::recording(Arc::clone(&trace));
-        let mut observed = SyncEventCursor::new(SimTime::ZERO);
-        let mut plain = SyncEventCursor::new(SimTime::ZERO);
-        let events = observed.advance_observed(&tl, SimTime::new(10.0), &tracer);
-        assert_eq!(events, plain.advance_to(&tl, SimTime::new(10.0)));
-        assert_eq!(trace.len(), events.len());
-        let rendered = trace.render();
-        assert!(rendered.contains("t=10 sync_delivered table=0 completed_at=5"));
-        assert!(rendered.contains("t=10 sync_delivered table=1 completed_at=10"));
     }
 
     #[test]

@@ -42,6 +42,6 @@ pub mod events;
 pub mod schedule;
 pub mod timelines;
 
-pub use events::{RevisionCursor, SyncEvent, SyncEventCursor, TimelineRevision};
+pub use events::{SyncEvent, SyncEventCursor, TimelineRevision};
 pub use schedule::Schedule;
 pub use timelines::{SyncMode, SyncTimelines};

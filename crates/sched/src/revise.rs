@@ -20,7 +20,7 @@ use ivdss_simkernel::time::SimTime;
 /// `(from, horizon]`) onto `target`'s, pairing them in time order per
 /// table. All revisions carry `revealed_at = from` — the re-scheduling
 /// decision instant — and arrive sorted by `(revealed_at, table)`, the
-/// order `RevisionCursor` delivers.
+/// order in which a consumer applies them.
 ///
 /// Tables present in `current` but absent from `target` have all their
 /// future completions dropped; tables only in `target` are ignored

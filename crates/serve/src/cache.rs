@@ -32,7 +32,8 @@
 //! last-sync times (which *define* the window — any completed sync
 //! changes the key, so entries for old windows can never be hit again).
 //! Invalidation driven by [`SyncEvent`]s is thus garbage collection, not
-//! correctness: it evicts entries whose window has closed.
+//! correctness: it evicts entries whose window has closed. An entry keeps
+//! its sync phase only in its key, and the collector reads it there.
 //!
 //! The cache assumes a fixed catalog and cost model, and a model that
 //! prices a query only through its footprint and cost profile; do not
@@ -145,6 +146,13 @@ pub struct PlanCacheKey {
 }
 
 impl PlanCacheKey {
+    /// The last sync time of the key's `idx`-th replicated footprint
+    /// table (the `idx`-th of the entry's `champions.replicated()`).
+    fn last_sync(&self, idx: usize) -> Option<SimTime> {
+        let bits = self.sync_phase[idx];
+        (bits != NEVER_SYNCED).then(|| SimTime::new(f64::from_bits(bits)))
+    }
+
     /// Builds the key for `request` under `ctx` at its submission time.
     #[must_use]
     pub fn for_request(ctx: &PlanContext<'_>, request: &QueryRequest) -> Self {
@@ -175,11 +183,11 @@ pub enum CacheOutcome {
     Miss,
 }
 
+/// A cached verdict. Its sync phase lives in its [`PlanCacheKey`],
+/// whose `sync_phase` is aligned with `champions.replicated()`: both
+/// list the footprint's replicated tables in footprint order.
 #[derive(Debug, Clone)]
 struct CacheEntry {
-    /// Last sync time per replicated footprint table (aligned with
-    /// `champions.replicated()`) when the entry was built.
-    last_syncs: Vec<Option<SimTime>>,
     /// Release policy of each champion row: `None` = release immediately
     /// at the submit time; `Some(τ)` = delayed to the absolute sync point
     /// `τ` (valid for every submit instant in the entry's window, which
@@ -255,11 +263,11 @@ impl<K: Clone + Eq + Hash, V> Fifo<K, V> {
         self.map.insert(key, value);
     }
 
-    /// Drops every value `keep` rejects and returns how many were dropped.
-    /// The FIFO order is rebuilt only when something was dropped.
-    fn retain(&mut self, mut keep: impl FnMut(&V) -> bool) -> usize {
+    /// Drops every entry `keep` rejects and returns how many were
+    /// dropped. The FIFO order is rebuilt only when something was dropped.
+    fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) -> usize {
         let before = self.map.len();
-        self.map.retain(|_, value| keep(value));
+        self.map.retain(|key, value| keep(key, value));
         let dropped = before - self.map.len();
         if dropped > 0 {
             let map = &self.map;
@@ -330,7 +338,6 @@ pub struct PlanCache {
     /// capacity as `entries`. Entries never point into them, so an
     /// evicted template only costs its next miss a rebuild.
     templates: Fifo<TemplateKey, Template>,
-    max_sync_points: usize,
     hits: u64,
     misses: u64,
     invalidations: u64,
@@ -349,7 +356,6 @@ impl PlanCache {
         PlanCache {
             entries: Fifo::new(capacity),
             templates: Fifo::new(capacity),
-            max_sync_points: DEFAULT_MAX_SYNC_POINTS,
             hits: 0,
             misses: 0,
             invalidations: 0,
@@ -413,7 +419,7 @@ impl PlanCache {
         }
 
         let template = Self::template(&mut self.templates, ctx, request, &key.template);
-        let (best, entry) = Self::populate(ctx, request, template, self.max_sync_points);
+        let (best, entry) = Self::populate(ctx, request, template);
         self.misses += 1;
         self.entries.insert(key, entry);
         Ok((best, CacheOutcome::Miss))
@@ -457,7 +463,6 @@ impl PlanCache {
         ctx: &PlanContext<'_>,
         request: &QueryRequest,
         template: &Template,
-        max_sync_points: usize,
     ) -> (PlanEvaluation, CacheEntry) {
         let Template { arena, ceilings } = template;
         let submit = request.submitted_at;
@@ -506,7 +511,7 @@ impl PlanCache {
                     }
                 }
                 visited += 1;
-                if visited > max_sync_points {
+                if visited > DEFAULT_MAX_SYNC_POINTS {
                     break;
                 }
                 // The versions are looked up only if some mask survives:
@@ -534,10 +539,6 @@ impl PlanCache {
             }
         }
 
-        let last_syncs = replicated
-            .iter()
-            .map(|&t| ctx.timelines.last_sync(t, submit))
-            .collect();
         let mut rows = vec![0];
         let mut releases = vec![None];
         let (mut best, mut best_mask) = (all_remote, 0);
@@ -558,7 +559,6 @@ impl PlanCache {
         (
             arena.evaluation(request, best_mask, best),
             CacheEntry {
-                last_syncs,
                 releases,
                 champions: arena.select(&rows),
             },
@@ -575,7 +575,7 @@ impl PlanCache {
     pub fn invalidate_table(&mut self, table: TableId) -> usize {
         let evicted = self
             .entries
-            .retain(|entry| !entry.champions.replicated().contains(&table));
+            .retain(|_, entry| !entry.champions.replicated().contains(&table));
         self.invalidations += evicted as u64;
         evicted
     }
@@ -589,14 +589,14 @@ impl PlanCache {
     pub fn stale_entries(&self, timelines: &SyncTimelines, now: SimTime) -> usize {
         self.entries
             .map
-            .values()
-            .filter(|entry| {
+            .iter()
+            .filter(|(key, entry)| {
                 entry
                     .champions
                     .replicated()
                     .iter()
-                    .zip(&entry.last_syncs)
-                    .any(|(&t, &seen)| timelines.last_sync(t, now) != seen)
+                    .enumerate()
+                    .any(|(idx, &t)| timelines.last_sync(t, now) != key.last_sync(idx))
             })
             .count()
     }
@@ -615,14 +615,14 @@ impl PlanCache {
         if events.is_empty() || self.entries.map.is_empty() {
             return 0;
         }
-        let evicted = self.entries.retain(|entry| {
+        let evicted = self.entries.retain(|key, entry| {
             !events.iter().any(|event| {
                 entry
                     .champions
                     .replicated()
                     .iter()
                     .position(|&t| t == event.table)
-                    .is_some_and(|idx| entry.last_syncs[idx].is_none_or(|seen| seen < event.at))
+                    .is_some_and(|idx| key.last_sync(idx).is_none_or(|seen| seen < event.at))
             })
         });
         self.invalidations += evicted as u64;

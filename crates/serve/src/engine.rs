@@ -53,7 +53,10 @@
 //!
 //! * the sync cursor looks the tables up only once a completion is due
 //!   ([`SyncEventCursor::advance_latest`]); an applied revision tells it
-//!   to look again;
+//!   to look again. A traced run takes the same path: the tracer only
+//!   lists the completions of a window the cursor found non-empty;
+//! * fault revisions and outage windows are replayed by index into the
+//!   fault plan's sorted lists;
 //! * the outage floors are held per outage boundary: a tick recomputes
 //!   them only once an outage has started or a covering one has ended
 //!   since ([`FaultPlan::site_floors_until`]), and every reader borrows
@@ -81,7 +84,7 @@ use ivdss_faults::{FaultPlan, JitteredCostModel};
 use ivdss_obs::{
     AdmissionVerdict, AuditLog, EventKind, PlanAudit, PlanSource, SearchAudit, Tracer,
 };
-use ivdss_replication::events::{RevisionCursor, SyncEvent, SyncEventCursor};
+use ivdss_replication::events::{SyncEvent, SyncEventCursor};
 use ivdss_replication::timelines::SyncTimelines;
 use ivdss_simkernel::time::{SimDuration, SimTime};
 
@@ -174,10 +177,12 @@ impl ZeroStats {
     }
 }
 
-/// Replay state of an armed [`FaultPlan`].
+/// Replay state of an armed [`FaultPlan`]: the index of the next
+/// revision and of the next outage not yet replayed, each into the
+/// plan's sorted list.
 struct FaultState {
     plan: FaultPlan,
-    revisions: RevisionCursor,
+    next_revision: usize,
     next_outage: usize,
 }
 
@@ -305,9 +310,13 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
     ) -> Self {
         let start = clock.now();
         let mut engine = ServeEngine::new(catalog, timelines, model, config, clock);
+        // Revisions revealed at or before the start are never applied.
+        let next_revision = faults
+            .revisions()
+            .partition_point(|r| r.revealed_at <= start);
         engine.faults = Some(FaultState {
             plan: faults,
-            revisions: RevisionCursor::new(start),
+            next_revision,
             next_outage: 0,
         });
         // The first tick computes the floors.
@@ -468,12 +477,16 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
     /// time: the cursor walks the already-revised belief.
     fn sync_tick(&mut self, now: SimTime) {
         if let Some(faults) = &mut self.faults {
-            let due = faults.revisions.advance_to(faults.plan.revisions(), now);
-            for revision in due {
+            let revisions = faults.plan.revisions();
+            while faults.next_revision < revisions.len()
+                && revisions[faults.next_revision].revealed_at <= now
+            {
+                let revision = revisions[faults.next_revision];
+                faults.next_revision += 1;
                 if self
                     .timelines
                     .to_mut()
-                    .revise(revision, faults.plan.horizon())
+                    .revise(&revision, faults.plan.horizon())
                 {
                     self.cursor.timelines_changed();
                     let evicted = self.cache.invalidate_table(revision.table);
@@ -504,18 +517,22 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
                 (self.floors, self.floors_until) = faults.plan.site_floors_until(now);
             }
         }
-        // Eviction reads only each table's latest sync in the window,
-        // one lookup per table; the `sync_delivered` trace lines need
-        // every completion.
-        if self.tracer.enabled() {
-            self.synced = self
-                .cursor
-                .advance_observed(&self.timelines, now, &self.tracer);
-        } else {
-            self.cursor
-                .advance_latest(&self.timelines, now, &mut self.synced);
-        }
+        // Eviction reads only each table's latest sync in the window.
+        // The watermark skips only windows without a completion, so a
+        // traced run lists every completion of a non-empty window, as
+        // `sync_delivered` lines stamped at `now`, in (time, table) order.
+        let from = self.cursor.position();
+        self.cursor
+            .advance_latest(&self.timelines, now, &mut self.synced);
         if !self.synced.is_empty() {
+            if self.tracer.enabled() {
+                for event in SyncEventCursor::new(from).advance_to(&self.timelines, now) {
+                    self.tracer.emit_with(now, || EventKind::SyncDelivered {
+                        table: event.table,
+                        completed_at: event.at,
+                    });
+                }
+            }
             let evicted = self.cache.apply_sync_events(&self.synced);
             if evicted > 0 {
                 self.tracer
@@ -751,27 +768,15 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
         };
         let delivered = evaluate_plan(&live_ctx, &request, release, &planned.local_tables)?;
 
-        // Commit the reservations the estimator just probed, mirroring
-        // evaluate_plan's participation rule: the local server always
-        // serves the plan's local work and result reception; each site a
-        // remote table lives on serves the remote processing, no earlier
-        // than its outage floor.
-        let cost = delivered.cost;
+        // Commit the reservations the estimator just probed: the local
+        // server from the release, each remote site no earlier than its
+        // outage floor.
         self.facilities
-            .local_mut()
-            .book(release, cost.local_service());
-        let remote = Self::remote_tables(&request, &planned);
-        if !remote.is_empty() {
-            for site in self.catalog.sites_spanned(&remote) {
-                let site_release = self
-                    .floors
+            .book_plan(self.catalog, &request, &delivered, release, |site| {
+                self.floors
                     .get(&site)
-                    .map_or(release, |&floor| release.max(floor));
-                self.facilities
-                    .remote_mut(site)
-                    .book(site_release, cost.remote_processing);
-            }
-        }
+                    .map_or(release, |&floor| release.max(floor))
+            });
 
         // Under faults, measure what the degradation cost this query:
         // the IV an unfaulted planner (nominal timelines, no queues, no

@@ -1,5 +1,6 @@
 //! End-to-end tests of the serving engine: overload shedding, cache
-//! behaviour under syncs, determinism, and the MQO batch-window seam.
+//! behaviour under syncs and tracing, determinism, exact planning, and
+//! the replay of fault revisions.
 
 use std::sync::Arc;
 
@@ -14,10 +15,10 @@ use ivdss_core::value::{BusinessValue, DiscountRates};
 use ivdss_costmodel::model::StylizedCostModel;
 use ivdss_costmodel::query::{QueryId, QuerySpec};
 use ivdss_faults::FaultPlan;
-use ivdss_obs::{Trace, Tracer};
+use ivdss_obs::{EventKind, Trace, Tracer};
 use ivdss_replication::events::TimelineRevision;
 use ivdss_replication::timelines::{SyncMode, SyncTimelines};
-use ivdss_serve::clock::DesClock;
+use ivdss_serve::clock::{Clock, DesClock};
 use ivdss_serve::engine::{ServeConfig, ServeEngine};
 use ivdss_serve::loadgen::{run_open_loop, OpenLoopConfig};
 use ivdss_simkernel::time::{SimDuration, SimTime};
@@ -28,6 +29,12 @@ fn t(i: u32) -> TableId {
 }
 
 fn fixture() -> (Catalog, SyncTimelines, StylizedCostModel) {
+    fixture_with_periods(5.0, 8.0)
+}
+
+/// Six tables on two sites; tables 0 and 1 replicated with the given
+/// sync periods.
+fn fixture_with_periods(first: f64, second: f64) -> (Catalog, SyncTimelines, StylizedCostModel) {
     let base = synthetic_catalog(&SyntheticConfig {
         tables: 6,
         sites: 2,
@@ -37,8 +44,8 @@ fn fixture() -> (Catalog, SyncTimelines, StylizedCostModel) {
     })
     .unwrap();
     let mut plan = ReplicationPlan::new();
-    plan.add(t(0), ReplicaSpec::new(5.0));
-    plan.add(t(1), ReplicaSpec::new(8.0));
+    plan.add(t(0), ReplicaSpec::new(first));
+    plan.add(t(1), ReplicaSpec::new(second));
     let catalog = base.with_replication(plan).unwrap();
     let timelines = SyncTimelines::from_plan(catalog.replication(), SyncMode::Deterministic);
     (catalog, timelines, StylizedCostModel::paper_fig4())
@@ -127,8 +134,8 @@ fn cache_hits_and_sync_invalidations_accumulate() {
 
 #[test]
 fn tracing_does_not_change_what_syncs_evict() {
-    // Untraced, a tick evicts by each table's latest sync in its window;
-    // traced, it hands every sync to the trace and evicts by all of them.
+    // A tick evicts by each table's latest sync in its window, traced or
+    // not; traced, it also lists every sync of the window in the trace.
     // Sparse arrivals make one tick cross several syncs of a table.
     let (catalog, timelines, model) = fixture();
     for mean_interarrival in [1.0, 20.0] {
@@ -288,5 +295,133 @@ fn an_earlier_slip_is_delivered_before_the_sync_the_cursor_expected() {
     assert_eq!(
         engine.timelines().last_sync(t(0), SimTime::new(3.0)),
         Some(SimTime::new(2.0))
+    );
+}
+
+/// One step may cross several completions of a table: with periods 1
+/// and 3, the step from t=0.5 to t=7.5 crosses seven syncs of table 0
+/// and two of table 1. The engine finds them through its sync-due
+/// watermark, traced or not; the tracer lists every completion of the
+/// window, in (time, table) order and stamped at the step, and the
+/// cache ends as an untraced twin's does.
+#[test]
+fn a_traced_step_lists_every_sync_it_crosses() {
+    let (catalog, timelines, model) = fixture_with_periods(1.0, 3.0);
+    let run = |tracer: Tracer| {
+        let config = ServeConfig::new(DiscountRates::new(0.01, 0.05));
+        let mut engine = ServeEngine::new(&catalog, &timelines, &model, config, DesClock::new())
+            .with_tracer(tracer);
+        let spec = QuerySpec::new(QueryId::new(0), vec![t(0), t(1), t(2)]);
+        for (i, at) in [0.5, 7.5].into_iter().enumerate() {
+            let query = spec.with_id(QueryId::new(i as u64));
+            engine
+                .submit(QueryRequest::new(query, SimTime::new(at)))
+                .unwrap();
+        }
+        let cache = engine.cache();
+        (
+            cache.hits(),
+            cache.misses(),
+            cache.invalidations(),
+            cache.len(),
+        )
+    };
+    let trace = Arc::new(Trace::new());
+    let traced = run(Tracer::recording(Arc::clone(&trace)));
+    assert_eq!(traced, run(Tracer::disabled()));
+    // The t=7.5 step evicts the entry planned at t=0.5 and plans afresh.
+    assert_eq!(traced, (0, 2, 1, 1));
+
+    let delivered: Vec<(f64, usize, f64)> = trace
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::SyncDelivered {
+                table,
+                completed_at,
+            } => Some((e.at.value(), table.index(), completed_at.value())),
+            _ => None,
+        })
+        .collect();
+    let every = [
+        (1.0, 0),
+        (2.0, 0),
+        (3.0, 0),
+        (3.0, 1),
+        (4.0, 0),
+        (5.0, 0),
+        (6.0, 0),
+        (6.0, 1),
+        (7.0, 0),
+    ];
+    let expected: Vec<(f64, usize, f64)> = every
+        .iter()
+        .map(|&(completed_at, table)| (7.5, table, completed_at))
+        .collect();
+    assert_eq!(delivered, expected);
+}
+
+/// Fault revisions replay in order from the first one revealed after the
+/// engine's start. Table 0 syncs every 5 and table 1 every 8; the engine
+/// starts at t=2. A revision revealed before or at the start is never
+/// applied; one revealed exactly at the tick instant t=4 is applied at
+/// that tick, and counted once although the next step repeats t=4.
+#[test]
+fn revisions_apply_from_the_first_tick_after_the_start_and_once() {
+    let (catalog, timelines, model) = fixture();
+    let revision = |revealed_at: f64, table: TableId, scheduled: f64, new_time: Option<f64>| {
+        TimelineRevision {
+            revealed_at: SimTime::new(revealed_at),
+            table,
+            scheduled: SimTime::new(scheduled),
+            new_time: new_time.map(SimTime::new),
+        }
+    };
+    let faults = FaultPlan::from_parts(
+        vec![
+            revision(1.0, t(0), 5.0, None),
+            revision(2.0, t(0), 10.0, None),
+            revision(4.0, t(1), 8.0, Some(9.0)),
+        ],
+        Vec::new(),
+        (1.0, 1.0),
+        0,
+        SimTime::new(100.0),
+    );
+    let mut clock = DesClock::new();
+    clock.advance_to(SimTime::new(2.0));
+    let config = ServeConfig::new(DiscountRates::new(0.01, 0.05));
+    let mut engine = ServeEngine::with_faults(&catalog, &timelines, &model, config, clock, faults);
+    let spec = QuerySpec::new(QueryId::new(0), vec![t(0), t(1)]);
+    // (submission instant, (slips, drops) applied after the step)
+    let steps = [(2.0, (0, 0)), (4.0, (1, 0)), (4.0, (1, 0)), (12.0, (1, 0))];
+    for (i, (at, applied)) in steps.into_iter().enumerate() {
+        let query = spec.with_id(QueryId::new(i as u64));
+        engine
+            .submit(QueryRequest::new(query, SimTime::new(at)))
+            .unwrap();
+        let snap = engine.snapshot();
+        assert_eq!(
+            (snap.faults_syncs_slipped, snap.faults_syncs_dropped),
+            applied,
+            "step {i} at t={at}"
+        );
+    }
+    let belief = engine.timelines();
+    assert_eq!(
+        belief.last_sync(t(0), SimTime::new(6.0)),
+        Some(SimTime::new(5.0))
+    );
+    assert_eq!(
+        belief.last_sync(t(0), SimTime::new(11.0)),
+        Some(SimTime::new(10.0))
+    );
+    assert_eq!(
+        belief.last_sync(t(1), SimTime::new(8.5)),
+        Some(SimTime::ZERO)
+    );
+    assert_eq!(
+        belief.last_sync(t(1), SimTime::new(9.0)),
+        Some(SimTime::new(9.0))
     );
 }

@@ -118,8 +118,7 @@ pub mod prelude {
         Tracer,
     };
     pub use ivdss_replication::{
-        RevisionCursor, Schedule, SyncEvent, SyncEventCursor, SyncMode, SyncTimelines,
-        TimelineRevision,
+        Schedule, SyncEvent, SyncEventCursor, SyncMode, SyncTimelines, TimelineRevision,
     };
     pub use ivdss_scenarios::{
         all_scenarios, ArrivalProcess, GrowthSpec, IntensityProfile, Popularity, ScenarioEvent,
